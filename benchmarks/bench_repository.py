@@ -1,7 +1,7 @@
 """B3 — repository storage costs and the encrypted-at-rest ablation.
 
 Expected shapes: lookups stay O(1)-ish as stored-credential count grows
-(dict / one-file-per-entry); the PBKDF2 verifier dominates entry creation
+(dict / in-memory index over segment files); the PBKDF2 verifier dominates entry creation
 and scales linearly with the iteration knob — the price of §5.1's
 "encrypts the credentials ... with the pass phrase" defense, swept here as
 an explicit ablation.
@@ -12,12 +12,12 @@ import itertools
 import pytest
 
 from repro.core.repository import (
-    FileRepository,
     MemoryRepository,
     RepositoryEntry,
     check_passphrase,
     make_passphrase_verifier,
 )
+from repro.core.segments import SegmentRepository
 from repro.pki.keys import PooledKeySource
 
 PASS = "benchmark pass phrase 1"
@@ -47,10 +47,10 @@ def make_entry(i: int, *, iterations: int = 1000) -> RepositoryEntry:
 def _backend(kind, tmp_path):
     if kind == "memory":
         return MemoryRepository()
-    return FileRepository(tmp_path / f"spool{next(_ids)}")
+    return SegmentRepository(tmp_path / f"store{next(_ids)}")
 
 
-@pytest.mark.parametrize("kind", ["memory", "file"])
+@pytest.mark.parametrize("kind", ["memory", "segments"])
 @pytest.mark.parametrize("preload", [10, 100, 1000])
 def test_b3_get_vs_repository_size(benchmark, kind, preload, tmp_path):
     repo = _backend(kind, tmp_path)
@@ -66,7 +66,7 @@ def test_b3_get_vs_repository_size(benchmark, kind, preload, tmp_path):
     benchmark.extra_info["stored_entries"] = preload
 
 
-@pytest.mark.parametrize("kind", ["memory", "file"])
+@pytest.mark.parametrize("kind", ["memory", "segments"])
 def test_b3_put(benchmark, kind, tmp_path):
     repo = _backend(kind, tmp_path)
     counter = itertools.count()

@@ -2,7 +2,7 @@
 """An operator's tour: deploying MyProxy the way a 2001 Grid site would.
 
 Everything runs over real loopback TCP with on-disk state, exercising the
-deployment-facing surfaces: a hashed trust directory, a file-backed spool,
+deployment-facing surfaces: a hashed trust directory, the on-disk segment store,
 ACL policy, the HTTP protocol binding (§6.4), renewal-by-possession (§6.6)
 and `myproxy-admin`-style grooming.
 
@@ -18,7 +18,7 @@ from repro.core.client import MyProxyClient, myproxy_init_from_longterm
 from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
 from repro.core.policy import ServerPolicy
 from repro.core.protocol import AuthMethod
-from repro.core.repository import FileRepository
+from repro.core.segments import open_repository
 from repro.core.server import MyProxyServer
 from repro.gsi.acl import AccessControlList
 from repro.pki.ca import CertificateAuthority
@@ -42,7 +42,7 @@ def main() -> None:
     validator = trustdir.build_validator()
     print(f"trust directory: {sorted(p.name for p in trustdir.root.iterdir())}")
 
-    # -- 2. the repository: file spool, explicit ACLs --------------------------
+    # -- 2. the repository: segment store, explicit ACLs -----------------------
     policy = ServerPolicy(
         accepted_credentials=AccessControlList(
             ["/O=ExampleGrid/OU=People/CN=*"], name="accepted_credentials"
@@ -55,11 +55,11 @@ def main() -> None:
     server = MyProxyServer(
         ca.issue_host_credential("myproxy.examplegrid.org"),
         validator,
-        repository=FileRepository(state / "spool"),
+        repository=open_repository(state / "store"),
         policy=policy,
     )
     endpoint = server.start()
-    print(f"myproxy-server on {endpoint[0]}:{endpoint[1]}, spool at {state / 'spool'}")
+    print(f"myproxy-server on {endpoint[0]}:{endpoint[1]}, store at {state / 'store'}")
 
     # -- 3. a user enrolls and delegates (classic protocol) ---------------------
     alice = ca.issue_credential(
@@ -72,7 +72,7 @@ def main() -> None:
     )
     print("alice delegated a renewable one-week credential (channel protocol)")
 
-    # -- 4. the §6.4 HTTP binding serves the same spool --------------------------
+    # -- 4. the §6.4 HTTP binding serves the same store --------------------------
     gateway = MyProxyHttpGateway(server)
     gw_sock = socket.socket()
     gw_sock.bind(("127.0.0.1", 0))
@@ -106,7 +106,7 @@ def main() -> None:
     print(f"renewal-by-possession -> fresh proxy, expires "
           f"{fresh.certificate.not_after - proxy.certificate.not_after:+.0f}s later")
 
-    # -- 6. the operator grooms the spool --------------------------------------------
+    # -- 6. the operator grooms the store --------------------------------------------
     admin = RepositoryAdmin(server.repository)
     for row in admin.list_all():
         print(f"admin sees: {row.username}/{row.cred_name} "
@@ -124,6 +124,7 @@ def main() -> None:
 
     gw_sock.close()
     server.stop()
+    server.repository.close()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """``myproxy-admin`` — on-host repository administration.
 
-Operates directly on a repository spool directory (the admin is on the
+Operates directly on a repository storage directory (the admin is on the
 repository host, like the original ``myproxy-admin-query`` /
 ``myproxy-admin-purge`` tools); the server need not be running.
 """
@@ -11,16 +11,16 @@ import argparse
 
 from repro.cli.common import run_tool
 from repro.core.admin import RepositoryAdmin
-from repro.core.sqlrepository import open_repository
+from repro.core.segments import migrate_spool_to_segments, open_repository
 from repro.util.logging import configure_cli_logging
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="myproxy-admin", description="Administer a MyProxy spool directory."
+        prog="myproxy-admin", description="Administer a MyProxy storage directory."
     )
     parser.add_argument("--storage-dir", default=None, metavar="DIR",
-                        help="spool directory or .db file (required except for 'audit')")
+                        help="credential store directory (required except for 'audit')")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scrub = sub.add_parser(
         "scrub",
-        help="check every spool entry; list or discard quarantined ones",
+        help="check every stored entry; list or discard quarantined ones",
     )
     scrub.add_argument("--list", action="store_true", dest="list_only",
                        help="only list quarantined entries (default action)")
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     migrate = sub.add_parser(
         "migrate",
-        help="convert a spool directory to the packed segments backend in place",
+        help="convert a legacy one-file-per-credential spool to segments in place",
     )
     migrate.add_argument("--keep-spool", action="store_true",
                          help="leave the old per-credential files behind "
@@ -206,8 +206,6 @@ def main(argv: list[str] | None = None) -> int:
             count = admin.remove_user(args.username)
             print(f"removed {count} credential(s) for {args.username}")
         elif args.command == "migrate":
-            from repro.core.segments import migrate_spool_to_segments
-
             result = migrate_spool_to_segments(
                 args.storage_dir,
                 keep_spool=args.keep_spool,
@@ -217,18 +215,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"nothing to do: {result['reason']}")
             else:
                 print(
-                    f"migrated {result['entries']} credential(s) to the "
-                    f"segments backend"
+                    f"migrated {result['entries']} credential(s) to segments"
                     + (" (spool files kept)" if args.keep_spool
                        else " (spool files zeroized and removed)")
                 )
         elif args.command == "scrub":
             repo = admin.repository
-            if not hasattr(repo, "quarantined"):
-                raise SystemExit(
-                    "scrub needs a spool or segments directory, "
-                    f"not {type(repo).__name__}"
-                )
             # Opening the repository already ran recovery; this re-checks
             # every entry now and reports what sits in quarantine.
             summary = repo.scrub()

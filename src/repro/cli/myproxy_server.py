@@ -7,8 +7,8 @@ import time
 
 from repro.cli.common import add_common_args, build_validator, load_credential, run_tool
 from repro.core.policy import ServerPolicy
+from repro.core.segments import open_repository
 from repro.core.server import MyProxyServer
-from repro.core.sqlrepository import open_repository
 from repro.gsi.acl import AccessControlList
 
 
@@ -24,13 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--credential", required=True, metavar="PEM", help="the repository's host credential"
     )
     parser.add_argument(
-        "--storage-dir", required=True, metavar="DIR", help="credential spool directory"
-    )
-    parser.add_argument(
-        "--storage-backend", default=None, metavar="BACKEND",
-        choices=("auto", "spool", "segments", "sqlite"),
-        help="repository backend; 'auto' honours the directory's "
-             "storage.backend marker (overrides storage_backend)",
+        "--storage-dir", required=True, metavar="DIR",
+        help="credential store directory (segment files)",
     )
     parser.add_argument(
         "--config", default=None, metavar="FILE",
@@ -139,12 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     def _body() -> None:
-        from repro.core.config import StorageConfig
-
         cluster_cfg = None
         realm_peers = ()
         metrics_port = args.metrics_port
-        storage_cfg = StorageConfig()
+        storage_cfg = None
         if args.config:
             from repro.core.config import load_config
 
@@ -157,10 +150,6 @@ def main(argv: list[str] | None = None) -> int:
                 metrics_port = config.metrics_port
         else:
             policy = ServerPolicy()
-        if args.storage_backend is not None:
-            import dataclasses
-
-            storage_cfg = dataclasses.replace(storage_cfg, backend=args.storage_backend)
         if args.federation:
             policy.federation_enabled = True
         if args.realm_name is not None:
@@ -222,30 +211,18 @@ def main(argv: list[str] | None = None) -> int:
             master_box=master_box or SecretBox(),
             max_concurrent_connections=args.max_connections,
         )
-        if hasattr(repository, "stats"):
-            # Opening a repository runs crash recovery; surface what it
-            # found, naming the backend that actually did the work.
-            from repro.core.segments import SegmentRepository
-
-            recovery = repository.stats.snapshot()
-            if isinstance(repository, SegmentRepository):
-                label = (
-                    f"segment recovery "
-                    f"({len(repository.segment_info())} segment(s), "
-                    f"{repository.count()} entries): "
-                )
-            else:
-                label = "spool recovery: "
-            print(
-                label
-                + f"{recovery['records_recovered']} journal op(s) replayed, "
-                f"{recovery['torn_truncated']} torn tail(s) truncated, "
-                f"{recovery['quarantined']} entr(ies) quarantined "
-                f"in {recovery['last_recovery_seconds'] * 1000.0:.1f}ms"
-            )
-            if recovery["quarantined"]:
-                print("run 'myproxy-admin scrub --list' to inspect "
-                      "quarantined entries")
+        # Opening the store ran crash recovery; surface what it found.
+        recovery = repository.stats.snapshot()
+        print(
+            f"segment recovery ({len(repository.segment_info())} segment(s), "
+            f"{repository.count()} entries): "
+            f"{recovery['torn_truncated']} torn tail(s) truncated, "
+            f"{recovery['quarantined']} entr(ies) quarantined "
+            f"in {recovery['last_recovery_seconds'] * 1000.0:.1f}ms"
+        )
+        if recovery["quarantined"]:
+            print("run 'myproxy-admin scrub --list' to inspect "
+                  "quarantined entries")
         if cluster_cfg is not None:
             server.cluster_role = "member"
             server.cluster_peers = cluster_cfg.peer_names()

@@ -673,8 +673,8 @@ class MyProxyCluster:
         """Seed an empty node from a peer's segment snapshot stream.
 
         Replaying the full replication log into a new replica costs one
-        journaled apply per historical op; at 10^5+ entries the segment
-        backends stream the live set instead — header, raw record frames,
+        fsynced apply per historical op; at 10^5+ entries the segment
+        engine streams the live set instead — header, raw record frames,
         CRC-summed trailer (PROTOCOL.md §11) — and the target adopts the
         source's apply watermarks so the follow-up :meth:`resync` ships
         only the tail written since the snapshot was cut.
@@ -755,7 +755,7 @@ class MyProxyCluster:
         Startup recovery never deletes a corrupt entry — it quarantines
         it.  This pass closes the loop: for every quarantined credential,
         re-fetch the canonical entry from a live peer in the user's
-        preference list and write it back to the local spool (directly on
+        preference list and write it back to the local store (directly on
         the backend, so the repair is not re-replicated).
         """
         node = self.nodes.get(name)

@@ -262,9 +262,9 @@ class ClusterNode:
         """Bring the node back (cold — call the cluster's resync to catch up).
 
         Pass a freshly reopened ``backend`` to model a real process
-        restart: reopening a :class:`~repro.core.repository.FileRepository`
-        runs its crash recovery (journal replay, quarantine) against
-        whatever the crash left on disk.
+        restart: :func:`~repro.core.segments.open_repository` runs the
+        segment engine's crash recovery (torn-tail truncation, ``covers=``
+        roll-forward, quarantine) against whatever the crash left on disk.
         """
         if backend is not None:
             self.backend = backend

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import faults
-from repro.core.journal import encode_frame, scan_frames
+from repro.core.framing import encode_frame, scan_frames
 from repro.core.repository import CredentialRepository, RepositoryEntry
 from repro.util.errors import RepositoryError
 from repro.util.logging import get_logger
@@ -44,7 +44,7 @@ OP_DELETE = "delete"
 SITE_LOG_APPEND_PRE = faults.kill_point(
     "replog.append.pre", "write accepted, replication log not yet appended")
 SITE_LOG_APPEND_SYNCED = faults.kill_point(
-    "replog.append.synced", "replication log entry durable, spool untouched")
+    "replog.append.synced", "replication log entry durable, store untouched")
 SITE_SHIP_PRE = faults.kill_point(
     "replog.ship.pre", "op applied locally, not yet shipped to any replica")
 SITE_SHIP_DELIVERED = faults.kill_point(

@@ -22,9 +22,12 @@ Layout:
 - :mod:`repro.core.renewal` — the §6.6 credential-renewal agent (secret- or
   possession-based).
 - :mod:`repro.core.httpbinding` — the §6.4 HTTP binding of the protocol.
-- :mod:`repro.core.admin` — ``myproxy-admin``-style spool administration.
+- :mod:`repro.core.admin` — ``myproxy-admin``-style store administration.
 - :mod:`repro.core.config` — the ``myproxy-server.config`` parser.
-- :mod:`repro.core.sqlrepository` — the SQLite storage backend.
+- :mod:`repro.core.segments` — the one durable storage engine (packed,
+  append-only segment files) and ``open_repository``.
+- :mod:`repro.core.framing` — the ``%MPF1`` CRC frame every durable byte
+  is written in.
 """
 
 from repro.core.client import MyProxyClient

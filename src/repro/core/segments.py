@@ -1,21 +1,15 @@
-"""Packed segment-file storage: the repository backend for 10^6+ entries.
+"""Packed segment-file storage: the repository's one durable engine.
 
-The spool (one file per credential, :class:`~repro.core.repository.
-FileRepository`) is faithful to the paper's deployment but goes
-quadratic-ish at scale: startup recovery stats and CRC-checks every file,
-replica bootstrap replays the full replication log one journaled put at a
-time, and every mutation costs several fsyncs of its own little file.
-This module replaces the layout, not the contract: behind the same
-:class:`~repro.core.repository.CredentialRepository` interface, entries
-live packed inside append-only **segment files** —
+Behind the :class:`~repro.core.repository.CredentialRepository`
+interface, entries live packed inside append-only **segment files** —
 
     %MPS1 v1 id=<n> gen=<g> [covers=<a>-<b>]\\n     (one ASCII header line)
-    <%MPF1 frame>*                                  (records, PR 4 framing)
+    <%MPF1 frame>*                                  (records, core/framing.py)
 
 Record payloads (the bytes inside each CRC32 frame):
 
-- ``P <token>\\n<entry-json>`` — a put; ``token`` is the same URL-safe
-  base64 of ``username\\x00cred_name`` the spool used for file names;
+- ``P <token>\\n<entry-json>`` — a put; ``token`` is the URL-safe base64
+  of ``username\\x00cred_name``;
 - ``D <token>`` — a tombstone (delete).
 
 Latest record wins.  The *active* segment is the write-ahead log itself:
@@ -27,12 +21,15 @@ decoded entries so repeat retrievals skip the disk entirely.
 
 Compaction rewrites the still-live records of every sealed segment into
 one new segment (``gen`` bumped, ``covers`` naming the replaced id range)
-and removes the inputs — the multi-file rename-and-delete is redo-logged
-through PR 4's :class:`~repro.core.journal.WriteAheadJournal`, so a crash
-anywhere in it rolls forward.  Dead records (overwritten entries,
+and removes the inputs.  The fsynced output's atomic rename is the commit
+point: a crash before it leaves an orphan ``.tmp`` that recovery discards
+(the compaction never happened), a crash after it is rolled forward from
+the ``covers=`` header alone.  Dead records (overwritten entries,
 tombstones) survive at most until the next compaction, at which point the
-input segments are zeroized before unlink (the spool's delete hygiene,
-batched).
+input segments are zeroized before unlink (delete hygiene, batched).
+
+The whole crash argument is three lines: append + fsync = ack; rename =
+compaction commit; ``covers=`` = roll-forward.
 
 Replica bootstrap ships a **snapshot stream** instead of replaying the
 replication log: a header frame, every live record's raw frame bytes, and
@@ -40,7 +37,7 @@ a CRC-summed trailer (PROTOCOL.md §11).  Ingest writes them straight into
 fresh segments with one fsync per segment — thousands of entries per
 fsync instead of several fsyncs per entry.
 
-Corruption handling keeps PR 4's quarantine-never-skip rule: a corrupt
+Corruption handling follows the quarantine-never-skip rule: a corrupt
 region inside a segment is copied byte-for-byte into ``quarantine/``
 (named for the credential when the record header survives, so
 ``myproxy-cluster scrub`` can re-fetch it from a peer) and the scan
@@ -50,6 +47,7 @@ records, never the intact ones behind them, and never silently.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -60,11 +58,11 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro import faults
-from repro.core.journal import (
-    OP_COMPACT,
-    WriteAheadJournal,
+from repro.core.framing import (
+    decode_single_frame,
     encode_frame,
     find_next_frame,
+    is_framed,
     iter_frames,
     scan_frames,
 )
@@ -85,20 +83,27 @@ logger = get_logger("core.segments")
 
 SEGMENT_MAGIC = b"%MPS1"
 SEGMENT_SUFFIX = ".mps"
-SEGMENT_WAL = "segments.wal"
-#: Marker file naming the backend a directory holds; written atomically by
-#: ``myproxy-admin migrate`` as the commit point of a spool conversion.
+#: Compaction redo log of older stores; ignored and unlinked at recovery
+#: (the ``covers=`` header carries everything it recorded).
+LEGACY_SEGMENT_WAL = "segments.wal"
+#: Marker file written atomically by ``myproxy-admin migrate`` as the
+#: commit point of a legacy-spool conversion: once present the segments
+#: are authoritative, whatever ``*.json`` spool files still sit beside them.
 BACKEND_MARKER = "storage.backend"
+#: The legacy spool's redo journal, honoured (read-only) by the importer.
+SPOOL_JOURNAL = "journal.wal"
 #: Present while a snapshot ingest is in flight; a crash mid-bootstrap
 #: leaves it behind and recovery discards the half-written segments (the
 #: target of a bootstrap holds no acknowledged data of its own).
 INGEST_MARKER = "snapshot.partial"
 
+#: Dead segments are blanked in writes of this size before unlink.
+_ZERO_CHUNK = 1 << 20
+
 _FILE_RE = re.compile(r"^seg-(\d{8})(?:\.c(\d+))?\.mps$")
 _TOKEN_RE = re.compile(rb"[PD] ([A-Za-z0-9_=-]+)")
 
-# Segment-side kill points (the WAL registers its own; every site here is
-# enumerated by the chaos suite).
+# The storage kill points; every site here is enumerated by the chaos suite.
 SITE_SEG_APPEND_PRE = faults.kill_point(
     "repo.segment.append.pre", "record about to be appended to the active segment")
 SITE_SEG_APPEND_SYNCED = faults.kill_point(
@@ -107,30 +112,13 @@ SITE_SEG_SEAL_PRE = faults.kill_point(
     "repo.segment.seal.pre", "active segment full and sealed, successor not yet created")
 SITE_SEG_COMPACT_PRE_RENAME = faults.kill_point(
     "repo.segment.compact.pre_rename",
-    "compacted output fsynced and intent journaled, rename not yet done")
+    "compacted output fsynced, rename (the commit point) not yet done")
 SITE_SEG_COMPACT_RENAMED = faults.kill_point(
     "repo.segment.compact.renamed",
     "compacted segment in place, covered inputs not yet removed")
 SITE_SEG_COMPACT_CLEANED = faults.kill_point(
     "repo.segment.compact.cleaned",
-    "covered inputs removed, compact commit marker not yet written")
-
-
-class SegmentStats(StorageStats):
-    """Spool counters plus the segment engine's own."""
-
-    _COUNTERS = StorageStats._COUNTERS + (
-        ("compactions", "myproxy_storage_compactions_total",
-         "Segment compaction runs completed."),
-        ("cache_hits", "myproxy_storage_cache_hits_total",
-         "Hot-entry cache hits on the segment read path."),
-        ("cache_misses", "myproxy_storage_cache_misses_total",
-         "Segment reads that missed the hot-entry cache."),
-        ("snapshot_shipped", "myproxy_storage_snapshot_shipped_total",
-         "Entries shipped in outbound bootstrap snapshot streams."),
-        ("snapshot_ingested", "myproxy_storage_snapshot_ingested_total",
-         "Entries ingested from inbound bootstrap snapshot streams."),
-    )
+    "covered inputs removed, in-memory index not yet switched over")
 
 
 def _segment_name(seg_id: int, gen: int) -> str:
@@ -148,6 +136,17 @@ def _sidecar_path(path: Path) -> Path:
     segment grew, shrank, or rotted under it.
     """
     return path.with_name(path.name + ".idx")
+
+
+def _fsync_path(path: Path) -> None:
+    """fsync by path.  On a directory this flushes its own metadata — a
+    create, rename or unlink is only durable once the parent directory's
+    entry hits the platter."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _segment_header(seg_id: int, gen: int, covers: tuple[int, int] | None) -> bytes:
@@ -239,8 +238,8 @@ def parse_record(payload: bytes) -> tuple[str, str, str, bytes | None]:
 class SegmentRepository(CredentialRepository):
     """LSM-flavored packed-segment credential storage.
 
-    Opening runs recovery: interrupted compactions roll forward, orphan
-    temp files and half-ingested snapshots are discarded, every segment is
+    Opening runs recovery: orphan temp files and half-ingested snapshots
+    are discarded, interrupted compactions roll forward, every segment is
     scanned sequentially to rebuild the index, torn tails are truncated
     and corrupt regions quarantined (never skipped).
     """
@@ -260,7 +259,7 @@ class SegmentRepository(CredentialRepository):
         os.chmod(self.root, 0o700)
         self._lock = threading.RLock()
         self._injector = injector if injector is not None else faults.active()
-        self.stats = SegmentStats()
+        self.stats = StorageStats()
         self.segment_max_bytes = max(int(segment_max_bytes), 4096)
         self.compact_ratio = float(compact_ratio)
         self._quarantine_dir = self.root / QUARANTINE_DIR
@@ -283,9 +282,6 @@ class SegmentRepository(CredentialRepository):
         self._closed = False
 
         started = time.perf_counter()
-        self._journal = WriteAheadJournal(
-            self.root / SEGMENT_WAL, injector=self._injector, compact_threshold=8
-        )
         self._recover()
         self.stats.observe_recovery(time.perf_counter() - started)
 
@@ -303,25 +299,7 @@ class SegmentRepository(CredentialRepository):
     # ------------------------------------------------------------------
 
     def _recover(self) -> None:
-        # Step 1: the compaction redo log.  A pending "compact" op means
-        # the output was fully written and fsynced before the intent was
-        # journaled, so recovery always rolls *forward*: rename the output
-        # into place if the crash beat the rename, then drop the covered
-        # inputs.
-        report = self._journal.recover()
-        if report.torn_bytes:
-            self.stats.inc("torn_truncated")
-        if report.corrupt_bytes:
-            self.stats.inc("corruption_detected")
-            self._quarantine_bytes("segments.wal", report.corrupt_tail)
-        for op in report.pending:
-            if op.get("op") == OP_COMPACT and isinstance(op.get("document"), str):
-                self._redo_compact(op["document"])
-                self.stats.inc("records_recovered")
-        if report.pending or report.replayed_commits:
-            self._journal.reset()
-
-        # Step 2: a snapshot ingest that never finished holds no
+        # Step 1: a snapshot ingest that never finished holds no
         # acknowledged data (ingest requires an empty repository) — drop
         # its half-written segments wholesale.
         ingest_marker = self.root / INGEST_MARKER
@@ -333,33 +311,33 @@ class SegmentRepository(CredentialRepository):
             ingest_marker.unlink(missing_ok=True)
             logger.warning("discarded segments of an interrupted snapshot ingest")
 
-        # Step 3: orphan compaction temp files (output never journaled —
-        # the compaction effectively never happened).
+        # Step 2: orphan compaction temp files.  The rename is the commit
+        # point, so an output still named ``.tmp`` is a compaction that
+        # never happened; its inputs are intact.
         for orphan in self.root.glob(f"seg-*{SEGMENT_SUFFIX}.tmp"):
             orphan.unlink(missing_ok=True)
 
-        # Step 4: list segments; complete any compaction the redo log
-        # missed (belt and braces: a gen-g segment supersedes every
-        # covered lower-generation segment).
+        # Step 3: roll interrupted compactions forward.  A renamed output
+        # is complete and fsynced, and its ``covers=`` header names the
+        # ids it replaced: every lower-generation segment in that range
+        # is a leftover input.
         files = self._segment_files()
-        best_gen: dict[int, int] = {}
-        for path, seg_id, gen in files:
-            best_gen[seg_id] = max(best_gen.get(seg_id, 0), gen)
+        covering: list[tuple[Path, int, tuple[int, int]]] = []
+        for path, _, gen in files:
+            try:
+                with open(path, "rb") as fh:
+                    _, _, covers, _ = _parse_header(fh.read(128))
+            except (RepositoryError, OSError):
+                continue
+            if covers is not None:
+                covering.append((path, gen, covers))
         survivors = []
         for path, seg_id, gen in files:
-            covered_by = None
-            for other, other_id, other_gen in files:
-                if other is path:
-                    continue
-                try:
-                    _, _, covers, _ = _parse_header(other.read_bytes()[:128])
-                except (RepositoryError, OSError):
-                    continue
-                if covers is not None and covers[0] <= seg_id <= covers[1] and (
-                    other_gen > gen
-                ):
-                    covered_by = other
-                    break
+            covered_by = next(
+                (other for other, other_gen, covers in covering
+                 if other_gen > gen and covers[0] <= seg_id <= covers[1]),
+                None,
+            )
             if covered_by is not None:
                 logger.info("recovery: dropping %s (superseded by %s)",
                             path.name, covered_by.name)
@@ -367,7 +345,11 @@ class SegmentRepository(CredentialRepository):
             else:
                 survivors.append((path, seg_id, gen))
 
-        # Step 5: sequential load, oldest first; latest record wins.  A
+        # Older stores redo-logged compaction here; ``covers=`` already
+        # finished whatever it recorded.
+        (self.root / LEGACY_SEGMENT_WAL).unlink(missing_ok=True)
+
+        # Step 4: sequential load, oldest first; latest record wins.  A
         # segment with a valid sidecar index (size + whole-file CRC match)
         # loads without parsing a frame; anything else gets the full scan
         # and — if it is staying sealed — a freshly healed sidecar, so the
@@ -392,7 +374,7 @@ class SegmentRepository(CredentialRepository):
                 if seg is not None:
                     self._write_sidecar(seg.path, seg.size, records, crc)
 
-        # Step 6: reuse the newest plain segment as the active one if it
+        # Step 5: reuse the newest plain segment as the active one if it
         # has headroom, else roll a fresh segment.
         tail = None
         for seg in self._segments.values():
@@ -407,31 +389,6 @@ class SegmentRepository(CredentialRepository):
             if tail is not None:
                 self._write_sidecar(tail.path, tail.size, tail_records, tail_crc)
             self._roll_active()
-
-    def _redo_compact(self, document: str) -> None:
-        try:
-            doc = json.loads(document)
-            output = str(doc["output"])
-            covers = (int(doc["covers"][0]), int(doc["covers"][1]))
-        except (ValueError, KeyError, TypeError) as exc:
-            logger.error("unreadable compact redo record: %s", exc)
-            return
-        final = self.root / output
-        tmp = final.with_name(final.name + ".tmp")
-        if not final.exists() and tmp.exists():
-            os.replace(tmp, final)
-            self._fsync_root()
-        if not final.exists():  # pragma: no cover - defensive
-            logger.error("compact redo: output %s missing", output)
-            return
-        out_match = _FILE_RE.match(output)
-        out_gen = int(out_match.group(2)) if out_match and out_match.group(2) else 0
-        for path, seg_id, gen in self._segment_files():
-            if path.name == output:
-                continue
-            if covers[0] <= seg_id <= covers[1] and gen < out_gen:
-                self._zeroize_unlink(path)
-        logger.info("recovery: completed interrupted compaction -> %s", output)
 
     def _segment_files(self) -> list[tuple[Path, int, int]]:
         out = []
@@ -493,7 +450,6 @@ class SegmentRepository(CredentialRepository):
             _, _, covers, pos = _parse_header(data)
         except (RepositoryError, OSError) as exc:
             # The header itself is gone: quarantine the whole file.
-            self.stats.inc("corruption_detected")
             self._quarantine_file(path, f"unreadable segment header: {exc}")
             return None, None, False
         seg = _Segment(path, seg_id, gen, covers, size=len(data))
@@ -639,9 +595,6 @@ class SegmentRepository(CredentialRepository):
         else:
             self._write_quarantine(f"{segment_name}+{offset}.corrupt", data, reason)
 
-    def _quarantine_bytes(self, label: str, data: bytes) -> None:
-        self._write_quarantine(f"{label}.corrupt", data, "failed CRC scan")
-
     def _quarantine_file(self, path: Path, reason: str) -> None:
         target = self._quarantine_target(path.name + ".corrupt")
         os.replace(path, target)
@@ -650,8 +603,9 @@ class SegmentRepository(CredentialRepository):
             target.with_name(target.name + ".reason").write_text(reason + "\n", "utf-8")
         except OSError:  # pragma: no cover
             pass
+        self.stats.inc("corruption_detected")
         self.stats.inc("quarantined")
-        logger.error("quarantined segment %s: %s", path.name, reason)
+        logger.error("quarantined %s: %s", path.name, reason)
 
     def quarantined(self) -> list[QuarantinedEntry]:
         """Every quarantined artifact, with identity when recoverable.
@@ -695,11 +649,7 @@ class SegmentRepository(CredentialRepository):
     # ------------------------------------------------------------------
 
     def _fsync_root(self) -> None:
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        _fsync_path(self.root)
 
     def _open_shim(self, path: Path) -> ShimFile:
         return ShimFile(
@@ -712,9 +662,11 @@ class SegmentRepository(CredentialRepository):
     def _zeroize_unlink(self, path: Path) -> None:
         """Blank a dead segment before unlink (batched delete hygiene)."""
         try:
-            size = path.stat().st_size
+            remaining = path.stat().st_size
+            zeros = b"\0" * min(remaining, _ZERO_CHUNK)
             with open(path, "r+b") as fh:
-                fh.write(b"\0" * min(size, 1 << 26))
+                while remaining > 0:
+                    remaining -= fh.write(zeros[:remaining])
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError:  # pragma: no cover - already gone
@@ -733,6 +685,9 @@ class SegmentRepository(CredentialRepository):
         header = _segment_header(next_id, 0, None)
         shim.write(header)
         shim.fsync()
+        # Every later acknowledged append lands in this file: its
+        # directory entry must be durable before the first of them.
+        self._fsync_root()
         seg.size = shim.size
         self._segments[seg.key] = seg
         self._active = seg
@@ -1012,9 +967,6 @@ class SegmentRepository(CredentialRepository):
         finally:
             os.close(fd)
 
-        txid = self._journal.begin(
-            OP_COMPACT, "", "", json.dumps({"output": name, "covers": list(covers)})
-        )
         self._injector.fire(SITE_SEG_COMPACT_PRE_RENAME)
         os.replace(tmp, final)
         self._fsync_root()
@@ -1023,7 +975,6 @@ class SegmentRepository(CredentialRepository):
             seg.close()
             self._zeroize_unlink(seg.path)
         self._injector.fire(SITE_SEG_COMPACT_CLEANED)
-        self._journal.commit(txid)
 
         out = _Segment(final, out_id, out_gen, covers, size=pos)
         out.total_record_bytes = new_total
@@ -1272,33 +1223,90 @@ class SegmentRepository(CredentialRepository):
                 self._active_file = None
             for seg in self._segments.values():
                 seg.close()
-            self._journal.close()
 
 
-def detect_backend(root: str | os.PathLike) -> str:
-    """What backend a directory holds.
+def is_unmigrated_spool(root: str | os.PathLike) -> bool:
+    """Whether ``root`` still holds the legacy one-file-per-credential spool.
 
-    The ``storage.backend`` marker wins (it is the migration commit
-    point).  Without one, segment files mean segments — unless spool
-    entry files sit beside them, which is the debris of a migration that
-    crashed before its marker: the spool is still the truth then.
+    ``*.json`` entry files and no ``storage.backend`` marker.  Segment
+    files beside them are the debris of a migration that crashed before
+    its marker: the spool is still the truth then.
     """
     root = Path(root)
-    marker = root / BACKEND_MARKER
-    if marker.exists():
+    return not (root / BACKEND_MARKER).exists() and any(root.glob("*.json"))
+
+
+def open_repository(path: str | os.PathLike, *, storage=None) -> SegmentRepository:
+    """Open the credential store at ``path``; what the CLI tools call.
+
+    ``storage`` may be a :class:`~repro.core.config.StorageConfig`, whose
+    fields are the engine's tuning knobs by name.  An unmigrated legacy spool is
+    refused before anything is created or modified: opening it as
+    segments would serve an empty store beside the operator's credentials.
+    """
+    if is_unmigrated_spool(path):
+        raise RepositoryError(
+            f"{path} holds an unmigrated credential spool: run "
+            f"'myproxy-admin --storage-dir {path} migrate' once, then start again"
+        )
+    knobs = dataclasses.asdict(storage) if storage is not None else {}
+    return SegmentRepository(path, **knobs)
+
+
+def _read_spool(root: Path, store: SegmentRepository) -> list[RepositoryEntry]:
+    """Read-only import of a legacy spool's live entries.
+
+    Each ``*.json`` file is one CRC frame (or, older still, bare JSON)
+    holding an entry.  The spool redo-logged mutations in ``journal.wal``
+    before touching a file, so an op with no commit marker wins over the
+    file it names: a pending put supplies the entry, a pending delete
+    drops it (and explains the zeroized husk it may have left).  Anything
+    else unreadable moves to ``store``'s quarantine — never skipped.
+    """
+    pending: dict[tuple[str, str], str | None] = {}
+    journal = root / SPOOL_JOURNAL
+    if journal.exists():
+        data = journal.read_bytes()
+        # A torn tail is an append that was never acknowledged.
+        payloads, clean_len, status = scan_frames(data)
+        if status == "corrupt":
+            store.stats.inc("corruption_detected")
+            store._write_quarantine(
+                f"{SPOOL_JOURNAL}.corrupt", data[clean_len:], "failed CRC scan"
+            )
+        ops: dict[int, dict] = {}
+        for payload in payloads:
+            try:
+                doc = json.loads(payload)
+                if doc["op"] == "commit":
+                    ops.pop(int(doc["txid"]), None)
+                else:
+                    ops[int(doc["txid"])] = doc
+            except (ValueError, KeyError, TypeError):
+                store.stats.inc("corruption_detected")  # good CRC, bad writer
+        for doc in ops.values():  # log order; the latest op on a key wins
+            key = (str(doc.get("username", "")), str(doc.get("cred_name", "")))
+            pending[key] = doc.get("document")
+
+    entries: dict[tuple[str, str], RepositoryEntry] = {}
+    for path in sorted(root.glob("*.json")):
         try:
-            return marker.read_text("utf-8").strip() or "spool"
-        except OSError:  # pragma: no cover
-            return "spool"
-    has_segments = any(
-        _FILE_RE.match(p.name) for p in root.glob(f"seg-*{SEGMENT_SUFFIX}")
-    )
-    has_spool = any(
-        p.name.endswith(".json") for p in root.glob("*.json")
-    )
-    if has_segments and not has_spool:
-        return "segments"
-    return "spool"
+            if decode_key_token(path.name.removesuffix(".json")) in pending:
+                continue
+        except ValueError:
+            pass  # not a token name; the content still says whose it is
+        try:
+            raw = path.read_bytes()
+            payload = decode_single_frame(raw) if is_framed(raw) else raw
+            entry = RepositoryEntry.from_json(payload.decode("utf-8"))
+        except (RepositoryError, OSError, ValueError) as exc:
+            store._quarantine_file(path, str(exc))
+            continue
+        entries[entry.key] = entry
+    for key, document in pending.items():
+        if document is not None:
+            entries[key] = RepositoryEntry.from_json(document)
+    return list(entries.values())
 
 
 def migrate_spool_to_segments(
@@ -1307,46 +1315,32 @@ def migrate_spool_to_segments(
     keep_spool: bool = False,
     segment_max_bytes: int = 32 * 1024 * 1024,
 ) -> dict:
-    """In-place spool → segments conversion (``myproxy-admin migrate``).
+    """In-place legacy spool → segments conversion (``myproxy-admin migrate``).
 
-    Opens the spool (running its recovery first, so pending journal ops
-    land and corrupt entries are already quarantined), bulk-loads every
-    entry into segments in the same directory, verifies each one reads
-    back identically, and only then writes the ``storage.backend`` marker
-    — the commit point.  Quarantined files stay where they are (the
-    segments backend lists them too, so ``myproxy-cluster scrub`` keeps
-    working).  Unless ``keep_spool``, the old per-credential files are
-    zeroized and removed afterwards; a crash before the marker leaves a
-    valid spool, after it a valid segment store, so the conversion is
-    old-or-new like every other mutation.
+    Imports the spool (pending journal ops honoured, corrupt files
+    quarantined), bulk-loads every entry into segments in the same
+    directory, verifies each one reads back identically, and only then
+    writes the ``storage.backend`` marker — the commit point.  Unless
+    ``keep_spool``, the old per-credential files and their journal are
+    zeroized and removed afterwards; a crash before the marker leaves the
+    spool untouched (rerun ``migrate``), after it a valid segment store.
 
-    A repository already on segments is a no-op (``migrated=False``).
+    A directory without an unmigrated spool is a no-op (``migrated=False``).
     """
-    from repro.core.repository import FileRepository
-
     root = Path(root)
-    if detect_backend(root) == "segments":
-        return {"migrated": False, "entries": 0, "reason": "already segments"}
+    if not is_unmigrated_spool(root):
+        return {"migrated": False, "entries": 0,
+                "reason": "no unmigrated spool files here"}
 
     # Debris of a migration that crashed before its marker: the spool is
     # still authoritative, so the half-written segments restart from zero.
     for leftover in root.glob(f"seg-*{SEGMENT_SUFFIX}*"):
         leftover.unlink(missing_ok=True)
-    (root / SEGMENT_WAL).unlink(missing_ok=True)
     (root / INGEST_MARKER).unlink(missing_ok=True)
-
-    spool = FileRepository(root)
-    entries = []
-    for username in spool.usernames():
-        entries.extend(spool.list_for(username))
 
     segments = SegmentRepository(root, segment_max_bytes=segment_max_bytes)
     try:
-        if segments.count():
-            raise RepositoryError(
-                "segment files already present alongside the spool; "
-                "refusing to merge"
-            )
+        entries = _read_spool(root, segments)
         loaded = segments.bulk_load(entries)
         for entry in entries:
             copy = segments.get(entry.username, entry.cred_name)
@@ -1355,28 +1349,21 @@ def migrate_spool_to_segments(
                     f"migration verify failed for "
                     f"{entry.username}/{entry.cred_name}"
                 )
-        write_backend_marker(root, "segments")
-    except BaseException:
+        write_backend_marker(root)
+        if not keep_spool:
+            for path in (*root.glob("*.json"), *root.glob("*.json.tmp"),
+                         root / SPOOL_JOURNAL):
+                segments._zeroize_unlink(path)
+    finally:
         segments.close()
-        raise
-    if not keep_spool:
-        for entry in entries:
-            # The spool's own delete hygiene: zeroize before unlink.
-            spool.delete(entry.username, entry.cred_name)
-        (root / "journal.wal").unlink(missing_ok=True)
-    spool.close()
-    segments.close()
     return {"migrated": True, "entries": loaded, "spool_removed": not keep_spool}
 
 
-def write_backend_marker(root: str | os.PathLike, backend: str) -> None:
-    """Atomically record which backend owns this directory."""
+def write_backend_marker(root: str | os.PathLike) -> None:
+    """Atomically (and durably) mark ``root`` as a migrated segment store."""
     root = Path(root)
     tmp = root / (BACKEND_MARKER + ".tmp")
-    tmp.write_text(backend + "\n", "utf-8")
-    fd = os.open(tmp, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    tmp.write_text("segments\n", "utf-8")
+    _fsync_path(tmp)
     os.replace(tmp, root / BACKEND_MARKER)
+    _fsync_path(root)

@@ -324,8 +324,8 @@ class MyProxyServer:
             metrics_registry if metrics_registry is not None else MetricsRegistry()
         )
         self.stats = ServerStats(self.metrics)
-        # Storage backends that track corruption/recovery (FileRepository)
-        # surface those counters on this server's /metrics endpoint.
+        # The durable engine tracks corruption/recovery and surfaces
+        # those counters on this server's /metrics endpoint.
         if hasattr(self.repository, "publish_metrics"):
             self.repository.publish_metrics(self.metrics)
         # Session resumption (transport/tickets.py): repeat clients skip

@@ -6,7 +6,7 @@ disk or a peer or the process itself can fail.  Each component holds a
 :func:`active`, a no-op unless ``REPRO_FAULTS`` is set) and calls:
 
 - ``injector.fire(site)`` at control points (may raise, delay, or kill);
-- ``ShimFile`` for journal/spool writes, which routes every ``write`` and
+- ``ShimFile`` for segment and log writes, which routes every ``write`` and
   ``fsync`` through the injector so torn writes, short writes and lost
   fsyncs land as real bytes-on-disk states.
 
@@ -215,7 +215,7 @@ _ACTIVE_LOCK = threading.Lock()
 def active() -> FaultInjector:
     """The process-wide injector, built once from ``REPRO_FAULTS``.
 
-    ``REPRO_FAULTS="kill@repo.journal.commit.synced"`` arms a hard-kill
+    ``REPRO_FAULTS="kill@repo.segment.append.synced"`` arms a hard-kill
     injector (real ``SIGKILL``), which is how the crash-restart
     integration test murders an actual ``myproxy-server`` subprocess at a
     chosen site.  Unset, this is :data:`NO_FAULTS`.

@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` is a small, seeded description of the faults a test
 (or an operator running a game day) wants injected: "tear the third write
-to the journal", "return ENOSPC on the spool", "kill the process right
-after the commit marker is written".  Components never consult the plan
+to the replication log", "return ENOSPC on the active segment", "kill the
+process right after the record frame is fsynced".  Components never consult the plan
 directly; they call named *sites* on a :class:`~repro.faults.injector.
 FaultInjector` holding the plan, so production code paths carry no test
 logic — only site names.
@@ -121,7 +121,7 @@ class FaultPlan:
     @classmethod
     def parse(cls, spec: str, *, seed: int = 0) -> "FaultPlan":
         """Parse ``"kind@site[:at]"`` comma-separated, e.g.
-        ``"kill@repo.journal.commit.synced,eio@repo.spool.write:2"``.
+        ``"kill@repo.segment.append.synced,eio@repo.segment.write:2"``.
 
         This is the ``REPRO_FAULTS`` environment format, which is how a
         real ``myproxy-server`` subprocess gets told where to die.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
-from repro.core.repository import FileRepository
+from repro.core.segments import SegmentRepository
 
 
 @pytest.fixture()
@@ -26,18 +26,19 @@ def injector():
 
 @pytest.fixture()
 def repo_factory(tmp_path, injector):
-    """(Re)open the same spool directory, optionally with faults armed.
+    """(Re)open the same segment store, optionally with faults armed.
 
-    ``compact_threshold=1`` keeps the journal-compaction kill site
-    reachable from a single put.
+    A small ``segment_max_bytes`` makes seals (and hence the roll path)
+    reachable from a handful of puts.
     """
     repos = []
 
-    def _open(*, faulty: bool = True) -> FileRepository:
-        repo = FileRepository(
-            tmp_path / "spool",
+    def _open(*, faulty: bool = True, **knobs):
+        knobs.setdefault("segment_max_bytes", 8192)
+        repo = SegmentRepository(
+            tmp_path / "store",
             injector=injector if faulty else faults.NO_FAULTS,
-            compact_threshold=1,
+            **knobs,
         )
         repos.append(repo)
         return repo

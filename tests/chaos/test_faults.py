@@ -6,19 +6,19 @@ import pytest
 
 from repro import faults
 from repro.cluster import replog
-from repro.core import journal
+from repro.core import framing, segments
 from repro.util.errors import TransportError
 
 
 class TestFaultPlan:
     def test_parse_env_format(self):
         plan = faults.FaultPlan.parse(
-            "kill@repo.journal.commit.synced,eio@repo.spool.write:2", seed=7
+            "kill@repo.segment.append.synced,eio@repo.segment.write:2", seed=7
         )
         assert plan.seed == 7
         assert [(r.kind, r.site, r.at) for r in plan.rules] == [
-            ("kill", "repo.journal.commit.synced", 1),
-            ("eio", "repo.spool.write", 2),
+            ("kill", "repo.segment.append.synced", 1),
+            ("eio", "repo.segment.write", 2),
         ]
 
     def test_parse_rejects_bad_specs(self):
@@ -28,14 +28,14 @@ class TestFaultPlan:
             faults.FaultPlan.parse("frobnicate@some.site")  # unknown kind
 
     def test_site_globs_and_hit_windows(self):
-        plan = faults.FaultPlan([faults.FaultRule("eio", "repo.spool.*", at=2)])
-        assert plan.match("repo.spool.write", 1) is None
-        assert plan.match("repo.spool.write", 2) is not None
-        assert plan.match("repo.spool.write", 3) is None  # times=1 window
-        assert plan.match("repo.journal.write", 2) is None
+        plan = faults.FaultPlan([faults.FaultRule("eio", "repo.segment.*", at=2)])
+        assert plan.match("repo.segment.write", 1) is None
+        assert plan.match("repo.segment.write", 2) is not None
+        assert plan.match("repo.segment.write", 3) is None  # times=1 window
+        assert plan.match("replog.write", 2) is None
 
     def test_fire_is_noop_when_disarmed(self, injector):
-        injector.fire("repo.journal.append.pre")  # must not raise
+        injector.fire("repo.segment.append.pre")  # must not raise
 
     def test_kill_rule_raises_kill_point(self, injector):
         injector.arm(faults.FaultPlan([faults.FaultRule("kill", "site.x")]))
@@ -95,51 +95,50 @@ class TestTornWriteDeterminism:
 
 
 class TestKillPointRegistry:
-    def test_issue_floor_of_eight_sites(self):
-        # The acceptance bar: >= 8 kill sites spanning the repository
-        # journal and the replication ship/apply paths.
+    def test_one_write_path_one_set_of_sites(self):
+        # One durable engine: every repository kill site is a segment
+        # site, and the sweeps in this suite enumerate exactly these.
         repo_sites = faults.kill_points("repo.")
         replog_sites = faults.kill_points("replog.")
-        assert len(repo_sites) + len(replog_sites) >= 8
+        assert repo_sites == faults.kill_points("repo.segment.")
+        assert len(repo_sites) == 6
+        assert len(replog_sites) == 6
+        assert segments.SITE_SEG_APPEND_SYNCED in repo_sites
+        assert segments.SITE_SEG_COMPACT_PRE_RENAME in repo_sites
         assert replog.SITE_SHIP_PRE in replog_sites
         assert replog.SITE_APPLY_PRE in replog_sites
-
-    def test_journal_sites_registered(self):
-        sites = faults.kill_points("repo.journal.")
-        assert journal.SITE_APPEND_SYNCED in sites
-        assert journal.SITE_COMMIT_PRE in sites
 
 
 class TestFrameCodec:
     def test_roundtrip(self):
-        data = journal.encode_frame(b"hello") + journal.encode_frame(b"world")
-        payloads, clean, status = journal.scan_frames(data)
+        data = framing.encode_frame(b"hello") + framing.encode_frame(b"world")
+        payloads, clean, status = framing.scan_frames(data)
         assert payloads == [b"hello", b"world"]
         assert clean == len(data)
         assert status == "clean"
 
     def test_frames_stay_utf8_text_for_text_payloads(self):
-        # Spool files must remain readable as utf-8 (operators inspect
-        # them; an existing integration test reads them as text).
-        framed = journal.encode_frame(b'{"user": "alice"}')
+        # Segment files must stay inspectable as text: a frame around a
+        # text payload is itself valid utf-8.
+        framed = framing.encode_frame(b'{"user": "alice"}')
         assert framed.decode("utf-8").startswith("%MPF1 ")
 
     def test_torn_tail_detected(self):
-        data = journal.encode_frame(b"intact") + b"%MPF1 100 123\npart"
-        payloads, clean, status = journal.scan_frames(data)
+        data = framing.encode_frame(b"intact") + b"%MPF1 100 123\npart"
+        payloads, clean, status = framing.scan_frames(data)
         assert payloads == [b"intact"]
         assert status == "torn"
-        assert clean == len(journal.encode_frame(b"intact"))
+        assert clean == len(framing.encode_frame(b"intact"))
 
     def test_bit_flip_detected_as_corrupt(self):
-        good = bytearray(journal.encode_frame(b"payload-bytes"))
+        good = bytearray(framing.encode_frame(b"payload-bytes"))
         good[-3] ^= 0x01  # flip one payload bit
-        payloads, clean, status = journal.scan_frames(bytes(good))
+        payloads, clean, status = framing.scan_frames(bytes(good))
         assert payloads == []
         assert clean == 0
         assert status == "corrupt"
 
     def test_single_frame_decoder_rejects_trailing_garbage(self):
-        framed = journal.encode_frame(b"x") + b"junk-after-frame" * 4
-        with pytest.raises(journal.FramingError):
-            journal.decode_single_frame(framed)
+        framed = framing.encode_frame(b"x") + b"junk-after-frame" * 4
+        with pytest.raises(framing.FramingError):
+            framing.decode_single_frame(framed)

@@ -1,15 +1,15 @@
 """Kill a cluster primary at every replication kill point.
 
-For each registered site on the primary's write path (repository journal,
-spool, replication-log append, ship) the sweep arms a deterministic kill,
-drives a write into a 3-node file-backed cluster, and asserts:
+For each registered site on the primary's write path (segment append,
+replication-log append, ship) the sweep arms a deterministic kill,
+drives a write into a 3-node segment-backed cluster, and asserts:
 
 - **no acked credential lost** — the baseline (acknowledged) entry is
   retrievable after failover, and an acknowledged second write survives
   on the promoted replica set;
 - **no split-brain** — after the failure detector promotes, exactly one
   live node is primary for the user and the victim is not it;
-- **restart heals** — reopening the victim's spool runs recovery, resync
+- **restart heals** — reopening the victim's store runs recovery, resync
   replays the logs, and the node returns with zero lag and no corruption.
 """
 
@@ -19,15 +19,15 @@ import pytest
 
 from repro import faults
 from repro.core.client import myproxy_init_from_longterm
-from repro.core.repository import FileRepository
+from repro.core.segments import SegmentRepository, open_repository
 from repro.pki.names import DistinguishedName
 from tests.cluster.conftest import make_plain_entry
 
 # Sites that can fire on a primary accepting a put.  (replog.apply.* fire
-# on replicas; they get their own test below.)
+# on replicas and get their own test below; the seal and compaction sites
+# need a full segment and are swept in test_segment_kill_points.py.)
 PRIMARY_PUT_SITES = sorted(
-    set(faults.kill_points("repo."))
-    - {"repo.delete.zeroized"}  # delete-path only
+    set(faults.kill_points("repo.segment.append."))
     | {
         "replog.append.pre",
         "replog.append.synced",
@@ -44,9 +44,7 @@ PASS = "correct horse 42"
 def chaos_cluster(tmp_path, cluster_factory):
     injectors = [faults.FaultInjector() for _ in range(3)]
     backends = [
-        FileRepository(
-            tmp_path / f"spool{i}", injector=injectors[i], compact_threshold=1
-        )
+        SegmentRepository(tmp_path / f"store{i}", injector=injectors[i])
         for i in range(3)
     ]
     cluster = cluster_factory(
@@ -71,7 +69,8 @@ def _fail_over(cluster, clock):
 
 
 def _reopened_backend(cluster, node):
-    return FileRepository(node.backend.root, compact_threshold=1)
+    node.backend.close()  # the dead process's descriptors
+    return open_repository(node.backend.root)
 
 
 @pytest.mark.parametrize("site", PRIMARY_PUT_SITES)

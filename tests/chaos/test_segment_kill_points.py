@@ -1,14 +1,16 @@
 """Kill the segment engine at every registered site; recovery must hold.
 
-Same contract as the spool chaos suite, stated for the packed layout:
+The contract being proven, for a crash at any site of the one durable
+write path:
 
 - an **acknowledged** write (the append fsync returned) is never lost;
 - an **unacknowledged** write lands old-or-new — a torn tail frame is
   truncated as unacked, never quarantined as corruption;
-- a crash anywhere inside compaction (including inside the journal that
-  redo-logs its rename/cleanup) leaves the live set identical: either the
-  inputs are still authoritative or the output is, never both, never
-  neither;
+- a crash anywhere inside compaction leaves the live set identical: the
+  rename is the commit point, so before it the inputs are authoritative
+  (the orphan ``.tmp`` is discarded) and after it the output is (the
+  ``covers=`` header rolls the cleanup forward) — never both, never
+  neither, and with no ``segments.wal`` involved;
 - reopening the store (which runs recovery) never raises.
 
 Kills drop unsynced file tails (deterministic page-cache loss), so these
@@ -19,52 +21,27 @@ from __future__ import annotations
 
 import pytest
 
+import json
+
 from repro import faults
-from repro.core.segments import SegmentRepository
+from repro.core.framing import encode_frame
+from repro.core.segments import put_record
 from tests.cluster.conftest import make_plain_entry
 
 # Importing the module registers its sites; enumerate them.
 SEG_SITES = faults.kill_points("repo.segment.")
 APPEND_SITES = [s for s in SEG_SITES if "compact" not in s]
-# Compaction also runs through the write-ahead journal (its rename and
-# input cleanup are redo-logged), so the journal's own kill sites are on
-# the compaction path too.
-COMPACT_SITES = [s for s in SEG_SITES if "compact" in s] + faults.kill_points(
-    "repo.journal."
-)
+COMPACT_SITES = [s for s in SEG_SITES if "compact" in s]
 
 
 def _arm_kill(injector, site):
     injector.arm(faults.FaultPlan([faults.FaultRule("kill", site)], seed=1234))
 
 
-@pytest.fixture()
-def seg_factory(tmp_path, injector):
-    """(Re)open the same segment store, optionally with faults armed.
-
-    A small ``segment_max_bytes`` makes seals (and hence the roll path)
-    reachable from a handful of puts.
-    """
-    repos = []
-
-    def _open(*, faulty: bool = True, segment_max_bytes: int = 8192):
-        repo = SegmentRepository(
-            tmp_path / "segstore",
-            injector=injector if faulty else faults.NO_FAULTS,
-            segment_max_bytes=segment_max_bytes,
-        )
-        repos.append(repo)
-        return repo
-
-    yield _open
-    for repo in repos:
-        repo.close()
-
-
 @pytest.mark.parametrize("site", APPEND_SITES)
 class TestKillDuringPut:
-    def test_old_or_new_never_corrupt(self, seg_factory, injector, site):
-        repo = seg_factory()
+    def test_old_or_new_never_corrupt(self, repo_factory, injector, site):
+        repo = repo_factory()
         repo.put(make_plain_entry(key_pem=b"old-ciphertext"))
 
         _arm_kill(injector, site)
@@ -76,7 +53,7 @@ class TestKillDuringPut:
         injector.disarm()
         repo.close()
 
-        reopened = seg_factory(faulty=False)
+        reopened = repo_factory(faulty=False)
         entry = reopened.get("alice", "default")
         assert entry.key_pem in (b"old-ciphertext", b"new-ciphertext")
         if not crashed:
@@ -86,30 +63,36 @@ class TestKillDuringPut:
         assert reopened.stats.get("corruption_detected") == 0
 
     def test_acked_writes_survive_crashed_later_write(
-        self, seg_factory, injector, site
+        self, repo_factory, injector, site
     ):
-        repo = seg_factory()
-        # Enough acked entries to span a seal before the doomed write.
-        for i in range(8):
-            repo.put(make_plain_entry("alice", f"acked{i}", key_pem=b"precious"))
+        repo = repo_factory()
+        doomed = make_plain_entry("alice", "doomed", key_pem=b"doomed?")
+        frame = len(encode_frame(
+            put_record("alice", "doomed", doomed.to_json())
+        ))
+        # Fill the active segment exactly, so the doomed write has to seal
+        # it and roll: it crosses every append-path site, seal included.
+        acked = 0
+        while repo._active.size + frame <= repo.segment_max_bytes:
+            repo.put(make_plain_entry("alice", f"acked{acked}", key_pem=b"precious"))
+            acked += 1
 
         _arm_kill(injector, site)
-        try:
-            repo.put(make_plain_entry("alice", "doomed", key_pem=b"doomed?"))
-        except faults.KillPoint:
-            pass
+        with pytest.raises(faults.KillPoint):
+            repo.put(doomed)
         injector.disarm()
         repo.close()
 
-        reopened = seg_factory(faulty=False)
-        for i in range(8):
+        reopened = repo_factory(faulty=False)
+        for i in range(acked):
             assert reopened.get("alice", f"acked{i}").key_pem == b"precious"
+        assert reopened.quarantined() == []
 
 
 @pytest.mark.parametrize("site", APPEND_SITES)
 class TestKillDuringDelete:
-    def test_gone_or_intact(self, seg_factory, injector, site):
-        repo = seg_factory()
+    def test_gone_or_intact(self, repo_factory, injector, site):
+        repo = repo_factory()
         repo.put(make_plain_entry(key_pem=b"to-be-deleted"))
 
         _arm_kill(injector, site)
@@ -121,7 +104,7 @@ class TestKillDuringDelete:
         injector.disarm()
         repo.close()
 
-        reopened = seg_factory(faulty=False)
+        reopened = repo_factory(faulty=False)
         names = {e.cred_name for e in reopened.list_for("alice")}
         if not crashed:
             assert names == set()  # acked tombstone: gone for good
@@ -132,8 +115,8 @@ class TestKillDuringDelete:
 
 @pytest.mark.parametrize("site", COMPACT_SITES)
 class TestKillDuringCompaction:
-    def _loaded(self, seg_factory):
-        repo = seg_factory()
+    def _loaded(self, repo_factory):
+        repo = repo_factory()
         expected = {}
         for i in range(12):
             repo.put(make_plain_entry("alice", f"c{i}", key_pem=b"v1-%d" % i))
@@ -145,8 +128,8 @@ class TestKillDuringCompaction:
         del expected["c11"]
         return repo, expected
 
-    def test_live_set_identical_after_crash(self, seg_factory, injector, site):
-        repo, expected = self._loaded(seg_factory)
+    def test_live_set_identical_after_crash(self, repo_factory, injector, site, tmp_path):
+        repo, expected = self._loaded(repo_factory)
 
         _arm_kill(injector, site)
         try:
@@ -156,14 +139,15 @@ class TestKillDuringCompaction:
         injector.disarm()
         repo.close()
 
-        reopened = seg_factory(faulty=False)
+        reopened = repo_factory(faulty=False)
         got = {e.cred_name: e.key_pem for e in reopened.list_for("alice")}
         assert got == expected
         assert reopened.quarantined() == []
         assert reopened.stats.get("corruption_detected") == 0
+        assert not (tmp_path / "store" / "segments.wal").exists()
 
-    def test_no_debris_after_recovery(self, seg_factory, injector, site, tmp_path):
-        repo, expected = self._loaded(seg_factory)
+    def test_no_debris_after_recovery(self, repo_factory, injector, site, tmp_path):
+        repo, expected = self._loaded(repo_factory)
         _arm_kill(injector, site)
         try:
             repo.compact()
@@ -172,9 +156,10 @@ class TestKillDuringCompaction:
         injector.disarm()
         repo.close()
 
-        reopened = seg_factory(faulty=False)
+        reopened = repo_factory(faulty=False)
         reopened.close()
-        root = tmp_path / "segstore"
+        root = tmp_path / "store"
+        assert list(root.glob("seg-*.mps"))
         # Recovery either rolled the compaction forward or discarded it:
         # no orphaned temp outputs, no superseded inputs left behind.
         assert not list(root.glob("*.tmp"))
@@ -194,33 +179,98 @@ class TestKillDuringCompaction:
                 assert int(re.match(r"seg-(\d{8})", name).group(1)) > covered_max
 
 
-class TestRecoveryRollsCompactionForward:
-    def test_crash_after_journal_entry_redoes_rename(self, seg_factory, injector):
-        """Past the journal begin, recovery must finish the compaction."""
-        repo = seg_factory()
-        for i in range(10):
-            repo.put(make_plain_entry("alice", f"c{i}", key_pem=b"x-%d" % i))
-        for i in range(10):
-            repo.put(make_plain_entry("alice", f"c{i}", key_pem=b"y-%d" % i))
+def _crash_compaction(repo_factory, injector, site):
+    """Ten overwritten entries, then die at ``site`` inside ``compact()``.
 
-        _arm_kill(injector, "repo.segment.compact.pre_rename")
-        with pytest.raises(faults.KillPoint):
-            repo.compact()
-        injector.disarm()
-        repo.close()
+    ``compact_ratio=0`` keeps the automatic trigger out of the way, so the
+    explicit call is the only compaction the store has ever seen.
+    """
+    repo = repo_factory(compact_ratio=0)
+    for i in range(10):
+        repo.put(make_plain_entry("alice", f"c{i}", key_pem=b"x-%d" % i))
+    for i in range(10):
+        repo.put(make_plain_entry("alice", f"c{i}", key_pem=b"y-%d" % i))
+    _arm_kill(injector, site)
+    with pytest.raises(faults.KillPoint):
+        repo.compact()
+    injector.disarm()
+    repo.close()
 
-        reopened = seg_factory(faulty=False)
-        for i in range(10):
-            assert reopened.get("alice", f"c{i}").key_pem == b"y-%d" % i
-        # The redo produced exactly one compacted segment.
+
+def _assert_latest(repo):
+    for i in range(10):
+        assert repo.get("alice", f"c{i}").key_pem == b"y-%d" % i
+    assert repo.quarantined() == []
+
+
+class TestRenameIsTheCommitPoint:
+    def test_crash_before_rename_discards_the_output(
+        self, repo_factory, injector, tmp_path
+    ):
+        _crash_compaction(repo_factory, injector, "repo.segment.compact.pre_rename")
+        assert list((tmp_path / "store").glob("*.mps.tmp"))  # fsynced, unnamed
+
+        reopened = repo_factory(faulty=False, compact_ratio=0)
+        _assert_latest(reopened)
+        # The compaction never happened: inputs intact, no output.
+        assert all(seg["gen"] == 0 for seg in reopened.segment_info())
+        assert not list((tmp_path / "store").glob("*.tmp"))
+
+    def test_crash_after_rename_rolls_forward_from_covers(
+        self, repo_factory, injector, tmp_path
+    ):
+        _crash_compaction(repo_factory, injector, "repo.segment.compact.renamed")
+        before = {p.name for p in (tmp_path / "store").glob("seg-*.mps")}
+
+        reopened = repo_factory(faulty=False, compact_ratio=0)
+        _assert_latest(reopened)
         info = reopened.segment_info()
-        assert sum(1 for seg in info if seg["gen"] > 0) == 1
+        [output] = [seg for seg in info if seg["gen"] > 0]
+        # Every covered input the crash left behind is gone.
+        assert all(seg["id"] > output["id"] for seg in info if seg["gen"] == 0)
+        after = {p.name for p in (tmp_path / "store").glob("seg-*.mps")}
+        assert before - after  # recovery did remove leftover inputs
 
-    def test_clean_reopen_counts_nothing(self, seg_factory):
-        repo = seg_factory(faulty=False)
+
+class TestLegacyCompactionWal:
+    """Stores written before the redo log was dropped may hold a
+    ``segments.wal`` with an uncommitted compact op.  It is ignored —
+    ``covers=`` (or the orphan rule) already decides — and removed."""
+
+    @pytest.mark.parametrize(
+        "site",
+        ["repo.segment.compact.pre_rename", "repo.segment.compact.renamed"],
+    )
+    def test_pending_compact_op_opens_to_same_entries(
+        self, repo_factory, injector, tmp_path, site
+    ):
+        _crash_compaction(repo_factory, injector, site)
+        root = tmp_path / "store"
+        [output] = [
+            p.name.removesuffix(".tmp") for p in root.glob("seg-*.c1.mps*")
+            if not p.name.endswith(".idx")
+        ]
+        out_id = int(output[len("seg-"):len("seg-") + 8])
+        op = {
+            "txid": 1, "op": "compact", "username": "", "cred_name": "",
+            "document": json.dumps({"output": output, "covers": [0, out_id]}),
+        }
+        wal = root / "segments.wal"
+        wal.write_bytes(encode_frame(json.dumps(op, sort_keys=True).encode()))
+
+        reopened = repo_factory(faulty=False, compact_ratio=0)
+        _assert_latest(reopened)
+        assert reopened.count() == 10
+        assert not wal.exists()
+        assert not list(root.glob("*.tmp"))
+
+
+class TestRecoveryCounters:
+    def test_clean_reopen_counts_nothing(self, repo_factory):
+        repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
         repo.close()
-        reopened = seg_factory(faulty=False)
+        reopened = repo_factory(faulty=False)
         snap = reopened.stats.snapshot()
         assert snap["corruption_detected"] == 0
         assert snap["quarantined"] == 0

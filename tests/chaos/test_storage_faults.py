@@ -17,9 +17,19 @@ def _arm(injector, kind, site, **kw):
     )
 
 
+def _rot_record(repo, username, cred_name):
+    """Flip one byte of a record *under the live index* (no reopen)."""
+    segkey, offset, length = repo._index[(username, cred_name)]
+    with open(repo._segments[segkey].path, "r+b") as fh:
+        fh.seek(offset + length // 2)
+        byte = fh.read(1)
+        fh.seek(offset + length // 2)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+
+
 class TestWriteErrors:
     @pytest.mark.parametrize("kind", ["eio", "enospc"])
-    @pytest.mark.parametrize("site", ["repo.journal.write", "repo.spool.write"])
+    @pytest.mark.parametrize("site", ["repo.segment.write", "repo.segment.fsync"])
     def test_failed_put_fails_cleanly_and_keeps_old(
         self, repo_factory, injector, kind, site
     ):
@@ -35,31 +45,40 @@ class TestWriteErrors:
         repo.put(make_plain_entry(key_pem=b"after"))
         assert repo.get("alice", "default").key_pem == b"after"
 
-    def test_short_write_to_journal_does_not_shadow_later_records(
+    def test_failed_delete_fails_cleanly_and_keeps_entry(
         self, repo_factory, injector
     ):
         repo = repo_factory()
-        _arm(injector, "short", "repo.journal.write")
+        repo.put(make_plain_entry(key_pem=b"kept"))
+        _arm(injector, "eio", "repo.segment.write")
+        with pytest.raises(RepositoryError):
+            repo.delete("alice", "default")
+        injector.disarm()
+        assert repo.get("alice", "default").key_pem == b"kept"
+
+    def test_short_write_does_not_shadow_later_records(
+        self, repo_factory, injector
+    ):
+        repo = repo_factory()
+        _arm(injector, "short", "repo.segment.write")
         with pytest.raises(RepositoryError):
             repo.put(make_plain_entry(key_pem=b"torn-away"))
         injector.disarm()
-        # The partial frame was trimmed, so this put's journal record is
-        # readable by recovery — prove it by crashing before commit.
-        _arm(injector, "kill", "repo.journal.commit.pre")
-        with pytest.raises(faults.KillPoint):
-            repo.put(make_plain_entry(key_pem=b"must-replay"))
-        injector.disarm()
+        # The partial frame was trimmed, so the next (acknowledged) put's
+        # record is readable by recovery instead of hiding behind garbage.
+        repo.put(make_plain_entry(key_pem=b"must-survive"))
         repo.close()
         reopened = repo_factory(faulty=False)
-        assert reopened.get("alice", "default").key_pem == b"must-replay"
-        assert reopened.stats.get("records_recovered") >= 1
+        assert reopened.get("alice", "default").key_pem == b"must-survive"
+        assert reopened.quarantined() == []
+        assert reopened.stats.get("corruption_detected") == 0
 
 
-class TestTornJournal:
+class TestTornAppend:
     def test_torn_append_is_truncated_at_recovery(self, repo_factory, injector):
         repo = repo_factory()
         repo.put(make_plain_entry("alice", "safe", key_pem=b"safe"))
-        _arm(injector, "torn", "repo.journal.write")
+        _arm(injector, "torn", "repo.segment.write")
         with pytest.raises(faults.KillPoint):
             repo.put(make_plain_entry("alice", "torn", key_pem=b"torn"))
         injector.disarm()
@@ -67,7 +86,6 @@ class TestTornJournal:
 
         reopened = repo_factory(faulty=False)
         # the torn (never-acked) op simply never happened
-        assert reopened.stats.get("torn_truncated") >= 0
         assert reopened.get("alice", "safe").key_pem == b"safe"
         with pytest.raises(NotFoundError):
             reopened.get("alice", "torn")
@@ -75,19 +93,17 @@ class TestTornJournal:
 
 
 class TestLostFsync:
-    def test_lost_journal_fsync_then_crash_rolls_back(
-        self, repo_factory, injector
-    ):
+    def test_lost_fsync_then_crash_rolls_back(self, repo_factory, injector):
         # fsync silently does nothing, then the process dies at the next
-        # site: the unsynced journal record evaporates (page-cache loss),
-        # and recovery must roll back to the pre-op state.
+        # site: the unsynced record evaporates (page-cache loss), and
+        # recovery must roll back to the pre-op state.
         repo = repo_factory()
         repo.put(make_plain_entry(key_pem=b"old"))
         injector.arm(
             faults.FaultPlan(
                 [
-                    faults.FaultRule("lost_fsync", "repo.journal.fsync"),
-                    faults.FaultRule("kill", "repo.journal.append.synced"),
+                    faults.FaultRule("lost_fsync", "repo.segment.fsync"),
+                    faults.FaultRule("kill", "repo.segment.append.synced"),
                 ],
                 seed=5,
             )
@@ -103,19 +119,11 @@ class TestLostFsync:
 
 
 class TestBitRot:
-    def _corrupt_entry_file(self, repo):
-        [path] = [
-            p for p in repo.root.glob("*.json") if p.name != "journal.wal"
-        ]
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        return path
-
     def test_get_quarantines_and_raises(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        self._corrupt_entry_file(repo)
+        repo._cache.clear()
+        _rot_record(repo, "alice", "default")
         with pytest.raises(RepositoryError, match="quarantined"):
             repo.get("alice", "default")
         assert repo.stats.get("corruption_detected") == 1
@@ -124,26 +132,25 @@ class TestBitRot:
         assert (item.username, item.cred_name) == ("alice", "default")
 
     def test_listing_surfaces_instead_of_skipping(self, repo_factory):
-        # Satellite fix: unreadable entries used to be invisible to
-        # list_for; now they are quarantined (and thus reported), never
-        # silently ignored.
+        # An unreadable record is quarantined (and thus reported) the
+        # moment a listing touches it — never silently ignored.
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry("alice", "good", key_pem=b"fine"))
         repo.put(make_plain_entry("alice", "rotten", key_pem=b"doomed"))
-        rotten = repo._path("alice", "rotten")
-        raw = bytearray(rotten.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        rotten.write_bytes(bytes(raw))
+        repo._cache.clear()
+        _rot_record(repo, "alice", "rotten")
 
-        entries = repo.list_for("alice")
-        assert [e.cred_name for e in entries] == ["good"]
+        with pytest.raises(RepositoryError, match="quarantined"):
+            repo.list_for("alice")
+        assert [e.cred_name for e in repo.list_for("alice")] == ["good"]
         [item] = repo.quarantined()
         assert item.cred_name == "rotten"
 
     def test_reopen_quarantines_at_recovery(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        self._corrupt_entry_file(repo)
+        _rot_record(repo, "alice", "default")
+        repo._active_crc = None  # the rot happened behind the engine's back
         repo.close()
         reopened = repo_factory(faulty=False)
         assert reopened.stats.get("quarantined") == 1
@@ -153,7 +160,7 @@ class TestBitRot:
     def test_scrub_reports_and_clear_quarantine_forgets(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        self._corrupt_entry_file(repo)
+        _rot_record(repo, "alice", "default")
         summary = repo.scrub()
         assert summary["quarantined_now"] == 1
         assert summary["quarantined_total"] == 1
@@ -168,8 +175,8 @@ class TestMetricsPublication:
     def test_counters_transfer_and_mirror(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        [path] = [p for p in repo.root.glob("*.json")]
-        path.write_bytes(b"bit rot ate this file")
+        repo._cache.clear()
+        _rot_record(repo, "alice", "default")
         with pytest.raises(RepositoryError):
             repo.get("alice", "default")
 

@@ -17,7 +17,7 @@ from repro.cli import (
     myproxy_info,
     myproxy_init,
 )
-from repro.core.repository import FileRepository
+from repro.core.segments import SegmentRepository
 from repro.core.server import MyProxyServer
 from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
@@ -90,7 +90,7 @@ def world(tmp_path_factory):
     server = MyProxyServer(
         server_cred,
         ChainValidator([ca_cert]),
-        repository=FileRepository(root / "spool"),
+        repository=SegmentRepository(root / "store"),
     )
     host, port = server.start()
     yield {

@@ -106,8 +106,8 @@ class TestMaintenanceAgent:
 class TestAdminCli:
     @pytest.fixture()
     def spool(self, tmp_path, key_pool):
-        """A file-backed testbed so the CLI can inspect the spool."""
-        from repro.core.repository import FileRepository
+        """A segment-backed testbed so the CLI can inspect the store."""
+        from repro.core.segments import SegmentRepository
         from repro.core.server import MyProxyServer
         from repro.pki.ca import CertificateAuthority
         from repro.pki.names import DistinguishedName
@@ -121,7 +121,7 @@ class TestAdminCli:
         server = MyProxyServer(
             ca.issue_host_credential("mp.example.org", key=key_pool.new_key()),
             validator,
-            repository=FileRepository(tmp_path / "spool"),
+            repository=SegmentRepository(tmp_path / "store"),
             key_source=key_pool,
         )
         endpoint = server.start()
@@ -134,7 +134,8 @@ class TestAdminCli:
             client, alice, username="alice", passphrase=PASS, key_source=key_pool
         )
         server.stop()
-        return tmp_path / "spool"
+        server.repository.close()
+        return tmp_path / "store"
 
     def test_query_and_stats(self, spool, capsys):
         from repro.cli.myproxy_admin import main

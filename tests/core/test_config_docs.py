@@ -48,7 +48,6 @@ def test_documented_defaults_parse():
     sample = "\n".join(
         line for line in (
             'accepted_credentials "/O=Grid/OU=People/CN=*"',
-            "storage_backend segments",
             "storage_segment_max_bytes 33554432",
             "storage_compact_ratio 0.5",
             "storage_cache_entries 1024",
@@ -56,5 +55,16 @@ def test_documented_defaults_parse():
         )
     )
     config = parse_config(sample)
-    assert config.storage.backend == "segments"
     assert config.storage.segment_max_bytes == 32 * 1024 * 1024
+
+
+def test_one_engine_means_no_backend_directive():
+    """``storage_backend`` is gone: a stale config line fails loudly
+    instead of silently selecting nothing."""
+    import pytest
+
+    from repro.util.errors import ConfigError
+
+    assert "storage_backend" not in known_directives()
+    with pytest.raises(ConfigError, match="storage_backend"):
+        parse_config("storage_backend segments")

@@ -1,15 +1,15 @@
-"""Repository storage: verifiers, sealing, both backends."""
+"""Repository storage: verifiers, sealing, the backend contract."""
 
 import pytest
 
 from repro.core.repository import (
-    FileRepository,
     MemoryRepository,
     RepositoryEntry,
     SecretBox,
     check_passphrase,
     make_passphrase_verifier,
 )
+from repro.core.segments import SegmentRepository
 from repro.util.errors import AuthenticationError, NotFoundError, RepositoryError
 
 
@@ -76,15 +76,14 @@ class TestSecretBox:
             SecretBox(b"short")
 
 
-@pytest.fixture(params=["memory", "file", "sqlite"])
+@pytest.fixture(params=["memory", "segments"])
 def repo(request, tmp_path):
     if request.param == "memory":
-        return MemoryRepository()
-    if request.param == "sqlite":
-        from repro.core.sqlrepository import SqliteRepository
-
-        return SqliteRepository(tmp_path / "spool.db")
-    return FileRepository(tmp_path / "spool")
+        yield MemoryRepository()
+        return
+    segments = SegmentRepository(tmp_path / "store")
+    yield segments
+    segments.close()
 
 
 class TestBackends:
@@ -133,53 +132,34 @@ class TestBackends:
         assert repo.get("alice", "default") == original
 
     def test_hostile_usernames_safe(self, repo):
-        """Path-traversal-shaped names must not escape the spool."""
+        """Path-traversal-shaped names must not escape the store."""
         weird = entry(username="../../etc/passwd", cred_name="x/../y")
         repo.put(weird)
         assert repo.get("../../etc/passwd", "x/../y") == weird
 
 
-class TestFileBackend:
+class TestSegmentBackend:
     def test_survives_reopen(self, tmp_path):
-        spool = tmp_path / "spool"
-        FileRepository(spool).put(entry())
-        reopened = FileRepository(spool)
+        store = tmp_path / "store"
+        first = SegmentRepository(store)
+        first.put(entry())
+        first.close()
+        reopened = SegmentRepository(store)
         assert reopened.get("alice", "default").username == "alice"
+        reopened.close()
 
     def test_file_modes(self, tmp_path):
-        spool = tmp_path / "spool"
-        repo = FileRepository(spool)
+        store = tmp_path / "store"
+        repo = SegmentRepository(store)
         repo.put(entry())
-        assert (spool.stat().st_mode & 0o777) == 0o700
-        (entry_file,) = spool.glob("*.json")
-        assert (entry_file.stat().st_mode & 0o777) == 0o600
+        assert (store.stat().st_mode & 0o777) == 0o700
+        (segment,) = store.glob("seg-*.mps")
+        assert (segment.stat().st_mode & 0o777) == 0o600
+        repo.close()
 
-    def test_delete_zeroizes(self, tmp_path):
-        spool = tmp_path / "spool"
-        repo = FileRepository(spool)
-        repo.put(entry())
-        repo.delete("alice", "default")
-        assert list(spool.glob("*.json")) == []
-
-    def test_corrupt_entry_reported(self, tmp_path):
-        spool = tmp_path / "spool"
-        repo = FileRepository(spool)
-        repo.put(entry())
-        (entry_file,) = spool.glob("*.json")
-        entry_file.write_text("{broken json")
-        with pytest.raises(RepositoryError):
-            repo.get("alice", "default")
-
-    def test_orphan_tempfile_cleaned_on_open(self, tmp_path):
-        """Crash recovery: a put that died between temp-file write and the
-        atomic rename leaves a ``*.json.tmp`` orphan (possibly holding a
-        partial key copy) that the next open must remove."""
-        spool = tmp_path / "spool"
-        FileRepository(spool).put(entry())
-        orphan = spool / "interrupted.json.tmp"
-        orphan.write_text('{"half": "written')
-        reopened = FileRepository(spool)
-        assert not orphan.exists()
-        # committed entries are untouched and temp junk never shows up in reads
-        assert reopened.get("alice", "default").username == "alice"
-        assert reopened.count() == 1
+    def test_hostile_names_create_no_stray_files(self, tmp_path):
+        store = tmp_path / "store"
+        repo = SegmentRepository(store)
+        repo.put(entry(username="../../etc/passwd", cred_name="x/../y"))
+        repo.close()
+        assert {p.parent for p in tmp_path.rglob("*") if p.is_file()} == {store}

@@ -5,7 +5,8 @@ import string
 
 from hypothesis import given, strategies as st
 
-from repro.core.repository import FileRepository, RepositoryEntry
+from repro.core.repository import MemoryRepository, RepositoryEntry
+from repro.core.segments import SegmentRepository
 
 _text = st.text(max_size=40)
 _name = st.text(min_size=1, max_size=30).filter(lambda s: s.strip())
@@ -41,12 +42,16 @@ def test_json_roundtrip(entry):
 
 
 @given(entries)
-def test_file_backend_roundtrip_any_username(tmp_path_factory, entry):
-    """Hostile usernames/cred names never escape or corrupt the spool."""
-    repo = FileRepository(tmp_path_factory.mktemp("spool"))
-    repo.put(entry)
-    assert repo.get(entry.username, entry.cred_name) == entry
-    assert repo.count() == 1
-    # Every stored file stays inside the spool root.
-    for path in repo.root.rglob("*"):
-        assert repo.root in path.parents or path == repo.root
+def test_backend_roundtrip_any_username(tmp_path_factory, entry):
+    """Hostile usernames/cred names never escape or corrupt the store."""
+    segments = SegmentRepository(tmp_path_factory.mktemp("store"))
+    try:
+        for repo in (MemoryRepository(), segments):
+            repo.put(entry)
+            assert repo.get(entry.username, entry.cred_name) == entry
+            assert repo.count() == 1
+        # Every stored file stays inside the store root.
+        for path in segments.root.rglob("*"):
+            assert segments.root in path.parents
+    finally:
+        segments.close()

@@ -1,4 +1,4 @@
-"""The packed segment-file storage engine (DESIGN.md §6.7).
+"""The packed segment-file storage engine (DESIGN.md §6.3).
 
 Covers the CredentialRepository contract on segments, index rebuild on
 reopen, compaction correctness (latest-wins, tombstones dropped, inputs
@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.journal import encode_frame
+import os
+import shutil
+
+from repro.core import segments
+from repro.core.framing import encode_frame
 from repro.core.segments import (
     SegmentRepository,
     _sidecar_path,
-    detect_backend,
     write_backend_marker,
 )
 from repro.util.errors import NotFoundError, RepositoryError
@@ -416,32 +419,6 @@ class TestSidecarIndex:
             assert _sidecar_path(seg).exists(), seg.name
 
 
-class TestDetection:
-    def test_marker_wins(self, tmp_path):
-        root = tmp_path / "store"
-        root.mkdir()
-        write_backend_marker(root, "segments")
-        assert detect_backend(root) == "segments"
-
-    def test_segment_files_detected(self, repo_factory, tmp_path):
-        repo = repo_factory()
-        repo.put(make_plain_entry())
-        repo.close()
-        assert detect_backend(tmp_path / "store") == "segments"
-
-    def test_spool_files_beside_segments_mean_crashed_migration(self, tmp_path):
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / "seg-00000001.mps").write_bytes(b"%MPS1 v1 id=1 gen=0\n")
-        (root / "dG9rZW4=.json").write_bytes(b"{}")
-        assert detect_backend(root) == "spool"
-
-    def test_empty_directory_is_spool(self, tmp_path):
-        root = tmp_path / "store"
-        root.mkdir()
-        assert detect_backend(root) == "spool"
-
-
 class TestMetrics:
     def test_counters_published(self, repo_factory):
         from repro.obs import MetricsRegistry, render_prometheus
@@ -455,3 +432,127 @@ class TestMetrics:
         assert "myproxy_storage_compactions_total" in text
         assert "myproxy_storage_cache_hits_total" in text
         assert "myproxy_recovery_seconds" in text
+
+
+class _FsyncLog:
+    """Record, in order, the path behind every ``os.fsync`` the engine
+    issues (file or directory)."""
+
+    def __init__(self, monkeypatch):
+        self.paths: list[str] = []
+        real = os.fsync
+
+        def recording_fsync(fd):
+            self.paths.append(os.readlink(f"/proc/self/fd/{fd}"))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+
+
+class TestDirectoryDurability:
+    """A new file's (or a rename's) directory entry must itself be
+    fsynced, or power loss can drop the name that every later
+    acknowledged write lives under."""
+
+    def test_new_active_segment_is_followed_by_a_directory_fsync(
+        self, repo_factory, tmp_path, monkeypatch
+    ):
+        log = _FsyncLog(monkeypatch)
+        root = str(tmp_path / "store")
+        repo = repo_factory(segment_max_bytes=4096)
+        first = str(tmp_path / "store" / "seg-00000001.mps")
+        assert log.paths[-2:] == [first, root]
+
+        # …once per roll, not once per append.
+        log.paths.clear()
+        repo.put(make_plain_entry())
+        assert log.paths == [first]
+
+        log.paths.clear()
+        for i in range(12):  # enough to seal and roll once at 4 KiB
+            repo.put(make_plain_entry("alice", f"c{i}"))
+        second = str(tmp_path / "store" / "seg-00000002.mps")
+        created = log.paths.index(second)
+        assert log.paths[created + 1] == root
+        assert log.paths.count(root) == 1
+
+    def test_marker_rename_is_followed_by_a_directory_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        log = _FsyncLog(monkeypatch)
+        write_backend_marker(tmp_path)
+        assert log.paths == [str(tmp_path / "storage.backend.tmp"), str(tmp_path)]
+        assert (tmp_path / "storage.backend").read_text() == "segments\n"
+
+
+class TestDeleteHygiene:
+    def test_dead_segment_is_zeroed_in_full_before_unlink(
+        self, repo_factory, tmp_path, monkeypatch
+    ):
+        """Whole-file, in bounded chunks — not one segment-sized buffer
+        and not only the first 64 MiB."""
+        monkeypatch.setattr(segments, "_ZERO_CHUNK", 100)
+        repo = repo_factory(compact_ratio=0, segment_max_bytes=4096)
+        for i in range(12):
+            repo.put(make_plain_entry("alice", f"c{i}"))
+        [victim] = [
+            tmp_path / "store" / seg["name"]
+            for seg in repo.segment_info() if not seg["active"]
+        ]
+        size = victim.stat().st_size
+        assert size > 20 * 100
+
+        seen = {}
+        real_unlink = type(victim).unlink
+
+        def spying_unlink(path, missing_ok=False):
+            if path == victim:
+                seen["at_unlink"] = path.read_bytes()
+            real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(type(victim), "unlink", spying_unlink)
+        repo.compact()
+        assert seen["at_unlink"] == b"\0" * size
+        assert not victim.exists()
+
+
+class TestManyGenerations:
+    def test_only_the_newest_covering_generation_survives_recovery(
+        self, repo_factory, tmp_path
+    ):
+        """Four rounds of compaction, every superseded input and output
+        put back on disk (as if each cleanup had been cut short): the
+        ``covers=`` table must still pick exactly the newest view."""
+        root = tmp_path / "store"
+        attic = tmp_path / "attic"
+        attic.mkdir()
+        repo = repo_factory(compact_ratio=0, segment_max_bytes=4096)
+        expected = {}
+        for generation in range(1, 5):
+            for i in range(12):
+                value = b"g%d-%d" % (generation, i)
+                repo.put(make_plain_entry("alice", f"c{i}", key_pem=value))
+                expected[f"c{i}"] = value
+            repo.delete("alice", f"c{generation}")
+            del expected[f"c{generation}"]
+            for seg in repo.segment_info():
+                if not seg["active"]:
+                    shutil.copy(root / seg["name"], attic / seg["name"])
+            repo.compact()
+        repo.close()
+        for stale in attic.iterdir():
+            shutil.copy(stale, root / stale.name)
+        generations = {
+            int(p.name.split(".c")[1].split(".")[0])
+            for p in root.glob("seg-*.c*.mps")
+        }
+        assert generations == {1, 2, 3, 4}
+
+        reopened = repo_factory(compact_ratio=0, segment_max_bytes=4096)
+        got = {e.cred_name: e.key_pem for e in reopened.list_for("alice")}
+        assert got == expected
+        assert reopened.quarantined() == []
+        info = reopened.segment_info()
+        [newest] = [seg for seg in info if seg["gen"] > 0]
+        assert newest["gen"] == 4
+        assert all(seg["id"] > newest["id"] for seg in info if seg["gen"] == 0)

@@ -1,10 +1,10 @@
-"""SIGKILL a real ``myproxy-server`` process at each journal kill point.
+"""SIGKILL a real ``myproxy-server`` process at each segment append site.
 
 This is the out-of-process version of the chaos suite: the server runs as
 an actual subprocess over TCP, ``REPRO_FAULTS=kill@<site>:2`` arms a hard
 kill (``SIGKILL``, no cleanup, no atexit) that fires during the second
 ``myproxy-init`` store, and a fresh server process is then started on the
-same spool.  The restarted server must:
+same storage directory.  The restarted server must:
 
 - recover without quarantining anything (the crash was clean-by-design:
   old-or-new, never torn);
@@ -34,23 +34,18 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 KEYPASS = "keyfile phrase 3"
 MYPASS = "repository phrase 7"
 
-# Every site a single put crosses, in order.  (compact.pre needs the
-# threshold and delete.zeroized needs a delete; they are covered by the
-# in-process sweep in tests/chaos/.)
-JOURNAL_KILL_SITES = [
-    "repo.journal.append.pre",
-    "repo.journal.append.synced",
-    "repo.journal.commit.pre",
-    "repo.journal.commit.synced",
-    "repo.spool.pre_rename",
-    "repo.spool.renamed",
+# Every site a single put crosses, in order.  (The seal and compaction
+# sites need a full segment; they are covered by the in-process sweep in
+# tests/chaos/.)
+SEGMENT_KILL_SITES = [
+    "repo.segment.append.pre",
+    "repo.segment.append.synced",
 ]
 
-# The journal is a redo log: once the op frame is fsynced (every site
-# after append.pre), recovery replays the store, so the interrupted
-# credential comes back "new".  Only a crash before the frame lands
-# leaves it "old" (absent).
-PRE_DURABLE_SITES = {"repo.journal.append.pre"}
+# The active segment is the write-ahead log: once the record frame is
+# fsynced, recovery indexes it, so the interrupted credential comes back
+# "new".  Only a crash before the frame lands leaves it "old" (absent).
+PRE_DURABLE_SITES = {"repo.segment.append.pre"}
 
 
 @pytest.fixture(scope="module")
@@ -151,10 +146,10 @@ def _get(world, endpoint, cred_name, out_path):
     )
 
 
-@pytest.mark.parametrize("site", JOURNAL_KILL_SITES)
+@pytest.mark.parametrize("site", SEGMENT_KILL_SITES)
 class TestServerSigkilledMidStore:
     def test_restart_recovers_and_serves(self, world, tmp_path, site):
-        storage = tmp_path / "spool"
+        storage = tmp_path / "store"
 
         # hit 1 = the baseline store (acked), hit 2 = the doomed one
         proc, endpoint, _ = _spawn_server(world, storage, f"kill@{site}:2")
@@ -169,8 +164,8 @@ class TestServerSigkilledMidStore:
         proc, endpoint, banner = _spawn_server(world, storage)
         try:
             # recovery ran and quarantined nothing: the crash left the
-            # spool old-or-new, never torn
-            assert "spool recovery:" in banner
+            # store old-or-new, never torn
+            assert "segment recovery (" in banner
             assert "0 entr(ies) quarantined" in banner
 
             # the acked credential survived the SIGKILL
@@ -185,6 +180,40 @@ class TestServerSigkilledMidStore:
             if site in PRE_DURABLE_SITES:
                 assert rc == 1  # never happened
             else:
-                assert rc == 0  # journaled, so recovery finished it
+                assert rc == 0  # fsynced, so recovery indexed it
         finally:
             _stop(proc)
+
+
+class TestServerRefusesUnmigratedSpool:
+    def test_exits_nonzero_with_the_hint_and_modifies_nothing(self, world, tmp_path):
+        """Upgrade safety: pointed at a legacy spool, the server must not
+        come up on an empty segment store beside the operator's
+        credentials — it exits with the migrate hint, touching nothing."""
+        from tests.core.test_segment_migration import lay_spool, tree
+
+        storage = tmp_path / "spool"
+        lay_spool(storage)
+        (storage / "journal.wal").write_bytes(b"")
+        before = tree(storage)
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        env.pop("REPRO_FAULTS", None)
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli.myproxy_server",
+                "--host", "127.0.0.1", "--port", "0",
+                "--credential", world["hostcred"],
+                "--storage-dir", str(storage),
+                "--trusted-ca", world["ca"],
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "listening on" not in done.stdout
+        assert "unmigrated credential spool" in done.stderr
+        assert f"myproxy-admin --storage-dir {storage} migrate" in done.stderr
+        assert tree(storage) == before

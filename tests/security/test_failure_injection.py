@@ -147,24 +147,30 @@ class TestHostileMessages:
 
 class TestRepositoryCrashConsistency:
     def test_torn_write_leaves_old_entry_intact(self, tmp_path):
-        """Atomic replace: a crash mid-PUT must not corrupt the entry."""
-        from repro.core.repository import FileRepository
+        """Append-only: a crash mid-PUT must not corrupt the entry."""
+        from repro.core.segments import SegmentRepository
         from tests.core.test_repository import entry
 
-        repo = FileRepository(tmp_path / "spool")
+        repo = SegmentRepository(tmp_path / "store")
         repo.put(entry(not_after=111.0))
-        # Simulate a crash that left a temp file behind mid-write.
-        (tmp_path / "spool" / "whatever.json.tmp").write_text("half-written")
+        repo.close()
+        # Simulate a crash that left half a record frame behind mid-write.
+        [segment] = (tmp_path / "store").glob("seg-*.mps")
+        with open(segment, "ab") as fh:
+            fh.write(b"%MPF1 900 12345\nP half-writ")
+        repo = SegmentRepository(tmp_path / "store")
         fetched = repo.get("alice", "default")
         assert fetched.not_after == 111.0
-        # And the spool still lists exactly one logical entry.
+        # And the store still lists exactly one logical entry.
         assert repo.count() == 1
+        assert repo.quarantined() == []
+        repo.close()
 
     def test_concurrent_puts_and_gets(self, tmp_path):
-        from repro.core.repository import FileRepository
+        from repro.core.segments import SegmentRepository
         from tests.core.test_repository import entry
 
-        repo = FileRepository(tmp_path / "spool")
+        repo = SegmentRepository(tmp_path / "store")
         repo.put(entry())
         errors = []
 
