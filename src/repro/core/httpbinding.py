@@ -328,7 +328,7 @@ class MyProxyHttpGateway:
         lifetime = server.policy.clamp_delegation_lifetime(request.lifetime)
         lifetime = min(lifetime, entry.max_get_lifetime, entry.not_after - now)
         if key is None:
-            key = server._decrypt_entry_key(entry, request)
+            key = server._decrypt_entry_key(entry, request.passphrase)
         stored = server._load_entry_credential(entry, key)
 
         # Validate the client's CSR: fresh public key + PoP over its nonce,
@@ -572,27 +572,7 @@ class MyProxyHttpGateway:
     def _op_change(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         server = self.server
         request = self._request_from(payload, Command.CHANGE_PASSPHRASE)
-        server._require_acl(server.policy.accepted_credentials, peer)
-        entry = server.repository.get(request.username, request.cred_name)
-        if entry.owner_dn != str(peer.identity):
-            raise AuthorizationError("not the owner")
-        if entry.auth_method != AuthMethod.PASSPHRASE.value:
-            raise PolicyError("only pass-phrase entries support this")
-        entry = server._verify_secret(entry, request)
-        server.policy.passphrase_policy.check(request.new_passphrase)
-        from dataclasses import replace
-
-        from repro.core.repository import make_passphrase_verifier
-
-        key = KeyPair.from_pem(entry.key_pem, request.passphrase)
-        updated = replace(
-            entry,
-            key_pem=key.to_pem(request.new_passphrase),
-            verifier=make_passphrase_verifier(
-                request.new_passphrase, server.policy.kdf_iterations
-            ),
-        )
-        server.repository.put(updated)
+        server._change_passphrase(peer, request, "HTTP binding")
         return _json_response({"ok": True, "changed": True})
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -100,7 +101,7 @@ _ANON_FANIN = 4.0
 logger = get_logger("core.server")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     """One line of the server's security audit trail."""
 
@@ -705,13 +706,15 @@ class MyProxyServer:
     ) -> None:
         # count_denial=False is for QoS sheds: they are audited like any
         # refusal but counted under ``shed``, not ``denials`` — denials
-        # measure authorization decisions, sheds measure load.
+        # measure authorization decisions, sheds measure load.  The
+        # identifying fields repeat across the bounded ring, so they are
+        # interned: one string object per distinct value, not per record.
         record = AuditRecord(
             at=self.clock.now(),
-            peer=peer,
-            command=command,
-            username=username,
-            cred_name=cred_name,
+            peer=sys.intern(peer),
+            command=sys.intern(command),
+            username=sys.intern(username),
+            cred_name=sys.intern(cred_name),
             ok=ok,
             detail=detail,
         )
@@ -1080,19 +1083,37 @@ class MyProxyServer:
             return ({"method": "site", "realm": realm}, KEY_ENC_SERVER)
         raise PolicyError(f"unsupported auth method {request.auth_method}")
 
-    def _decrypt_entry_key(self, entry: RepositoryEntry, request: Request) -> KeyPair:
-        """Recover the stored private key for delegation."""
-        if entry.key_encryption == KEY_ENC_PASSPHRASE:
+    def _decrypt_entry_key(
+        self,
+        entry: RepositoryEntry,
+        passphrase: str | None = None,
+        *,
+        renewal: bool = False,
+    ) -> KeyPair:
+        """Open a stored private key — the only place the server does.
+
+        Loads skip OpenSSL's RSA consistency re-check (``trusted=True``):
+        every stored key was generated server-side (PUT, HTTP PUT, CDP) or
+        validated by :meth:`Credential.import_pem` before the commit
+        (STORE), replicas and snapshots come HMAC'd from peers that did the
+        same, and ``%MPF1`` CRC framing guards the bytes at rest.  Nothing
+        decrypted here is cached: the key lives for one request.
+        """
+        if renewal:
+            pem, passphrase = self.master_box.open(entry.key_pem_renewal), None
+        elif entry.key_encryption == KEY_ENC_SERVER:
+            pem, passphrase = self.master_box.open(entry.key_pem), None
+        elif entry.key_encryption == KEY_ENC_PASSPHRASE:
+            pem = entry.key_pem
             if entry.long_term:
                 # Long-term entries keep the user's original PEM blob
                 # (certificates + encrypted key) verbatim.
                 return Credential.import_pem(
-                    entry.key_pem, request.passphrase
+                    pem, passphrase, trusted=True
                 ).require_key()
-            return KeyPair.from_pem(entry.key_pem, request.passphrase)
-        if entry.key_encryption == KEY_ENC_SERVER:
-            return KeyPair.from_pem(self.master_box.open(entry.key_pem))
-        raise CredentialError(f"unknown key encryption {entry.key_encryption!r}")
+        else:
+            raise CredentialError(f"unknown key encryption {entry.key_encryption!r}")
+        return KeyPair.from_pem(pem, passphrase, trusted=True)
 
     def _load_entry_credential(
         self, entry: RepositoryEntry, key: KeyPair
@@ -1225,7 +1246,7 @@ class MyProxyServer:
                 "renewal requires a live credential for the same identity "
                 f"({peer.identity} vs {entry.owner_dn})"
             )
-        return KeyPair.from_pem(self.master_box.open(entry.key_pem_renewal))
+        return self._decrypt_entry_key(entry, renewal=True)
 
     def _do_get(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
@@ -1262,7 +1283,7 @@ class MyProxyServer:
         lifetime = min(lifetime, entry.max_get_lifetime, entry.not_after - now)
 
         if key is None:
-            key = self._decrypt_entry_key(entry, request)
+            key = self._decrypt_entry_key(entry, request.passphrase)
         stored = self._load_entry_credential(entry, key)
 
         channel.send(
@@ -1390,6 +1411,13 @@ class MyProxyServer:
     def _do_change_passphrase(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
     ) -> None:
+        self._change_passphrase(peer, request, "pass phrase changed")
+        channel.send(Response.success({"changed": True}).encode())
+
+    def _change_passphrase(
+        self, peer: ValidatedIdentity, request: Request, detail: str
+    ) -> None:
+        """CHANGE_PASSPHRASE on either binding: re-encrypt the stored key."""
         self._require_acl(self.policy.accepted_credentials, peer)
         entry = self.repository.get(request.username, request.cred_name)
         if entry.owner_dn != str(peer.identity):
@@ -1400,11 +1428,15 @@ class MyProxyServer:
             raise PolicyError("only pass-phrase entries support CHANGE_PASSPHRASE")
         entry = self._verify_secret(entry, request)
         self.policy.passphrase_policy.check(request.new_passphrase)
-        if entry.key_encryption == KEY_ENC_PASSPHRASE:
-            key = KeyPair.from_pem(entry.key_pem, request.passphrase)
+        key = self._decrypt_entry_key(entry, request.passphrase)
+        if entry.long_term:
+            # STORE's blob is certificates + key: RETRIEVE returns it and
+            # GET reads the key out of it, so re-export all of it.
+            new_key_pem = self._load_entry_credential(entry, key).export_pem(
+                request.new_passphrase
+            )
+        else:
             new_key_pem = key.to_pem(request.new_passphrase)
-        else:  # pragma: no cover - passphrase entries are passphrase-encrypted
-            new_key_pem = entry.key_pem
         updated = replace(
             entry,
             key_pem=new_key_pem,
@@ -1415,9 +1447,8 @@ class MyProxyServer:
         self.repository.put(updated)
         self._audit_event(
             str(peer.identity), "CHANGE_PASSPHRASE", request.username, request.cred_name,
-            True, "pass phrase changed",
+            True, detail,
         )
-        channel.send(Response.success({"changed": True}).encode())
 
     # ------------------------------------------------------------------
     # TRUSTROOTS — anchor + CRL distribution (myproxy-get-trustroots)

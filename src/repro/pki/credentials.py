@@ -112,18 +112,21 @@ class Credential:
         return b"".join(parts)
 
     @classmethod
-    def import_pem(cls, data: bytes, passphrase: str | None = None) -> Credential:
+    def import_pem(
+        cls, data: bytes, passphrase: str | None = None, *, trusted: bool = False
+    ) -> Credential:
         """Inverse of :meth:`export_pem`.
 
         The first certificate is the leaf; any further certificates form the
-        chain; at most one private key block may be present.
+        chain; at most one private key block may be present.  ``trusted`` is
+        passed to :meth:`KeyPair.from_pem`.
         """
         certs = Certificate.list_from_pem(data) if _CERT_BEGIN in data else []
         if not certs:
             raise CredentialError("no certificate in credential PEM")
         key = None
         if any(marker in data for marker in _KEY_MARKERS):
-            key = KeyPair.from_pem(data, passphrase)
+            key = KeyPair.from_pem(data, passphrase, trusted=trusted)
             if key.public != certs[0].public_key:
                 raise CredentialError(
                     "private key does not match the leaf certificate"

@@ -155,11 +155,21 @@ class KeyPair:
         )
 
     @classmethod
-    def from_pem(cls, pem: bytes, passphrase: str | None = None) -> KeyPair:
-        """Load a key; a wrong pass phrase raises :class:`CredentialError`."""
+    def from_pem(
+        cls, pem: bytes, passphrase: str | None = None, *, trusted: bool = False
+    ) -> KeyPair:
+        """Load a key; a wrong pass phrase raises :class:`CredentialError`.
+
+        By default OpenSSL re-checks the RSA key's consistency (primality of
+        p and q, CRT parameters) — ~40 ms for a 2048-bit key.  ``trusted``
+        skips that check; it is only for keys validated once already, at
+        ingest, i.e. the repository's own stored entries.
+        """
         try:
             key = serialization.load_pem_private_key(
-                pem, passphrase.encode("utf-8") if passphrase is not None else None
+                pem,
+                passphrase.encode("utf-8") if passphrase is not None else None,
+                unsafe_skip_rsa_key_validation=trusted,
             )
         except (ValueError, TypeError) as exc:
             raise CredentialError(

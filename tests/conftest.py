@@ -8,9 +8,10 @@ certificates themselves are still minted per test (they embed clock times).
 from __future__ import annotations
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import rsa
 
 from repro.pki.ca import CertificateAuthority
-from repro.pki.keys import PooledKeySource
+from repro.pki.keys import KeyPair, PooledKeySource
 from repro.pki.names import DistinguishedName
 from repro.pki.validation import ChainValidator
 from repro.testbed import GridTestbed
@@ -23,6 +24,26 @@ EPOCH = 1_600_000_000.0  # a fixed, comfortably modern starting instant
 @pytest.fixture(scope="session")
 def key_pool() -> PooledKeySource:
     return PooledKeySource(TEST_BITS, size=24)
+
+
+@pytest.fixture()
+def corrupt_crt():
+    """Copy a key with its CRT exponent ``dmp1`` broken.
+
+    The public half is unchanged, so the copy still matches certificates
+    issued for the original; only OpenSSL's RSA consistency check — what a
+    validating :meth:`KeyPair.from_pem` runs — can tell.
+    """
+
+    def _corrupt(key: KeyPair) -> KeyPair:
+        good = key.raw.private_numbers()
+        bad = rsa.RSAPrivateNumbers(
+            p=good.p, q=good.q, d=good.d, dmp1=good.dmp1 ^ 2, dmq1=good.dmq1,
+            iqmp=good.iqmp, public_numbers=good.public_numbers,
+        )
+        return KeyPair(bad.private_key(unsafe_skip_rsa_key_validation=True))
+
+    return _corrupt
 
 
 @pytest.fixture()

@@ -272,6 +272,29 @@ class TestHousekeepingOverHttp:
         with pytest.raises(AuthenticationError):
             getter.get_delegation(username="alice", passphrase="rotated 88")
 
+    def test_change_passphrase_of_long_term_entry(self, world):
+        """Regression: the HTTP change used to replace a STORE entry's
+        certificates-plus-key blob with a bare key."""
+        tb, gateway, alice, svc = world
+        gsi = tb.myproxy_client(alice.credential)
+        gsi.store_longterm(alice.credential, username="alice", passphrase=PASS,
+                           cred_name="lt")
+        http_client(tb, gateway, alice.credential).change_passphrase(
+            username="alice", old_passphrase=PASS, new_passphrase="rotated 88",
+            cred_name="lt",
+        )
+        getter = http_client(tb, gateway, svc.credential)
+        assert getter.get_delegation(
+            username="alice", passphrase="rotated 88", cred_name="lt"
+        ).identity == alice.dn
+        with pytest.raises(AuthenticationError):
+            getter.get_delegation(username="alice", passphrase=PASS, cred_name="lt")
+        back = gsi.retrieve_longterm(username="alice", passphrase="rotated 88",
+                                     cred_name="lt")
+        assert back.key.public == alice.credential.key.public
+        audit = tb.myproxy.audit_log()
+        assert any(r.command == "CHANGE_PASSPHRASE" and r.ok for r in audit)
+
 
 class TestTransportSecurity:
     def test_anonymous_clients_rejected_at_handshake(self, world):

@@ -100,3 +100,47 @@ class TestRetrieve:
             tb.myproxy_client(user.credential).retrieve_longterm(
                 username="norm", passphrase=PASS
             )
+
+
+class TestIngestValidates:
+    def test_store_refuses_inconsistent_key(self, tb, corrupt_crt):
+        """STORE is the ingest check that lets GET skip it: an RSA key that
+        fails OpenSSL's consistency check is refused and nothing is kept."""
+        from dataclasses import replace
+
+        from repro.util.errors import NotFoundError
+
+        alice = tb.new_user("alice")
+        bad = replace(alice.credential, key=corrupt_crt(alice.credential.key))
+        client = tb.myproxy_client(alice.credential)
+        with pytest.raises(AuthenticationError):
+            client.store_longterm(bad, username="alice", passphrase=PASS,
+                                  cred_name="longterm")
+        with pytest.raises(NotFoundError):
+            tb.myproxy.repository.get("alice", "longterm")
+        assert "could not load private key" in tb.myproxy.audit_log()[-1].detail
+
+
+class TestChangePassphrase:
+    NEW = "rotated pass 88"
+
+    def test_change_keeps_the_full_credential(self, stored):
+        """Regression: CHANGE_PASSPHRASE used to replace the STORE blob
+        (certificates + key) with a bare key, breaking GET and RETRIEVE."""
+        tb, alice, client = stored
+        client.change_passphrase(username="alice", old_passphrase=PASS,
+                                 new_passphrase=self.NEW, cred_name="longterm")
+        getter = tb.myproxy_client(tb.new_user("portal").credential)
+        proxy = getter.get_delegation(username="alice", passphrase=self.NEW,
+                                      cred_name="longterm")
+        assert proxy.identity == alice.dn
+        with pytest.raises(AuthenticationError):
+            getter.get_delegation(username="alice", passphrase=PASS,
+                                  cred_name="longterm")
+        back = client.retrieve_longterm(username="alice", passphrase=self.NEW,
+                                        cred_name="longterm")
+        assert back.identity == alice.dn
+        assert back.key.public == alice.credential.key.public
+        assert back.chain == alice.credential.chain
+        entry = tb.myproxy.repository.get("alice", "longterm")
+        assert b"BEGIN ENCRYPTED PRIVATE KEY" in entry.key_pem

@@ -92,6 +92,49 @@ class TestStorage:
             PublicKey.from_pem(b"junk")
 
 
+class TestTrustedLoad:
+    """``trusted=True`` skips only OpenSSL's RSA consistency re-check.
+
+    The contract the repository's entry-key loader relies on: ingest (the
+    default) refuses an inconsistent key; a trusted load of the same bytes
+    does not look, so it must only ever see keys validated at ingest.
+    """
+
+    @pytest.mark.parametrize("passphrase", [None, "open sesame"])
+    def test_default_load_refuses_corrupt_crt(self, key, corrupt_crt, passphrase):
+        pem = corrupt_crt(key).to_pem(passphrase)
+        with pytest.raises(CredentialError):
+            KeyPair.from_pem(pem, passphrase)
+
+    @pytest.mark.parametrize("passphrase", [None, "open sesame"])
+    def test_trusted_load_skips_the_check(self, key, corrupt_crt, passphrase):
+        pem = corrupt_crt(key).to_pem(passphrase)
+        assert KeyPair.from_pem(pem, passphrase, trusted=True).public == key.public
+
+    def test_corrupt_crt_key_never_emits_a_faulty_signature(self, key, corrupt_crt):
+        """OpenSSL checks each CRT result and recomputes on mismatch, so
+        even a key that slipped past ingest cannot leak p via a faulty
+        signature (the Bellcore attack)."""
+        loaded = KeyPair.from_pem(corrupt_crt(key).to_pem(), trusted=True)
+        assert loaded.sign(b"message") == key.sign(b"message")
+
+    def test_trusted_load_still_needs_the_passphrase(self, key):
+        pem = key.to_pem("open sesame")
+        with pytest.raises(CredentialError):
+            KeyPair.from_pem(pem, "wrong", trusted=True)
+
+    def test_credential_import_validates_by_default(self, ca, key, corrupt_crt):
+        from repro.pki.credentials import Credential
+        from repro.pki.names import DistinguishedName
+
+        bad = ca.issue_credential(
+            DistinguishedName.grid_user("Grid", "T", "Eve"), key=corrupt_crt(key)
+        ).export_pem("open sesame")
+        with pytest.raises(CredentialError):
+            Credential.import_pem(bad, "open sesame")
+        assert Credential.import_pem(bad, "open sesame", trusted=True).has_key
+
+
 class TestKeySources:
     def test_generate_rejects_weak_sizes(self):
         with pytest.raises(CredentialError):
