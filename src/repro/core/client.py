@@ -455,8 +455,9 @@ class MyProxyClient:
         portal fetching proxies for N users pays the asymmetric setup cost
         once instead of N times.  Returns one result per item, in order:
         a :class:`Credential` on success, or the server's refusal as an
-        :class:`~repro.util.errors.AuthenticationError` — one bad
-        pass phrase does not cost the rest of the batch.
+        :class:`~repro.util.errors.AuthenticationError` (a
+        :class:`~repro.util.errors.ServerBusyError` for a busy item) —
+        one bad pass phrase does not cost the rest of the batch.
         """
         if not items:
             return []
@@ -477,6 +478,13 @@ class MyProxyClient:
             results: list[Credential | Exception] = []
             for _item in items:
                 response = Response.decode(channel.recv())
+                if response.busy:
+                    results.append(
+                        ServerBusyError(
+                            f"server busy: {response.error}", response.retry_after
+                        )
+                    )
+                    continue
                 if not response.ok:
                     results.append(
                         AuthenticationError(f"server refused: {response.error}")

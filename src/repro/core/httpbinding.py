@@ -6,9 +6,14 @@ option would be HTTP for compatibility with standard web-oriented
 libraries."
 
 This module implements that option: :class:`MyProxyHttpGateway` exposes a
-repository's operations as JSON-over-HTTPS endpoints, reusing the existing
-:class:`~repro.core.server.MyProxyServer` policy/authorization/storage
-machinery, and :class:`HttpMyProxyClient` is the matching client.
+repository's operations as JSON-over-HTTPS endpoints, and
+:class:`HttpMyProxyClient` is the matching client.  The gateway is a
+*codec*: every command's transport-neutral steps — admission, the refusal
+decision, GET's authorize-and-load, PUT's checks and storage, INFO,
+DESTROY, CHANGE_PASSPHRASE — are the same public
+:class:`~repro.core.server.MyProxyServer` methods the GSI dispatcher
+calls.  The gateway keeps only decoding, its own key-exchange step, and
+encoding.
 
 Transport security is the same GSI channel (the gateway **requires client
 certificates** — no anonymous access), so the §5.1 properties carry over
@@ -38,49 +43,41 @@ import json
 import secrets
 import threading
 import time
+from dataclasses import dataclass
 
 from repro.core.protocol import DEFAULT_CRED_NAME, AuthMethod, Request, Command
-from repro.core.repository import KEY_ENC_PASSPHRASE, RepositoryEntry
-from repro.core.server import MyProxyServer
+from repro.core.repository import RepositoryEntry
+from repro.core.server import REFUSABLE, MyProxyServer, Refusal
 from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import FreshKeySource, KeyPair, KeySource, PublicKey
 from repro.pki.proxy import sign_proxy_request
 from repro.pki.validation import ValidatedIdentity
+from repro.transport.links import SocketLink
+from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import (
     AuthenticationError,
-    AuthorizationError,
     CredentialError,
-    NotFoundError,
-    PolicyError,
     ProtocolError,
-    ReproError,
+    ServerBusyError,
 )
-from repro.util.logging import get_logger
+from repro.web.client import SecureTransport
 from repro.web.http11 import HttpRequest, HttpResponse
 from repro.web.server import WebContext, WebServer
 
-logger = get_logger("core.httpbinding")
-
 _POP_LABEL = b"myproxy-http-binding-pop-v1"
-_GENERIC_DENIAL = "remote authorization/authentication failed"
 PUT_SESSION_TTL = 120.0
 #: How long a consumed/expired PUT token's tombstone is kept, so a replay
 #: or late completion gets a *distinct* refusal instead of the generic
 #: "unknown session" denial.  Past this, replays fold into "unknown".
 PUT_TOMBSTONE_TTL = 10 * PUT_SESSION_TTL
 
+#: HTTP status for each :class:`~repro.core.server.Refusal` kind.
+_REFUSAL_STATUS = {"denied": 403, "rejected": 400, "busy": 503, "storage": 503}
+
 
 def _pop_message(nonce_hex: str, public_pem: bytes, identity: str) -> bytes:
     return _POP_LABEL + bytes.fromhex(nonce_hex) + public_pem + identity.encode()
-
-
-def _json_response(payload: dict, status: int = 200) -> HttpResponse:
-    return HttpResponse(
-        status=status,
-        headers=[("Content-Type", "application/json")],
-        body=json.dumps(payload, sort_keys=True).encode("utf-8"),
-    )
 
 
 def _json_body(request: HttpRequest) -> dict:
@@ -91,6 +88,161 @@ def _json_body(request: HttpRequest) -> dict:
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
     return payload
+
+
+def _nonce(payload: dict) -> str:
+    nonce_hex = str(payload.get("nonce", ""))
+    if len(nonce_hex) < 32:
+        raise ProtocolError("CSR nonce too short")
+    return nonce_hex
+
+
+def _csr(key: KeyPair, nonce_hex: str, client) -> dict:
+    """A CSR for ``key``: its public half plus proof of possession over
+    ``nonce_hex``, bound to the *client's* identity (no cross-client
+    splicing).  The client makes one for GET, the server for PUT/CDP."""
+    public_pem = key.public.to_pem()
+    pop = key.sign(_pop_message(nonce_hex, public_pem, str(client)))
+    return {
+        "public_key_pem": public_pem.decode("ascii"),
+        "pop": base64.b64encode(pop).decode("ascii"),
+    }
+
+
+def _check_csr(csr, nonce_hex: str, client) -> PublicKey:
+    """The public key of a :func:`_csr` whose proof of possession holds."""
+    try:
+        public_pem = csr["public_key_pem"].encode("ascii")
+        pop = base64.b64decode(csr["pop"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolError("malformed CSR") from exc
+    public_key = PublicKey.from_pem(public_pem)
+    if not public_key.verify(pop, _pop_message(nonce_hex, public_pem, str(client))):
+        raise ProtocolError("CSR proof-of-possession failed")
+    return public_key
+
+
+def _request_from(payload: dict, command: Command) -> Request:
+    def optional(key: str, convert):
+        value = payload.get(key)
+        return None if value is None else convert(value)
+
+    try:
+        return Request(
+            command=command,
+            username=str(payload.get("username", "")),
+            passphrase=str(payload.get("passphrase", "")),
+            lifetime=float(payload.get("lifetime", 0.0)),
+            cred_name=str(payload.get("cred_name", DEFAULT_CRED_NAME)),
+            auth_method=AuthMethod(payload.get("auth_method", "passphrase")),
+            max_get_lifetime=optional("max_get_lifetime", float),
+            retrievers=optional("retrievers", tuple),
+            renewers=optional("renewers", tuple),
+            new_passphrase=str(payload.get("new_passphrase", "")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad request fields: {exc}") from exc
+
+
+def _render(refusal: Refusal) -> HttpResponse:
+    body = {"ok": False, "error": refusal.message}
+    if refusal.kind == "busy":
+        body["retry_after"] = refusal.retry_after
+    return HttpResponse.json(body, _REFUSAL_STATUS[refusal.kind])
+
+
+@dataclass(slots=True)
+class _Pending:
+    owner: str
+    key: KeyPair | None
+    expires: float
+    fate: str | None = None  # None while live, then "used" or "expired"
+    until: float = 0.0  # when the tombstone is forgotten
+
+
+class PendingDelegations:
+    """Server-held keys waiting for a client-signed certificate.
+
+    The two-step PUT's session tokens and IVOA CDP's delegation ids are
+    both kept here.  An id is bound to the identity that opened it and
+    lives ``ttl`` seconds.  Taking it, or letting it lapse, leaves a
+    tombstone for :data:`PUT_TOMBSTONE_TTL`: the *owner* presenting it
+    again gets a :class:`ProtocolError` naming the fate ("already used
+    (replay refused)" or "expired"), because the id is a bearer secret
+    they legitimately held and the reason is actionable.  Ids never
+    issued, owned by someone else, or past their tombstone stay on the
+    generic denial path: nothing is revealed to a guesser.
+    """
+
+    def __init__(self, clock: Clock, ttl: float, noun: str) -> None:
+        self.clock = clock
+        self.ttl = ttl
+        self.noun = noun
+        self._items: dict[str, _Pending] = {}
+        self._lock = threading.Lock()
+
+    def add(self, owner: str, key: KeyPair) -> tuple[str, float]:
+        """Open a fresh id for ``key``; returns it and its expiry."""
+        token = secrets.token_urlsafe(24)
+        with self._lock:
+            now = self.clock.now()
+            self._reap(now)
+            self._items[token] = _Pending(owner, key, now + self.ttl)
+        return token, now + self.ttl
+
+    def peek(self, token: str, owner: str) -> KeyPair:
+        """The live key behind ``token``, left in place."""
+        with self._lock:
+            return self._live(token, owner).key
+
+    def take(self, token: str, owner: str) -> KeyPair:
+        """Consume ``token`` exactly once."""
+        with self._lock:
+            item = self._live(token, owner)
+            key = item.key
+            self._bury(item, "used", self.clock.now())
+        return key
+
+    def restore(self, token: str, key: KeyPair) -> None:
+        """Undo a :meth:`take` whose upload was refused: the CSR the
+        client signed stays good until its original expiry."""
+        with self._lock:
+            item = self._items.get(token)
+            if item is not None and item.fate == "used" and item.expires > self.clock.now():
+                item.fate, item.key = None, key
+
+    def discard(self, token: str, owner: str) -> str:
+        """Forget ``token`` whatever its state; returns that state."""
+        with self._lock:
+            item = self._owned(token, owner)
+            del self._items[token]
+        return item.fate or "pending"
+
+    def _owned(self, token: str, owner: str) -> _Pending:
+        self._reap(self.clock.now())
+        item = self._items.get(token)
+        if item is None or item.owner != owner:
+            raise AuthenticationError(f"unknown {self.noun}")
+        return item
+
+    def _live(self, token: str, owner: str) -> _Pending:
+        item = self._owned(token, owner)
+        if item.fate == "used":
+            raise ProtocolError(f"{self.noun} already used (replay refused)")
+        if item.fate == "expired":
+            raise ProtocolError(f"{self.noun} expired")
+        return item
+
+    def _reap(self, now: float) -> None:
+        for token, item in list(self._items.items()):
+            if item.fate is None and item.expires <= now:
+                self._bury(item, "expired", now)
+            elif item.fate is not None and item.until <= now:
+                del self._items[token]
+
+    @staticmethod
+    def _bury(item: _Pending, fate: str, now: float) -> None:
+        item.fate, item.key, item.until = fate, None, now + PUT_TOMBSTONE_TTL
 
 
 class MyProxyHttpGateway:
@@ -110,11 +262,9 @@ class MyProxyHttpGateway:
             credential=server.credential,
             validator=server.validator,
         )
-        self._pending_puts: dict[str, dict] = {}
-        #: token → {"peer", "fate" ("expired" | "used"), "until"} — dead
-        #: sessions remembered long enough to name the refusal precisely.
-        self._dead_puts: dict[str, dict] = {}
-        self._pending_lock = threading.Lock()
+        self._put_sessions = PendingDelegations(
+            server.clock, PUT_SESSION_TTL, "PUT session"
+        )
         # Per-endpoint observability: every mounted route (the /myproxy/*
         # set here, /cdp/* when the federation subsystem mounts beside it)
         # reports through the same two families.
@@ -128,95 +278,6 @@ class MyProxyHttpGateway:
             "HTTP-binding request latency by endpoint.",
             labelnames=("endpoint",),
         )
-        self._register_routes()
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-
-    def handle_secure_link(self, link) -> None:
-        """Serve one HTTPS connection (client certificates required)."""
-        from repro.transport.channel import accept_secure
-        from repro.util.errors import TransportError
-
-        try:
-            channel = accept_secure(
-                link, self.server.credential, self.server.validator,
-                allow_anonymous=False,
-            )
-        except ReproError as exc:
-            logger.info("HTTP-binding handshake rejected: %s", exc)
-            return
-        try:
-            if not self._admit(channel):
-                return
-            while True:
-                try:
-                    data = channel.recv()
-                except TransportError:
-                    break
-                try:
-                    request = HttpRequest.parse(data)
-                    response = self.web.respond(
-                        request, secure=True, peer=channel.peer
-                    )
-                except ProtocolError as exc:
-                    response = HttpResponse.error(400, str(exc))
-                channel.send(response.serialize())
-        finally:
-            channel.close()
-
-    def _admit(self, channel) -> bool:
-        """Apply the server's per-identity QoS budget to HTTP conversations.
-
-        The HTTP binding bypasses :meth:`MyProxyServer.handle_link`, so
-        without this a web client could sidestep the §3 fairness machinery
-        entirely.  Refusals mirror the channel protocol's busy reply in
-        HTTP shape: a 503 with a ``retry_after`` hint, billed to the noisy
-        identity's bucket alone.
-        """
-        server = self.server
-        peer = channel.peer
-        if peer is None or server.policy.qos_rate <= 0:
-            return True
-        subject = str(peer.identity.base_identity())
-        qclass = server._class_map.resolve(subject)
-        retry = server._identity_limiter.check(
-            (qclass.name, subject),
-            server.policy.qos_rate * qclass.weight,
-            server.policy.effective_qos_burst() * qclass.weight,
-        )
-        if retry <= 0:
-            return True
-        server.stats.inc("shed")
-        server._shed_reason_total.labels(reason="rate_limited").inc()
-        server._audit_event(
-            str(peer.identity), "ADMISSION", "", "", False,
-            f"HTTP binding rate limited (class {qclass.name}); "
-            f"retry in {retry:.3f}s",
-            count_denial=False,
-        )
-        try:
-            channel.send(
-                _json_response(
-                    {"ok": False, "error": "busy", "retry_after": retry}, 503
-                ).serialize()
-            )
-        except ReproError:  # pragma: no cover - peer gone
-            pass
-        return False
-
-    def serve(self, host: str, port: int) -> tuple[str, int]:
-        """Listen for HTTPS connections on ``host:port`` (client certs
-        required).  Returns the bound address."""
-        from repro.transport.links import SocketLink
-
-        def _per_conn(conn) -> None:
-            self.handle_secure_link(SocketLink(conn))
-
-        return self.web.listen(host, port, _per_conn, "https")
-
-    def _register_routes(self) -> None:
         self.add_json_route("/myproxy/get", self._op_get)
         self.add_json_route("/myproxy/put/begin", self._op_put_begin)
         self.add_json_route("/myproxy/put/complete", self._op_put_complete)
@@ -224,44 +285,62 @@ class MyProxyHttpGateway:
         self.add_json_route("/myproxy/destroy", self._op_destroy)
         self.add_json_route("/myproxy/change-passphrase", self._op_change)
 
+    # ------------------------------------------------------------------
+    # plumbing
+    # ------------------------------------------------------------------
+
+    def handle_secure_link(self, link) -> None:
+        """Serve one HTTPS connection (client certificates required)."""
+        self.web.handle_secure_link(link, allow_anonymous=False)
+
+    def serve(self, host: str, port: int) -> tuple[str, int]:
+        """Listen for HTTPS connections on ``host:port`` (client certs
+        required).  Returns the bound address."""
+        return self.web.listen(
+            host, port, lambda conn: self.handle_secure_link(SocketLink(conn)), "https"
+        )
+
     def add_json_route(self, path: str, op, *, audit_command: str = "HTTP") -> None:
         """Mount an authenticated JSON op at ``POST path``.
 
         The federation subsystem mounts its ``/cdp/*`` endpoints through
-        this, so every route shares one error-mapping and observability
-        discipline: denials are generic 403s, client mistakes are 400s
-        with a precise message, and each request lands in the
-        per-endpoint counter/histogram pair.
+        this, so every route shares one admission and refusal discipline
+        — the server's, rendered as HTTP: denials are generic 403s,
+        client mistakes are 400s with a precise message, busy and storage
+        trouble are 503s — and each request lands in the per-endpoint
+        counter/histogram pair.
         """
         self.web.add_route(
             "POST", path, self._route(op, path, audit_command=audit_command)
         )
 
     def _route(self, op, path: str, *, audit_command: str = "HTTP"):
+        server = self.server
+
         def _handler(ctx: WebContext) -> HttpResponse:
             started = time.perf_counter()
             outcome = "error"
             try:
                 peer = ctx.peer
-                if peer is None or not isinstance(peer, ValidatedIdentity):
+                if not isinstance(peer, ValidatedIdentity):
                     outcome = "unauthenticated"
-                    return _json_response(
+                    return HttpResponse.json(
                         {"ok": False, "error": "client certificate required"}, 401
                     )
-                try:
-                    payload = _json_body(ctx.request)
-                    response = op(peer, payload)
-                    outcome = "ok"
-                    return response
-                except (AuthenticationError, AuthorizationError, NotFoundError) as exc:
-                    outcome = "denied"
-                    self.server._audit_event(
-                        str(peer.identity), audit_command, "", "", False, str(exc)
-                    )
-                    return _json_response({"ok": False, "error": _GENERIC_DENIAL}, 403)
-                except (PolicyError, CredentialError, ProtocolError) as exc:
-                    outcome = "rejected"
-                    return _json_response({"ok": False, "error": str(exc)}, 400)
+                # Per request, not per connection: one kept-alive
+                # connection may carry any number of requests.
+                retry = server.admit(peer)
+                if retry > 0:
+                    refusal = Refusal("busy", "busy", retry)
+                else:
+                    try:
+                        response = op(peer, _json_body(ctx.request))
+                        outcome = "ok"
+                        return response
+                    except REFUSABLE as exc:
+                        refusal = server.refuse(exc, str(peer.identity), audit_command)
+                outcome = refusal.kind
+                return _render(refusal)
             finally:
                 self._requests_total.labels(endpoint=path, outcome=outcome).inc()
                 self._request_seconds.labels(endpoint=path).observe(
@@ -270,93 +349,24 @@ class MyProxyHttpGateway:
 
         return _handler
 
-    @staticmethod
-    def _request_from(payload: dict, command: Command) -> Request:
-        try:
-            return Request(
-                command=command,
-                username=str(payload.get("username", "")),
-                passphrase=str(payload.get("passphrase", "")),
-                lifetime=float(payload.get("lifetime", 0.0)),
-                cred_name=str(payload.get("cred_name", DEFAULT_CRED_NAME)),
-                auth_method=AuthMethod(payload.get("auth_method", "passphrase")),
-                max_get_lifetime=(
-                    float(payload["max_get_lifetime"])
-                    if payload.get("max_get_lifetime") is not None
-                    else None
-                ),
-                retrievers=(
-                    tuple(payload["retrievers"])
-                    if payload.get("retrievers") is not None
-                    else None
-                ),
-                renewers=(
-                    tuple(payload["renewers"])
-                    if payload.get("renewers") is not None
-                    else None
-                ),
-                new_passphrase=str(payload.get("new_passphrase", "")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad request fields: {exc}") from exc
-
     # ------------------------------------------------------------------
     # GET: CSR in, certificate out
     # ------------------------------------------------------------------
 
     def _op_get(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        server = self.server
-        request = self._request_from(payload, Command.GET)
-        server._require_acl(server.policy.authorized_retrievers, peer)
-        entry = server.repository.get(request.username, request.cred_name)
+        request = _request_from(payload, Command.GET)
+        stored, lifetime = self.server.authorize_get(peer, request)
 
-        if request.auth_method is AuthMethod.RENEWAL:
-            key = server._verify_renewal(entry, peer)
-        else:
-            entry = server._verify_secret(entry, request)
-            if entry.retrievers is not None:
-                from repro.gsi.acl import AccessControlList
-
-                per_cred = AccessControlList(entry.retrievers, name="credential retrievers")
-                if not per_cred.allows(peer.identity):
-                    raise AuthorizationError("not an allowed retriever")
-            key = None
-
-        now = server.clock.now()
-        if entry.not_after <= now:
-            raise AuthenticationError("stored credential has expired")
-        lifetime = server.policy.clamp_delegation_lifetime(request.lifetime)
-        lifetime = min(lifetime, entry.max_get_lifetime, entry.not_after - now)
-        if key is None:
-            key = server._decrypt_entry_key(entry, request.passphrase)
-        stored = server._load_entry_credential(entry, key)
-
-        # Validate the client's CSR: fresh public key + PoP over its nonce,
-        # bound to the authenticated identity (no cross-client splicing).
-        try:
-            public_pem = payload["csr"]["public_key_pem"].encode("ascii")
-            nonce_hex = str(payload["csr"]["nonce"])
-            pop = base64.b64decode(payload["csr"]["pop"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError("malformed CSR") from exc
-        public_key = PublicKey.from_pem(public_pem)
-        if len(nonce_hex) < 32:
-            raise ProtocolError("CSR nonce too short")
-        if not public_key.verify(
-            pop, _pop_message(nonce_hex, public_pem, str(peer.identity))
-        ):
-            raise ProtocolError("CSR proof-of-possession failed")
-
+        csr = payload.get("csr")
+        if not isinstance(csr, dict):
+            raise ProtocolError("malformed CSR")
+        public_key = _check_csr(csr, _nonce(csr), peer.identity)
         issued = sign_proxy_request(
-            stored, public_key, lifetime=lifetime, clock=server.clock
+            stored, public_key, lifetime=lifetime, clock=self.server.clock
         )
-        server.stats.inc("gets")
-        server._audit_event(
-            str(peer.identity), "GET", request.username, request.cred_name, True,
-            f"HTTP binding, delegated until {issued.not_after:.0f}",
-        )
+        self.server.record_get(peer, request, issued.not_after)
         chain_pem = b"".join(c.to_pem() for c in stored.full_chain())
-        return _json_response(
+        return HttpResponse.json(
             {
                 "ok": True,
                 "certificate_pem": issued.to_pem().decode("ascii"),
@@ -370,210 +380,73 @@ class MyProxyHttpGateway:
     # ------------------------------------------------------------------
 
     def _op_put_begin(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        server = self.server
-        server._require_acl(server.policy.accepted_credentials, peer)
-        nonce_hex = str(payload.get("nonce", ""))
-        if len(nonce_hex) < 32:
-            raise ProtocolError("PUT nonce too short")
+        self.server.require_acl(self.server.policy.accepted_credentials, peer)
+        nonce_hex = _nonce(payload)
         key = self.key_source.new_key()
-        token = secrets.token_urlsafe(24)
-        with self._pending_lock:
-            self._reap_pending()
-            self._pending_puts[token] = {
-                "key": key,
-                "peer": str(peer.identity),
-                "expires": server.clock.now() + PUT_SESSION_TTL,
-            }
-        public_pem = key.public.to_pem()
-        pop = key.sign(_pop_message(nonce_hex, public_pem, str(peer.identity)))
-        return _json_response(
-            {
-                "ok": True,
-                "token": token,
-                "public_key_pem": public_pem.decode("ascii"),
-                "pop": base64.b64encode(pop).decode("ascii"),
-            }
+        token, _expires = self._put_sessions.add(str(peer.identity), key)
+        return HttpResponse.json(
+            {"ok": True, "token": token, **_csr(key, nonce_hex, peer.identity)}
         )
-
-    def _reap_pending(self) -> None:
-        now = self.server.clock.now()
-        dead = [t for t, s in self._pending_puts.items() if s["expires"] <= now]
-        for token in dead:
-            session = self._pending_puts.pop(token)
-            self._dead_puts[token] = {
-                "peer": session["peer"],
-                "fate": "expired",
-                "until": now + PUT_TOMBSTONE_TTL,
-            }
-        stale = [t for t, s in self._dead_puts.items() if s["until"] <= now]
-        for token in stale:
-            del self._dead_puts[token]
-
-    def _take_put_session(self, token: str, peer: ValidatedIdentity) -> dict:
-        """Consume a PUT session token exactly once.
-
-        A live, owned token is popped and tombstoned as ``used``; the
-        same token presented again — or one whose TTL lapsed — gets a
-        *distinct* :class:`ProtocolError` naming the fate, because the
-        token is a bearer secret the caller legitimately held and the
-        precise reason is actionable (restart the PUT).  Tokens that were
-        never issued, or that belong to a different identity, stay on the
-        generic denial path: nothing is revealed to a guesser.
-        """
-        now = self.server.clock.now()
-        with self._pending_lock:
-            self._reap_pending()
-            session = self._pending_puts.get(token)
-            if session is not None and session["peer"] == str(peer.identity):
-                del self._pending_puts[token]
-                self._dead_puts[token] = {
-                    "peer": session["peer"],
-                    "fate": "used",
-                    "until": now + PUT_TOMBSTONE_TTL,
-                }
-                return session
-            tombstone = self._dead_puts.get(token)
-        if tombstone is not None and tombstone["peer"] == str(peer.identity):
-            if tombstone["fate"] == "used":
-                raise ProtocolError(
-                    "PUT session token already used (replay refused)"
-                )
-            raise ProtocolError("PUT session expired")
-        raise AuthenticationError("unknown PUT session")
 
     def _op_put_complete(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        server = self.server
-        server._require_acl(server.policy.accepted_credentials, peer)
-        session = self._take_put_session(str(payload.get("token", "")), peer)
-        entry = self._complete_delegation(
-            peer, payload, session["key"], command="PUT", stat="puts",
-            detail_prefix="HTTP binding",
-        )
-        return _json_response(
+        key = self._put_sessions.take(str(payload.get("token", "")), str(peer.identity))
+        entry = self.complete_delegation(peer, payload, key)
+        return HttpResponse.json(
             {"ok": True, "stored": True, "not_after": entry.not_after}
         )
 
-    def _complete_delegation(
+    def complete_delegation(
         self,
         peer: ValidatedIdentity,
         payload: dict,
         key: KeyPair,
         *,
-        command: str,
-        stat: str,
-        detail_prefix: str,
+        command: str = "PUT",
+        stat: str = "puts",
     ) -> RepositoryEntry:
-        """Validate a client-signed proxy for a server-held key and store it.
+        """Store the client-signed proxy certificate for a server-held key.
 
-        Shared tail of the two delegation-to-the-repository protocols:
-        the ``/myproxy/put`` pair here and the IVOA CDP ``certificate``
-        step in :mod:`repro.federation.cdp` — same certificate/key/chain
-        checks, same policy gates, same repository entry shape.
+        The HTTP side of the PUT key exchange, shared by
+        ``/myproxy/put/complete`` and the IVOA CDP ``certificate`` step in
+        :mod:`repro.federation.cdp`: parse the certificate and match it to
+        the session key.  The server's
+        :meth:`~repro.core.server.MyProxyServer.check_put` and
+        :meth:`~repro.core.server.MyProxyServer.store_delegation` do the
+        rest, exactly as for a GSI PUT.
         """
-        server = self.server
-        request = self._request_from(payload, Command.PUT)
-        server.policy.passphrase_policy.check_username(request.username)
-        lifetime = request.lifetime or server.policy.max_stored_lifetime
-        server.policy.check_stored_lifetime(lifetime)
-        verifier, key_encryption = server._initial_verifier(request)
-
+        request = _request_from(payload, Command.PUT)
+        secret = self.server.check_put(peer, request)
         try:
             cert = Certificate.from_pem(payload["certificate_pem"].encode("ascii"))
             chain = tuple(
                 Certificate.list_from_pem(payload["chain_pem"].encode("ascii"))
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ProtocolError("missing certificate material") from exc
         if cert.public_key != key.public:
             raise ProtocolError("certificate does not match the session key")
         delegated = Credential(certificate=cert, key=key, chain=chain)
-        if delegated.identity != peer.identity:
-            raise PolicyError("delegated credential does not match the client")
-        server.validator.validate(delegated.full_chain())
-        now = server.clock.now()
-        if cert.not_after > now + server.policy.max_stored_lifetime + 120.0:
-            raise PolicyError("credential outlives the stored-lifetime policy")
-
-        if key_encryption == KEY_ENC_PASSPHRASE:
-            key_pem = key.to_pem(request.passphrase)
-        else:
-            key_pem = server.master_box.seal(key.to_pem())
-        key_pem_renewal = None
-        if request.renewers is not None:
-            if not server.policy.allow_renewal_auth:
-                raise PolicyError("this repository does not allow renewal")
-            key_pem_renewal = server.master_box.seal(key.to_pem())
-        max_get = request.max_get_lifetime
-        if max_get is None or max_get <= 0:
-            max_get = server.policy.max_delegation_lifetime
-        entry = RepositoryEntry(
-            username=request.username,
-            cred_name=request.cred_name,
-            owner_dn=str(peer.identity),
-            certificate_pem=b"".join(c.to_pem() for c in delegated.full_chain()),
-            key_pem=key_pem,
-            key_encryption=key_encryption,
-            verifier=verifier,
-            max_get_lifetime=max_get,
-            retrievers=request.retrievers,
-            created_at=now,
-            not_after=cert.not_after,
-            long_term=False,
-            renewers=request.renewers,
-            key_pem_renewal=key_pem_renewal,
+        return self.server.store_delegation(
+            peer, request, secret, delegated, command=command, stat=stat
         )
-        server.repository.put(entry)
-        server.stats.inc(stat)
-        server._audit_event(
-            str(peer.identity), command, request.username, request.cred_name, True,
-            f"{detail_prefix}, stored until {entry.not_after:.0f}",
-        )
-        return entry
 
     # ------------------------------------------------------------------
-    # INFO / DESTROY / CHANGE — straight JSON reuse of the server logic
+    # INFO / DESTROY / CHANGE
     # ------------------------------------------------------------------
 
     def _op_info(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        server = self.server
-        request = self._request_from(payload, Command.INFO)
-        server._require_acl(server.policy.accepted_credentials, peer)
-        entries = server._owned_entries(peer, request.username)
-        now = server.clock.now()
-        rows = [
-            {
-                "cred_name": e.cred_name,
-                "owner": e.owner_dn,
-                "not_after": e.not_after,
-                "seconds_remaining": max(e.not_after - now, 0.0),
-                "max_get_lifetime": e.max_get_lifetime,
-                "auth_method": e.auth_method,
-                "long_term": e.long_term,
-                "retrievers": list(e.retrievers) if e.retrievers is not None else None,
-            }
-            for e in entries
-        ]
-        return _json_response({"ok": True, "credentials": rows})
+        request = _request_from(payload, Command.INFO)
+        rows = self.server.info(peer, request.username)
+        return HttpResponse.json({"ok": True, "credentials": rows})
 
     def _op_destroy(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        server = self.server
-        request = self._request_from(payload, Command.DESTROY)
-        server._require_acl(server.policy.accepted_credentials, peer)
-        entry = server.repository.get(request.username, request.cred_name)
-        if entry.owner_dn != str(peer.identity):
-            raise AuthorizationError("not the owner")
-        server.repository.delete(request.username, request.cred_name)
-        server._audit_event(
-            str(peer.identity), "DESTROY", request.username, request.cred_name,
-            True, "HTTP binding",
-        )
-        return _json_response({"ok": True, "destroyed": True})
+        self.server.destroy(peer, _request_from(payload, Command.DESTROY))
+        return HttpResponse.json({"ok": True, "destroyed": True})
 
     def _op_change(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        server = self.server
-        request = self._request_from(payload, Command.CHANGE_PASSPHRASE)
-        server._change_passphrase(peer, request, "HTTP binding")
-        return _json_response({"ok": True, "changed": True})
+        request = _request_from(payload, Command.CHANGE_PASSPHRASE)
+        self.server.change_passphrase(peer, request)
+        return HttpResponse.json({"ok": True, "changed": True})
 
 
 class HttpMyProxyClient:
@@ -588,8 +461,6 @@ class HttpMyProxyClient:
         key_source: KeySource | None = None,
         clock=None,
     ) -> None:
-        from repro.util.clock import SYSTEM_CLOCK
-
         self._target = target
         self.credential = credential
         self.validator = validator
@@ -597,8 +468,6 @@ class HttpMyProxyClient:
         self.clock = clock or SYSTEM_CLOCK
 
     def _call(self, path: str, payload: dict) -> dict:
-        from repro.web.client import SecureTransport
-
         target = self._target() if callable(self._target) else self._target
         transport = SecureTransport(target, self.validator, self.credential)
         try:
@@ -618,10 +487,30 @@ class HttpMyProxyClient:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError("gateway returned non-JSON") from exc
         if not answer.get("ok", False):
+            if response.status == 503 and answer.get("error") == "busy":
+                raise ServerBusyError(
+                    "gateway busy", float(answer.get("retry_after", 0.0))
+                )
             raise AuthenticationError(
                 f"gateway refused ({response.status}): {answer.get('error')}"
             )
         return answer
+
+    def _sign_server_csr(
+        self, csr: dict, nonce: str, signer: Credential, lifetime: float, **proxy
+    ) -> dict:
+        """Check the server's proof of possession over ``nonce``, then sign
+        its key as a proxy of ``signer``: the certificate fields of the
+        request that completes a PUT or a CDP delegation."""
+        public_key = _check_csr(csr, nonce, self.credential.identity)
+        cert = sign_proxy_request(
+            signer, public_key, lifetime=lifetime, clock=self.clock, **proxy
+        )
+        chain_pem = b"".join(c.to_pem() for c in signer.full_chain())
+        return {
+            "certificate_pem": cert.to_pem().decode("ascii"),
+            "chain_pem": chain_pem.decode("ascii"),
+        }
 
     # -- operations ------------------------------------------------------------
 
@@ -637,10 +526,6 @@ class HttpMyProxyClient:
         """GET via CSR: the private key is generated here and never sent."""
         key = self.key_source.new_key()
         nonce = secrets.token_hex(16)
-        public_pem = key.public.to_pem()
-        pop = key.sign(
-            _pop_message(nonce, public_pem, str(self.credential.identity))
-        )
         answer = self._call(
             "/myproxy/get",
             {
@@ -650,9 +535,7 @@ class HttpMyProxyClient:
                 "cred_name": cred_name,
                 "auth_method": auth_method.value,
                 "csr": {
-                    "public_key_pem": public_pem.decode("ascii"),
-                    "nonce": nonce,
-                    "pop": base64.b64encode(pop).decode("ascii"),
+                    "nonce": nonce, **_csr(key, nonce, self.credential.identity)
                 },
             },
         )
@@ -677,17 +560,6 @@ class HttpMyProxyClient:
         """Two-step PUT: fetch the server's CSR, sign it, complete."""
         nonce = secrets.token_hex(16)
         begin = self._call("/myproxy/put/begin", {"nonce": nonce})
-        public_pem = begin["public_key_pem"].encode("ascii")
-        public_key = PublicKey.from_pem(public_pem)
-        pop = base64.b64decode(begin["pop"])
-        if not public_key.verify(
-            pop, _pop_message(nonce, public_pem, str(self.credential.identity))
-        ):
-            raise ProtocolError("server CSR proof-of-possession failed")
-        cert = sign_proxy_request(
-            source_credential, public_key, lifetime=lifetime, clock=self.clock
-        )
-        chain_pem = b"".join(c.to_pem() for c in source_credential.full_chain())
         return self._call(
             "/myproxy/put/complete",
             {
@@ -699,8 +571,7 @@ class HttpMyProxyClient:
                 "max_get_lifetime": max_get_lifetime,
                 "retrievers": list(retrievers) if retrievers is not None else None,
                 "renewers": list(renewers) if renewers is not None else None,
-                "certificate_pem": cert.to_pem().decode("ascii"),
-                "chain_pem": chain_pem.decode("ascii"),
+                **self._sign_server_csr(begin, nonce, source_credential, lifetime),
             },
         )
 

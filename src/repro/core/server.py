@@ -28,6 +28,16 @@ GET/RETRIEVE failures deliberately return one generic message ("remote
 authorization/authentication failed") whether the user is unknown, the
 secret is wrong or the retriever is not allowed — so the repository cannot
 be used as a user-name oracle.  The audit log records the precise reason.
+
+Every command's transport-neutral steps live here, once, as public
+methods — :meth:`MyProxyServer.admit`, :meth:`~MyProxyServer.refuse`,
+:meth:`~MyProxyServer.authorize_get` / :meth:`~MyProxyServer.record_get`,
+:meth:`~MyProxyServer.check_put` / :meth:`~MyProxyServer.store_delegation`,
+:meth:`~MyProxyServer.info`, :meth:`~MyProxyServer.destroy` and
+:meth:`~MyProxyServer.change_passphrase`.  The GSI dispatcher below and
+the §6.4 HTTP/CDP gateway (:mod:`repro.core.httpbinding`) are codecs over
+them: each decodes its request, runs its own key-exchange step (delegation
+over the channel, or a CSR over HTTP) and encodes the reply.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from repro.core.repository import (
 )
 from repro.core.siteauth import verify_ticket
 from repro.gsi.acl import AccessControlList
+from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import KeyPair, KeySource, OneShotKeyPool
 from repro.pki.validation import ChainValidator, ValidatedIdentity
@@ -86,6 +97,42 @@ from repro.util.errors import (
 from repro.util.logging import get_logger
 
 _GENERIC_DENIAL = "remote authorization/authentication failed"
+
+#: The exceptions a command step raises to refuse a request; anything else
+#: is a transport failure or a bug, and propagates.
+REFUSABLE = (
+    AuthenticationError,
+    AuthorizationError,
+    PolicyError,
+    CredentialError,
+    ProtocolError,
+    ServerBusyError,
+    RepositoryError,
+)
+
+
+@dataclass(frozen=True, slots=True)
+class Refusal:
+    """A refused request, already audited and counted by
+    :meth:`MyProxyServer.refuse`; each binding only renders it.
+
+    ``kind`` is one of ``"denied"`` (the uniform denial — no user-name
+    oracle), ``"rejected"`` (a precise policy/credential/protocol message
+    the client can act on), ``"busy"`` (come back after ``retry_after``
+    seconds) or ``"storage"`` (a generic retry message; the real cause is
+    only in the audit trail).
+    """
+
+    kind: str
+    message: str
+    retry_after: float = 0.0
+
+    def response(self) -> Response:
+        """The GSI rendering."""
+        if self.kind == "busy":
+            return Response.busy_reply(self.retry_after)
+        return Response.failure(self.message)
+
 
 #: Every this-many recorded failures, sweep *all* lockout windows for
 #: stale entries — without it, a username/cred-name scan grows
@@ -560,7 +607,7 @@ class MyProxyServer:
         """
         self.stats.inc("shed")
         self._shed_reason_total.labels(reason=reason).inc()
-        self._audit_event(
+        self.audit(
             peer, "ADMISSION", "", "", False,
             f"shed ({reason}); retry in {retry_after:.3f}s",
             count_denial=False,
@@ -693,7 +740,7 @@ class MyProxyServer:
         )
         return os.fdopen(fd, "a", encoding="utf-8")
 
-    def _audit_event(
+    def audit(
         self,
         peer: str,
         command: str,
@@ -704,6 +751,8 @@ class MyProxyServer:
         *,
         count_denial: bool = True,
     ) -> None:
+        """Append one record to the audit trail; a refusal also counts
+        under ``denials`` unless ``count_denial`` is false."""
         # count_denial=False is for QoS sheds: they are audited like any
         # refusal but counted under ``shed``, not ``denials`` — denials
         # measure authorization decisions, sheds measure load.  The
@@ -736,6 +785,8 @@ class MyProxyServer:
             logger.info("denied %s %s/%s from %s: %s", command, username, cred_name, peer, detail)
         elif not ok:
             logger.info("shed %s from %s: %s", command, peer, detail)
+
+    _audit_event = audit  # alias kept for existing callers
 
     def audit_log(self) -> list[AuditRecord]:
         with self._audit_lock:
@@ -786,16 +837,14 @@ class MyProxyServer:
                 self._resumption_total.labels(outcome=outcome).inc()
             except ReproError as exc:
                 self.stats.inc("handshake_failures")
-                self._audit_event(
-                    "<unauthenticated>", "handshake", "", "", False, str(exc)
-                )
+                self.audit("<unauthenticated>", "handshake", "", "", False, str(exc))
                 return
             try:
                 if not self._admit_channel(channel):
                     return
                 self._serve_channel(channel)
             except (TransportError, ProtocolError) as exc:
-                self._audit_event(
+                self.audit(
                     str(channel.peer.identity), "conversation", "", "", False, str(exc)
                 )
             finally:
@@ -803,24 +852,23 @@ class MyProxyServer:
         finally:
             self._qos_inflight.dec()
 
-    def _admit_channel(self, channel: SecureChannel) -> bool:
-        """Per-identity fairness, applied once the handshake names the peer.
+    def admit(self, peer: ValidatedIdentity | None) -> float:
+        """Per-identity fairness, applied once a handshake names the peer.
 
+        Returns 0 when admitted, else the seconds the peer should wait.
         The authenticated base identity resolves to its service class;
         rate and burst scale with the class weight, so a portal's shared
         DN gets proportionally more admission budget than one interactive
-        user (§3's many-users-behind-one-portal shape).  This runs in
-        :meth:`handle_link` so every transport — TCP or an embedded test
-        link — is covered.  A refusal answers with the busy reply over
-        the secure channel: the noisy identity alone is told to back
-        off; nobody else's bucket is touched.
+        user (§3's many-users-behind-one-portal shape).  A refusal bills
+        the noisy identity's bucket alone, and is counted and audited as
+        a shed, not a denial.  The GSI binding admits each conversation;
+        the HTTP binding admits each request.
         """
-        peer = channel.peer
         if peer is None:
             # Anonymous TRUSTROOTS channels have no DN to bill; in TCP
             # mode they already passed the per-address flood brake.
             self._qos_admitted_total.labels(qclass="anonymous").inc()
-            return True
+            return 0.0
         subject = str(peer.identity.base_identity())
         qclass = self._class_map.resolve(subject)
         if self.policy.qos_rate > 0:
@@ -832,19 +880,57 @@ class MyProxyServer:
             if retry > 0:
                 self.stats.inc("shed")
                 self._shed_reason_total.labels(reason="rate_limited").inc()
-                self._audit_event(
+                self.audit(
                     str(peer.identity), "ADMISSION", "", "", False,
                     f"rate limited (class {qclass.name}); "
                     f"retry in {retry:.3f}s",
                     count_denial=False,
                 )
-                try:
-                    channel.send(Response.busy_reply(retry).encode())
-                except TransportError:  # pragma: no cover - peer gone
-                    pass
-                return False
+                return retry
         self._qos_admitted_total.labels(qclass=qclass.name).inc()
-        return True
+        return 0.0
+
+    def _admit_channel(self, channel: SecureChannel) -> bool:
+        """:meth:`admit` one GSI conversation, answering a refusal busy."""
+        retry = self.admit(channel.peer)
+        if retry <= 0:
+            return True
+        try:
+            channel.send(Response.busy_reply(retry).encode())
+        except TransportError:  # pragma: no cover - peer gone
+            pass
+        return False
+
+    def refuse(
+        self,
+        exc: Exception,
+        peer: str,
+        command: str,
+        username: str = "",
+        cred_name: str = "",
+    ) -> Refusal:
+        """Classify one of :data:`REFUSABLE`, audit it and count it once.
+
+        The one place a refusal is decided, for every binding.  Storage
+        trouble (I/O error, quarantined entry, failed replication quorum)
+        is audited with its real cause but answered generically — a client
+        must not learn spool internals.  A lapsed cluster lease answers
+        busy, so clients back off and retry here rather than failing over
+        to a node that cannot be fresher.
+        """
+        if isinstance(exc, (AuthenticationError, AuthorizationError, NotFoundError)):
+            refusal, detail = Refusal("denied", _GENERIC_DENIAL), str(exc)
+        elif isinstance(exc, ServerBusyError):
+            self.stats.inc("lease_denied_writes")
+            refusal = Refusal("busy", "busy", exc.retry_after)
+            detail = f"write refused, primary lease lapsed: {exc}"
+        elif isinstance(exc, RepositoryError):
+            refusal = Refusal("storage", "temporary repository error; retry")
+            detail = f"repository error: {exc}"
+        else:
+            refusal, detail = Refusal("rejected", str(exc)), str(exc)
+        self.audit(peer, command, username, cred_name, False, detail)
+        return refusal
 
     def _serve_channel(self, channel: SecureChannel) -> None:
         peer = channel.peer
@@ -856,11 +942,11 @@ class MyProxyServer:
             raise
         if peer is None and request.command is not Command.TRUSTROOTS:
             # Anonymous channels exist only for public trust material.
-            self._audit_event(
-                peer_name, request.command.name, request.username,
-                request.cred_name, False, "anonymous client",
+            refusal = self.refuse(
+                AuthorizationError("anonymous client"), peer_name,
+                request.command.name, request.username, request.cred_name,
             )
-            channel.send(Response.failure(_GENERIC_DENIAL).encode())
+            channel.send(refusal.response().encode())
             return
         handler = {
             Command.PUT: self._do_put,
@@ -876,56 +962,12 @@ class MyProxyServer:
         started = time.perf_counter()
         try:
             handler(channel, peer, request)
-        except (AuthenticationError, AuthorizationError, NotFoundError) as exc:
-            self._audit_event(
-                peer_name,
-                request.command.name,
-                request.username,
+        except REFUSABLE as exc:
+            refusal = self.refuse(
+                exc, peer_name, request.command.name, request.username,
                 request.cred_name,
-                False,
-                str(exc),
             )
-            channel.send(Response.failure(_GENERIC_DENIAL).encode())
-        except (PolicyError, CredentialError, ProtocolError) as exc:
-            self._audit_event(
-                peer_name,
-                request.command.name,
-                request.username,
-                request.cred_name,
-                False,
-                str(exc),
-            )
-            channel.send(Response.failure(str(exc)).encode())
-        except ServerBusyError as exc:
-            # The cluster's lease gate refused the write: the node is
-            # alive but (temporarily) not allowed to acknowledge — speak
-            # the busy protocol so clients back off and retry here rather
-            # than failing over to a node that cannot be fresher.
-            self.stats.inc("lease_denied_writes")
-            self._audit_event(
-                peer_name,
-                request.command.name,
-                request.username,
-                request.cred_name,
-                False,
-                f"write refused, primary lease lapsed: {exc}",
-            )
-            channel.send(Response.busy_reply(exc.retry_after).encode())
-        except RepositoryError as exc:
-            # Storage trouble (I/O error, quarantined entry, failed
-            # replication quorum): audit the real cause but keep the wire
-            # message generic — a client must not learn spool internals.
-            self._audit_event(
-                peer_name,
-                request.command.name,
-                request.username,
-                request.cred_name,
-                False,
-                f"repository error: {exc}",
-            )
-            channel.send(
-                Response.failure("temporary repository error; retry").encode()
-            )
+            channel.send(refusal.response().encode())
         finally:
             elapsed = time.perf_counter() - started
             self._request_seconds.labels(command=request.command.name).observe(elapsed)
@@ -942,10 +984,24 @@ class MyProxyServer:
     # shared checks
     # ------------------------------------------------------------------
 
-    def _require_acl(self, acl: AccessControlList, peer: ValidatedIdentity) -> None:
+    def require_acl(self, acl: AccessControlList, peer: ValidatedIdentity) -> None:
+        """Refuse ``peer`` unless ``acl`` (one of the policy's lists) allows it."""
         if not acl.allows(peer.identity):
             raise AuthorizationError(
                 f"{peer.identity} is not on the {acl.name} list"
+            )
+
+    @staticmethod
+    def _require_listed(
+        globs: tuple[str, ...] | None, peer: ValidatedIdentity, what: str
+    ) -> None:
+        """A per-credential DN-glob restriction (§4.1 retrievers, §6.6
+        renewers); ``None`` means unrestricted."""
+        if globs is not None and not AccessControlList(
+            globs, name=f"credential {what}"
+        ).allows(peer.identity):
+            raise AuthorizationError(
+                f"{peer.identity} is not among this credential's allowed {what}"
             )
 
     def _check_lockout(self, key: tuple[str, str]) -> None:
@@ -1118,8 +1174,6 @@ class MyProxyServer:
     def _load_entry_credential(
         self, entry: RepositoryEntry, key: KeyPair
     ) -> Credential:
-        from repro.pki.certs import Certificate
-
         certs = Certificate.list_from_pem(entry.certificate_pem)
         return Credential(certificate=certs[0], key=key, chain=tuple(certs[1:]))
 
@@ -1127,87 +1181,103 @@ class MyProxyServer:
     # PUT — Figure 1, myproxy-init
     # ------------------------------------------------------------------
 
+    def check_put(
+        self, peer: ValidatedIdentity, request: Request
+    ) -> tuple[dict, str]:
+        """PUT's checks before any key material moves.
+
+        ACL, user name, stored lifetime, and the new entry's secret — a
+        weak pass phrase is refused here, before the delegation exchange.
+        Returns the verifier and key-encryption mode that
+        :meth:`store_delegation` needs.
+        """
+        self.require_acl(self.policy.accepted_credentials, peer)
+        self.policy.passphrase_policy.check_username(request.username)
+        self.policy.check_stored_lifetime(
+            request.lifetime or self.policy.max_stored_lifetime
+        )
+        return self._initial_verifier(request)
+
+    def store_delegation(
+        self,
+        peer: ValidatedIdentity,
+        request: Request,
+        secret: tuple[dict, str],
+        delegated: Credential,
+        *,
+        command: str = "PUT",
+        stat: str = "puts",
+    ) -> RepositoryEntry:
+        """Validate a credential delegated to this server and store it.
+
+        ``secret`` is :meth:`check_put`'s answer for the same request;
+        ``delegated`` holds the server-side key, however it was exchanged
+        (GSI delegation, the HTTP two-step PUT, or IVOA CDP).
+        """
+        verifier, key_encryption = secret
+        if delegated.identity != peer.identity:
+            raise PolicyError(
+                "delegated credential does not belong to the authenticated "
+                f"client ({delegated.identity} vs {peer.identity})"
+            )
+        self.validator.validate(delegated.full_chain())
+        now = self.clock.now()
+        slack = 120.0  # the depositor's clock may run ahead of ours
+        if delegated.certificate.not_after > now + self.policy.max_stored_lifetime + slack:
+            raise PolicyError(
+                "delegated credential outlives the server's stored-lifetime policy"
+            )
+        max_get = request.max_get_lifetime
+        if max_get is None or max_get <= 0:
+            max_get = self.policy.max_delegation_lifetime
+        key = delegated.require_key()
+        if key_encryption == KEY_ENC_PASSPHRASE:
+            key_pem = key.to_pem(request.passphrase)
+        else:
+            key_pem = self.master_box.seal(key.to_pem())
+        # §6.6: enabling renewal requires a server-openable key copy —
+        # the renewer presents no secret (the real MyProxy documents
+        # the same weakening for renewable credentials).
+        key_pem_renewal = None
+        if request.renewers is not None:
+            if not self.policy.allow_renewal_auth:
+                raise PolicyError("this repository does not allow renewal")
+            key_pem_renewal = self.master_box.seal(key.to_pem())
+        entry = RepositoryEntry(
+            username=request.username,
+            cred_name=request.cred_name,
+            owner_dn=str(peer.identity),
+            certificate_pem=b"".join(c.to_pem() for c in delegated.full_chain()),
+            key_pem=key_pem,
+            key_encryption=key_encryption,
+            verifier=verifier,
+            max_get_lifetime=max_get,
+            retrievers=request.retrievers,
+            created_at=now,
+            not_after=delegated.certificate.not_after,
+            long_term=False,
+            renewers=request.renewers,
+            key_pem_renewal=key_pem_renewal,
+        )
+        self.repository.put(entry)
+        self.stats.inc(stat)
+        self.audit(
+            str(peer.identity), command, request.username, request.cred_name, True,
+            f"stored until {entry.not_after:.0f}",
+        )
+        return entry
+
     def _do_put(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
     ) -> None:
-        self._require_acl(self.policy.accepted_credentials, peer)
-        self.policy.passphrase_policy.check_username(request.username)
-        lifetime = request.lifetime or self.policy.max_stored_lifetime
-        self.policy.check_stored_lifetime(lifetime)
-        verifier, key_encryption = self._initial_verifier(request)
-
+        secret = self.check_put(peer, request)
         channel.send(Response.success({"accepted": True}).encode())
         with self._observe_phase("delegation"):
             delegated = accept_delegation(
                 channel, key_source=self.key_source, clock=self.clock
             )
-
-        # Post-delegation validation, answered by the commit response.
-        try:
-            if delegated.identity != peer.identity:
-                raise PolicyError(
-                    "delegated credential does not belong to the authenticated "
-                    f"client ({delegated.identity} vs {peer.identity})"
-                )
-            self.validator.validate(delegated.full_chain())
-            now = self.clock.now()
-            slack = 120.0
-            if delegated.certificate.not_after > now + self.policy.max_stored_lifetime + slack:
-                raise PolicyError(
-                    "delegated credential outlives the server's stored-lifetime policy"
-                )
-            max_get = request.max_get_lifetime
-            if max_get is None or max_get <= 0:
-                max_get = self.policy.max_delegation_lifetime
-            key_pem: bytes
-            if key_encryption == KEY_ENC_PASSPHRASE:
-                key_pem = delegated.require_key().to_pem(request.passphrase)
-            else:
-                key_pem = self.master_box.seal(delegated.require_key().to_pem())
-            # §6.6: enabling renewal requires a server-openable key copy —
-            # the renewer presents no secret (the real MyProxy documents
-            # the same weakening for renewable credentials).
-            key_pem_renewal = None
-            if request.renewers is not None:
-                if not self.policy.allow_renewal_auth:
-                    raise PolicyError("this repository does not allow renewal")
-                key_pem_renewal = self.master_box.seal(
-                    delegated.require_key().to_pem()
-                )
-            cert_pem = b"".join(c.to_pem() for c in delegated.full_chain())
-            entry = RepositoryEntry(
-                username=request.username,
-                cred_name=request.cred_name,
-                owner_dn=str(peer.identity),
-                certificate_pem=cert_pem,
-                key_pem=key_pem,
-                key_encryption=key_encryption,
-                verifier=verifier,
-                max_get_lifetime=max_get,
-                retrievers=request.retrievers,
-                created_at=now,
-                not_after=delegated.certificate.not_after,
-                long_term=False,
-                renewers=request.renewers,
-                key_pem_renewal=key_pem_renewal,
-            )
-            self.repository.put(entry)
-        except (ServerBusyError, RepositoryError):
-            # Let the dispatcher answer: the busy protocol for a lapsed
-            # lease, the generic storage reply for repository trouble —
-            # the storage layer's message must not reach the wire verbatim.
-            raise
-        except ReproError as exc:
-            self._audit_event(
-                str(peer.identity), "PUT", request.username, request.cred_name, False, str(exc)
-            )
-            channel.send(Response.failure(str(exc)).encode())
-            return
-        self.stats.inc("puts")
-        self._audit_event(
-            str(peer.identity), "PUT", request.username, request.cred_name, True,
-            f"stored until {entry.not_after:.0f}",
-        )
+        # A refusal from here on is the commit response.
+        entry = self.store_delegation(peer, request, secret, delegated)
         channel.send(
             Response.success(
                 {"stored": True, "not_after": entry.not_after, "cred_name": entry.cred_name}
@@ -1236,11 +1306,7 @@ class MyProxyServer:
             )
         if entry.renewers is None or entry.key_pem_renewal is None:
             raise AuthorizationError("this credential was not stored as renewable")
-        per_cred = AccessControlList(entry.renewers, name="credential renewers")
-        if not per_cred.allows(peer.identity):
-            raise AuthorizationError(
-                f"{peer.identity} is not among this credential's allowed renewers"
-            )
+        self._require_listed(entry.renewers, peer, "renewers")
         if str(peer.identity) != entry.owner_dn:
             raise AuthorizationError(
                 "renewal requires a live credential for the same identity "
@@ -1248,57 +1314,60 @@ class MyProxyServer:
             )
         return self._decrypt_entry_key(entry, renewal=True)
 
-    def _do_get(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
-        self._require_acl(self.policy.authorized_retrievers, peer)
-        self._serve_one_get(channel, peer, request)
+    def authorize_get(
+        self, peer: ValidatedIdentity, request: Request
+    ) -> tuple[Credential, float]:
+        """GET's first half: authorize, then open the stored credential.
 
-    def _serve_one_get(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
-        """Authenticate, answer and delegate one GET item (ACL pre-checked)."""
+        Checks the retriever ACLs and the entry's secret (or §6.6 renewal
+        by possession), expiry, and clamps the lifetime.  Returns the
+        stored credential — its key decrypted for this one request — and
+        the lifetime to grant.  The binding then issues the proxy and
+        calls :meth:`record_get`.
+        """
+        self.require_acl(self.policy.authorized_retrievers, peer)
         entry = self.repository.get(request.username, request.cred_name)
-
         if request.auth_method is AuthMethod.RENEWAL:
             key = self._verify_renewal(entry, peer)
         else:
             entry = self._verify_secret(entry, request)
-            if entry.retrievers is not None:
-                per_cred = AccessControlList(
-                    entry.retrievers, name="credential retrievers"
-                )
-                if not per_cred.allows(peer.identity):
-                    raise AuthorizationError(
-                        f"{peer.identity} is not among this credential's "
-                        "allowed retrievers"
-                    )
+            self._require_listed(entry.retrievers, peer, "retrievers")
             key = None  # decrypted below, after the expiry check
 
         now = self.clock.now()
         if entry.not_after <= now:
             raise AuthenticationError("stored credential has expired")
-
         lifetime = self.policy.clamp_delegation_lifetime(request.lifetime)
         lifetime = min(lifetime, entry.max_get_lifetime, entry.not_after - now)
 
         if key is None:
             key = self._decrypt_entry_key(entry, request.passphrase)
-        stored = self._load_entry_credential(entry, key)
+        return self._load_entry_credential(entry, key), lifetime
 
+    def record_get(
+        self, peer: ValidatedIdentity, request: Request, not_after: float
+    ) -> None:
+        """GET's second half: count and audit a delivered proxy."""
+        self.stats.inc("gets")
+        self.audit(
+            str(peer.identity), "GET", request.username, request.cred_name, True,
+            f"delegated until {not_after:.0f} (auth={request.auth_method.value})",
+        )
+
+    def _do_get(
+        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
+    ) -> None:
+        stored, lifetime = self.authorize_get(peer, request)
         channel.send(
-            Response.success({"granted_lifetime": lifetime, "cred_name": entry.cred_name}).encode()
+            Response.success(
+                {"granted_lifetime": lifetime, "cred_name": request.cred_name}
+            ).encode()
         )
         with self._observe_phase("delegation"):
             issued = delegate_credential(
                 channel, stored, lifetime=lifetime, clock=self.clock
             )
-        self.stats.inc("gets")
-        self._audit_event(
-            str(peer.identity), "GET", request.username, request.cred_name, True,
-            f"delegated until {issued.not_after:.0f} "
-            f"(auth={request.auth_method.value})",
-        )
+        self.record_get(peer, request, issued.not_after)
 
     def _do_get_multi(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
@@ -1307,13 +1376,13 @@ class MyProxyServer:
         asymmetric crypto amortized across the batch — the portal shape
         of §3, where one web server fetches proxies for many users).
 
-        One failing item does not abort the batch: each item gets its own
-        Response (and, on success, its own delegation), so the client can
-        pair outcomes positionally.  Authorization uses the same ACL and
-        per-item secret checks as single GET — batching changes framing,
-        never trust decisions.
+        One refused item — denied, rejected, busy or a storage error —
+        does not abort the batch: each item gets its own Response (and, on
+        success, its own delegation), so the client can pair outcomes
+        positionally.  Each item is a single GET — batching changes
+        framing, never trust decisions.
         """
-        self._require_acl(self.policy.authorized_retrievers, peer)
+        self.require_acl(self.policy.authorized_retrievers, peer)
         items = request.batch or ()
         channel.send(Response.success({"accepted": True, "count": len(items)}).encode())
         for item in items:
@@ -1326,35 +1395,22 @@ class MyProxyServer:
                 auth_method=item.auth_method,
             )
             try:
-                self._serve_one_get(channel, peer, sub)
-            except (AuthenticationError, AuthorizationError, NotFoundError) as exc:
-                self._audit_event(
-                    str(peer.identity), "GET_MULTI", item.username,
-                    item.cred_name, False, str(exc),
+                self._do_get(channel, peer, sub)
+            except REFUSABLE as exc:
+                refusal = self.refuse(
+                    exc, str(peer.identity), "GET_MULTI", item.username,
+                    item.cred_name,
                 )
-                channel.send(Response.failure(_GENERIC_DENIAL).encode())
-            except (PolicyError, CredentialError) as exc:
-                self._audit_event(
-                    str(peer.identity), "GET_MULTI", item.username,
-                    item.cred_name, False, str(exc),
-                )
-                channel.send(Response.failure(str(exc)).encode())
-            except RepositoryError as exc:
-                self._audit_event(
-                    str(peer.identity), "GET_MULTI", item.username,
-                    item.cred_name, False, f"repository error: {exc}",
-                )
-                channel.send(
-                    Response.failure("temporary repository error; retry").encode()
-                )
+                channel.send(refusal.response().encode())
 
     # ------------------------------------------------------------------
     # INFO / DESTROY / CHANGE_PASSPHRASE
     # ------------------------------------------------------------------
 
-    def _owned_entries(
-        self, peer: ValidatedIdentity, username: str
-    ) -> list[RepositoryEntry]:
+    def info(self, peer: ValidatedIdentity, username: str) -> list[dict]:
+        """INFO: one metadata row per credential ``peer`` owns under
+        ``username`` (owning none is a denial)."""
+        self.require_acl(self.policy.accepted_credentials, peer)
         entries = [
             e
             for e in self.repository.list_for(username)
@@ -1364,66 +1420,46 @@ class MyProxyServer:
             raise AuthorizationError(
                 f"{peer.identity} owns no credentials stored under {username!r}"
             )
-        return entries
-
-    def _do_info(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
-        self._require_acl(self.policy.accepted_credentials, peer)
-        entries = self._owned_entries(peer, request.username)
         now = self.clock.now()
-        info = {
-            "username": request.username,
-            "credentials": [
-                {
-                    "cred_name": e.cred_name,
-                    "owner": e.owner_dn,
-                    "not_after": e.not_after,
-                    "seconds_remaining": max(e.not_after - now, 0.0),
-                    "max_get_lifetime": e.max_get_lifetime,
-                    "auth_method": e.auth_method,
-                    "long_term": e.long_term,
-                    "retrievers": list(e.retrievers) if e.retrievers is not None else None,
-                }
-                for e in entries
-            ],
-        }
-        self._audit_event(
-            str(peer.identity), "INFO", request.username, "", True, f"{len(entries)} entries"
-        )
-        channel.send(Response.success(info).encode())
+        rows = [
+            {
+                "cred_name": e.cred_name,
+                "owner": e.owner_dn,
+                "not_after": e.not_after,
+                "seconds_remaining": max(e.not_after - now, 0.0),
+                "max_get_lifetime": e.max_get_lifetime,
+                "auth_method": e.auth_method,
+                "long_term": e.long_term,
+                "retrievers": list(e.retrievers) if e.retrievers is not None else None,
+            }
+            for e in entries
+        ]
+        self.audit(str(peer.identity), "INFO", username, "", True, f"{len(rows)} entries")
+        return rows
 
-    def _do_destroy(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
-        self._require_acl(self.policy.accepted_credentials, peer)
+    def _owned_entry(
+        self, peer: ValidatedIdentity, request: Request
+    ) -> RepositoryEntry:
+        self.require_acl(self.policy.accepted_credentials, peer)
         entry = self.repository.get(request.username, request.cred_name)
         if entry.owner_dn != str(peer.identity):
             raise AuthorizationError(
                 f"{peer.identity} does not own {request.username}/{request.cred_name}"
             )
+        return entry
+
+    def destroy(self, peer: ValidatedIdentity, request: Request) -> None:
+        """DESTROY: remove a credential ``peer`` owns."""
+        self._owned_entry(peer, request)
         self.repository.delete(request.username, request.cred_name)
-        self._audit_event(
-            str(peer.identity), "DESTROY", request.username, request.cred_name, True, "destroyed"
+        self.audit(
+            str(peer.identity), "DESTROY", request.username, request.cred_name, True,
+            "destroyed",
         )
-        channel.send(Response.success({"destroyed": True}).encode())
 
-    def _do_change_passphrase(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
-        self._change_passphrase(peer, request, "pass phrase changed")
-        channel.send(Response.success({"changed": True}).encode())
-
-    def _change_passphrase(
-        self, peer: ValidatedIdentity, request: Request, detail: str
-    ) -> None:
-        """CHANGE_PASSPHRASE on either binding: re-encrypt the stored key."""
-        self._require_acl(self.policy.accepted_credentials, peer)
-        entry = self.repository.get(request.username, request.cred_name)
-        if entry.owner_dn != str(peer.identity):
-            raise AuthorizationError(
-                f"{peer.identity} does not own {request.username}/{request.cred_name}"
-            )
+    def change_passphrase(self, peer: ValidatedIdentity, request: Request) -> None:
+        """CHANGE_PASSPHRASE: re-encrypt an owned entry's stored key."""
+        entry = self._owned_entry(peer, request)
         if entry.auth_method != AuthMethod.PASSPHRASE.value:
             raise PolicyError("only pass-phrase entries support CHANGE_PASSPHRASE")
         entry = self._verify_secret(entry, request)
@@ -1445,10 +1481,30 @@ class MyProxyServer:
             ),
         )
         self.repository.put(updated)
-        self._audit_event(
+        self.audit(
             str(peer.identity), "CHANGE_PASSPHRASE", request.username, request.cred_name,
-            True, detail,
+            True, "pass phrase changed",
         )
+
+    def _do_info(
+        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
+    ) -> None:
+        rows = self.info(peer, request.username)
+        channel.send(
+            Response.success({"username": request.username, "credentials": rows}).encode()
+        )
+
+    def _do_destroy(
+        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
+    ) -> None:
+        self.destroy(peer, request)
+        channel.send(Response.success({"destroyed": True}).encode())
+
+    def _do_change_passphrase(
+        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
+    ) -> None:
+        self.change_passphrase(peer, request)
+        channel.send(Response.success({"changed": True}).encode())
 
     # ------------------------------------------------------------------
     # TRUSTROOTS — anchor + CRL distribution (myproxy-get-trustroots)
@@ -1467,7 +1523,7 @@ class MyProxyServer:
             "crls": [crl.to_json() for crl in self.validator.crls],
         }
         peer_name = str(peer.identity) if peer is not None else "<anonymous>"
-        self._audit_event(
+        self.audit(
             peer_name, "TRUSTROOTS", request.username, "", True,
             f"{len(info['cas'])} CAs, {len(info['crls'])} CRLs",
         )
@@ -1480,7 +1536,7 @@ class MyProxyServer:
     def _do_store(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
     ) -> None:
-        self._require_acl(self.policy.accepted_credentials, peer)
+        self.require_acl(self.policy.accepted_credentials, peer)
         self.policy.passphrase_policy.check_username(request.username)
         if request.auth_method is not AuthMethod.PASSPHRASE:
             raise PolicyError("STORE requires pass-phrase protection of the key")
@@ -1495,48 +1551,36 @@ class MyProxyServer:
         channel.send(Response.success({"accepted": True}).encode())
         blob = channel.recv()
 
-        try:
-            # The key inside the blob stays encrypted under the user's pass
-            # phrase end to end: the server verifies it can decrypt (to
-            # reject typos) but persists the encrypted form it received.
-            credential = Credential.import_pem(blob, request.passphrase)
-            if credential.key is None:
-                raise CredentialError("STORE payload has no private key")
-            if credential.identity != peer.identity:
-                raise PolicyError("may only store your own long-term credential")
-            self.validator.validate(credential.full_chain())
-            from repro.pki.certs import Certificate
-
-            certs = Certificate.list_from_pem(blob)
-            cert_pem = b"".join(c.to_pem() for c in certs)
-            entry = RepositoryEntry(
-                username=request.username,
-                cred_name=request.cred_name,
-                owner_dn=str(peer.identity),
-                certificate_pem=cert_pem,
-                key_pem=blob,  # original PEM, key still pass-phrase-encrypted
-                key_encryption=KEY_ENC_PASSPHRASE,
-                verifier=verifier,
-                max_get_lifetime=request.max_get_lifetime
-                or self.policy.max_delegation_lifetime,
-                retrievers=request.retrievers,
-                created_at=self.clock.now(),
-                not_after=credential.certificate.not_after,
-                long_term=True,
-            )
-            self.repository.put(entry)
-        except (ServerBusyError, RepositoryError):
-            # Same contract as PUT: busy protocol / generic storage reply
-            # come from the dispatcher, not this handler.
-            raise
-        except ReproError as exc:
-            self._audit_event(
-                str(peer.identity), "STORE", request.username, request.cred_name, False, str(exc)
-            )
-            channel.send(Response.failure(str(exc)).encode())
-            return
+        # A refusal from here on is the commit response.  The key inside
+        # the blob stays encrypted under the user's pass phrase end to
+        # end: the server verifies it can decrypt (to reject typos) but
+        # persists the encrypted form it received.
+        credential = Credential.import_pem(blob, request.passphrase)
+        if credential.key is None:
+            raise CredentialError("STORE payload has no private key")
+        if credential.identity != peer.identity:
+            raise PolicyError("may only store your own long-term credential")
+        self.validator.validate(credential.full_chain())
+        entry = RepositoryEntry(
+            username=request.username,
+            cred_name=request.cred_name,
+            owner_dn=str(peer.identity),
+            certificate_pem=b"".join(
+                c.to_pem() for c in Certificate.list_from_pem(blob)
+            ),
+            key_pem=blob,  # original PEM, key still pass-phrase-encrypted
+            key_encryption=KEY_ENC_PASSPHRASE,
+            verifier=verifier,
+            max_get_lifetime=request.max_get_lifetime
+            or self.policy.max_delegation_lifetime,
+            retrievers=request.retrievers,
+            created_at=self.clock.now(),
+            not_after=credential.certificate.not_after,
+            long_term=True,
+        )
+        self.repository.put(entry)
         self.stats.inc("stores")
-        self._audit_event(
+        self.audit(
             str(peer.identity), "STORE", request.username, request.cred_name, True,
             "long-term credential stored",
         )
@@ -1545,21 +1589,16 @@ class MyProxyServer:
     def _do_retrieve(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
     ) -> None:
-        self._require_acl(self.policy.authorized_retrievers, peer)
+        self.require_acl(self.policy.authorized_retrievers, peer)
         entry = self.repository.get(request.username, request.cred_name)
         if not entry.long_term:
             raise AuthorizationError("RETRIEVE is only allowed for long-term entries")
         entry = self._verify_secret(entry, request)
-        if entry.retrievers is not None:
-            per_cred = AccessControlList(entry.retrievers, name="credential retrievers")
-            if not per_cred.allows(peer.identity):
-                raise AuthorizationError(
-                    f"{peer.identity} is not among this credential's allowed retrievers"
-                )
+        self._require_listed(entry.retrievers, peer, "retrievers")
         channel.send(Response.success({"long_term": True}).encode())
         channel.send(entry.key_pem)  # the original pass-phrase-encrypted PEM
         self.stats.inc("retrieves")
-        self._audit_event(
+        self.audit(
             str(peer.identity), "RETRIEVE", request.username, request.cred_name, True,
             "long-term credential returned (key still encrypted)",
         )

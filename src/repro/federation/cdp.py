@@ -14,13 +14,14 @@ authenticated DN.  Recast in this repo's JSON-over-HTTPS shape:
   public key plus proof-of-possession over the caller's nonce, bound to
   the caller's authenticated identity.  Repeatable while pending.
 - ``POST /cdp/certificate`` — upload the signed certificate + chain and
-  storage metadata.  Validation and storage reuse the HTTP binding's
-  :meth:`~repro.core.server.MyProxyServer` tail verbatim, so CDP
-  deposits are policy-checked, audited, and repository-shaped exactly
-  like a native PUT.
+  storage metadata.  It is the two-step PUT's completion: the same
+  :meth:`~repro.core.httpbinding.MyProxyHttpGateway.complete_delegation`
+  over the server's PUT steps, so CDP deposits are policy-checked,
+  audited, and repository-shaped exactly like a native PUT.
 - ``POST /cdp/delete`` — abort a pending resource (the spec's DELETE).
 
-Lifecycle abuse gets the PUT-token treatment: a resource id is bound to
+Resources live in the PUT sessions' store,
+:class:`~repro.core.httpbinding.PendingDelegations`: an id is bound to
 the identity that registered it (cross-user probes fail generically), a
 completed resource refuses re-upload with a distinct *replay* error, and
 an expired CSR says so — both are bearer-secret holders who deserve an
@@ -29,26 +30,20 @@ actionable answer, not an oracle for guessers.
 
 from __future__ import annotations
 
-import base64
 import secrets
-import threading
 
 from repro.core.httpbinding import (
-    PUT_TOMBSTONE_TTL,
     HttpMyProxyClient,
     MyProxyHttpGateway,
-    _json_response,
-    _pop_message,
+    PendingDelegations,
+    _csr,
+    _nonce,
 )
 from repro.pki.credentials import Credential
-from repro.pki.keys import KeySource, PublicKey
-from repro.pki.proxy import ProxyRestrictions, sign_proxy_request
+from repro.pki.keys import KeySource
+from repro.pki.proxy import ProxyRestrictions
 from repro.pki.validation import ValidatedIdentity
-from repro.util.errors import AuthenticationError, ProtocolError
-from repro.util.logging import get_logger
 from repro.web.http11 import HttpResponse
-
-logger = get_logger("federation.cdp")
 
 #: How long a registered delegation resource waits for its certificate.
 CSR_TTL = 300.0
@@ -68,9 +63,9 @@ class CdpService:
         self.server = gateway.server
         self.key_source = key_source or gateway.key_source
         self.csr_ttl = csr_ttl
-        #: id → {"owner", "key", "expires", "fate": None|"used"|"expired"}
-        self._delegations: dict[str, dict] = {}
-        self._lock = threading.Lock()
+        self._delegations = PendingDelegations(
+            self.server.clock, csr_ttl, "delegation CSR"
+        )
         gateway.add_json_route("/cdp/register", self._op_register, audit_command="CDP")
         gateway.add_json_route("/cdp/proxy-csr", self._op_proxy_csr, audit_command="CDP")
         gateway.add_json_route(
@@ -78,111 +73,46 @@ class CdpService:
         )
         gateway.add_json_route("/cdp/delete", self._op_delete, audit_command="CDP")
 
-    # -- lifecycle bookkeeping -------------------------------------------------
-
-    def _reap(self) -> None:
-        now = self.server.clock.now()
-        for did, res in list(self._delegations.items()):
-            if res["fate"] is None and res["expires"] <= now:
-                res["fate"] = "expired"
-                res["key"] = None  # the key is dead; don't keep it around
-                res["until"] = now + PUT_TOMBSTONE_TTL
-            elif res["fate"] is not None and res.get("until", 0.0) <= now:
-                del self._delegations[did]
-
-    def _resource(self, delegation_id: str, peer: ValidatedIdentity) -> dict:
-        """Look up an owned resource; never reveal others' ids."""
-        with self._lock:
-            self._reap()
-            resource = self._delegations.get(delegation_id)
-            if resource is None or resource["owner"] != str(peer.identity):
-                raise AuthenticationError("unknown delegation")
-            return resource
-
-    # -- endpoints -------------------------------------------------------------
-
     def _op_register(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        server = self.server
-        server._require_acl(server.policy.accepted_credentials, peer)
-        key = self.key_source.new_key()
-        delegation_id = secrets.token_urlsafe(18)
-        expires = server.clock.now() + self.csr_ttl
-        with self._lock:
-            self._reap()
-            self._delegations[delegation_id] = {
-                "owner": str(peer.identity),
-                "key": key,
-                "expires": expires,
-                "fate": None,
-            }
-        return _json_response(
+        self.server.require_acl(self.server.policy.accepted_credentials, peer)
+        delegation_id, expires = self._delegations.add(
+            str(peer.identity), self.key_source.new_key()
+        )
+        return HttpResponse.json(
             {"ok": True, "delegation_id": delegation_id, "expires": expires}
         )
 
     def _op_proxy_csr(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        resource = self._resource(str(payload.get("delegation_id", "")), peer)
-        if resource["fate"] == "used":
-            raise ProtocolError("delegation already completed (replay refused)")
-        if resource["fate"] == "expired":
-            raise ProtocolError("delegation CSR expired")
-        nonce_hex = str(payload.get("nonce", ""))
-        if len(nonce_hex) < 32:
-            raise ProtocolError("CSR nonce too short")
-        key = resource["key"]
-        public_pem = key.public.to_pem()
-        pop = key.sign(_pop_message(nonce_hex, public_pem, str(peer.identity)))
-        return _json_response(
-            {
-                "ok": True,
-                "public_key_pem": public_pem.decode("ascii"),
-                "pop": base64.b64encode(pop).decode("ascii"),
-            }
+        key = self._delegations.peek(
+            str(payload.get("delegation_id", "")), str(peer.identity)
         )
+        csr = _csr(key, _nonce(payload), peer.identity)
+        return HttpResponse.json({"ok": True, **csr})
 
     def _op_certificate(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        resource = self._resource(str(payload.get("delegation_id", "")), peer)
-        now = self.server.clock.now()
-        with self._lock:
-            if resource["fate"] == "used":
-                raise ProtocolError("delegation already completed (replay refused)")
-            if resource["fate"] == "expired" or resource["expires"] <= now:
-                resource["fate"] = "expired"
-                resource["key"] = None
-                resource["until"] = now + PUT_TOMBSTONE_TTL
-                raise ProtocolError("delegation CSR expired")
-            key = resource["key"]
-            resource["fate"] = "used"
-            resource["key"] = None
-            resource["until"] = now + PUT_TOMBSTONE_TTL
+        delegation_id = str(payload.get("delegation_id", ""))
+        key = self._delegations.take(delegation_id, str(peer.identity))
         try:
-            entry = self.gateway._complete_delegation(
-                peer, payload, key, command="CDP", stat="cdp_delegations",
-                detail_prefix="IVOA CDP",
+            entry = self.gateway.complete_delegation(
+                peer, payload, key, command="CDP", stat="cdp_delegations"
             )
         except Exception:
             # A failed upload must not consume the resource: the CSR the
             # client signed is still good until its TTL runs out.
-            with self._lock:
-                if resource["fate"] == "used" and resource["expires"] > now:
-                    resource["fate"] = None
-                    resource["key"] = key
-                    resource.pop("until", None)
+            self._delegations.restore(delegation_id, key)
             raise
-        return _json_response(
+        return HttpResponse.json(
             {"ok": True, "stored": True, "not_after": entry.not_after}
         )
 
     def _op_delete(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         delegation_id = str(payload.get("delegation_id", ""))
-        resource = self._resource(delegation_id, peer)
-        with self._lock:
-            self._delegations.pop(delegation_id, None)
-        self.server._audit_event(
+        state = self._delegations.discard(delegation_id, str(peer.identity))
+        self.server.audit(
             str(peer.identity), "CDP-DELETE", "", "", True,
-            f"delegation {delegation_id} aborted "
-            f"({'pending' if resource['fate'] is None else resource['fate']})",
+            f"delegation {delegation_id} aborted ({state})",
         )
-        return _json_response({"ok": True, "deleted": True})
+        return HttpResponse.json({"ok": True, "deleted": True})
 
 
 class CdpClient(HttpMyProxyClient):
@@ -216,18 +146,6 @@ class CdpClient(HttpMyProxyClient):
         csr = self._call(
             "/cdp/proxy-csr", {"delegation_id": delegation_id, "nonce": nonce}
         )
-        public_pem = csr["public_key_pem"].encode("ascii")
-        public_key = PublicKey.from_pem(public_pem)
-        pop = base64.b64decode(csr["pop"])
-        if not public_key.verify(
-            pop, _pop_message(nonce, public_pem, str(self.credential.identity))
-        ):
-            raise ProtocolError("CDP server proof-of-possession failed")
-        cert = sign_proxy_request(
-            signer, public_key, lifetime=lifetime, limited=limited,
-            restrictions=restrictions, clock=self.clock,
-        )
-        chain_pem = b"".join(c.to_pem() for c in signer.full_chain())
         answer = self._call(
             "/cdp/certificate",
             {
@@ -238,8 +156,10 @@ class CdpClient(HttpMyProxyClient):
                 "cred_name": cred_name,
                 "max_get_lifetime": max_get_lifetime,
                 "retrievers": list(retrievers) if retrievers is not None else None,
-                "certificate_pem": cert.to_pem().decode("ascii"),
-                "chain_pem": chain_pem.decode("ascii"),
+                **self._sign_server_csr(
+                    csr, nonce, signer, lifetime,
+                    limited=limited, restrictions=restrictions,
+                ),
             },
         )
         answer["delegation_id"] = delegation_id

@@ -28,7 +28,6 @@ delegation doing exactly what it was added for).
 
 from __future__ import annotations
 
-import json
 import secrets
 import time
 
@@ -65,14 +64,6 @@ FEDERATED_RESTRICTIONS = ProxyRestrictions(
     resources=frozenset({"mass-storage"}),
     max_delegation_depth=1,
 )
-
-
-def _json_response(payload: dict, status: int = 200) -> HttpResponse:
-    return HttpResponse(
-        status=status,
-        headers=[("Content-Type", "application/json")],
-        body=json.dumps(payload, sort_keys=True).encode("utf-8"),
-    )
 
 
 class FederationGateway:
@@ -119,7 +110,7 @@ class FederationGateway:
     # -- routes ----------------------------------------------------------------
 
     def _realms(self, ctx: WebContext) -> HttpResponse:
-        return _json_response(
+        return HttpResponse.json(
             {"ok": True, "realm": self.realm, "peers": sorted(self.peers)}
         )
 
@@ -134,22 +125,22 @@ class FederationGateway:
             # Precise refusals: the caller held a legitimate token and
             # the reason (replay, lifetime cap, bad field) is actionable.
             outcome = "rejected"
-            return _json_response({"ok": False, "error": str(exc)}, 400)
+            return HttpResponse.json({"ok": False, "error": str(exc)}, 400)
         except (
             AuthenticationError, AuthorizationError, CredentialError, NotFoundError,
         ) as exc:
             outcome = "denied"
-            self.server._audit_event(
+            self.server.audit(
                 "<federation>", "FEDERATE", "", "", False, str(exc)
             )
-            return _json_response({"ok": False, "error": _GENERIC_DENIAL}, 403)
+            return HttpResponse.json({"ok": False, "error": _GENERIC_DENIAL}, 403)
         finally:
             self._redeem_total.labels(outcome=outcome).inc()
             self._redeem_seconds.observe(time.perf_counter() - started)
 
     def _redeem_inner(self, ctx: WebContext) -> HttpResponse:
         if not ctx.secure:
-            return _json_response(
+            return HttpResponse.json(
                 {"ok": False, "error": "redemption requires HTTPS"}, 403
             )
         form = ctx.request.form
@@ -207,14 +198,14 @@ class FederationGateway:
                 restrictions=FEDERATED_RESTRICTIONS,
             )
         except ReproError as exc:
-            self.server._audit_event(
+            self.server.audit(
                 str(signer.identity), "FEDERATE", assertion.username, cred_name,
                 False, f"CDP deposit to realm {target_realm!r} failed: {exc}",
             )
             raise AuthenticationError(f"peer realm refused the deposit: {exc}") from exc
 
         self.server.stats.inc("federation_redemptions")
-        self.server._audit_event(
+        self.server.audit(
             str(signer.identity), "FEDERATE", assertion.username, cred_name, True,
             f"assertion {assertion.assertion_id} redeemed into realm "
             f"{target_realm!r}, stored until {deposited['not_after']:.0f}",
@@ -223,7 +214,7 @@ class FederationGateway:
             "redeemed assertion %s: %r now holds %r in realm %r",
             assertion.assertion_id, assertion.username, cred_name, target_realm,
         )
-        return _json_response(
+        return HttpResponse.json(
             {
                 "ok": True,
                 "realm": target_realm,

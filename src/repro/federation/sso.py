@@ -162,8 +162,6 @@ def enable_sso(portal: GridPortal, authority: SsoAuthority) -> None:
     a bearer secret), a *live* session credential, and returns JSON so
     portal-side JavaScript or the load generator can drive it.
     """
-    import json
-
     def _assert(ctx: WebContext) -> HttpResponse:
         if portal.config.https_only and not ctx.secure:
             return HttpResponse.error(
@@ -171,13 +169,7 @@ def enable_sso(portal: GridPortal, authority: SsoAuthority) -> None:
             )
         held = portal._credential_for(ctx)
         if held is None:
-            return HttpResponse(
-                status=401,
-                headers=[("Content-Type", "application/json")],
-                body=json.dumps(
-                    {"ok": False, "error": "not logged in"}
-                ).encode("utf-8"),
-            )
+            return HttpResponse.json({"ok": False, "error": "not logged in"}, 401)
         _repo, credential = held
         form = ctx.request.form
         audience = form.get("audience", "").strip()
@@ -196,28 +188,19 @@ def enable_sso(portal: GridPortal, authority: SsoAuthority) -> None:
                 lifetime=lifetime,
             )
         except (ProtocolError, PolicyError) as exc:
-            return HttpResponse(
-                status=400,
-                headers=[("Content-Type", "application/json")],
-                body=json.dumps({"ok": False, "error": str(exc)}).encode("utf-8"),
-            )
+            return HttpResponse.json({"ok": False, "error": str(exc)}, 400)
         logger.info(
             "issued assertion %s for %r toward realm %r",
             assertion.assertion_id, assertion.username, audience,
         )
-        return HttpResponse(
-            status=200,
-            headers=[("Content-Type", "application/json")],
-            body=json.dumps(
-                {
-                    "ok": True,
-                    "assertion": token,
-                    "assertion_id": assertion.assertion_id,
-                    "audience": assertion.audience,
-                    "not_after": assertion.not_after,
-                },
-                sort_keys=True,
-            ).encode("utf-8"),
+        return HttpResponse.json(
+            {
+                "ok": True,
+                "assertion": token,
+                "assertion_id": assertion.assertion_id,
+                "audience": assertion.audience,
+                "not_after": assertion.not_after,
+            }
         )
 
     portal.web.add_route("POST", "/sso/assert", _assert)

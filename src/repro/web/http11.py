@@ -13,6 +13,7 @@ Messages are exchanged either as whole byte blobs over the secure channel
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, quote, unquote, urlencode
 
@@ -206,6 +207,14 @@ class HttpResponse:
             status=status,
             headers=[("Content-Type", "text/html; charset=utf-8")],
             body=body,
+        )
+
+    @classmethod
+    def json(cls, payload: dict, status: int = 200) -> HttpResponse:
+        return cls(
+            status=status,
+            headers=[("Content-Type", "application/json")],
+            body=json.dumps(payload, sort_keys=True).encode("utf-8"),
         )
 
     @classmethod

@@ -172,12 +172,14 @@ class WebServer:
 
     # -- HTTPS: HTTP messages over the secure channel ----------------------------
 
-    def handle_secure_link(self, link: Link) -> None:
+    def handle_secure_link(self, link: Link, *, allow_anonymous: bool = True) -> None:
+        """Serve HTTP requests over one secure channel until the peer
+        hangs up; ``allow_anonymous=False`` demands a client certificate."""
         if self.credential is None or self.validator is None:
             raise RuntimeError(f"{self.name} has no credential/validator for HTTPS")
         try:
             channel = accept_secure(
-                link, self.credential, self.validator, allow_anonymous=True
+                link, self.credential, self.validator, allow_anonymous=allow_anonymous
             )
         except ReproError as exc:
             logger.info("%s: TLS handshake failed: %s", self.name, exc)

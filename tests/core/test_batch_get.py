@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.protocol import BatchItem
 from repro.obs.registry import MetricsRegistry
-from repro.util.errors import AuthenticationError
+from repro.util.errors import AuthenticationError, ServerBusyError
 
 
 PASS = "correct horse 42"
@@ -82,6 +82,40 @@ class TestBatchGet:
         # Two delegations, one connection: exactly one handshake happened.
         assert after - before == 1
         assert client.stats.operations == 1
+
+    def test_busy_item_does_not_cost_the_rest(self, seeded, monkeypatch):
+        """An OTP item whose verify-and-advance write meets a lapsed
+        cluster lease is answered busy; the batch carries on."""
+        from repro.core.otp import OTPGenerator
+        from repro.core.protocol import AuthMethod
+        from repro.pki.proxy import create_proxy
+
+        tb, _registry, _alice, bob, portal = seeded
+        carol = tb.new_user("carol")
+        gen = OTPGenerator("otp secret", "seed0", count=8)
+        tb.myproxy_client(carol.credential).put(
+            create_proxy(carol.credential, lifetime=7 * 86400,
+                         key_source=tb.key_source, clock=tb.clock),
+            username="carol", auth_method=AuthMethod.OTP, otp=gen,
+            lifetime=7 * 86400,
+        )
+
+        def lease_lapsed(entry):
+            raise ServerBusyError("primary lease lapsed", retry_after=0.5)
+
+        monkeypatch.setattr(tb.myproxy.repository, "put", lease_lapsed)
+        before = tb.myproxy.stats.lease_denied_writes
+        results = tb.myproxy_client(portal.credential).get_delegations(
+            [
+                BatchItem(username="carol", passphrase=gen.next_word(),
+                          auth_method=AuthMethod.OTP),
+                BatchItem(username="bob", passphrase=PASS2),
+            ]
+        )
+        assert isinstance(results[0], ServerBusyError)
+        assert results[0].retry_after == pytest.approx(0.5)
+        assert results[1].identity == bob.dn
+        assert tb.myproxy.stats.lease_denied_writes == before + 1
 
     def test_empty_batch_is_a_no_op(self, seeded):
         tb, _registry, _alice, _bob, portal = seeded

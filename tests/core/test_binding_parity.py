@@ -1,0 +1,233 @@
+"""One command core under both bindings (§6.4).
+
+The GSI channel protocol and the HTTP binding are codecs over the same
+server steps, so a command must leave the same trace — stats and audit —
+whichever binding carried it, and every refusal must be decided once and
+rendered faithfully: the uniform denial, busy with a retry hint, or a
+generic storage error that never leaks the storage layer's message.
+"""
+
+import json
+import threading
+
+import pytest
+
+from repro.core.client import RetryPolicy
+from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
+from repro.core.policy import ServerPolicy
+from repro.transport.channel import connect_secure
+from repro.transport.links import pipe_pair
+from repro.util.errors import AuthenticationError, RepositoryError, ServerBusyError
+from repro.web.http11 import HttpRequest, HttpResponse
+
+PASS = "correct horse 42"
+DENIAL = "remote authorization/authentication failed"
+STORAGE = "temporary repository error; retry"
+
+
+def _serve(gateway):
+    def _target():
+        client_end, server_end = pipe_pair("parity")
+        threading.Thread(
+            target=gateway.handle_secure_link, args=(server_end,), daemon=True
+        ).start()
+        return client_end
+
+    return _target
+
+
+@pytest.fixture(params=["gsi", "http"])
+def world(request, tb):
+    """``(tb, make_client)`` where ``make_client(user)`` speaks one binding."""
+    if request.param == "gsi":
+        def make_client(user):
+            client = tb.myproxy_client(user.credential)
+            client.retry = RetryPolicy(busy_retries=0)  # one attempt, as HTTP
+            return client
+    else:
+        target = _serve(MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source))
+
+        def make_client(user):
+            return HttpMyProxyClient(
+                target, user.credential, tb.validator,
+                key_source=tb.key_source, clock=tb.clock,
+            )
+    tb.new_user("alice")
+    tb.new_user("svc")
+    return tb, make_client
+
+
+def _stats(tb):
+    # A two-step HTTP PUT is two connections, a GSI PUT one: connection
+    # counts are per transport, everything else is per command.
+    snap = tb.myproxy.stats.snapshot()
+    snap.pop("connections")
+    return snap
+
+
+def _delta(before, after):
+    return {k: after[k] - before[k] for k in after if after[k] != before[k]}
+
+
+def _seed(tb):
+    tb.myproxy_init(tb.users["alice"], passphrase=PASS)
+
+
+class TestSuccessParity:
+    @pytest.mark.parametrize(
+        "command, seeded, expected",
+        [
+            ("PUT", False, {"puts": 1}),
+            ("GET", True, {"gets": 1}),
+            ("INFO", True, {}),
+            ("DESTROY", True, {}),
+            ("CHANGE_PASSPHRASE", True, {}),
+        ],
+    )
+    def test_same_stats_and_audit(self, world, command, seeded, expected):
+        tb, make_client = world
+        alice, svc = tb.users["alice"], tb.users["svc"]
+        if seeded:
+            _seed(tb)
+        before, mark = _stats(tb), len(tb.myproxy.audit_log())
+        run = {
+            "PUT": lambda: make_client(alice).put(
+                alice.credential, username="alice", passphrase=PASS,
+                lifetime=7 * 86400,
+            ),
+            "GET": lambda: make_client(svc).get_delegation(
+                username="alice", passphrase=PASS, lifetime=3600
+            ),
+            "INFO": lambda: make_client(alice).info(username="alice"),
+            "DESTROY": lambda: make_client(alice).destroy(username="alice"),
+            "CHANGE_PASSPHRASE": lambda: make_client(alice).change_passphrase(
+                username="alice", old_passphrase=PASS, new_passphrase="rotated 88"
+            ),
+        }[command]
+        run()
+        assert _delta(before, _stats(tb)) == expected
+        records = tb.myproxy.audit_log()[mark:]
+        assert [r.command for r in records if r.ok] == [command]
+        assert not [r for r in records if not r.ok]
+
+
+class TestRefusalParity:
+    @pytest.mark.parametrize("case", ["wrong passphrase", "unknown user", "not the owner"])
+    def test_one_denial_uniform_message(self, world, case):
+        tb, make_client = world
+        _seed(tb)
+        mallory = tb.new_user("mallory")
+        before = _stats(tb)
+        with pytest.raises(AuthenticationError) as refused:
+            if case == "wrong passphrase":
+                make_client(tb.users["svc"]).get_delegation(
+                    username="alice", passphrase="wrong wrong 7"
+                )
+            elif case == "unknown user":
+                make_client(tb.users["svc"]).get_delegation(
+                    username="ghost", passphrase=PASS
+                )
+            else:
+                make_client(mallory).destroy(username="alice")
+        assert DENIAL in str(refused.value)
+        assert _delta(before, _stats(tb)) == {"denials": 1}
+
+    def test_storage_error_is_generic_and_audited(self, world, monkeypatch):
+        tb, make_client = world
+        _seed(tb)
+
+        def eio(username, cred_name):
+            raise RepositoryError("EIO reading /srv/myproxy/seg-000042.mps")
+
+        monkeypatch.setattr(tb.myproxy.repository, "get", eio)
+        before = _stats(tb)
+        with pytest.raises(AuthenticationError) as refused:
+            make_client(tb.users["svc"]).get_delegation(username="alice", passphrase=PASS)
+        assert STORAGE in str(refused.value)
+        assert "EIO" not in str(refused.value)
+        assert _delta(before, _stats(tb)) == {"denials": 1}
+        last = tb.myproxy.audit_log()[-1]
+        assert not last.ok and "EIO reading" in last.detail
+
+    def test_lapsed_lease_answers_busy(self, world, monkeypatch):
+        tb, make_client = world
+        _seed(tb)
+
+        def lease_lapsed(username, cred_name):
+            raise ServerBusyError("primary lease lapsed", retry_after=0.25)
+
+        monkeypatch.setattr(tb.myproxy.repository, "delete", lease_lapsed)
+        before = _stats(tb)
+        with pytest.raises(ServerBusyError) as busy:
+            make_client(tb.users["alice"]).destroy(username="alice")
+        assert busy.value.retry_after == pytest.approx(0.25)
+        assert _delta(before, _stats(tb)) == {"denials": 1, "lease_denied_writes": 1}
+
+
+class TestHttpRendering:
+    def test_storage_and_busy_are_json_503s(self, tb, monkeypatch):
+        gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+        alice = tb.new_user("alice")
+        _seed(tb)
+
+        repository = tb.myproxy.repository
+        real_get = repository.get
+
+        def eio_for_bob(username, cred_name):
+            if username == "bob":
+                raise RepositoryError("EIO reading /srv/myproxy/seg-000042.mps")
+            return real_get(username, cred_name)
+
+        def lease_lapsed(username, cred_name):
+            raise ServerBusyError("primary lease lapsed", retry_after=0.25)
+
+        monkeypatch.setattr(repository, "get", eio_for_bob)
+        monkeypatch.setattr(repository, "delete", lease_lapsed)
+        replies = _exchange(gateway, alice, [
+            ("/myproxy/get", {"username": "bob", "passphrase": PASS}),
+            ("/myproxy/destroy", {"username": "alice"}),
+        ])
+        assert replies == [
+            (503, {"ok": False, "error": STORAGE}),
+            (503, {"ok": False, "error": "busy", "retry_after": 0.25}),
+        ]
+
+    def test_admission_is_per_request_on_a_kept_alive_connection(self, tb_factory):
+        tb = tb_factory(myproxy_policy=ServerPolicy(qos_rate=0.001, qos_burst=1))
+        gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+        alice = tb.new_user("alice")
+        before = tb.myproxy.stats.shed
+        replies = _exchange(gateway, alice, [("/myproxy/info", {"username": "alice"})] * 3)
+        assert replies[0][0] == 403  # admitted: alice simply owns nothing
+        for status, body in replies[1:]:
+            assert status == 503
+            assert body["error"] == "busy" and body["retry_after"] > 0
+        assert tb.myproxy.stats.shed == before + 2
+
+
+def _exchange(gateway, user, requests):
+    """POST each ``(path, payload)`` in turn over one kept-alive HTTPS
+    connection; returns ``(status, JSON body)`` per reply."""
+    client_end, server_end = pipe_pair("keepalive")
+    server = threading.Thread(
+        target=gateway.handle_secure_link, args=(server_end,), daemon=True
+    )
+    server.start()
+    channel = connect_secure(client_end, user.credential, gateway.server.validator)
+    replies = []
+    try:
+        for path, payload in requests:
+            channel.send(
+                HttpRequest(
+                    "POST", path,
+                    headers=[("Content-Type", "application/json")],
+                    body=json.dumps(payload).encode("utf-8"),
+                ).serialize()
+            )
+            response = HttpResponse.parse(channel.recv())
+            replies.append((response.status, json.loads(response.body)))
+    finally:
+        channel.close()
+    server.join(timeout=5.0)
+    assert not server.is_alive()
+    return replies
