@@ -43,12 +43,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         old = prompt_passphrase(args, "old_passphrase", "Current pass phrase: ")
         new = prompt_passphrase(args, "new_passphrase", "New pass phrase: ")
-        client.change_passphrase(
-            username=args.username,
-            old_passphrase=old,
-            new_passphrase=new,
-            cred_name=args.cred_name,
-        )
+        with client:
+            client.change_passphrase(
+                username=args.username,
+                old_passphrase=old,
+                new_passphrase=new,
+                cred_name=args.cred_name,
+            )
         print("pass phrase changed")
 
     return run_tool(_body, args)

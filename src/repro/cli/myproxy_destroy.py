@@ -33,12 +33,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     def _body() -> None:
-        client = MyProxyClient(
+        with MyProxyClient(
             parse_endpoint(args.server),
             load_credential(args.credential, args.key_passphrase),
             build_validator(args),
-        )
-        client.destroy(username=args.username, cred_name=args.cred_name)
+        ) as client:
+            client.destroy(username=args.username, cred_name=args.cred_name)
         print(f"credential {args.username}/{args.cred_name} destroyed")
 
     return run_tool(_body, args)

@@ -52,13 +52,14 @@ def main(argv: list[str] | None = None) -> int:
             build_validator(args),
         )
         passphrase = prompt_passphrase(args, "passphrase", "MyProxy pass phrase: ")
-        proxy = client.get_delegation(
-            username=args.username,
-            passphrase=passphrase,
-            lifetime=args.lifetime_hours * 3600.0,
-            cred_name=args.cred_name,
-            auth_method=AuthMethod(args.auth_method),
-        )
+        with client:
+            proxy = client.get_delegation(
+                username=args.username,
+                passphrase=passphrase,
+                lifetime=args.lifetime_hours * 3600.0,
+                cred_name=args.cred_name,
+                auth_method=AuthMethod(args.auth_method),
+            )
         out = Path(args.out)
         out.write_bytes(proxy.export_pem())
         out.chmod(0o600)

@@ -51,8 +51,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.credential
             else None
         )
-        client = MyProxyClient(parse_endpoint(args.server), credential, validator)
-        cas, crls = client.refresh_trust_directory(TrustDirectory(args.out_dir))
+        with MyProxyClient(parse_endpoint(args.server), credential, validator) as client:
+            cas, crls = client.refresh_trust_directory(TrustDirectory(args.out_dir))
         print(f"installed {cas} CA certificate(s) and {crls} CRL(s) into {args.out_dir}")
 
     return run_tool(_body, args)

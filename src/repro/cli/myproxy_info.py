@@ -32,12 +32,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     def _body() -> None:
-        client = MyProxyClient(
+        with MyProxyClient(
             parse_endpoint(args.server),
             load_credential(args.credential, args.key_passphrase),
             build_validator(args),
-        )
-        rows = client.info(username=args.username)
+        ) as client:
+            rows = client.info(username=args.username)
         if not rows:
             print(f"no credentials stored for {args.username}")
             return

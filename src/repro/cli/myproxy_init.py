@@ -52,21 +52,21 @@ def main(argv: list[str] | None = None) -> int:
             key_pass = prompt_passphrase(args, "key_passphrase", "Key pass phrase: ")
             longterm = load_credential(args.credential, key_pass)
         passphrase = prompt_passphrase(args, "passphrase", "MyProxy pass phrase: ")
-        client = MyProxyClient(parse_endpoint(args.server), longterm, validator)
-        response = myproxy_init_from_longterm(
-            client,
-            longterm,
-            username=args.username,
-            passphrase=passphrase,
-            lifetime=args.lifetime_days * 86400.0,
-            max_get_lifetime=(
-                args.max_get_lifetime_hours * 3600.0
-                if args.max_get_lifetime_hours is not None
-                else None
-            ),
-            retrievers=tuple(args.retriever) if args.retriever else None,
-            cred_name=args.cred_name,
-        )
+        with MyProxyClient(parse_endpoint(args.server), longterm, validator) as client:
+            response = myproxy_init_from_longterm(
+                client,
+                longterm,
+                username=args.username,
+                passphrase=passphrase,
+                lifetime=args.lifetime_days * 86400.0,
+                max_get_lifetime=(
+                    args.max_get_lifetime_hours * 3600.0
+                    if args.max_get_lifetime_hours is not None
+                    else None
+                ),
+                retrievers=tuple(args.retriever) if args.retriever else None,
+                cred_name=args.cred_name,
+            )
         print(
             f"a proxy valid for {args.lifetime_days:g} days has been delegated "
             f"to {args.server} for user {args.username} "

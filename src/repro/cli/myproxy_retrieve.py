@@ -49,9 +49,10 @@ def main(argv: list[str] | None = None) -> int:
             build_validator(args),
         )
         passphrase = prompt_passphrase(args, "passphrase", "MyProxy pass phrase: ")
-        credential = client.retrieve_longterm(
-            username=args.username, passphrase=passphrase, cred_name=args.cred_name
-        )
+        with client:
+            credential = client.retrieve_longterm(
+                username=args.username, passphrase=passphrase, cred_name=args.cred_name
+            )
         out = Path(args.out)
         out.write_bytes(credential.export_pem(passphrase))
         out.chmod(0o600)

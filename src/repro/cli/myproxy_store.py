@@ -52,19 +52,21 @@ def main(argv: list[str] | None = None) -> int:
             key_pass = prompt_passphrase(args, "key_passphrase", "Key pass phrase: ")
             longterm = load_credential(args.credential, key_pass)
         passphrase = prompt_passphrase(args, "passphrase", "MyProxy pass phrase: ")
-        client = MyProxyClient(parse_endpoint(args.server), longterm, build_validator(args))
-        client.store_longterm(
-            longterm,
-            username=args.username,
-            passphrase=passphrase,
-            cred_name=args.cred_name,
-            max_get_lifetime=(
-                args.max_get_lifetime_hours * 3600.0
-                if args.max_get_lifetime_hours is not None
-                else None
-            ),
-            retrievers=tuple(args.retriever) if args.retriever else None,
-        )
+        with MyProxyClient(
+            parse_endpoint(args.server), longterm, build_validator(args)
+        ) as client:
+            client.store_longterm(
+                longterm,
+                username=args.username,
+                passphrase=passphrase,
+                cred_name=args.cred_name,
+                max_get_lifetime=(
+                    args.max_get_lifetime_hours * 3600.0
+                    if args.max_get_lifetime_hours is not None
+                    else None
+                ),
+                retrievers=tuple(args.retriever) if args.retriever else None,
+            )
         print(
             f"long-term credential for {longterm.identity} stored at "
             f"{args.server} as {args.username}/{args.cred_name}"

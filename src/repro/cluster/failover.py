@@ -209,32 +209,38 @@ class FailoverMyProxyClient:
         )
 
     # -- the MyProxyClient call surface, routed per username ----------------
+    # Each operation's client is closed with it, so no idle channel is
+    # left parked on a node.
 
     def put(self, source_credential, *, username: str, **kwargs):
-        return self.client_for(username).put(
-            source_credential, username=username, **kwargs
-        )
+        with self.client_for(username) as client:
+            return client.put(source_credential, username=username, **kwargs)
 
     def get_delegation(self, *, username: str, **kwargs):
-        return self.client_for(username).get_delegation(username=username, **kwargs)
+        with self.client_for(username) as client:
+            return client.get_delegation(username=username, **kwargs)
 
     def info(self, *, username: str):
-        return self.client_for(username).info(username=username)
+        with self.client_for(username) as client:
+            return client.info(username=username)
 
     def destroy(self, *, username: str, **kwargs):
-        return self.client_for(username).destroy(username=username, **kwargs)
+        with self.client_for(username) as client:
+            return client.destroy(username=username, **kwargs)
 
     def change_passphrase(self, *, username: str, **kwargs):
-        return self.client_for(username).change_passphrase(username=username, **kwargs)
+        with self.client_for(username) as client:
+            return client.change_passphrase(username=username, **kwargs)
 
     def store_longterm(self, credential, *, username: str, **kwargs):
-        return self.client_for(username).store_longterm(
-            credential, username=username, **kwargs
-        )
+        with self.client_for(username) as client:
+            return client.store_longterm(credential, username=username, **kwargs)
 
     def retrieve_longterm(self, *, username: str, **kwargs):
-        return self.client_for(username).retrieve_longterm(username=username, **kwargs)
+        with self.client_for(username) as client:
+            return client.retrieve_longterm(username=username, **kwargs)
 
     def get_trustroots(self):
         # Trust material is identical cluster-wide; any node answers.
-        return self.client_for("trustroots").get_trustroots()
+        with self.client_for("trustroots") as client:
+            return client.get_trustroots()

@@ -20,14 +20,19 @@ proxy for ``put``, a portal's host credential for ``get_delegation``) and
 the endpoint of one repository; a portal that talks to several repositories
 holds one client per repository (§3.3's scalability goal).
 
-Every operation runs on a fresh mutually-authenticated channel, exactly as
-the short-lived original clients did.
+A client keeps at most one idle channel to a TCP endpoint after an
+operation that completed normally, and runs its next operation on it — no
+connect, no handshake — while it still authenticates as the same
+credential object (PROTOCOL.md §6).  Any exception closes the channel;
+so does :meth:`MyProxyClient.close` (or leaving a ``with`` block), which
+short-lived clients should use so no idle channel outlives them.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -47,7 +52,7 @@ from repro.pki.credentials import Credential
 from repro.pki.keys import KeySource
 from repro.pki.proxy import create_proxy
 from repro.pki.validation import ChainValidator
-from repro.transport.channel import SecureChannel, connect_secure
+from repro.transport.channel import PeerClosedError, SecureChannel, connect_secure
 from repro.transport.delegation import accept_delegation, delegate_credential
 from repro.transport.links import Link
 from repro.transport.tickets import TicketStore
@@ -176,6 +181,10 @@ class ClientStats:
         return {name: self._counters[name].value for name, _, _ in _CLIENT_COUNTERS}
 
 
+class _StaleChannel(Exception):
+    """A kept channel the server had already ended: it read no request."""
+
+
 @dataclass(frozen=True)
 class StoredCredentialInfo:
     """One row of a ``myproxy-info`` answer."""
@@ -231,6 +240,26 @@ class MyProxyClient:
         # that builds many short-lived clients shares one store so tickets
         # outlive the client objects that earned them.
         self.ticket_store = ticket_store if ticket_store is not None else TicketStore()
+        # The one idle channel: (target, credential object, channel).
+        # Threads sharing this client check it out under the lock, so two
+        # conversations never interleave on one channel.
+        self._idle: tuple[object, Credential, SecureChannel] | None = None
+        self._idle_lock = threading.Lock()
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the idle channel, if any; the client stays usable."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, None
+        if idle is not None:
+            idle[2].close()
+
+    def __enter__(self) -> MyProxyClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -266,8 +295,71 @@ class MyProxyClient:
     def _open(self) -> SecureChannel:
         return self._connect(self._target)
 
+    def _checkout(self, target, credential: Credential) -> SecureChannel | None:
+        """Take the idle channel if it was opened to ``target`` as
+        ``credential``; one opened otherwise is closed."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, None
+        if idle is None:
+            return None
+        if idle[0] == target and idle[1] is credential:
+            return idle[2]
+        idle[2].close()
+        return None
+
+    def _checkin(self, target, credential: Credential, channel: SecureChannel) -> None:
+        with self._idle_lock:
+            if self._idle is None:
+                self._idle = (target, credential, channel)
+                return
+        channel.close()
+
+    def _exchange(
+        self,
+        target,
+        credential: Credential | None,
+        channel: SecureChannel,
+        reused: bool,
+        conversation: Callable[[SecureChannel], object],
+    ):
+        """Run ``conversation`` on ``channel``, then keep or close it.
+
+        Only channels to a TCP endpoint are kept: a link factory's server
+        end serves one conversation per link.  Anonymous channels serve
+        one request too.  On a reused channel, a close alert in place of
+        the first reply means the server ended the channel without
+        reading the request: :class:`_StaleChannel`, safe to redial.
+        """
+        if credential is None or not isinstance(target, tuple):
+            with channel:
+                return conversation(channel)
+        before = channel.received
+        try:
+            if reused and channel.peer_closing():
+                raise _StaleChannel
+            result = conversation(channel)
+        except PeerClosedError:
+            channel.close()
+            if reused and channel.received == before:
+                raise _StaleChannel from None
+            raise
+        except BaseException:
+            channel.close()
+            raise
+        self._checkin(target, credential, channel)
+        return result
+
     def _converse(self, conversation: Callable[[SecureChannel], object]):
         """Run one request conversation with endpoint failover + backoff.
+
+        The first attempt rides the idle channel when one is kept for the
+        primary target and the current credential.  If the server had
+        already ended it (idle timeout, trust change, restart) without
+        reading the request, the client redials once, transparently: that
+        is not a transport failure, trips no breaker and costs no retry
+        budget.  Any other failure on a reused channel takes the ordinary
+        transport-failure path below, because the server may already have
+        acted on the request.
 
         Each round dials the primary target, then the fallbacks, on a fresh
         mutually-authenticated channel; only transport/handshake failures
@@ -294,6 +386,7 @@ class MyProxyClient:
         guard = self._guard
         rotated = False  # at least one dial already failed this operation
         attempted = False  # the guard's retry budget never charges dial one
+        reuse = True  # only the operation's first attempt may reuse
         for round_no in range(self.retry.rounds):
             if round_no:
                 self.stats.inc("retry_rounds")
@@ -302,16 +395,25 @@ class MyProxyClient:
             for index, target in enumerate(targets):
                 busy_left = self.retry.busy_retries
                 while True:
-                    if guard is not None and not guard.allow_dial(
-                        index, first=not attempted
-                    ):
-                        break  # breaker open for this endpoint: skip it
-                    attempted = True
-                    self.stats.inc("dial_attempts")
+                    credential = self.credential
+                    channel = self._checkout(target, credential) if reuse else None
+                    reuse = False
+                    reused = channel is not None
+                    if not reused:
+                        if guard is not None and not guard.allow_dial(
+                            index, first=not attempted
+                        ):
+                            break  # breaker open for this endpoint: skip it
+                        attempted = True
+                        self.stats.inc("dial_attempts")
                     try:
-                        channel = self._connect(target)
-                        with channel:
-                            result = conversation(channel)
+                        if channel is None:
+                            channel = self._connect(target)
+                        result = self._exchange(
+                            target, credential, channel, reused, conversation
+                        )
+                    except _StaleChannel:
+                        continue  # the request was never read: dial afresh
                     except ServerBusyError as exc:
                         last = exc
                         if guard is not None:

@@ -1,6 +1,6 @@
 """The MyProxy repository server (§4, §5.1).
 
-One conversation per connection, as in the original:
+Each conversation follows the original:
 
 1. mutual GSI authentication (the client sees the repository's certificate,
    so "an attacker [cannot impersonate] the repository in order to steal
@@ -12,6 +12,10 @@ One conversation per connection, as in the original:
    PEM blob for the §6.1 STORE/RETRIEVE of long-term credentials);
 5. for PUT/STORE, a final *commit* response after the server has validated
    and persisted what it received.
+
+After a successful command the channel may carry the next request, with
+step 1 replaced by a re-check of the peer's trust (PROTOCOL.md §6); in TCP
+mode an idle channel waits in the listener's selector, not on a worker.
 
 Authorization structure (§5.1):
 
@@ -80,6 +84,7 @@ from repro.transport.delegation import accept_delegation, delegate_credential
 from repro.transport.handshake import send_busy_notice
 from repro.transport.tickets import SessionTicketManager
 from repro.transport.links import Link, SocketLink
+from repro.transport.listener import Listener
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.concurrency import ServiceThread
 from repro.util.errors import (
@@ -305,6 +310,10 @@ class ServerStats:
         return snap
 
 
+def _peer_name(peer: ValidatedIdentity | None) -> str:
+    return str(peer.identity) if peer is not None else "<anonymous>"
+
+
 class MyProxyServer:
     """An online credential repository.
 
@@ -425,7 +434,8 @@ class MyProxyServer:
         # denial pay a file open/close.
         self._audit_path = audit_path
         self._audit_file = self._open_audit_file() if audit_path is not None else None
-        self._listener: ServiceThread | None = None
+        self._listener: Listener | None = None
+        self._listener_thread: ServiceThread | None = None
         self._listen_sock: socket.socket | None = None
         self._endpoint: tuple[str, int] | None = None
         # -- QoS serving path (repro.qos) ------------------------------
@@ -495,7 +505,6 @@ class MyProxyServer:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(self.policy.listen_backlog)
-        sock.settimeout(0.2)
         self._listen_sock = sock
         self._endpoint = sock.getsockname()
 
@@ -517,35 +526,36 @@ class MyProxyServer:
                 self.policy.effective_qos_burst() * heaviest * _ANON_FANIN
             )
 
-        def _accept_loop(stop_event: threading.Event) -> None:
-            while not stop_event.is_set():
-                try:
-                    conn, addr = sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                peer = f"{addr[0]}:{addr[1]}"
-                if anon_rate > 0:
-                    retry = self._anon_limiter.check(addr[0], anon_rate, anon_burst)
-                    if retry > 0:
-                        self._shed_socket(conn, peer, "rate_limited", retry)
-                        continue
-                if not queue.offer((conn, peer)):
-                    self._shed_socket(
-                        conn, peer, "no_slots", queue.suggest_retry_after()
-                    )
+        def _on_accept(conn: socket.socket, addr: tuple) -> None:
+            peer = f"{addr[0]}:{addr[1]}"
+            if anon_rate > 0:
+                retry = self._anon_limiter.check(addr[0], anon_rate, anon_burst)
+                if retry > 0:
+                    self._shed_socket(conn, peer, "rate_limited", retry)
+                    return
+            if not queue.offer((conn, peer, None)):
+                self._shed_socket(conn, peer, "no_slots", queue.suggest_retry_after())
+
+        def _on_request(conn: socket.socket, peer: str, channel: SecureChannel) -> None:
+            if not queue.offer((conn, peer, channel)):
+                self._shed((conn, peer, channel), "no_slots", queue.suggest_retry_after())
+
+        # One selector thread owns the listening socket and every parked
+        # channel; workers only ever hold a connection with work on it.
+        self._listener = Listener(
+            sock,
+            idle_timeout=self.policy.connection_timeout,
+            on_accept=_on_accept,
+            on_request=_on_request,
+        )
 
         def _sweep_loop(stop_event: threading.Event) -> None:
             # Check often enough that a shed lands well within a deadline.
             interval = min(max(queue.deadline / 4.0, 0.02), 0.25)
             while not stop_event.wait(interval):
                 for ticket in queue.pop_expired():
-                    conn, peer = ticket.item
                     self._admission_wait_seconds.observe(ticket.waited)
-                    self._shed_socket(
-                        conn, peer, "queue_deadline", queue.suggest_retry_after()
-                    )
+                    self._shed(ticket.item, "queue_deadline", queue.suggest_retry_after())
 
         self._workers_stop.clear()
         self._workers = [
@@ -561,8 +571,8 @@ class MyProxyServer:
             worker.start()
         self._sweeper = ServiceThread(_sweep_loop, "myproxy-qos-sweeper")
         self._sweeper.start()
-        self._listener = ServiceThread(_accept_loop, "myproxy-listener")
-        self._listener.start()
+        self._listener_thread = ServiceThread(self._listener.run, "myproxy-listener")
+        self._listener_thread.start()
         logger.info(
             "MyProxy server listening on %s:%d (%d workers, queue depth %d)",
             *self._endpoint,
@@ -572,28 +582,60 @@ class MyProxyServer:
         return self._endpoint
 
     def _worker_loop(self, queue: AdmissionQueue, stop: threading.Event) -> None:
-        """Serve queued connections until told to stop."""
+        """Serve one request per queued item until told to stop: a new
+        connection's first turn, or the next turn on a parked channel."""
         while not stop.is_set():
             ticket = queue.take(timeout=0.2)
             if ticket is None:
                 continue
-            conn, peer = ticket.item
+            conn, peer, channel = ticket.item
             self._admission_wait_seconds.observe(ticket.waited)
             if ticket.expired:
-                self._shed_socket(
-                    conn, peer, "queue_deadline", queue.suggest_retry_after()
-                )
+                self._shed(ticket.item, "queue_deadline", queue.suggest_retry_after())
                 continue
             try:
-                conn.settimeout(self.policy.connection_timeout)
-                self.handle_link(SocketLink(conn))
+                if channel is None:
+                    conn.settimeout(self.policy.connection_timeout)
+                    channel = self._first_turn(SocketLink(conn))
+                else:
+                    channel = self._next_turn(channel)
             except Exception:
                 logger.exception("unhandled error serving %s", peer)
-            finally:
+                channel = None
+            listener = self._listener
+            if channel is not None and listener is not None:
+                listener.park(conn, peer, channel)
+            else:
+                if channel is not None:
+                    channel.close()
                 try:
                     conn.close()
                 except OSError:  # pragma: no cover - close is best-effort
                     pass
+
+    def _count_shed(self, peer: str, reason: str, retry_after: float) -> None:
+        self.stats.inc("shed")
+        self._shed_reason_total.labels(reason=reason).inc()
+        self.audit(
+            peer, "ADMISSION", "", "", False,
+            f"shed ({reason}); retry in {retry_after:.3f}s",
+            count_denial=False,
+        )
+
+    def _shed(self, item: tuple, reason: str, retry_after: float) -> None:
+        """Shed one admission-queue item: a new connection, or a parked
+        channel whose next request has arrived (answered with the
+        encrypted ``RESPONSE=2`` busy reply, then a close alert)."""
+        conn, peer, channel = item
+        if channel is None:
+            self._shed_socket(conn, peer, reason, retry_after)
+            return
+        self._count_shed(peer, reason, retry_after)
+        try:
+            channel.send(Response.busy_reply(retry_after).encode())
+        except TransportError:  # pragma: no cover - peer already gone
+            pass
+        channel.close(drain=True)
 
     def _shed_socket(
         self, conn: socket.socket, peer: str, reason: str, retry_after: float
@@ -604,51 +646,17 @@ class MyProxyServer:
         audited, and told when to come back — the busy notice rides the
         handshake framing, so the client surfaces it as
         :class:`~repro.util.errors.ServerBusyError` instead of a reset.
+        The close drains first, so a shed burst does not become an RST
+        storm.
         """
-        self.stats.inc("shed")
-        self._shed_reason_total.labels(reason=reason).inc()
-        self.audit(
-            peer, "ADMISSION", "", "", False,
-            f"shed ({reason}); retry in {retry_after:.3f}s",
-            count_denial=False,
-        )
+        self._count_shed(peer, reason, retry_after)
         try:
-            send_busy_notice(SocketLink(conn), retry_after)
+            link = SocketLink(conn)
         except OSError:  # pragma: no cover - peer already gone
-            pass
-        self._graceful_close(conn)
-
-    @staticmethod
-    def _graceful_close(conn: socket.socket) -> None:
-        """Drain-then-close so a shed burst does not become an RST storm.
-
-        A straight ``close()`` with unread bytes in the kernel receive
-        buffer — the client's hello usually landed before we decided to
-        shed — makes the kernel answer with RST, which clobbers the busy
-        notice still sitting in the send buffer.  Shut down our write
-        side, read off whatever the peer had in flight for a bounded
-        moment, then close.
-        """
-        try:
-            conn.shutdown(socket.SHUT_WR)
-        except OSError:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+            conn.close()
             return
-        try:
-            conn.settimeout(0.25)
-            for _ in range(8):  # bounded: a chatty peer must not pin us
-                if not conn.recv(4096):
-                    break
-        except OSError:
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+        send_busy_notice(link, retry_after)
+        link.close_gracefully()
 
     def start_metrics_endpoint(
         self, host: str = "127.0.0.1", port: int = 0
@@ -672,9 +680,11 @@ class MyProxyServer:
         return self._metrics_exporter.endpoint
 
     def stop(self, drain_timeout: float = 5.0) -> None:
-        if self._listener is not None:
-            self._listener.stop()
-            self._listener = None
+        # The selector closes every parked channel with a close alert on
+        # its way out; a channel a worker parks after that is closed too.
+        if self._listener_thread is not None:
+            self._listener_thread.stop()
+            self._listener_thread = None
         if self._listen_sock is not None:
             self._listen_sock.close()
             self._listen_sock = None
@@ -686,7 +696,7 @@ class MyProxyServer:
         # it as one (unlike a busy shed, which must not trigger failover).
         if self._admission is not None:
             for ticket in self._admission.close():
-                conn, _peer = ticket.item
+                conn, _peer, _channel = ticket.item
                 try:
                     conn.close()
                 except OSError:  # pragma: no cover - close is best-effort
@@ -704,6 +714,7 @@ class MyProxyServer:
                     worker.name, drain_timeout,
                 )
         self._workers = []
+        self._listener = None
         if self._owned_key_pool is not None:
             self._owned_key_pool.close()
         if self._metrics_exporter is not None:
@@ -814,7 +825,18 @@ class MyProxyServer:
                 phases[phase] = phases.get(phase, 0.0) + timer.elapsed
 
     def handle_link(self, link: Link) -> None:
-        """Serve one complete conversation on ``link`` (any transport)."""
+        """Serve one complete conversation on ``link`` (any transport),
+        then end the channel."""
+        channel = self._first_turn(link)
+        if channel is not None:
+            channel.close()
+
+    def _first_turn(self, link: Link) -> SecureChannel | None:
+        """Handshake, then serve the first request.
+
+        Returns the channel when it may carry another request (the caller
+        parks or closes it); otherwise the channel has already been ended.
+        """
         self.stats.inc("connections")
         self._qos_inflight.inc()
         self._phase_local.phases = {}
@@ -838,19 +860,49 @@ class MyProxyServer:
             except ReproError as exc:
                 self.stats.inc("handshake_failures")
                 self.audit("<unauthenticated>", "handshake", "", "", False, str(exc))
-                return
-            try:
-                if not self._admit_channel(channel):
-                    return
-                self._serve_channel(channel)
-            except (TransportError, ProtocolError) as exc:
-                self.audit(
-                    str(channel.peer.identity), "conversation", "", "", False, str(exc)
-                )
-            finally:
-                channel.close()
+                return None
+            return self._turn(channel)
         finally:
             self._qos_inflight.dec()
+
+    def _next_turn(self, channel: SecureChannel) -> SecureChannel | None:
+        """Serve the next request on a parked channel (no handshake).
+
+        Trust is re-checked first, exactly as a ticket redemption would
+        (DESIGN §6.5); a peer that no longer passes gets a close alert
+        and its request is never read.
+        """
+        self._qos_inflight.inc()
+        self._phase_local.phases = {}
+        try:
+            if not channel.still_trusted(self.validator):
+                channel.close(drain=True)
+                return None
+            return self._turn(channel)
+        finally:
+            self._qos_inflight.dec()
+
+    def _turn(self, channel: SecureChannel) -> SecureChannel | None:
+        """Admit and serve one request; the channel if it may be parked.
+
+        Only a successful command from an authenticated peer keeps the
+        channel.  Refusals, busy replies and protocol errors end it with a
+        close alert after the reply; an unexpected error drops the link
+        without one, so a client never mistakes it for "request unread".
+        """
+        try:
+            if not self._admit_channel(channel):
+                channel.close(drain=True)  # the request was left unread
+                return None
+            if self._serve_channel(channel):
+                return channel
+        except (TransportError, ProtocolError) as exc:
+            self.audit(_peer_name(channel.peer), "conversation", "", "", False, str(exc))
+        except BaseException:
+            channel.abort()
+            raise
+        channel.close()
+        return None
 
     def admit(self, peer: ValidatedIdentity | None) -> float:
         """Per-identity fairness, applied once a handshake names the peer.
@@ -891,7 +943,7 @@ class MyProxyServer:
         return 0.0
 
     def _admit_channel(self, channel: SecureChannel) -> bool:
-        """:meth:`admit` one GSI conversation, answering a refusal busy."""
+        """:meth:`admit` one GSI request, answering a refusal busy."""
         retry = self.admit(channel.peer)
         if retry <= 0:
             return True
@@ -932,9 +984,11 @@ class MyProxyServer:
         self.audit(peer, command, username, cred_name, False, detail)
         return refusal
 
-    def _serve_channel(self, channel: SecureChannel) -> None:
+    def _serve_channel(self, channel: SecureChannel) -> bool:
+        """Serve one request; True when the command succeeded for an
+        authenticated peer (the channel may then carry another)."""
         peer = channel.peer
-        peer_name = str(peer.identity) if peer is not None else "<anonymous>"
+        peer_name = _peer_name(peer)
         try:
             request = Request.decode(channel.recv())
         except ProtocolError as exc:
@@ -947,7 +1001,7 @@ class MyProxyServer:
                 request.command.name, request.username, request.cred_name,
             )
             channel.send(refusal.response().encode())
-            return
+            return False
         handler = {
             Command.PUT: self._do_put,
             Command.GET: self._do_get,
@@ -961,13 +1015,14 @@ class MyProxyServer:
         }[request.command]
         started = time.perf_counter()
         try:
-            handler(channel, peer, request)
+            succeeded = handler(channel, peer, request) is not False
         except REFUSABLE as exc:
             refusal = self.refuse(
                 exc, peer_name, request.command.name, request.username,
                 request.cred_name,
             )
             channel.send(refusal.response().encode())
+            succeeded = False
         finally:
             elapsed = time.perf_counter() - started
             self._request_seconds.labels(command=request.command.name).observe(elapsed)
@@ -979,6 +1034,7 @@ class MyProxyServer:
                 duration=elapsed,
                 phases=getattr(self._phase_local, "phases", None),
             )
+        return succeeded and peer is not None
 
     # ------------------------------------------------------------------
     # shared checks
@@ -1371,7 +1427,7 @@ class MyProxyServer:
 
     def _do_get_multi(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
+    ) -> bool:
         """Batched GET: many delegations over one handshake (one RTT of
         asymmetric crypto amortized across the batch — the portal shape
         of §3, where one web server fetches proxies for many users).
@@ -1380,11 +1436,13 @@ class MyProxyServer:
         does not abort the batch: each item gets its own Response (and, on
         success, its own delegation), so the client can pair outcomes
         positionally.  Each item is a single GET — batching changes
-        framing, never trust decisions.
+        framing, never trust decisions.  Returns False when any item was
+        refused, which ends the channel like any other refusal.
         """
         self.require_acl(self.policy.authorized_retrievers, peer)
         items = request.batch or ()
         channel.send(Response.success({"accepted": True, "count": len(items)}).encode())
+        all_served = True
         for item in items:
             sub = Request(
                 command=Command.GET,
@@ -1402,6 +1460,8 @@ class MyProxyServer:
                     item.cred_name,
                 )
                 channel.send(refusal.response().encode())
+                all_served = False
+        return all_served
 
     # ------------------------------------------------------------------
     # INFO / DESTROY / CHANGE_PASSPHRASE

@@ -97,25 +97,26 @@ class PortalLoginScenario(Scenario):
             user = self.target.new_user(f"portal{i:03d}")
             # Figure 1: delegate a one-week proxy into the repository —
             # through the protocol, so it works against any target.
-            myproxy_init_from_longterm(
-                self.target.client_for(user.credential),
-                user.credential,
-                username=user.name,
-                passphrase=self._passphrase(user.name),
-                key_source=self.target.key_source,
-            )
+            with self.target.client_for(user.credential) as client:
+                myproxy_init_from_longterm(
+                    client,
+                    user.credential,
+                    username=user.name,
+                    passphrase=self._passphrase(user.name),
+                    key_source=self.target.key_source,
+                )
             self._users.append(user)
         self._portal_cred = self.target.new_service_credential("loadgen-portal.example.org")
 
     def operation(self, index: int) -> None:
         user = self._users[index % len(self._users)]
         # A fresh client per login — every kiosk session dials anew.
-        client = self.target.client_for(self._portal_cred)
-        proxy = client.get_delegation(
-            username=user.name,
-            passphrase=self._passphrase(user.name),
-            lifetime=2 * 3600.0,
-        )
+        with self.target.client_for(self._portal_cred) as client:
+            proxy = client.get_delegation(
+                username=user.name,
+                passphrase=self._passphrase(user.name),
+                lifetime=2 * 3600.0,
+            )
         if str(proxy.certificate.subject.base_identity()) != str(user.dn):
             raise ReproError(f"delegation for {user.name} came back mis-issued")
 
@@ -145,13 +146,14 @@ class RenewalStormScenario(Scenario):
                 key_source=self.target.key_source,
                 clock=self.target.clock,
             )
-            self.target.client_for(owner.credential).put(
-                proxy,
-                username=owner.name,
-                passphrase=self._passphrase(owner.name),
-                lifetime=7 * 86400.0,
-                renewers=("*",),
-            )
+            with self.target.client_for(owner.credential) as client:
+                client.put(
+                    proxy,
+                    username=owner.name,
+                    passphrase=self._passphrase(owner.name),
+                    lifetime=7 * 86400.0,
+                    renewers=("*",),
+                )
             self._owners.append(owner)
         # Each agent's first proxy comes from a pass-phrase GET (the job
         # submission); after that, possession is the only secret held.
@@ -159,11 +161,12 @@ class RenewalStormScenario(Scenario):
         svc = self.target.new_service_credential("loadgen-agent.example.org")
         for i in range(self.n_agents):
             owner = self._owners[i % len(self._owners)]
-            current = self.target.client_for(svc).get_delegation(
-                username=owner.name,
-                passphrase=self._passphrase(owner.name),
-                lifetime=3600.0,
-            )
+            with self.target.client_for(svc) as client:
+                current = client.get_delegation(
+                    username=owner.name,
+                    passphrase=self._passphrase(owner.name),
+                    lifetime=3600.0,
+                )
             self._agents.append(
                 {"owner": owner, "proxy": current, "lock": threading.Lock()}
             )
@@ -172,12 +175,13 @@ class RenewalStormScenario(Scenario):
         agent = self._agents[index % len(self._agents)]
         with agent["lock"]:
             current = agent["proxy"]
-        fresh = self.target.client_for(current).get_delegation(
-            username=agent["owner"].name,
-            passphrase="",
-            lifetime=3600.0,
-            auth_method=AuthMethod.RENEWAL,
-        )
+        with self.target.client_for(current) as client:
+            fresh = client.get_delegation(
+                username=agent["owner"].name,
+                passphrase="",
+                lifetime=3600.0,
+                auth_method=AuthMethod.RENEWAL,
+            )
         with agent["lock"]:
             agent["proxy"] = fresh
 
@@ -199,15 +203,15 @@ class MixedCrudScenario(Scenario):
         self._lock = threading.Lock()
         for i in range(self.n_users):
             user = self.target.new_user(f"crud{i:03d}")
-            client = self.target.client_for(user.credential)
             # A long-lived "seed" entry keeps RETRIEVE/INFO meaningful
             # regardless of how the weighted stream interleaves.
-            client.store_longterm(
-                user.credential,
-                username=user.name,
-                passphrase=self._passphrase(user.name),
-                cred_name="seed",
-            )
+            with self.target.client_for(user.credential) as client:
+                client.store_longterm(
+                    user.credential,
+                    username=user.name,
+                    passphrase=self._passphrase(user.name),
+                    cred_name="seed",
+                )
             self._users.append(user)
             self._stored[user.name] = deque()
         # The op mix is drawn once, seeded — identical across runs.
@@ -220,8 +224,11 @@ class MixedCrudScenario(Scenario):
 
     def operation(self, index: int) -> None:
         user = self._users[index % len(self._users)]
+        with self.target.client_for(user.credential) as client:
+            self._operate(client, user, index)
+
+    def _operate(self, client, user, index: int) -> None:
         op = self._pick(index)
-        client = self.target.client_for(user.credential)
         passphrase = self._passphrase(user.name)
         if op == "destroy":
             with self._lock:
@@ -272,12 +279,13 @@ class RestrictedDelegationScenario(Scenario):
                 key_source=self.target.key_source,
                 clock=self.target.clock,
             )
-            self.target.client_for(user.credential).put(
-                restricted,
-                username=user.name,
-                passphrase=self._passphrase(user.name),
-                lifetime=7 * 86400.0,
-            )
+            with self.target.client_for(user.credential) as client:
+                client.put(
+                    restricted,
+                    username=user.name,
+                    passphrase=self._passphrase(user.name),
+                    lifetime=7 * 86400.0,
+                )
             self._users.append(user)
         self._retriever = self.target.new_service_credential(
             "loadgen-mediator.example.org"
@@ -285,11 +293,12 @@ class RestrictedDelegationScenario(Scenario):
 
     def operation(self, index: int) -> None:
         user = self._users[index % len(self._users)]
-        proxy = self.target.client_for(self._retriever).get_delegation(
-            username=user.name,
-            passphrase=self._passphrase(user.name),
-            lifetime=3600.0,
-        )
+        with self.target.client_for(self._retriever) as client:
+            proxy = client.get_delegation(
+                username=user.name,
+                passphrase=self._passphrase(user.name),
+                lifetime=3600.0,
+            )
         self.verify_restrictions(proxy)
 
     @staticmethod
@@ -388,14 +397,13 @@ class PortalSsoScenario(Scenario):
         if not out.get("ok"):
             raise ReproError(f"redemption refused: {out.get('error')}")
         # Job-style retrieval in the peer realm, with the one-shot secret.
-        proxy = self.target.client_for_realm(
-            self.peer_realm, self._job_cred
-        ).get_delegation(
-            username=out["username"],
-            passphrase=out["passphrase"],
-            cred_name=out["cred_name"],
-            lifetime=1800.0,
-        )
+        with self.target.client_for_realm(self.peer_realm, self._job_cred) as client:
+            proxy = client.get_delegation(
+                username=out["username"],
+                passphrase=out["passphrase"],
+                cred_name=out["cred_name"],
+                lifetime=1800.0,
+            )
         RestrictedDelegationScenario.verify_restrictions(proxy)
 
     def config(self) -> dict:

@@ -216,13 +216,14 @@ class GridPortal:
             )
         try:
             # Figure 3, steps 2 and 3.
-            proxy = self._myproxy_client(repository).get_delegation(
-                username=username,
-                passphrase=passphrase,
-                lifetime=lifetime,
-                cred_name=cred_name,
-                auth_method=auth_method,
-            )
+            with self._myproxy_client(repository) as client:
+                proxy = client.get_delegation(
+                    username=username,
+                    passphrase=passphrase,
+                    lifetime=lifetime,
+                    cred_name=cred_name,
+                    auth_method=auth_method,
+                )
         except ReproError as exc:
             logger.info("login failed for %r: %s", username, exc)
             return HttpResponse.html(

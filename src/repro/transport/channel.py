@@ -6,28 +6,37 @@ validated identity for authorization decisions (gridmap lookups, the
 MyProxy ACLs).
 
 Channels are full-duplex and safe for one reader plus one writer thread,
-matching the request/response protocols built on top.
+matching the request/response protocols built on top.  One channel may
+carry a sequence of request/response turns (PROTOCOL.md §6); the server
+side remembers what it needs to re-check trust before each later turn.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
 from repro.pki.validation import ChainValidator, ValidatedIdentity
 from repro.transport.handshake import HandshakeResult, client_handshake, server_handshake
-from repro.transport.links import Link, connect_tcp
+from repro.transport.links import HEADER_SIZE, Link, connect_tcp
 from repro.transport.records import ContentType
 from repro.transport.tickets import SessionTicket, SessionTicketManager, TicketStore
-from repro.util.errors import TransportError
+from repro.util.errors import TransportError, ValidationError
 
 _ALERT_CLOSE = b"close notify"
+
+
+class PeerClosedError(TransportError):
+    """The peer ended the channel with a close-notify alert."""
 
 
 class SecureChannel:
     """An authenticated, encrypted message channel over a :class:`Link`."""
 
-    def __init__(self, link: Link, result: HandshakeResult) -> None:
+    def __init__(
+        self, link: Link, result: HandshakeResult, trust_generation: int = 0
+    ) -> None:
         self._link = link
         #: ``None`` for an anonymous (browser-style) client, on the server side.
         self.peer: ValidatedIdentity | None = result.peer
@@ -36,6 +45,14 @@ class SecureChannel:
         #: ticket, and whether one was presented at all (hit/miss signal).
         self.resumed = result.resumed
         self.ticket_presented = result.ticket_presented
+        #: Server side: the validator's trust generation when the handshake
+        #: began, and the peer chain it proved (see :meth:`still_trusted`).
+        self.trust_generation = trust_generation
+        self._peer_chain_pem = result.peer_chain_pem
+        self._peer_chain: list[Certificate] | None = None
+        #: Application messages received so far; the client compares it
+        #: across a turn to tell "closed before replying" from a reply.
+        self.received = 0
         # Continue the handshake's record streams: their sequence numbers
         # already cover the Finished messages, so no AES-GCM nonce repeats.
         self._writer = result.writer
@@ -64,18 +81,52 @@ class SecureChannel:
                     raise TransportError("channel is closed")
                 ctype, payload = self._reader.open(self._link.recv_frame())
                 if ctype is ContentType.DATA:
+                    self.received += 1
                     return payload
                 if ctype is ContentType.ALERT:
                     self._closed = True
-                    raise TransportError(
+                    raise PeerClosedError(
                         f"peer closed channel: {payload.decode('utf-8', 'replace')}"
                     )
                 raise TransportError(f"unexpected record type {ctype} after handshake")
 
+    # -- reuse ----------------------------------------------------------------
+
+    def peer_closing(self) -> bool:
+        """Between turns: has the peer already ended this idle channel?
+
+        True at end of stream or when the next record is a close alert
+        (the record type travels in the clear).  Never blocks and consumes
+        nothing; a partly arrived record counts as not closing.
+        """
+        head = self._link.peek(HEADER_SIZE + 1)
+        return head is not None and (
+            head == b"" or (len(head) > HEADER_SIZE and head[HEADER_SIZE] == ContentType.ALERT)
+        )
+
+    def still_trusted(self, validator: ChainValidator) -> bool:
+        """Re-check the peer before serving another turn (server side).
+
+        Exactly the check a session-ticket redemption makes: the trust
+        generation must not have moved since the handshake, and the peer
+        chain must still validate (expiry, CRL) through the chain cache.
+        Anonymous peers never get a second turn.
+        """
+        if self.peer is None or validator.generation != self.trust_generation:
+            return False
+        try:
+            if self._peer_chain is None:
+                self._peer_chain = Certificate.list_from_pem(self._peer_chain_pem)
+            validator.validate(self._peer_chain)
+        except ValidationError:
+            return False
+        return True
+
     # -- lifecycle ------------------------------------------------------------
 
-    def close(self) -> None:
-        """Send a close alert (best effort) and shut the link."""
+    def notify_close(self) -> None:
+        """Send the close alert (best effort) but leave the link open, for
+        a caller that drains the link before shutting it."""
         with self._send_lock:
             if not self._closed:
                 self._closed = True
@@ -85,6 +136,24 @@ class SecureChannel:
                     )
                 except TransportError:
                     pass
+
+    def close(self, drain: bool = False) -> None:
+        """Send a close alert (best effort) and shut the link.
+
+        ``drain=True`` reads off what the peer still had in flight before
+        closing (:meth:`Link.close_gracefully`) — for a peer whose request
+        was left unread, so the alert is not clobbered by a reset.
+        """
+        self.notify_close()
+        if drain:
+            self._link.close_gracefully()
+        else:
+            self._link.close()
+
+    def abort(self) -> None:
+        """Shut the link without a close alert: the peer sees a transport
+        failure, never "closed before reading" (PROTOCOL.md §3.1)."""
+        self._closed = True
         self._link.close()
 
     def __enter__(self) -> SecureChannel:
@@ -148,6 +217,9 @@ def accept_secure(
     ticket_manager: SessionTicketManager | None = None,
 ) -> SecureChannel:
     """Open a channel as the accepting (server) side."""
+    # Read before the handshake: a trust change that races it only makes
+    # the next turn's re-check fail, never pass.
+    generation = validator.generation
     try:
         return SecureChannel(
             link,
@@ -158,6 +230,7 @@ def accept_secure(
                 allow_anonymous=allow_anonymous,
                 ticket_manager=ticket_manager,
             ),
+            generation,
         )
     except Exception:
         link.close()

@@ -124,6 +124,8 @@ class HandshakeResult:
     ticket_presented: bool = False
     #: The fresh ticket issued on this connection (client side only).
     new_ticket: SessionTicket | None = None
+    #: The chain the peer proved (server side), for re-checking it later.
+    peer_chain_pem: bytes = b""
 
 
 #: HF reason prefix announcing load shedding rather than a protocol fault.
@@ -538,6 +540,7 @@ def server_handshake(
         reader=reader,
         resumed=False,
         ticket_presented=bool(presented_ticket),
+        peer_chain_pem=client_chain_pem,
     )
 
 
@@ -590,6 +593,7 @@ def _server_resume(
         reader=reader,
         resumed=True,
         ticket_presented=True,
+        peer_chain_pem=chain_pem,
     )
 
 

@@ -16,6 +16,7 @@ length zero is reserved as the end-of-stream marker.
 from __future__ import annotations
 
 import queue
+import select
 import socket
 import struct
 import threading
@@ -23,6 +24,9 @@ import threading
 from repro.util.errors import TransportError
 
 _HEADER = struct.Struct(">I")
+
+HEADER_SIZE = _HEADER.size
+"""Bytes of length prefix in front of every frame."""
 
 MAX_FRAME = 64 * 1024 * 1024
 """Upper bound on a frame, to bound hostile allocations."""
@@ -39,6 +43,17 @@ class Link:
         raise NotImplementedError
 
     def close(self) -> None:
+        raise NotImplementedError
+
+    def close_gracefully(self) -> None:
+        """Close without clobbering what was just sent (see
+        :meth:`SocketLink.close_gracefully`)."""
+        self.close()
+
+    def peek(self, count: int) -> bytes | None:
+        """Up to ``count`` raw stream bytes already received, without
+        consuming them or blocking: ``None`` when nothing waits, ``b""``
+        at end of stream."""
         raise NotImplementedError
 
     def __enter__(self) -> Link:
@@ -88,12 +103,48 @@ class SocketLink(Link):
                 raise TransportError("connection closed by peer")
             return self._recv_exact(length)
 
+    def peek(self, count: int) -> bytes | None:
+        poller = select.poll()
+        poller.register(self._sock, select.POLLIN)
+        if not poller.poll(0):
+            return None
+        try:
+            return self._sock.recv(count, socket.MSG_PEEK)
+        except OSError:
+            return b""
+
     def close(self) -> None:
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
+
+    def close_gracefully(self) -> None:
+        """Drain-then-close so a refusal does not become an RST.
+
+        A straight ``close()`` with unread bytes in the kernel receive
+        buffer — the peer's hello or request usually landed before we
+        decided to refuse it — makes the kernel answer with RST, which
+        clobbers the reply still sitting in the send buffer.  Shut down
+        our write side, read off whatever the peer had in flight for a
+        bounded moment, then close.
+        """
+        sock = self._sock
+        try:
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            sock.close()
+            return
+        try:
+            sock.settimeout(0.25)
+            for _ in range(8):  # bounded: a chatty peer must not pin us
+                if not sock.recv(4096):
+                    break
+        except OSError:
+            pass
+        finally:
+            sock.close()
 
 
 class PipeLink(Link):

@@ -193,3 +193,45 @@ def tb_factory(clock, key_pool):
     yield _make
     for testbed in testbeds:
         testbed.close()
+
+
+REUSE_PASS = "correct horse 42"
+
+
+@pytest.fixture()
+def tcp_repository(ca, validator, clock, key_pool, alice):
+    """Factory for a TCP repository on the manual clock, already holding
+    alice's entry ``alice``.  Returns ``(server, client)`` where
+    ``client(credential, **kwargs)`` builds a :class:`MyProxyClient` for it.
+    """
+    from repro.core.client import MyProxyClient, myproxy_init_from_longterm
+    from repro.core.server import MyProxyServer
+
+    servers = []
+
+    def _make(policy=None, **server_kwargs):
+        server = MyProxyServer(
+            ca.issue_host_credential("repo.example.org", key=key_pool.new_key()),
+            validator,
+            clock=clock,
+            key_source=key_pool,
+            policy=policy,
+            **server_kwargs,
+        )
+        endpoint = server.start()
+        servers.append(server)
+
+        def client(credential, **kwargs):
+            return MyProxyClient(
+                endpoint, credential, validator, clock=clock, key_source=key_pool, **kwargs
+            )
+
+        with client(alice) as owner:
+            myproxy_init_from_longterm(
+                owner, alice, username="alice", passphrase=REUSE_PASS, key_source=key_pool
+            )
+        return server, client
+
+    yield _make
+    for server in servers:
+        server.stop()

@@ -130,6 +130,7 @@ class TestResumptionIntegration:
         client.get_delegation(username="alice", passphrase=PASS)
         assert client.stats.full_handshakes >= 1
         resumed_before = client.stats.resumed_handshakes
+        client.close()  # the next operation dials, whatever the transport
         client.get_delegation(username="alice", passphrase=PASS)
         assert client.stats.resumed_handshakes == resumed_before + 1
         assert _resumption_count(registry, "hit") >= 1
@@ -172,6 +173,7 @@ class TestResumptionIntegration:
         tb.myproxy_init(user, passphrase=PASS)
         client = tb.myproxy_client(user.credential)
         client.info(username="alice")
+        client.close()  # the next operation dials, whatever the transport
         client.info(username="alice")
         assert client.stats.resumed_handshakes == 0
         assert client.stats.full_handshakes == 2

@@ -1,0 +1,160 @@
+"""One authenticated channel, many requests: the channel's lifecycle.
+
+Between requests a kept channel sits in the server's selector, not on a
+worker; it ends on the server's idle timeout, on ``stop()``, or when the
+client's credential changes.  A stale channel the server never read a
+request from is redialled transparently; anything else is not.
+"""
+
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.core.client import RetryPolicy
+from repro.core.policy import ServerPolicy
+from repro.core.protocol import Command, Request, Response
+from repro.pki.proxy import create_proxy
+from repro.transport.channel import PeerClosedError, connect_secure
+from repro.util.concurrency import wait_for
+from repro.util.errors import ServerBusyError, TransportError
+
+
+class TestIdleChannelsHoldNoWorker:
+    def test_an_idle_channel_does_not_delay_another_client(
+        self, tcp_repository, clock, alice, bob, key_pool
+    ):
+        server, client = tcp_repository(max_concurrent_connections=1)
+        with client(bob) as bob_client:
+            bob_client.put(
+                create_proxy(bob, key_source=key_pool, clock=clock),
+                username="bob",
+                passphrase="staple battery 99",
+            )
+        idle_owner = client(alice)
+        idle_owner.info(username="alice")  # keeps its channel
+        started = time.monotonic()
+        with client(bob) as other:
+            assert other.info(username="bob")[0].owner == str(bob.identity)
+        # One worker, and it was free: nothing waited on alice's channel
+        # (the connection timeout is 30 s, the queue deadline 3 s).
+        assert time.monotonic() - started < 2.0
+        idle_owner.info(username="alice")
+        assert idle_owner.stats.dial_attempts == 1
+
+    def test_a_closing_peer_is_a_normal_end(self, tcp_repository, alice):
+        server, client = tcp_repository()
+        owner = client(alice)
+        owner.info(username="alice")
+        audited = len(server.audit_log())
+        owner.close()
+        time.sleep(0.2)  # the selector sees the close alert
+        assert len(server.audit_log()) == audited
+        assert server.stats.handshake_failures == 0
+
+
+class TestChannelEnds:
+    def test_idle_timeout_redials_transparently(self, tcp_repository, alice):
+        policy = ServerPolicy()
+        policy.connection_timeout = 0.3
+        server, client = tcp_repository(policy=policy)
+        owner = client(alice)
+        owner.info(username="alice")
+        time.sleep(0.8)  # the server has sent its close alert by now
+        assert owner.info(username="alice")[0].cred_name == "default"
+        assert owner.stats.dial_attempts == 2
+        assert owner.stats.transport_failures == 0
+
+    def test_stop_closes_parked_channels(self, tcp_repository, alice, validator):
+        server, client = tcp_repository()
+        channel = connect_secure(server.endpoint, alice, validator, timeout=5.0)
+        try:
+            channel.send(Request(command=Command.INFO, username="alice").encode())
+            assert Response.decode(channel.recv()).ok
+            server.stop()
+            with pytest.raises(PeerClosedError):
+                channel.recv()
+        finally:
+            channel.close()
+
+    def test_reassigning_the_credential_forces_a_dial(
+        self, tcp_repository, clock, alice, key_pool
+    ):
+        server, client = tcp_repository()
+        owner = client(alice)
+        owner.info(username="alice")
+        owner.info(username="alice")
+        assert owner.stats.dial_attempts == 1
+        owner.credential = create_proxy(alice, key_source=key_pool, clock=clock)
+        owner.info(username="alice")
+        assert owner.stats.dial_attempts == 2
+        assert owner.stats.resumed_handshakes == 0  # a new subject: no ticket
+
+
+class TestSharing:
+    def test_two_threads_share_one_client(self, tcp_repository, alice):
+        server, client = tcp_repository()
+        shared = client(alice)
+        failures = []
+
+        def run():
+            try:
+                for _ in range(50):
+                    rows = shared.info(username="alice")
+                    assert [(r.cred_name, r.owner) for r in rows] == [
+                        ("default", str(alice.identity))
+                    ]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
+        assert shared.stats.operations == 100
+        assert shared.stats.transport_failures == 0
+        assert shared.stats.dial_attempts < 100
+
+
+class TestFailuresOnAReusedChannel:
+    def test_queue_deadline_answers_a_parked_channel_busy(self, tcp_repository, alice):
+        policy = ServerPolicy()
+        policy.qos_queue_deadline = 0.2
+        policy.connection_timeout = 3.0
+        server, client = tcp_repository(policy=policy, max_concurrent_connections=1)
+        owner = client(alice, retry=RetryPolicy(busy_retries=0))
+        owner.info(username="alice")
+        # Pin the one worker in a handshake read, then ask again.
+        holder = socket.create_connection(server.endpoint)
+        try:
+            wait_for(lambda: server._qos_inflight.value == 1, message="worker pinned")
+            with pytest.raises(ServerBusyError):
+                owner.info(username="alice")
+        finally:
+            holder.close()
+        # The encrypted busy reply came on the kept channel, no dial.
+        assert owner.stats.dial_attempts == 1
+        assert server._shed_reason_total.labels(reason="queue_deadline").value == 1
+
+    def test_eof_during_destroy_is_not_replayed(self, tcp_repository, alice, monkeypatch):
+        server, client = tcp_repository()
+        owner = client(alice)
+        owner.info(username="alice")
+        calls = []
+        real_destroy = server.destroy
+
+        def destroy_then_crash(peer, request):
+            calls.append(request.cred_name)
+            real_destroy(peer, request)
+            raise RuntimeError("worker died after acting")
+
+        monkeypatch.setattr(server, "destroy", destroy_then_crash)
+        with pytest.raises(TransportError) as caught:
+            owner.destroy(username="alice")
+        assert not isinstance(caught.value, PeerClosedError)
+        assert calls == ["default"]  # acted on once, never replayed
+        assert owner.stats.dial_attempts == 1
+        assert owner.stats.transport_failures == 1
