@@ -17,45 +17,20 @@ Run as a smoke check: PYTHONPATH=src python benchmarks/bench_http_binding.py --s
 import argparse
 import itertools
 import json
-import socket
 import statistics
 import sys
-import threading
 import time
 
 import pytest
 
 from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
-from repro.transport.links import SocketLink
 from benchmarks.conftest import PASS
 
 
 @pytest.fixture(scope="module")
 def gateway(tcp_tb, registered_user):
     gw = MyProxyHttpGateway(tcp_tb.myproxy, key_source=tcp_tb.key_source)
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    sock.listen(16)
-    sock.settimeout(0.2)
-    stop = threading.Event()
-
-    def _loop():
-        while not stop.is_set():
-            try:
-                conn, _ = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=gw.handle_secure_link, args=(SocketLink(conn),), daemon=True
-            ).start()
-
-    thread = threading.Thread(target=_loop, daemon=True)
-    thread.start()
-    yield gw, sock.getsockname()
-    stop.set()
-    sock.close()
+    return gw, gw.serve("127.0.0.1", 0)
 
 
 @pytest.fixture(scope="module")
@@ -160,49 +135,46 @@ def main(argv=None) -> int:
         endpoint = gw.serve("127.0.0.1", 0)
         layers: dict[str, dict] = {}
         started = time.perf_counter()
-        try:
-            # -- GET: native channel vs HTTP binding --------------------
-            channel_client = tb.myproxy_client(requester.credential)
-            layers["channel_get"] = _stats(_timed(
-                lambda: channel_client.get_delegation(
-                    username="alice", passphrase=PASS, lifetime=3600
-                ), iters,
-            ))
-            http_client = HttpMyProxyClient(
-                endpoint, requester.credential, tb.validator,
-                key_source=tb.key_source,
-            )
-            layers["http_get"] = _stats(_timed(
-                lambda: http_client.get_delegation(
-                    username="alice", passphrase=PASS, lifetime=3600
-                ), iters,
-            ))
+        # -- GET: native channel vs HTTP binding --------------------
+        channel_client = tb.myproxy_client(requester.credential)
+        layers["channel_get"] = _stats(_timed(
+            lambda: channel_client.get_delegation(
+                username="alice", passphrase=PASS, lifetime=3600
+            ), iters,
+        ))
+        http_client = HttpMyProxyClient(
+            endpoint, requester.credential, tb.validator,
+            key_source=tb.key_source,
+        )
+        layers["http_get"] = _stats(_timed(
+            lambda: http_client.get_delegation(
+                username="alice", passphrase=PASS, lifetime=3600
+            ), iters,
+        ))
 
-            # -- deposit: two-request HTTP PUT vs three-request CDP -----
-            putter = tb.new_user("httpputter")
-            put_client = HttpMyProxyClient(
-                endpoint, putter.credential, tb.validator,
-                key_source=tb.key_source,
-            )
-            counter = itertools.count()
-            layers["http_put"] = _stats(_timed(
-                lambda: put_client.put(
-                    putter.credential, username="httpputter", passphrase=PASS,
-                    lifetime=86400.0, cred_name=f"h{next(counter)}",
-                ), iters,
-            ))
-            cdp_client = CdpClient(
-                endpoint, putter.credential, tb.validator,
-                key_source=tb.key_source,
-            )
-            layers["cdp_delegate"] = _stats(_timed(
-                lambda: cdp_client.delegate(
-                    putter.credential, username="httpputter", passphrase=PASS,
-                    lifetime=86400.0, cred_name=f"c{next(counter)}",
-                ), iters,
-            ))
-        finally:
-            gw.web.stop()
+        # -- deposit: two-request HTTP PUT vs three-request CDP -----
+        putter = tb.new_user("httpputter")
+        put_client = HttpMyProxyClient(
+            endpoint, putter.credential, tb.validator,
+            key_source=tb.key_source,
+        )
+        counter = itertools.count()
+        layers["http_put"] = _stats(_timed(
+            lambda: put_client.put(
+                putter.credential, username="httpputter", passphrase=PASS,
+                lifetime=86400.0, cred_name=f"h{next(counter)}",
+            ), iters,
+        ))
+        cdp_client = CdpClient(
+            endpoint, putter.credential, tb.validator,
+            key_source=tb.key_source,
+        )
+        layers["cdp_delegate"] = _stats(_timed(
+            lambda: cdp_client.delegate(
+                putter.credential, username="httpputter", passphrase=PASS,
+                lifetime=86400.0, cred_name=f"c{next(counter)}",
+            ), iters,
+        ))
         duration = time.perf_counter() - started
 
     ratios = {

@@ -10,7 +10,6 @@ Run:  python examples/deployment_tour.py
 """
 
 import tempfile
-import threading
 from pathlib import Path
 
 from repro.core.admin import MaintenanceAgent, RepositoryAdmin
@@ -24,8 +23,6 @@ from repro.gsi.acl import AccessControlList
 from repro.pki.ca import CertificateAuthority
 from repro.pki.names import DistinguishedName
 from repro.pki.trustdir import TrustDirectory
-from repro.transport.links import SocketLink
-import socket
 
 PASS = "correct horse battery 42"
 
@@ -72,25 +69,8 @@ def main() -> None:
     )
     print("alice delegated a renewable one-week credential (channel protocol)")
 
-    # -- 4. the §6.4 HTTP binding serves the same store --------------------------
-    gateway = MyProxyHttpGateway(server)
-    gw_sock = socket.socket()
-    gw_sock.bind(("127.0.0.1", 0))
-    gw_sock.listen(8)
-    gw_endpoint = gw_sock.getsockname()
-
-    def gw_loop():
-        while True:
-            try:
-                conn, _ = gw_sock.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=gateway.handle_secure_link, args=(SocketLink(conn),),
-                daemon=True,
-            ).start()
-
-    threading.Thread(target=gw_loop, daemon=True).start()
+    # -- 4. the §6.4 HTTP binding serves the same store, stopped with it ------------
+    gw_endpoint = MyProxyHttpGateway(server).serve("127.0.0.1", 0)
     portal_cred = ca.issue_host_credential("portal.examplegrid.org")
     http_client = HttpMyProxyClient(gw_endpoint, portal_cred, validator)
     proxy = http_client.get_delegation(username="alice", passphrase=PASS,
@@ -122,7 +102,6 @@ def main() -> None:
         print(f"  {'OK ' if record.ok else 'DENY'} {record.command:<8} "
               f"{record.username:<8} peer={record.peer}")
 
-    gw_sock.close()
     server.stop()
     server.repository.close()
 

@@ -227,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
             server.cluster_role = "member"
             server.cluster_peers = cluster_cfg.peer_names()
         host, port = server.start(args.host, args.port)
-        extra_listeners = []
         if policy.federation_enabled:
             from repro.core.httpbinding import MyProxyHttpGateway
             from repro.federation.cdp import CdpService
@@ -242,7 +241,6 @@ def main(argv: list[str] | None = None) -> int:
             http_gateway = MyProxyHttpGateway(server)
             CdpService(http_gateway)
             fhost, fport = http_gateway.serve(args.host, args.federation_port)
-            extra_listeners.append(http_gateway.web)
             print(
                 f"federation realm {policy.realm_name!r}: HTTPS binding + "
                 f"CDP at https://{fhost}:{fport}/cdp/*"
@@ -261,8 +259,6 @@ def main(argv: list[str] | None = None) -> int:
             while True:
                 time.sleep(3600)
         finally:
-            for listener in extra_listeners:
-                listener.stop()
             server.stop()
 
     return run_tool(_body, args)

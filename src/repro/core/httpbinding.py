@@ -17,8 +17,10 @@ encoding.
 
 Transport security is the same GSI channel (the gateway **requires client
 certificates** — no anonymous access), so the §5.1 properties carry over
-unchanged.  The delegation sub-protocols are recast in request/response
-shape, the way later HTTP credential services (e.g. CILogon) did:
+unchanged, and so does the connection lifecycle: the gateway is a binding
+of :meth:`~repro.core.server.MyProxyServer.listen`.  The delegation
+sub-protocols are recast in request/response shape, the way later HTTP
+credential services (e.g. CILogon) did:
 
 - ``POST /myproxy/get`` — the client generates a key pair locally and
   sends a *certificate signing request* (public key + proof-of-possession
@@ -53,7 +55,7 @@ from repro.pki.credentials import Credential
 from repro.pki.keys import FreshKeySource, KeyPair, KeySource, PublicKey
 from repro.pki.proxy import sign_proxy_request
 from repro.pki.validation import ValidatedIdentity
-from repro.transport.links import SocketLink
+from repro.transport.channel import SecureChannel
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import (
     AuthenticationError,
@@ -248,6 +250,9 @@ class PendingDelegations:
 class MyProxyHttpGateway:
     """HTTP front end for a :class:`MyProxyServer`'s repository."""
 
+    #: Client certificates are required (see :meth:`MyProxyServer.listen`).
+    allows_anonymous = False
+
     def __init__(
         self,
         server: MyProxyServer,
@@ -256,12 +261,7 @@ class MyProxyHttpGateway:
     ) -> None:
         self.server = server
         self.key_source = key_source or server.key_source or FreshKeySource()
-        self.web = WebServer(
-            "myproxy-http",
-            clock=server.clock,
-            credential=server.credential,
-            validator=server.validator,
-        )
+        self.web = WebServer("myproxy-http", clock=server.clock)
         self._put_sessions = PendingDelegations(
             server.clock, PUT_SESSION_TTL, "PUT session"
         )
@@ -290,15 +290,23 @@ class MyProxyHttpGateway:
     # ------------------------------------------------------------------
 
     def handle_secure_link(self, link) -> None:
-        """Serve one HTTPS connection (client certificates required)."""
-        self.web.handle_secure_link(link, allow_anonymous=False)
+        """Serve one HTTPS connection until it ends."""
+        self.server.serve_link(link, self)
 
     def serve(self, host: str, port: int) -> tuple[str, int]:
-        """Listen for HTTPS connections on ``host:port`` (client certs
-        required).  Returns the bound address."""
-        return self.web.listen(
-            host, port, lambda conn: self.handle_secure_link(SocketLink(conn)), "https"
-        )
+        """Listen for HTTPS connections on ``host:port`` beside the
+        server's own; returns the bound address."""
+        return self.server.listen(host, port, self)
+
+    def answer(self, channel: SecureChannel, message: bytes) -> bool:
+        """Answer one HTTP request; the connection is kept after any
+        reply.  No browser session is minted: a request is authorized by
+        its channel's client certificate alone."""
+        channel.send(self.web.answer(message, peer=channel.peer, sessions=False))
+        return True
+
+    def busy_reply(self, retry_after: float) -> bytes:
+        return _render(Refusal("busy", "busy", retry_after)).serialize()
 
     def add_json_route(self, path: str, op, *, audit_command: str = "HTTP") -> None:
         """Mount an authenticated JSON op at ``POST path``.
@@ -322,11 +330,6 @@ class MyProxyHttpGateway:
             outcome = "error"
             try:
                 peer = ctx.peer
-                if not isinstance(peer, ValidatedIdentity):
-                    outcome = "unauthenticated"
-                    return HttpResponse.json(
-                        {"ok": False, "error": "client certificate required"}, 401
-                    )
                 # Per request, not per connection: one kept-alive
                 # connection may carry any number of requests.
                 retry = server.admit(peer)

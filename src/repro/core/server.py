@@ -41,7 +41,10 @@ methods — :meth:`MyProxyServer.admit`, :meth:`~MyProxyServer.refuse`,
 :meth:`~MyProxyServer.change_passphrase`.  The GSI dispatcher below and
 the §6.4 HTTP/CDP gateway (:mod:`repro.core.httpbinding`) are codecs over
 them: each decodes its request, runs its own key-exchange step (delegation
-over the channel, or a CSR over HTTP) and encodes the reply.
+over the channel, or a CSR over HTTP) and encodes the reply.  Both are
+also *bindings* of one connection path (:meth:`MyProxyServer.listen`):
+the same handshake, per-request trust re-check, admission, parking and
+idle timeout serve either protocol's connections.
 """
 
 from __future__ import annotations
@@ -436,7 +439,6 @@ class MyProxyServer:
         self._audit_file = self._open_audit_file() if audit_path is not None else None
         self._listener: Listener | None = None
         self._listener_thread: ServiceThread | None = None
-        self._listen_sock: socket.socket | None = None
         self._endpoint: tuple[str, int] | None = None
         # -- QoS serving path (repro.qos) ------------------------------
         # A fixed pool of this many workers drains a bounded admission
@@ -492,22 +494,40 @@ class MyProxyServer:
     # ------------------------------------------------------------------
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Listen on TCP and serve until :meth:`stop`.  Returns endpoint.
+        """Listen for GSI connections on TCP and serve until :meth:`stop`.
+        Returns the endpoint."""
+        self._endpoint = self.listen(host, port, self)
+        return self._endpoint
 
-        Serving is a fixed pool of ``max_concurrent_connections`` workers
-        fed by a bounded admission queue (see :mod:`repro.qos`): the
-        accept loop only ever classifies and enqueues, workers do the
-        crypto, and a sweeper sheds entries that overrun the queue
-        deadline while every worker is pinned.  Anything refused on this
-        path gets a busy notice naming a retry time — never a bare close.
+    def listen(self, host: str, port: int, binding) -> tuple[str, int]:
+        """Accept ``binding``'s connections on ``host:port``; returns the
+        bound endpoint.
+
+        A binding (this server for GSI, an HTTP gateway for §6.4) supplies
+        ``allows_anonymous``, ``answer(channel, message)`` — serve one
+        request, True to keep the connection — and ``busy_reply``.  The
+        rest is shared: one selector that only classifies and enqueues,
+        one bounded admission queue (see :mod:`repro.qos`) drained by
+        ``max_concurrent_connections`` workers that do the crypto, a
+        sweeper that sheds entries past the queue deadline, one idle
+        timeout and one :meth:`stop`.  Anything refused on this path gets
+        a busy notice naming a retry time — never a bare close.
         """
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(self.policy.listen_backlog)
-        self._listen_sock = sock
-        self._endpoint = sock.getsockname()
+        if self._listener is None:
+            self._start_serving()
+        self._listener.listen(sock, binding)
+        endpoint = sock.getsockname()
+        logger.info(
+            "%s listening on %s:%d (%d workers, queue depth %d)", type(binding).__name__,
+            *endpoint, self.max_concurrent_connections, self.policy.qos_queue_depth,
+        )
+        return endpoint
 
+    def _start_serving(self) -> None:
         queue = AdmissionQueue(
             self.policy.qos_queue_depth,
             self.policy.qos_queue_deadline,
@@ -517,7 +537,7 @@ class MyProxyServer:
 
         # Pre-handshake flood brake: per peer address, deliberately loose
         # (_ANON_FANIN × the heaviest class) because the DN is not known
-        # yet — fairness proper happens post-handshake in _admit_channel.
+        # yet — fairness proper happens post-handshake in admit().
         anon_rate = anon_burst = 0.0
         if self.policy.qos_rate > 0:
             heaviest = self._class_map.max_weight()
@@ -526,24 +546,23 @@ class MyProxyServer:
                 self.policy.effective_qos_burst() * heaviest * _ANON_FANIN
             )
 
-        def _on_accept(conn: socket.socket, addr: tuple) -> None:
+        def _on_accept(conn: socket.socket, addr: tuple, binding) -> None:
             peer = f"{addr[0]}:{addr[1]}"
             if anon_rate > 0:
                 retry = self._anon_limiter.check(addr[0], anon_rate, anon_burst)
                 if retry > 0:
                     self._shed_socket(conn, peer, "rate_limited", retry)
                     return
-            if not queue.offer((conn, peer, None)):
+            if not queue.offer((conn, peer, None, binding)):
                 self._shed_socket(conn, peer, "no_slots", queue.suggest_retry_after())
 
-        def _on_request(conn: socket.socket, peer: str, channel: SecureChannel) -> None:
-            if not queue.offer((conn, peer, channel)):
-                self._shed((conn, peer, channel), "no_slots", queue.suggest_retry_after())
+        def _on_request(*item) -> None:  # (conn, peer, channel, binding)
+            if not queue.offer(item):
+                self._shed(item, "no_slots", queue.suggest_retry_after())
 
-        # One selector thread owns the listening socket and every parked
+        # One selector thread owns every listening socket and every parked
         # channel; workers only ever hold a connection with work on it.
         self._listener = Listener(
-            sock,
             idle_timeout=self.policy.connection_timeout,
             on_accept=_on_accept,
             on_request=_on_request,
@@ -573,13 +592,6 @@ class MyProxyServer:
         self._sweeper.start()
         self._listener_thread = ServiceThread(self._listener.run, "myproxy-listener")
         self._listener_thread.start()
-        logger.info(
-            "MyProxy server listening on %s:%d (%d workers, queue depth %d)",
-            *self._endpoint,
-            self.max_concurrent_connections,
-            self.policy.qos_queue_depth,
-        )
-        return self._endpoint
 
     def _worker_loop(self, queue: AdmissionQueue, stop: threading.Event) -> None:
         """Serve one request per queued item until told to stop: a new
@@ -588,7 +600,7 @@ class MyProxyServer:
             ticket = queue.take(timeout=0.2)
             if ticket is None:
                 continue
-            conn, peer, channel = ticket.item
+            conn, peer, channel, binding = ticket.item
             self._admission_wait_seconds.observe(ticket.waited)
             if ticket.expired:
                 self._shed(ticket.item, "queue_deadline", queue.suggest_retry_after())
@@ -596,15 +608,15 @@ class MyProxyServer:
             try:
                 if channel is None:
                     conn.settimeout(self.policy.connection_timeout)
-                    channel = self._first_turn(SocketLink(conn))
+                    channel = self._first_turn(SocketLink(conn), binding)
                 else:
-                    channel = self._next_turn(channel)
+                    channel = self._next_turn(channel, binding)
             except Exception:
                 logger.exception("unhandled error serving %s", peer)
                 channel = None
             listener = self._listener
             if channel is not None and listener is not None:
-                listener.park(conn, peer, channel)
+                listener.park(conn, peer, channel, binding)
             else:
                 if channel is not None:
                     channel.close()
@@ -624,15 +636,16 @@ class MyProxyServer:
 
     def _shed(self, item: tuple, reason: str, retry_after: float) -> None:
         """Shed one admission-queue item: a new connection, or a parked
-        channel whose next request has arrived (answered with the
-        encrypted ``RESPONSE=2`` busy reply, then a close alert)."""
-        conn, peer, channel = item
+        channel whose next request has arrived (answered with its
+        binding's busy reply — GSI ``RESPONSE=2``, HTTP's JSON 503 — then
+        a close alert)."""
+        conn, peer, channel, binding = item
         if channel is None:
             self._shed_socket(conn, peer, reason, retry_after)
             return
         self._count_shed(peer, reason, retry_after)
         try:
-            channel.send(Response.busy_reply(retry_after).encode())
+            channel.send(binding.busy_reply(retry_after))
         except TransportError:  # pragma: no cover - peer already gone
             pass
         channel.close(drain=True)
@@ -680,14 +693,12 @@ class MyProxyServer:
         return self._metrics_exporter.endpoint
 
     def stop(self, drain_timeout: float = 5.0) -> None:
-        # The selector closes every parked channel with a close alert on
-        # its way out; a channel a worker parks after that is closed too.
+        # The selector closes every listening socket, and every parked
+        # channel with a close alert, on its way out; a channel a worker
+        # parks after that is closed too.
         if self._listener_thread is not None:
             self._listener_thread.stop()
             self._listener_thread = None
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-            self._listen_sock = None
         if self._sweeper is not None:
             self._sweeper.stop()
             self._sweeper = None
@@ -696,9 +707,8 @@ class MyProxyServer:
         # it as one (unlike a busy shed, which must not trigger failover).
         if self._admission is not None:
             for ticket in self._admission.close():
-                conn, _peer, _channel = ticket.item
                 try:
-                    conn.close()
+                    ticket.item[0].close()
                 except OSError:  # pragma: no cover - close is best-effort
                     pass
             self._admission = None
@@ -825,13 +835,20 @@ class MyProxyServer:
                 phases[phase] = phases.get(phase, 0.0) + timer.elapsed
 
     def handle_link(self, link: Link) -> None:
-        """Serve one complete conversation on ``link`` (any transport),
-        then end the channel."""
-        channel = self._first_turn(link)
+        """Serve one complete GSI conversation on ``link`` (any
+        transport), then end the channel."""
+        channel = self._first_turn(link, self)
         if channel is not None:
             channel.close()
 
-    def _first_turn(self, link: Link) -> SecureChannel | None:
+    def serve_link(self, link: Link, binding) -> None:
+        """Serve ``binding``'s requests on ``link`` until the channel ends:
+        the TCP path's turns, blocking, for links no selector can watch."""
+        channel = self._first_turn(link, binding)
+        while channel is not None:
+            channel = self._next_turn(channel, binding)
+
+    def _first_turn(self, link: Link, binding) -> SecureChannel | None:
         """Handshake, then serve the first request.
 
         Returns the channel when it may carry another request (the caller
@@ -847,7 +864,7 @@ class MyProxyServer:
                         link,
                         self.credential,
                         self.validator,
-                        allow_anonymous=self.policy.allow_anonymous_trustroots,
+                        allow_anonymous=binding.allows_anonymous,
                         ticket_manager=self.ticket_manager,
                     )
                 if channel.resumed:
@@ -861,40 +878,46 @@ class MyProxyServer:
                 self.stats.inc("handshake_failures")
                 self.audit("<unauthenticated>", "handshake", "", "", False, str(exc))
                 return None
-            return self._turn(channel)
+            return self._turn(channel, binding)
         finally:
             self._qos_inflight.dec()
 
-    def _next_turn(self, channel: SecureChannel) -> SecureChannel | None:
-        """Serve the next request on a parked channel (no handshake).
+    def _next_turn(self, channel: SecureChannel, binding) -> SecureChannel | None:
+        """Serve the next request on a kept channel (no handshake).
 
-        Trust is re-checked first, exactly as a ticket redemption would
-        (DESIGN §6.5); a peer that no longer passes gets a close alert
-        and its request is never read.
+        Read the request, then re-check trust exactly as a ticket
+        redemption would (DESIGN §6.5), so a change that landed while the
+        channel idled is seen; a peer that fails gets a close alert and
+        its request is not acted on.  A peer that goes away between
+        requests is a normal end, neither audited nor counted.
         """
+        try:
+            message = channel.recv()
+        except TransportError:
+            channel.close()
+            return None
         self._qos_inflight.inc()
         self._phase_local.phases = {}
         try:
             if not channel.still_trusted(self.validator):
-                channel.close(drain=True)
+                channel.close()
                 return None
-            return self._turn(channel)
+            return self._turn(channel, binding, message)
         finally:
             self._qos_inflight.dec()
 
-    def _turn(self, channel: SecureChannel) -> SecureChannel | None:
-        """Admit and serve one request; the channel if it may be parked.
+    def _turn(
+        self, channel: SecureChannel, binding, message: bytes | None = None
+    ) -> SecureChannel | None:
+        """Have ``binding`` answer one request (read here on a first turn);
+        the channel if the binding keeps it.
 
-        Only a successful command from an authenticated peer keeps the
-        channel.  Refusals, busy replies and protocol errors end it with a
-        close alert after the reply; an unexpected error drops the link
-        without one, so a client never mistakes it for "request unread".
+        A transport or protocol error ends the channel with a close alert;
+        an unexpected error drops the link without one, so a client never
+        mistakes it for "request not acted on" (PROTOCOL.md §3.1).
         """
         try:
-            if not self._admit_channel(channel):
-                channel.close(drain=True)  # the request was left unread
-                return None
-            if self._serve_channel(channel):
+            if binding.answer(channel, channel.recv() if message is None else message):
                 return channel
         except (TransportError, ProtocolError) as exc:
             self.audit(_peer_name(channel.peer), "conversation", "", "", False, str(exc))
@@ -913,8 +936,7 @@ class MyProxyServer:
         DN gets proportionally more admission budget than one interactive
         user (§3's many-users-behind-one-portal shape).  A refusal bills
         the noisy identity's bucket alone, and is counted and audited as
-        a shed, not a denial.  The GSI binding admits each conversation;
-        the HTTP binding admits each request.
+        a shed, not a denial.  Both bindings admit each request.
         """
         if peer is None:
             # Anonymous TRUSTROOTS channels have no DN to bill; in TCP
@@ -941,17 +963,6 @@ class MyProxyServer:
                 return retry
         self._qos_admitted_total.labels(qclass=qclass.name).inc()
         return 0.0
-
-    def _admit_channel(self, channel: SecureChannel) -> bool:
-        """:meth:`admit` one GSI request, answering a refusal busy."""
-        retry = self.admit(channel.peer)
-        if retry <= 0:
-            return True
-        try:
-            channel.send(Response.busy_reply(retry).encode())
-        except TransportError:  # pragma: no cover - peer gone
-            pass
-        return False
 
     def refuse(
         self,
@@ -984,13 +995,34 @@ class MyProxyServer:
         self.audit(peer, command, username, cred_name, False, detail)
         return refusal
 
-    def _serve_channel(self, channel: SecureChannel) -> bool:
-        """Serve one request; True when the command succeeded for an
-        authenticated peer (the channel may then carry another)."""
+    # ------------------------------------------------------------------
+    # the GSI binding (see listen)
+    # ------------------------------------------------------------------
+
+    @property
+    def allows_anonymous(self) -> bool:
+        """Anonymous peers may connect (for TRUSTROOTS only) if policy allows."""
+        return self.policy.allow_anonymous_trustroots
+
+    def busy_reply(self, retry_after: float) -> bytes:
+        return Response.busy_reply(retry_after).encode()
+
+    def answer(self, channel: SecureChannel, message: bytes) -> bool:
+        """Admit and serve one request; True when the channel may carry
+        another.
+
+        Only a successful command from an authenticated peer keeps the
+        channel.  A refusal, a busy reply or a protocol error ends it
+        with a close alert after the reply.
+        """
         peer = channel.peer
+        retry = self.admit(peer)
+        if retry > 0:
+            channel.send(self.busy_reply(retry))
+            return False
         peer_name = _peer_name(peer)
         try:
-            request = Request.decode(channel.recv())
+            request = Request.decode(message)
         except ProtocolError as exc:
             channel.send(Response.failure(f"bad request: {exc}").encode())
             raise

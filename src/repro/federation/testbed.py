@@ -115,7 +115,6 @@ class FederatedTestbed:
                 cdp_target: object = _PipeTarget(http_gateway.handle_secure_link)
             else:
                 cdp_target = http_gateway.serve("127.0.0.1", 0)
-                self._started.append(http_gateway.web)
             portal = tb.new_portal(f"portal-{name}")
             authority = SsoAuthority(
                 realm=name,

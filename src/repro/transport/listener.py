@@ -1,9 +1,10 @@
 """The one thread that owns every socket no worker is serving.
 
-A server's listening socket and its *parked* channels — authenticated
+A server's listening sockets and its *parked* channels — authenticated
 channels idle between two requests (PROTOCOL.md §6) — all sit in one
-selector here.  New connections go to ``on_accept``; a parked channel
-whose next request arrives goes to ``on_request``; both callbacks only
+selector here, each tagged with the *binding* (GSI or §6.4 HTTP) that
+serves it.  New connections go to ``on_accept``; a parked channel whose
+next request arrives goes to ``on_request``; both callbacks only
 classify and enqueue, so the thread never does crypto and no worker ever
 blocks on an idle peer.  A parked channel costs a file descriptor, not a
 thread.
@@ -40,44 +41,51 @@ class _Parked:
     conn: socket.socket
     peer: str
     channel: SecureChannel
+    binding: object
     deadline: float
 
 
 class Listener:
-    """Selector loop over a listening socket and the parked channels.
+    """Selector loop over the listening sockets and the parked channels.
 
     ``run`` is a :class:`~repro.util.concurrency.ServiceThread` target;
-    :meth:`park` may be called from any thread.  When ``run`` returns,
-    every parked channel has been closed with a close alert, and a
-    channel parked later is closed at once.
+    :meth:`listen` and :meth:`park` may be called from any thread.  When
+    ``run`` returns, every listening socket is closed, every parked
+    channel has been closed with a close alert, and a channel parked
+    later is closed at once.
     """
 
     def __init__(
         self,
-        sock: socket.socket,
         *,
         idle_timeout: float,
-        on_accept: Callable[[socket.socket, tuple], None],
-        on_request: Callable[[socket.socket, str, SecureChannel], None],
+        on_accept: Callable[[socket.socket, tuple, object], None],
+        on_request: Callable[[socket.socket, str, SecureChannel, object], None],
     ) -> None:
-        sock.setblocking(False)
-        self._sock = sock
         self._idle_timeout = idle_timeout
         self._on_accept = on_accept
         self._on_request = on_request
         self._selector = selectors.DefaultSelector()
-        self._selector.register(sock, selectors.EVENT_READ)
-        # Guards the selector's registrations and both tables below.
-        # Both tables are in deadline order: every entry gets the same
-        # timeout from when it was added.
+        # Guards the selector's registrations and the tables below.
+        # ``_idle`` and ``_draining`` are in deadline order: every entry
+        # gets the same timeout from when it was added.
         self._lock = threading.Lock()
+        self._listening: list[socket.socket] = []
         self._idle: OrderedDict[socket.socket, _Parked] = OrderedDict()
         self._draining: OrderedDict[socket.socket, float] = OrderedDict()
         self._closed = False
 
     # -- any thread ------------------------------------------------------
 
-    def park(self, conn: socket.socket, peer: str, channel: SecureChannel) -> None:
+    def listen(self, sock: socket.socket, binding: object) -> None:
+        """Accept connections for ``binding`` on the listening ``sock``."""
+        sock.setblocking(False)
+        with self._lock:
+            # A listening socket's key carries its binding; a parked channel's, none.
+            self._selector.register(sock, selectors.EVENT_READ, binding)
+            self._listening.append(sock)
+
+    def park(self, conn: socket.socket, peer: str, channel: SecureChannel, binding: object) -> None:
         """Hand an idle channel to the selector until its next request.
 
         The worker registers it itself: epoll and kqueue pick up a
@@ -93,7 +101,7 @@ class Listener:
                     channel.abort()  # already dead
                     return
                 deadline = time.monotonic() + self._idle_timeout
-                self._idle[conn] = _Parked(conn, peer, channel, deadline)
+                self._idle[conn] = _Parked(conn, peer, channel, binding, deadline)
                 return
         channel.close()
 
@@ -103,17 +111,20 @@ class Listener:
         try:
             while not stop.is_set():
                 for key, _ in self._selector.select(self._wait()):
-                    if key.fileobj is self._sock:
-                        self._accept()
+                    if key.data is not None:
+                        self._accept(key.fileobj, key.data)
                     else:
                         self._readable(key.fileobj)
                 self._expire(time.monotonic())
         finally:
             with self._lock:
                 self._closed = True
+                listening, self._listening = self._listening, []
                 idle, self._idle = list(self._idle.values()), OrderedDict()
                 draining, self._draining = list(self._draining), OrderedDict()
                 self._selector.close()
+            for sock in listening:
+                sock.close()
             for entry in idle:
                 entry.channel.close()
             for conn in draining:
@@ -129,15 +140,15 @@ class Listener:
                 wait = min(wait, next(iter(self._draining.values())) - now)
         return max(wait, 0.0)
 
-    def _accept(self) -> None:
+    def _accept(self, sock: socket.socket, binding: object) -> None:
         for _ in range(_ACCEPT_BATCH):
             try:
-                conn, addr = self._sock.accept()
+                conn, addr = sock.accept()
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
                 return  # listening socket closed under us: stop() is near
-            self._on_accept(conn, addr)
+            self._on_accept(conn, addr, binding)
 
     def _readable(self, conn: socket.socket) -> None:
         with self._lock:
@@ -151,7 +162,7 @@ class Listener:
         if entry.channel.peer_closing():
             entry.channel.abort()  # the peer hung up between requests: a normal end
         else:
-            self._on_request(entry.conn, entry.peer, entry.channel)
+            self._on_request(entry.conn, entry.peer, entry.channel, entry.binding)
 
     def _expire(self, now: float) -> None:
         with self._lock:

@@ -44,11 +44,12 @@ class WebContext:
     ``peer`` is the client's validated Grid identity when the connection
     was HTTPS *and* the client presented a certificate chain — ``None`` for
     plain HTTP and for anonymous (browser) HTTPS clients.  The §6.4 HTTP
-    binding of the MyProxy protocol authorizes on it.
+    binding of the MyProxy protocol authorizes on it alone: ``session`` is
+    ``None`` there (:meth:`WebServer.dispatch`).
     """
 
     request: HttpRequest
-    session: Session
+    session: Session | None
     secure: bool
     peer: object | None = None
 
@@ -110,10 +111,30 @@ class WebServer:
 
     # -- core request handling ------------------------------------------------
 
+    def dispatch(
+        self, request: HttpRequest, *, secure: bool, peer=None, session=None
+    ) -> HttpResponse:
+        """Route one request to its handler: no session is looked up or
+        created, and no cookie is set."""
+        handler = self._routes.get((request.method, request.path))
+        if handler is None:
+            known_paths = {p for (_m, p) in self._routes}
+            status = 405 if request.path in known_paths else 404
+            return HttpResponse.error(status, f"no route for {request.method} {request.path}")
+        try:
+            return handler(
+                WebContext(request=request, session=session, secure=secure, peer=peer)
+            )
+        except ReproError as exc:
+            return HttpResponse.error(403, str(exc))
+        except Exception:  # noqa: BLE001 - a handler bug must not kill the server
+            logger.exception("%s: handler crashed for %s", self.name, request.path)
+            return HttpResponse.error(500, "internal portal error")
+
     def respond(
         self, request: HttpRequest, *, secure: bool, peer=None
     ) -> HttpResponse:
-        """Route one request through sessions and handlers.
+        """:meth:`dispatch` one request within its browser session.
 
         Session resolution follows §5.2's two options: the cookie first,
         then — for cookie-refusing clients — a rewritten-URL ``sid``
@@ -129,28 +150,24 @@ class WebServer:
         fresh = session is None
         if session is None:
             session = self.sessions.create()
-        handler = self._routes.get((request.method, request.path))
-        if handler is None:
-            known_paths = {p for (_m, p) in self._routes}
-            status = 405 if request.path in known_paths else 404
-            response = HttpResponse.error(status, f"no route for {request.method} {request.path}")
-        else:
-            try:
-                response = handler(
-                    WebContext(
-                        request=request, session=session, secure=secure, peer=peer
-                    )
-                )
-            except ReproError as exc:
-                response = HttpResponse.error(403, str(exc))
-            except Exception:  # noqa: BLE001 - a handler bug must not kill the server
-                logger.exception("%s: handler crashed for %s", self.name, request.path)
-                response = HttpResponse.error(500, "internal portal error")
+        response = self.dispatch(request, secure=secure, peer=peer, session=session)
         if fresh:
             response.set_cookie(SESSION_COOKIE, session.session_id)
         if via_url or fresh:
             _rewrite_redirect(response, session.session_id)
         return response
+
+    def answer(self, data: bytes, *, secure=True, peer=None, sessions=True) -> bytes:
+        """The serialized reply to one serialized request (a 400 when it
+        does not parse); ``sessions=False`` skips :meth:`respond`'s
+        browser sessions."""
+        try:
+            request = HttpRequest.parse(data)
+            route = self.respond if sessions else self.dispatch
+            response = route(request, secure=secure, peer=peer)
+        except ProtocolError as exc:
+            response = HttpResponse.error(400, str(exc))
+        return response.serialize()
 
     # -- plain HTTP over a framed Link (pipes; tappable by the attack harness) --
 
@@ -161,25 +178,20 @@ class WebServer:
                     data = link.recv_frame()
                 except TransportError:
                     break
-                try:
-                    request = HttpRequest.parse(data)
-                    response = self.respond(request, secure=False)
-                except ProtocolError as exc:
-                    response = HttpResponse.error(400, str(exc))
-                link.send_frame(response.serialize())
+                link.send_frame(self.answer(data, secure=False))
         finally:
             link.close()
 
     # -- HTTPS: HTTP messages over the secure channel ----------------------------
 
-    def handle_secure_link(self, link: Link, *, allow_anonymous: bool = True) -> None:
-        """Serve HTTP requests over one secure channel until the peer
-        hangs up; ``allow_anonymous=False`` demands a client certificate."""
+    def handle_secure_link(self, link: Link) -> None:
+        """Serve HTTP requests over one secure channel (anonymous browsers
+        welcome) until the peer hangs up."""
         if self.credential is None or self.validator is None:
             raise RuntimeError(f"{self.name} has no credential/validator for HTTPS")
         try:
             channel = accept_secure(
-                link, self.credential, self.validator, allow_anonymous=allow_anonymous
+                link, self.credential, self.validator, allow_anonymous=True
             )
         except ReproError as exc:
             logger.info("%s: TLS handshake failed: %s", self.name, exc)
@@ -190,12 +202,7 @@ class WebServer:
                     data = channel.recv()
                 except TransportError:
                     break
-                try:
-                    request = HttpRequest.parse(data)
-                    response = self.respond(request, secure=True, peer=channel.peer)
-                except ProtocolError as exc:
-                    response = HttpResponse.error(400, str(exc))
-                channel.send(response.serialize())
+                channel.send(self.answer(data, peer=channel.peer))
         finally:
             channel.close()
 

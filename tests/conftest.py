@@ -235,3 +235,55 @@ def tcp_repository(ca, validator, clock, key_pool, alice):
     yield _make
     for server in servers:
         server.stop()
+
+
+def http_post(channel, path: str, payload: dict) -> tuple[int, dict]:
+    """POST one JSON request on an open HTTPS channel; ``(status, body)``."""
+    import json
+
+    from repro.web.http11 import HttpRequest, HttpResponse
+
+    channel.send(
+        HttpRequest(
+            "POST", path,
+            headers=[("Content-Type", "application/json")],
+            body=json.dumps(payload).encode("utf-8"),
+        ).serialize()
+    )
+    response = HttpResponse.parse(channel.recv())
+    return response.status, json.loads(response.body)
+
+
+@pytest.fixture()
+def https_gateway(validator, key_pool):
+    """Mount an HTTP gateway on a server (e.g. one from ``tcp_repository``).
+
+    ``https_gateway(server, via)`` returns ``connect(credential)``, which
+    opens one kept-alive HTTPS connection to the gateway: through
+    ``gateway.serve`` when ``via="tcp"``, through ``handle_secure_link`` on
+    an in-memory pipe when ``via="pipe"``.
+    """
+    import threading
+
+    from repro.core.httpbinding import MyProxyHttpGateway
+    from repro.transport.channel import connect_secure
+    from repro.transport.links import pipe_pair
+
+    def _mount(server, via="tcp"):
+        gateway = MyProxyHttpGateway(server, key_source=key_pool)
+        if via == "tcp":
+            endpoint = gateway.serve("127.0.0.1", 0)
+            return lambda credential: connect_secure(
+                endpoint, credential, validator, timeout=5.0
+            )
+
+        def connect(credential):
+            client_end, server_end = pipe_pair("https")
+            threading.Thread(
+                target=gateway.handle_secure_link, args=(server_end,), daemon=True
+            ).start()
+            return connect_secure(client_end, credential, validator)
+
+        return connect
+
+    return _mount

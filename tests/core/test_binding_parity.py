@@ -19,6 +19,7 @@ from repro.transport.channel import connect_secure
 from repro.transport.links import pipe_pair
 from repro.util.errors import AuthenticationError, RepositoryError, ServerBusyError
 from repro.web.http11 import HttpRequest, HttpResponse
+from tests.conftest import http_post
 
 PASS = "correct horse 42"
 DENIAL = "remote authorization/authentication failed"
@@ -231,3 +232,25 @@ def _exchange(gateway, user, requests):
     server.join(timeout=5.0)
     assert not server.is_alive()
     return replies
+
+
+class TestKeptConnections:
+    @pytest.mark.parametrize("binding", ["gsi", "http"])
+    def test_two_requests_on_one_tcp_connection(
+        self, binding, tcp_repository, https_gateway, alice
+    ):
+        server, client = tcp_repository()
+        before = server.stats.connections
+        if binding == "gsi":
+            with client(alice) as owner:
+                names = [owner.info(username="alice")[0].cred_name for _ in range(2)]
+        else:
+            with https_gateway(server)(alice) as channel:
+                bodies = [
+                    http_post(channel, "/myproxy/info", {"username": "alice"})[1]
+                    for _ in range(2)
+                ]
+            names = [body["credentials"][0]["cred_name"] for body in bodies]
+        assert names == ["default", "default"]
+        assert server.stats.connections == before + 1  # one handshake, two requests
+        assert sum(1 for r in server.audit_log() if r.command == "INFO" and r.ok) == 2

@@ -19,6 +19,9 @@ from repro.pki.proxy import create_proxy
 from repro.transport.channel import PeerClosedError, connect_secure
 from repro.util.concurrency import wait_for
 from repro.util.errors import ServerBusyError, TransportError
+from tests.conftest import http_post
+
+INFO = ("/myproxy/info", {"username": "alice"})
 
 
 class TestIdleChannelsHoldNoWorker:
@@ -158,3 +161,62 @@ class TestFailuresOnAReusedChannel:
         assert calls == ["default"]  # acted on once, never replayed
         assert owner.stats.dial_attempts == 1
         assert owner.stats.transport_failures == 1
+
+
+class TestHttpsConnectionsShareTheLifecycle:
+    """The §6.4 gateway's kept-alive connections live on the same
+    selector, workers, idle timeout and ``stop()`` as GSI channels."""
+
+    def test_stop_ends_a_kept_alive_connection(self, tcp_repository, https_gateway, alice):
+        server, _client = tcp_repository()
+        with https_gateway(server)(alice) as channel:
+            assert http_post(channel, *INFO)[0] == 200
+            server.stop()
+            with pytest.raises(PeerClosedError):
+                http_post(channel, *INFO)
+
+    def test_idle_timeout_closes_the_connection(self, tcp_repository, https_gateway, alice):
+        policy = ServerPolicy()
+        policy.connection_timeout = 0.3
+        server, _client = tcp_repository(policy=policy)
+        with https_gateway(server)(alice) as channel:
+            assert http_post(channel, *INFO)[0] == 200
+            started = time.monotonic()
+            with pytest.raises(PeerClosedError):
+                channel.recv()  # the server's close alert, unprompted
+            assert time.monotonic() - started < 1.5
+
+    def test_an_idle_connection_does_not_delay_a_gsi_client(
+        self, tcp_repository, https_gateway, alice
+    ):
+        server, client = tcp_repository(max_concurrent_connections=1)
+        with https_gateway(server)(alice) as channel:
+            assert http_post(channel, *INFO)[0] == 200
+            started = time.monotonic()
+            with client(alice) as other:
+                assert other.info(username="alice")[0].cred_name == "default"
+            assert time.monotonic() - started < 2.0
+            assert http_post(channel, *INFO)[0] == 200
+
+    def test_queue_deadline_answers_a_parked_connection_with_json_busy(
+        self, tcp_repository, https_gateway, alice
+    ):
+        policy = ServerPolicy()
+        policy.qos_queue_deadline = 0.2
+        policy.connection_timeout = 3.0
+        server, _client = tcp_repository(policy=policy, max_concurrent_connections=1)
+        with https_gateway(server)(alice) as channel:
+            assert http_post(channel, *INFO)[0] == 200
+            # Pin the one worker in a handshake read, then ask again.
+            holder = socket.create_connection(server.endpoint)
+            try:
+                wait_for(lambda: server._qos_inflight.value == 1, message="worker pinned")
+                status, body = http_post(channel, *INFO)
+            finally:
+                holder.close()
+            assert status == 503
+            assert body["ok"] is False and body["error"] == "busy"
+            assert body["retry_after"] > 0
+            with pytest.raises(PeerClosedError):
+                channel.recv()
+        assert server._shed_reason_total.labels(reason="queue_deadline").value == 1

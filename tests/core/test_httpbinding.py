@@ -1,13 +1,17 @@
 """§6.4: the HTTP binding of the MyProxy protocol."""
 
+import json
 import threading
 
 import pytest
 
 from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
 from repro.core.protocol import AuthMethod
+from repro.federation.cdp import CdpClient, CdpService
+from repro.transport.channel import connect_secure
 from repro.transport.links import pipe_pair
 from repro.util.errors import AuthenticationError, HandshakeError
+from repro.web.http11 import HttpRequest, HttpResponse
 
 PASS = "correct horse 42"
 
@@ -317,3 +321,45 @@ class TestTransportSecurity:
         assert any(
             r.command == "HTTP" and not r.ok for r in tb.myproxy.audit_log()
         )
+
+
+class TestNoBrowserSessions:
+    """The gateway authorizes each request on its client certificate: it
+    mints no web session and sets no cookie, whatever the route."""
+
+    def test_requests_leave_no_session(self, world):
+        tb, gateway, alice, _ = world
+        CdpService(gateway)
+        client = http_client(tb, gateway, alice.credential)
+        client.put(alice.credential, username="alice", passphrase=PASS, lifetime=86400)
+        for _ in range(10):
+            client.info(username="alice")
+        CdpClient(
+            client._target, alice.credential, tb.validator,
+            key_source=tb.key_source, clock=tb.clock,
+        ).delegate(alice.credential, username="alice", passphrase=PASS,
+                   lifetime=3600, cred_name="cdp")
+        assert gateway.web.sessions.count() == 0
+
+    @pytest.mark.parametrize(
+        "path, payload, status",
+        [("/myproxy/info", {"username": "alice"}, 403), ("/cdp/register", {}, 200)],
+    )
+    def test_no_set_cookie(self, world, path, payload, status):
+        tb, gateway, alice, _ = world
+        CdpService(gateway)
+        client_end, server_end = pipe_pair()
+        threading.Thread(
+            target=gateway.handle_secure_link, args=(server_end,), daemon=True
+        ).start()
+        with connect_secure(client_end, alice.credential, tb.validator) as channel:
+            channel.send(
+                HttpRequest(
+                    "POST", path, headers=[("Content-Type", "application/json")],
+                    body=json.dumps(payload).encode("utf-8"),
+                ).serialize()
+            )
+            response = HttpResponse.parse(channel.recv())
+        assert response.status == status  # INFO: alice owns nothing yet
+        assert response.header("Set-Cookie") is None
+        assert gateway.web.sessions.count() == 0
