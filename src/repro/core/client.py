@@ -22,8 +22,11 @@ holds one client per repository (§3.3's scalability goal).
 
 A client keeps at most one idle channel to a TCP endpoint after an
 operation that completed normally, and runs its next operation on it — no
-connect, no handshake — while it still authenticates as the same
-credential object (PROTOCOL.md §6).  Any exception closes the channel;
+connect, no handshake — while it still authenticates under the same leaf
+subject, the key its session tickets are filed under (PROTOCOL.md §6).  A
+renewal agent that swaps in its fresh proxy keeps the channel; a swap to
+another subject (a limited proxy, another user) dials.  Any exception
+closes the channel;
 so does :meth:`MyProxyClient.close` (or leaving a ``with`` block), which
 short-lived clients should use so no idle channel outlives them.
 """
@@ -235,15 +238,19 @@ class MyProxyClient:
         # Retry/failover accounting; pass a shared ClientStats to aggregate
         # across several clients (e.g. one per cluster operation).
         self.stats = stats if stats is not None else ClientStats()
-        # Session-resumption tickets, keyed per endpoint.  The default is a
-        # private store (each client remembers its own servers); a portal
-        # that builds many short-lived clients shares one store so tickets
-        # outlive the client objects that earned them.
+        # Session-resumption tickets, keyed by _ticket_key (our subject plus
+        # the endpoint).  The default is a private store (each client
+        # remembers its own servers); a portal that builds many short-lived
+        # clients shares one store so tickets outlive the client objects
+        # that earned them.
         self.ticket_store = ticket_store if ticket_store is not None else TicketStore()
-        # The one idle channel: (target, credential object, channel).
-        # Threads sharing this client check it out under the lock, so two
-        # conversations never interleave on one channel.
-        self._idle: tuple[object, Credential, SecureChannel] | None = None
+        # The one idle channel: (_ticket_key it was opened under, channel).
+        # A swapped-in credential with the same leaf subject finds it; the
+        # server re-checks the chain the channel proved before every
+        # request (DESIGN §6.5).  Threads sharing this client check it out
+        # under the lock, so two conversations never interleave on one
+        # channel.
+        self._idle: tuple[str, SecureChannel] | None = None
         self._idle_lock = threading.Lock()
 
     # -- lifecycle ----------------------------------------------------------
@@ -253,7 +260,7 @@ class MyProxyClient:
         with self._idle_lock:
             idle, self._idle = self._idle, None
         if idle is not None:
-            idle[2].close()
+            idle[1].close()
 
     def __enter__(self) -> MyProxyClient:
         return self
@@ -263,21 +270,26 @@ class MyProxyClient:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _ticket_key(self, target: tuple[str, int] | LinkFactory) -> str:
-        # The key binds *who we are* as well as where we dial: a shared
-        # store must never hand one identity's ticket to a client
-        # authenticating as another (the server would resume the wrong
-        # peer).
+    @staticmethod
+    def _ticket_key(
+        target: tuple[str, int] | LinkFactory, credential: Credential | None
+    ) -> str:
+        """Who we authenticate as (the leaf subject) and where we dial.
+
+        Session tickets and the kept channel are both filed under this
+        key.  It binds *who we are* as well as where we dial: a shared
+        store must never hand one identity's ticket to a client
+        authenticating as another (the server would resume the wrong
+        peer).  A swapped-in credential with the same subject finds both;
+        each still proves the chain it was issued for, which the server
+        re-checks before every request (DESIGN §6.5).
+        """
         if callable(target):
             where = f"link:{id(target)}"
         else:
             host, port = target
             where = f"{host}:{port}"
-        who = (
-            str(self.credential.certificate.subject)
-            if self.credential is not None
-            else "<anonymous>"
-        )
+        who = str(credential.certificate.subject) if credential is not None else "<anonymous>"
         return f"{who}|{where}"
 
     def _connect(self, target: tuple[str, int] | LinkFactory) -> SecureChannel:
@@ -286,51 +298,46 @@ class MyProxyClient:
             self.credential,
             self.validator,
             ticket_store=self.ticket_store,
-            ticket_key=self._ticket_key(target),
+            ticket_key=self._ticket_key(target, self.credential),
             now=self.clock.now(),
         )
         self.stats.inc("resumed_handshakes" if channel.resumed else "full_handshakes")
         return channel
 
-    def _open(self) -> SecureChannel:
-        return self._connect(self._target)
-
-    def _checkout(self, target, credential: Credential) -> SecureChannel | None:
-        """Take the idle channel if it was opened to ``target`` as
-        ``credential``; one opened otherwise is closed."""
+    def _checkout(self, key: str | None) -> SecureChannel | None:
+        """Take the idle channel if it is filed under ``key``; one filed
+        otherwise is closed."""
         with self._idle_lock:
             idle, self._idle = self._idle, None
         if idle is None:
             return None
-        if idle[0] == target and idle[1] is credential:
-            return idle[2]
-        idle[2].close()
+        if idle[0] == key:
+            return idle[1]
+        idle[1].close()
         return None
 
-    def _checkin(self, target, credential: Credential, channel: SecureChannel) -> None:
+    def _checkin(self, key: str, channel: SecureChannel) -> None:
         with self._idle_lock:
             if self._idle is None:
-                self._idle = (target, credential, channel)
+                self._idle = (key, channel)
                 return
         channel.close()
 
     def _exchange(
         self,
-        target,
-        credential: Credential | None,
+        key: str | None,
         channel: SecureChannel,
         reused: bool,
         conversation: Callable[[SecureChannel], object],
     ):
-        """Run ``conversation`` on ``channel``, then keep or close it.
+        """Run ``conversation`` on ``channel``, then keep it under ``key``
+        or, when ``key`` is None, close it.
 
-        Only channels to a TCP endpoint are kept: a link factory's server
-        end serves one conversation per link.  Anonymous channels serve
-        one request too.  On a reused channel, a close alert in place of
-        the first reply means the server ended the channel without
-        reading the request: :class:`_StaleChannel`, safe to redial.
+        On a reused channel, a close alert in place of the first reply
+        means the server ended the channel without reading the request:
+        :class:`_StaleChannel`, safe to redial.
         """
-        if credential is None or not isinstance(target, tuple):
+        if key is None:
             with channel:
                 return conversation(channel)
         before = channel.received
@@ -346,14 +353,17 @@ class MyProxyClient:
         except BaseException:
             channel.close()
             raise
-        self._checkin(target, credential, channel)
+        self._checkin(key, channel)
         return result
 
     def _converse(self, conversation: Callable[[SecureChannel], object]):
         """Run one request conversation with endpoint failover + backoff.
 
         The first attempt rides the idle channel when one is kept for the
-        primary target and the current credential.  If the server had
+        primary target and the current credential's subject.  Only
+        authenticated channels to a TCP endpoint are kept: a link
+        factory's server end serves one conversation per link, and
+        anonymous channels serve one request.  If the server had
         already ended it (idle timeout, trust change, restart) without
         reading the request, the client redials once, transparently: that
         is not a transport failure, trips no breaker and costs no retry
@@ -396,7 +406,12 @@ class MyProxyClient:
                 busy_left = self.retry.busy_retries
                 while True:
                     credential = self.credential
-                    channel = self._checkout(target, credential) if reuse else None
+                    key = (
+                        self._ticket_key(target, credential)
+                        if credential is not None and isinstance(target, tuple)
+                        else None
+                    )
+                    channel = self._checkout(key) if reuse else None
                     reuse = False
                     reused = channel is not None
                     if not reused:
@@ -409,9 +424,7 @@ class MyProxyClient:
                     try:
                         if channel is None:
                             channel = self._connect(target)
-                        result = self._exchange(
-                            target, credential, channel, reused, conversation
-                        )
+                        result = self._exchange(key, channel, reused, conversation)
                     except _StaleChannel:
                         continue  # the request was never read: dial afresh
                     except ServerBusyError as exc:

@@ -80,7 +80,14 @@ class RenewalAgent:
         #: Builds a repository client authenticated *as a given credential*
         #: — required for ``AuthMethod.RENEWAL`` targets, where the proof
         #: of renewal rights is possession of the expiring proxy itself.
+        #: The agent builds one such client, on first use, and points it
+        #: at each target's current proxy in turn, so renewals under one
+        #: subject share its kept channel; :meth:`stop` closes it.
         self.client_factory = client_factory
+        self._possession_client: MyProxyClient | None = None
+        # Held from the credential swap to the reply, so two concurrent
+        # passes never renew one target with another's proxy.
+        self._possession_lock = threading.Lock()
         self._targets: dict[str, RenewalTarget] = {}
         self._lock = threading.Lock()
         self._events: list[RenewalEvent] = []
@@ -133,24 +140,9 @@ class RenewalAgent:
                 continue
             try:
                 if target.auth_method is AuthMethod.RENEWAL:
-                    if self.client_factory is None:
-                        raise ReproError(
-                            "renewal-by-possession targets need a client_factory"
-                        )
-                    # Authenticate to the repository *with the expiring
-                    # proxy* — possession is the secret (§6.6).
-                    client = self.client_factory(credential)
-                    secret = ""
+                    fresh = self._renew_by_possession(target, credential)
                 else:
-                    client = self.client
-                    secret = target.secret()
-                fresh = client.get_delegation(
-                    username=target.username,
-                    passphrase=secret,
-                    cred_name=target.cred_name,
-                    lifetime=target.lifetime,
-                    auth_method=target.auth_method,
-                )
+                    fresh = self._fetch(self.client, target, target.secret())
                 target.set_credential(fresh)
                 renewed.append(target.name)
                 self._record(
@@ -163,6 +155,29 @@ class RenewalAgent:
                 self._record(target.name, False, str(exc))
                 logger.warning("renewal failed for %s: %s", target.name, exc)
         return renewed
+
+    @staticmethod
+    def _fetch(client: MyProxyClient, target: RenewalTarget, secret: str) -> Credential:
+        return client.get_delegation(
+            username=target.username,
+            passphrase=secret,
+            cred_name=target.cred_name,
+            lifetime=target.lifetime,
+            auth_method=target.auth_method,
+        )
+
+    def _renew_by_possession(
+        self, target: RenewalTarget, credential: Credential
+    ) -> Credential:
+        """Authenticate to the repository *with the expiring proxy* —
+        possession is the secret (§6.6)."""
+        if self.client_factory is None:
+            raise ReproError("renewal-by-possession targets need a client_factory")
+        with self._possession_lock:
+            if self._possession_client is None:
+                self._possession_client = self.client_factory(credential)
+            self._possession_client.credential = credential
+            return self._fetch(self._possession_client, target, "")
 
     # -- background operation --------------------------------------------------------
 
@@ -180,6 +195,10 @@ class RenewalAgent:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop the background loop and close the possession client's
+        kept channel."""
         if self._thread is not None:
             self._thread.stop()
             self._thread = None
+        if self._possession_client is not None:
+            self._possession_client.close()

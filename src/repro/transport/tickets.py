@@ -85,34 +85,38 @@ class SessionTicket:
 
 
 class TicketStore:
-    """Thread-safe client-side cache of tickets, keyed by endpoint.
+    """Thread-safe client-side cache of tickets.
 
-    One store is typically shared across every client a process builds
-    toward the same fleet (the loadgen's fresh-client-per-login pattern),
-    so resumption survives client-object churn.
+    The caller chooses the key; :class:`~repro.core.client.MyProxyClient`
+    files each ticket under the leaf subject it authenticates as plus the
+    endpoint, never the endpoint alone, so clients sharing a store never
+    resume each other's sessions.  One store is typically shared across
+    every client a process builds toward the same fleet (the loadgen's
+    fresh-client-per-login pattern), so resumption survives client-object
+    churn.
     """
 
     def __init__(self) -> None:
         self._tickets: dict[str, SessionTicket] = {}
         self._lock = threading.Lock()
 
-    def get(self, endpoint: str, now: float) -> SessionTicket | None:
+    def get(self, key: str, now: float) -> SessionTicket | None:
         with self._lock:
-            ticket = self._tickets.get(endpoint)
+            ticket = self._tickets.get(key)
             if ticket is None:
                 return None
             if not ticket.usable_at(now):
-                del self._tickets[endpoint]
+                del self._tickets[key]
                 return None
             return ticket
 
-    def put(self, endpoint: str, ticket: SessionTicket) -> None:
+    def put(self, key: str, ticket: SessionTicket) -> None:
         with self._lock:
-            self._tickets[endpoint] = ticket
+            self._tickets[key] = ticket
 
-    def invalidate(self, endpoint: str) -> None:
+    def invalidate(self, key: str) -> None:
         with self._lock:
-            self._tickets.pop(endpoint, None)
+            self._tickets.pop(key, None)
 
     def __len__(self) -> int:
         with self._lock:

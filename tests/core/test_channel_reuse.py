@@ -2,7 +2,7 @@
 
 Between requests a kept channel sits in the server's selector, not on a
 worker; it ends on the server's idle timeout, on ``stop()``, or when the
-client's credential changes.  A stale channel the server never read a
+client's credential changes subject.  A stale channel the server never read a
 request from is redialled transparently; anything else is not.
 """
 
@@ -12,14 +12,15 @@ import time
 
 import pytest
 
-from repro.core.client import RetryPolicy
+from repro.core.client import ClientStats, RetryPolicy, myproxy_init_from_longterm
 from repro.core.policy import ServerPolicy
-from repro.core.protocol import Command, Request, Response
+from repro.core.protocol import AuthMethod, Command, Request, Response
+from repro.core.renewal import RenewalAgent, RenewalTarget
 from repro.pki.proxy import create_proxy
 from repro.transport.channel import PeerClosedError, connect_secure
 from repro.util.concurrency import wait_for
 from repro.util.errors import ServerBusyError, TransportError
-from tests.conftest import http_post
+from tests.conftest import REUSE_PASS, http_post
 
 INFO = ("/myproxy/info", {"username": "alice"})
 
@@ -93,6 +94,63 @@ class TestChannelEnds:
         owner.info(username="alice")
         assert owner.stats.dial_attempts == 2
         assert owner.stats.resumed_handshakes == 0  # a new subject: no ticket
+
+    def test_same_subject_swap_keeps_the_channel(
+        self, tcp_repository, clock, alice, key_pool
+    ):
+        server, client = tcp_repository()
+        owner = client(create_proxy(alice, key_source=key_pool, clock=clock))
+        owner.info(username="alice")
+        # A renewal agent's swap: a fresh proxy under the same subject.
+        owner.credential = create_proxy(alice, key_source=key_pool, clock=clock)
+        owner.info(username="alice")
+        assert owner.stats.dial_attempts == 1
+        assert owner.stats.operations == 2
+
+
+class TestRenewalAgentKeepsItsChannel:
+    def test_three_jobs_renewed_on_one_dial(self, tcp_repository, clock, alice, key_pool):
+        server, client = tcp_repository()
+        with client(alice) as owner:
+            myproxy_init_from_longterm(
+                owner, alice, username="alice", passphrase=REUSE_PASS,
+                key_source=key_pool, renewers=("*",),
+            )
+            jobs = {
+                f"job{i}": owner.get_delegation(
+                    username="alice", passphrase=REUSE_PASS, lifetime=3600.0
+                )
+                for i in range(3)
+            }
+        held = dict(jobs)
+        stats = ClientStats()
+        agent = RenewalAgent(
+            client(alice), clock=clock,
+            client_factory=lambda cred: client(cred, stats=stats),
+        )
+        for name in jobs:
+            agent.register(RenewalTarget(
+                name=name,
+                get_credential=lambda name=name: held[name],
+                set_credential=lambda cred, name=name: held.__setitem__(name, cred),
+                username="alice",
+                secret=lambda: "",
+                auth_method=AuthMethod.RENEWAL,
+                lifetime=3600.0,
+                threshold=900.0,
+            ))
+        clock.advance(3000.0)
+        assert sorted(agent.check_once()) == sorted(jobs)
+        assert stats.dial_attempts == 1
+        assert all(
+            held[name].certificate.not_after > jobs[name].certificate.not_after
+            for name in jobs
+        )
+        agent.stop()  # closes the kept channel: the next pass dials
+        clock.advance(3000.0)
+        assert sorted(agent.check_once()) == sorted(jobs)
+        assert stats.dial_attempts == 2
+        agent.stop()
 
 
 class TestSharing:

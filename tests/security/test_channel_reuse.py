@@ -80,6 +80,64 @@ class TestTrustIsRecheckedPerRequest:
         _wait_for_handshake_refusal(server, "expired")
 
 
+class TestSwappedCredential:
+    """A kept channel is filed under the leaf subject, like a session
+    ticket: a swap to a fresh proxy of the same subject keeps it, and
+    the chain the channel proved is still the one re-checked."""
+
+    def test_old_proxy_expiry_costs_one_transparent_redial(
+        self, tcp_repository, clock, validator, alice, key_pool
+    ):
+        server, client = tcp_repository()
+        holder = client(create_proxy(alice, lifetime=600.0, key_source=key_pool, clock=clock))
+        holder.info(username="alice")
+        holder.credential = create_proxy(
+            alice, lifetime=3600.0, key_source=key_pool, clock=clock
+        )
+        holder.info(username="alice")
+        before = holder.stats.snapshot()
+        assert before["dial_attempts"] == 1
+        served = _info_served(server)
+        clock.advance(600.0 + validator.skew + 1.0)  # old expired, new live
+        assert holder.info(username="alice")[0].cred_name == "default"
+        after = holder.stats.snapshot()
+        # Not served on the old chain's channel; the redial presents the
+        # new proxy, and the old chain's ticket is refused.
+        assert after["dial_attempts"] == before["dial_attempts"] + 1
+        assert after["transport_failures"] == 0
+        assert after["full_handshakes"] == before["full_handshakes"] + 1
+        assert _info_served(server) == served + 1
+
+    def test_swap_to_a_limited_proxy_dials(self, tcp_repository, clock, alice, key_pool):
+        server, client = tcp_repository()
+        holder = client(create_proxy(alice, key_source=key_pool, clock=clock))
+        holder.info(username="alice")
+        holder.credential = create_proxy(
+            alice, limited=True, key_source=key_pool, clock=clock
+        )
+        assert holder.info(username="alice")[0].cred_name == "default"
+        assert holder.stats.dial_attempts == 2
+        assert holder.stats.resumed_handshakes == 0  # a new subject: no ticket
+        assert holder.stats.full_handshakes == 2
+
+    def test_crl_after_a_swap_ends_the_channel_and_the_redial_is_refused(
+        self, tcp_repository, ca, clock, validator, alice, key_pool
+    ):
+        server, client = tcp_repository()
+        holder = client(create_proxy(alice, key_source=key_pool, clock=clock))
+        holder.info(username="alice")
+        holder.credential = create_proxy(alice, key_source=key_pool, clock=clock)
+        holder.info(username="alice")
+        assert holder.stats.dial_attempts == 1
+        ca.revoke(alice.certificate)
+        validator.update_crl(ca.crl())
+        with pytest.raises(TransportError):
+            holder.info(username="alice")
+        assert _info_served(server) == 2
+        _wait_for_handshake_refusal(server, "revoked")
+        assert holder.stats.dial_attempts == 2
+
+
 class TestRefusalsEndTheChannel:
     def test_wrong_passphrase_ends_the_channel(self, tcp_repository, alice, validator):
         server, client = tcp_repository()
