@@ -11,7 +11,7 @@ import argparse
 
 from repro.cli.common import run_tool
 from repro.core.admin import RepositoryAdmin
-from repro.core.segments import migrate_spool_to_segments, open_repository
+from repro.core.segments import StorageConfig, migrate_spool_to_segments, open_repository
 from repro.util.logging import configure_cli_logging
 
 
@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(the storage.backend marker still flips reads "
                               "to segments)")
     migrate.add_argument("--segment-max-bytes", type=int,
-                         default=32 * 1024 * 1024, metavar="BYTES",
-                         help="roll segments at this size (default 32 MiB)")
+                         default=StorageConfig.segment_max_bytes, metavar="BYTES",
+                         help="roll segments at this size (default %(default)s)")
 
     audit = sub.add_parser("audit", help="inspect a persistent audit trail")
     audit.add_argument("--audit-file", required=True, metavar="JSONL")

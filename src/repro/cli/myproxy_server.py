@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import argparse
 import time
+from pathlib import Path
 
 from repro.cli.common import add_common_args, build_validator, load_credential, run_tool
-from repro.core.policy import ServerPolicy
+from repro.core.config import (
+    ACL, DIRECTIVES, FLAG, INTEGER, NUMBER, QOS_CLASS, STRING, cli_flag, parse_config,
+)
 from repro.core.segments import open_repository
-from repro.core.server import MyProxyServer
-from repro.gsi.acl import AccessControlList
+from repro.core.server import DEFAULT_MAX_CONNECTIONS, MyProxyServer
+
+#: Directive rows with a flag; each flag is generated from its row.
+_FLAGGED = tuple(d for d in DIRECTIVES if d.flag)
+_METAVARS = {NUMBER: "NUMBER", INTEGER: "N", STRING: "NAME", ACL: "DN_GLOB",
+             QOS_CLASS: '"NAME WEIGHT DN_GLOB"'}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,162 +43,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a persistent audit trail here (inspect with myproxy-admin audit)",
     )
     parser.add_argument(
-        "--accepted-credentials",
-        action="append",
-        default=None,
-        metavar="DN_GLOB",
-        help="who may delegate to this repository (repeatable; default: anyone)",
-    )
-    parser.add_argument(
-        "--authorized-retrievers",
-        action="append",
-        default=None,
-        metavar="DN_GLOB",
-        help="who may retrieve delegations (repeatable; default: anyone)",
-    )
-    parser.add_argument(
-        "--max-stored-lifetime-days", type=float, default=None,
-        help="cap on credentials delegated to the repository (paper default: one week)",
-    )
-    parser.add_argument(
-        "--max-delegation-lifetime-hours", type=float, default=None,
-        help="cap on proxies delegated from the repository",
-    )
-    parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus metrics at http://HOST:PORT/metrics "
-             "(overrides the metrics_port config directive)",
-    )
-    parser.add_argument(
-        "--slow-op-threshold", type=float, default=None, metavar="SECONDS",
-        help="log operations slower than this (overrides slow_op_threshold)",
-    )
-    parser.add_argument(
-        "--max-connections", type=int, default=64, metavar="N",
-        help="worker pool size: concurrent conversations served (default 64)",
-    )
-    parser.add_argument(
-        "--listen-backlog", type=int, default=None, metavar="N",
-        help="TCP accept backlog (overrides listen_backlog)",
-    )
-    parser.add_argument(
-        "--connection-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-connection socket timeout (overrides connection_timeout)",
-    )
-    parser.add_argument(
-        "--qos-rate", type=float, default=None, metavar="PER_SECOND",
-        help="base per-identity admission rate; 0 disables rate limiting "
-             "(overrides qos_rate)",
-    )
-    parser.add_argument(
-        "--qos-burst", type=float, default=None, metavar="TOKENS",
-        help="base per-identity burst capacity (overrides qos_burst)",
-    )
-    parser.add_argument(
-        "--qos-queue-depth", type=int, default=None, metavar="N",
-        help="admission queue bound; 0 disables queueing (overrides qos_queue_depth)",
-    )
-    parser.add_argument(
-        "--qos-queue-deadline", type=float, default=None, metavar="SECONDS",
-        help="shed connections queued longer than this (overrides qos_queue_deadline)",
-    )
-    parser.add_argument(
-        "--qos-class", action="append", default=None, metavar='"NAME WEIGHT DN_GLOB"',
-        help="weighted service class (repeatable; overrides qos_class directives)",
-    )
-    parser.add_argument(
-        "--session-ticket-lifetime", type=float, default=None, metavar="SECONDS",
-        help="session-resumption ticket lifetime "
-             "(overrides session_ticket_lifetime)",
-    )
-    parser.add_argument(
-        "--disable-session-tickets", action="store_true",
-        help="never issue or accept resumption tickets "
-             "(overrides disable_session_tickets)",
-    )
-    parser.add_argument(
-        "--keypair-pool", type=int, default=None, metavar="N",
-        help="pre-generate delegation keypairs in the background; each is "
-             "used once; 0 generates inline (overrides keypair_pool)",
-    )
-    parser.add_argument(
-        "--federation", action="store_true",
-        help="serve the HTTPS binding + IVOA CDP endpoints and load peer "
-             "realm trust roots (overrides the federation directive)",
+        "--max-connections", type=int, default=DEFAULT_MAX_CONNECTIONS, metavar="N",
+        help="worker pool size: concurrent conversations served "
+             f"(default {DEFAULT_MAX_CONNECTIONS})",
     )
     parser.add_argument(
         "--federation-port", type=int, default=7513, metavar="PORT",
         help="port for the HTTPS binding / CDP endpoint set (default 7513)",
     )
-    parser.add_argument(
-        "--realm-name", default=None, metavar="NAME",
-        help="this deployment's federation realm (overrides realm_name)",
-    )
+    for d in _FLAGGED:
+        if d.kind == FLAG:
+            form = {"action": "store_true"}
+        else:
+            form = {"action": "append" if d.kind in (ACL, QOS_CLASS) else "store",
+                    "default": None, "metavar": _METAVARS[d.kind],
+                    "type": {NUMBER: float, INTEGER: int}.get(d.kind)}
+        parser.add_argument(cli_flag(d), help=f"{d.help} (overrides {d.name})", **form)
     return parser
+
+
+def flag_overrides(args: argparse.Namespace) -> dict[str, list[str]]:
+    """The directive values given as flags, as text for ``parse_config``."""
+    overrides = {}
+    for d in _FLAGGED:
+        value = getattr(args, d.name)
+        if value is not None and value is not False:
+            text = "" if value is True else str(value)
+            overrides[d.name] = value if isinstance(value, list) else [text]
+    return overrides
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     def _body() -> None:
-        cluster_cfg = None
-        realm_peers = ()
-        metrics_port = args.metrics_port
-        storage_cfg = None
-        if args.config:
-            from repro.core.config import load_config
-
-            config = load_config(args.config)
-            policy = config.policy
-            cluster_cfg = config.cluster
-            realm_peers = config.realm_peers
-            storage_cfg = config.storage
-            if metrics_port is None:
-                metrics_port = config.metrics_port
-        else:
-            policy = ServerPolicy()
-        if args.federation:
-            policy.federation_enabled = True
-        if args.realm_name is not None:
-            policy.realm_name = args.realm_name
-        if args.slow_op_threshold is not None:
-            policy.slow_op_threshold = args.slow_op_threshold
-        if args.listen_backlog is not None:
-            policy.listen_backlog = args.listen_backlog
-        if args.connection_timeout is not None:
-            policy.connection_timeout = args.connection_timeout
-        if args.qos_rate is not None:
-            policy.qos_rate = args.qos_rate
-        if args.qos_burst is not None:
-            policy.qos_burst = args.qos_burst
-        if args.qos_queue_depth is not None:
-            policy.qos_queue_depth = args.qos_queue_depth
-        if args.qos_queue_deadline is not None:
-            policy.qos_queue_deadline = args.qos_queue_deadline
-        if args.qos_class:
-            from repro.core.config import _parse_qos_classes
-
-            policy.qos_classes = _parse_qos_classes(
-                list(enumerate(args.qos_class, start=1))
-            )
-        if args.session_ticket_lifetime is not None:
-            policy.session_ticket_lifetime = args.session_ticket_lifetime
-        if args.disable_session_tickets:
-            policy.session_tickets = False
-        if args.keypair_pool is not None:
-            policy.keypair_pool_size = args.keypair_pool
-        if args.max_stored_lifetime_days is not None:
-            policy.max_stored_lifetime = args.max_stored_lifetime_days * 86400.0
-        if args.max_delegation_lifetime_hours is not None:
-            policy.max_delegation_lifetime = args.max_delegation_lifetime_hours * 3600.0
-        if args.accepted_credentials:
-            policy.accepted_credentials = AccessControlList(
-                args.accepted_credentials, name="accepted_credentials"
-            )
-        if args.authorized_retrievers:
-            policy.authorized_retrievers = AccessControlList(
-                args.authorized_retrievers, name="authorized_retrievers"
-            )
+        text = Path(args.config).read_text("utf-8") if args.config else ""
+        # Flags go through the file's parser and bounds, after the file.
+        config = parse_config(text, flag_overrides(args))
+        policy, cluster_cfg = config.policy, config.cluster
         from repro.core.repository import SecretBox
 
         master_box = None
@@ -201,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             from repro.cluster.cluster import cluster_master_box
 
             master_box = cluster_master_box(cluster_cfg.secret)
-        repository = open_repository(args.storage_dir, storage=storage_cfg)
+        repository = open_repository(args.storage_dir, storage=config.storage)
         server = MyProxyServer(
             load_credential(args.credential),
             build_validator(args),
@@ -232,11 +121,11 @@ def main(argv: list[str] | None = None) -> int:
             from repro.federation.cdp import CdpService
             from repro.federation.realms import distribute_trust
 
-            if realm_peers:
-                n_roots = distribute_trust(server.validator, list(realm_peers))
+            if config.realm_peers:
+                n_roots = distribute_trust(server.validator, list(config.realm_peers))
                 print(
                     f"federation: trusted {n_roots} root(s) from "
-                    f"{len(realm_peers)} peer realm(s)"
+                    f"{len(config.realm_peers)} peer realm(s)"
                 )
             http_gateway = MyProxyHttpGateway(server)
             CdpService(http_gateway)
@@ -252,8 +141,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"(rf={cluster_cfg.replication_factor})"
             )
         print(f"myproxy-server listening on {host}:{port}")
-        if metrics_port is not None:
-            mhost, mport = server.start_metrics_endpoint(args.host, metrics_port)
+        if config.metrics_port is not None:
+            mhost, mport = server.start_metrics_endpoint(args.host, config.metrics_port)
             print(f"metrics at http://{mhost}:{mport}/metrics")
         try:
             while True:

@@ -212,6 +212,16 @@ class _Segment:
             self.read_fd = None
 
 
+@dataclasses.dataclass(frozen=True)
+class StorageConfig:
+    """The engine's tuning knobs (``storage_*`` directives) and their defaults."""
+
+    segment_max_bytes: int = 32 * 1024 * 1024
+    compact_ratio: float = 0.5
+    cache_entries: int = 1024
+    compact_interval: float = 0.0
+
+
 def put_record(username: str, cred_name: str, document: str) -> bytes:
     token = encode_key_token(username, cred_name)
     return b"P " + token.encode("ascii") + b"\n" + document.encode("utf-8")
@@ -249,10 +259,10 @@ class SegmentRepository(CredentialRepository):
         root: str | os.PathLike,
         *,
         injector: faults.FaultInjector | None = None,
-        segment_max_bytes: int = 32 * 1024 * 1024,
-        compact_ratio: float = 0.5,
-        cache_entries: int = 1024,
-        compact_interval: float = 0.0,
+        segment_max_bytes: int = StorageConfig.segment_max_bytes,
+        compact_ratio: float = StorageConfig.compact_ratio,
+        cache_entries: int = StorageConfig.cache_entries,
+        compact_interval: float = StorageConfig.compact_interval,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -1239,8 +1249,8 @@ def is_unmigrated_spool(root: str | os.PathLike) -> bool:
 def open_repository(path: str | os.PathLike, *, storage=None) -> SegmentRepository:
     """Open the credential store at ``path``; what the CLI tools call.
 
-    ``storage`` may be a :class:`~repro.core.config.StorageConfig`, whose
-    fields are the engine's tuning knobs by name.  An unmigrated legacy spool is
+    ``storage`` may be a :class:`StorageConfig`, whose fields are the
+    engine's tuning knobs by name.  An unmigrated legacy spool is
     refused before anything is created or modified: opening it as
     segments would serve an empty store beside the operator's credentials.
     """
@@ -1313,7 +1323,7 @@ def migrate_spool_to_segments(
     root: str | os.PathLike,
     *,
     keep_spool: bool = False,
-    segment_max_bytes: int = 32 * 1024 * 1024,
+    segment_max_bytes: int = StorageConfig.segment_max_bytes,
 ) -> dict:
     """In-place legacy spool → segments conversion (``myproxy-admin migrate``).
 

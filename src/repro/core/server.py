@@ -153,6 +153,9 @@ _FAILED_AUTH_PRUNE_EVERY = 256
 #: (that happens post-handshake, once the DN is known).
 _ANON_FANIN = 4.0
 
+#: Worker pool size: conversations served at once (``--max-connections``).
+DEFAULT_MAX_CONNECTIONS = 64
+
 logger = get_logger("core.server")
 
 
@@ -355,7 +358,7 @@ class MyProxyServer:
         key_source: KeySource | None = None,
         audit_limit: int = 10_000,
         audit_path: str | None = None,
-        max_concurrent_connections: int = 64,
+        max_concurrent_connections: int = DEFAULT_MAX_CONNECTIONS,
         metrics_registry: MetricsRegistry | None = None,
         slow_op_threshold: float | None = None,
     ) -> None:

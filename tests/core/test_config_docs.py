@@ -68,3 +68,44 @@ def test_one_engine_means_no_backend_directive():
     assert "storage_backend" not in known_directives()
     with pytest.raises(ConfigError, match="storage_backend"):
         parse_config("storage_backend segments")
+
+
+def doc_rows() -> dict[str, list[str]]:
+    """Directive name → its reference-table cells (type, default, flag, meaning)."""
+    rows = {}
+    for line in DOC.read_text("utf-8").splitlines():
+        match = _ROW_RE.match(line)
+        if match:
+            rows[match.group(1)] = [cell.strip() for cell in line.split("|")[2:-1]]
+    return rows
+
+
+def test_flag_cells_name_the_generated_flag():
+    from repro.core.config import DIRECTIVES, cli_flag
+
+    rows = doc_rows()
+    wrong = {
+        d.name: rows[d.name][2]
+        for d in DIRECTIVES
+        if rows[d.name][2] != (f"`{cli_flag(d)}`" if d.flag else "—")
+    }
+    assert not wrong, f"CLI flag cells disagree with myproxy-server: {wrong}"
+
+
+def test_numeric_default_cells_match_the_table():
+    from repro.core.config import DIRECTIVES, INTEGER, NUMBER, directive_default
+
+    def spelled(value: float) -> str:
+        return str(int(value)) if float(value).is_integer() else str(value)
+
+    rows = doc_rows()
+    wrong = {}
+    for d in DIRECTIVES:
+        default = directive_default(d)
+        if d.kind not in (NUMBER, INTEGER) or default is None:
+            continue  # "off" / derived defaults carry no number to compare
+        spans = re.findall(r"`([^`]*)`", rows[d.name][1])
+        expected = spelled(default / d.unit)
+        if not spans or spans[0] != expected:
+            wrong[d.name] = (rows[d.name][1], expected)
+    assert not wrong, f"Default cells disagree with the config defaults: {wrong}"
