@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import secrets
 import threading
 import time
@@ -56,10 +57,10 @@ from repro.pki.keys import FreshKeySource, KeyPair, KeySource, PublicKey
 from repro.pki.proxy import sign_proxy_request
 from repro.pki.validation import ValidatedIdentity
 from repro.transport.channel import SecureChannel
+from repro.transport.delegation import accept_issue
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import (
     AuthenticationError,
-    CredentialError,
     ProtocolError,
     ServerBusyError,
 )
@@ -526,7 +527,13 @@ class HttpMyProxyClient:
         cred_name: str = DEFAULT_CRED_NAME,
         auth_method: AuthMethod = AuthMethod.PASSPHRASE,
     ) -> Credential:
-        """GET via CSR: the private key is generated here and never sent."""
+        """GET via CSR: the private key is generated here and never sent.
+
+        The answer is held to the GSI client's checks
+        (:func:`~repro.transport.delegation.accept_issue`) against the
+        lifetime the gateway says it granted, capped by ``lifetime`` when
+        one was asked for.
+        """
         key = self.key_source.new_key()
         nonce = secrets.token_hex(16)
         answer = self._call(
@@ -542,11 +549,19 @@ class HttpMyProxyClient:
                 },
             },
         )
-        cert = Certificate.from_pem(answer["certificate_pem"].encode("ascii"))
-        chain = tuple(Certificate.list_from_pem(answer["chain_pem"].encode("ascii")))
-        if cert.public_key != key.public:
-            raise CredentialError("gateway returned a certificate for another key")
-        return Credential(certificate=cert, key=key, chain=chain)
+        try:
+            cert_pem = answer["certificate_pem"].encode("ascii")
+            chain_pem = answer["chain_pem"].encode("ascii")
+            granted = float(answer["granted_lifetime"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ProtocolError("malformed GET answer") from exc
+        if not math.isfinite(granted) or granted <= 0:
+            raise ProtocolError("GET answer's granted lifetime must be positive")
+        if lifetime > 0:
+            granted = min(granted, lifetime)
+        return accept_issue(
+            key, cert_pem, chain_pem, lifetime=granted, limited=False, clock=self.clock
+        )
 
     def put(
         self,

@@ -16,7 +16,7 @@ component appended (§2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 from cryptography import x509
 from cryptography.x509.oid import NameOID
@@ -102,10 +102,16 @@ class DistinguishedName:
 
     # -- rendering ---------------------------------------------------------
 
-    def to_x509(self) -> x509.Name:
+    @cached_property
+    def _x509(self) -> x509.Name:
         return x509.Name(
             [x509.NameAttribute(_ATTR_TO_OID[attr], value) for attr, value in self.rdns]
         )
+
+    def to_x509(self) -> x509.Name:
+        """The ``cryptography`` form, built once per DN object (a DN held
+        by a parsed certificate is reused by every proxy it signs)."""
+        return self._x509
 
     def __str__(self) -> str:
         return "".join(f"/{attr}={value}" for attr, value in self.rdns)

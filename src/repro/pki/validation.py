@@ -22,7 +22,6 @@ effective restrictions.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -189,7 +188,7 @@ class ChainValidator:
         :class:`ExpiredError`, :class:`RevokedError`) on any defect.
 
         Recently validated chains are served from an LRU cache keyed by
-        the chain digest, the trust-material generation, and a time
+        the chain's fingerprints, the trust-material generation, and a time
         bucket.  A hit skips the signature walk but still re-checks the
         validity window at *now* and the EEC against the installed CRL,
         so a hit can never outlive the chain it vouches for; any
@@ -200,9 +199,7 @@ class ChainValidator:
             return self._validate_full(certs)
         now = self.clock.now()
         key = (
-            hashlib.sha256(
-                b"".join(c.fingerprint().encode("ascii") for c in certs)
-            ).digest(),
+            tuple(c.fingerprint() for c in certs),
             self._generation,
             int(now // self.cache_bucket) if self.cache_bucket > 0 else 0,
         )

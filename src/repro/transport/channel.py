@@ -110,7 +110,9 @@ class SecureChannel:
         Exactly the check a session-ticket redemption makes: the trust
         generation must not have moved since the handshake, and the peer
         chain must still validate (expiry, CRL) through the chain cache.
-        Anonymous peers never get a second turn.
+        The chain is parsed once per channel, through the process's
+        parsed-certificate table, so its objects carry the signature checks
+        the handshake already made.  Anonymous peers never get a second turn.
         """
         if self.peer is None or validator.generation != self.trust_generation:
             return False

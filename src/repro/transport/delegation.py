@@ -34,7 +34,7 @@ import secrets
 
 from repro.pki.certs import CLOCK_SKEW, Certificate
 from repro.pki.credentials import Credential
-from repro.pki.keys import FreshKeySource, KeySource, PublicKey
+from repro.pki.keys import FreshKeySource, KeyPair, KeySource, PublicKey
 from repro.pki.proxy import DEFAULT_PROXY_LIFETIME, ProxyRestrictions, sign_proxy_request
 from repro.transport.channel import SecureChannel
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -106,12 +106,12 @@ def accept_delegation(
 ) -> Credential:
     """Receive a delegated proxy credential from the peer on ``channel``.
 
-    The issued proxy is verified **against the Offer** before a
-    :class:`Credential` is constructed: its lifetime must fit the offered
-    one (± clock skew), its limited flag must match, and the returned
-    issuer chain must actually link — a buggy or malicious delegator
-    cannot hand back more authority than it offered, or a chain that
-    falls apart on first use.  Defects raise :class:`CredentialError`.
+    The issued proxy is verified **against the Offer** by
+    :func:`accept_issue` before a :class:`Credential` is constructed: its
+    lifetime must fit the offered one (± clock skew), its limited flag
+    must match, and the returned issuer chain must actually link — a
+    buggy or malicious delegator cannot hand back more authority than it
+    offered, or a chain that falls apart on first use.
     """
     fields = unpack_fields(channel.recv())
     if len(fields) != 4 or fields[0] != _T_OFFER:
@@ -135,10 +135,37 @@ def accept_delegation(
     fields = unpack_fields(channel.recv())
     if len(fields) != 3 or fields[0] != _T_ISSUE:
         raise ProtocolError("expected a delegation Issue message")
-    proxy_cert = Certificate.from_pem(fields[1])
-    if not fields[2].strip():
+    return accept_issue(
+        key,
+        fields[1],
+        fields[2],
+        lifetime=offered_lifetime,
+        limited=offered_limited,
+        clock=clock,
+    )
+
+
+def accept_issue(
+    key: KeyPair,
+    cert_pem: bytes,
+    chain_pem: bytes,
+    *,
+    lifetime: float,
+    limited: bool,
+    clock: Clock = SYSTEM_CLOCK,
+) -> Credential:
+    """Check an issued proxy for ``key`` before it becomes a credential.
+
+    The one acceptance step of every binding's GET: the certificate must
+    be for ``key``, its issuer chain must link (names and signatures), it
+    must not outlive ``lifetime`` from now (± clock skew), and its
+    limited flag must be ``limited``.  Defects raise
+    :class:`CredentialError`.
+    """
+    proxy_cert = Certificate.from_pem(cert_pem)
+    if not chain_pem.strip():
         raise CredentialError("issued proxy arrived without an issuer chain")
-    chain = tuple(Certificate.list_from_pem(fields[2]))
+    chain = tuple(Certificate.list_from_pem(chain_pem))
     if proxy_cert.public_key != key.public:
         raise CredentialError("issued proxy does not match the generated key")
     if proxy_cert.issuer != chain[0].subject or not proxy_cert.signed_by(
@@ -151,14 +178,14 @@ def accept_delegation(
                 f"issuer chain does not link at {child.subject}"
             )
     now = clock.now()
-    if proxy_cert.not_after > now + offered_lifetime + CLOCK_SKEW:
+    if proxy_cert.not_after > now + lifetime + CLOCK_SKEW:
         raise CredentialError(
             "issued proxy outlives the offered lifetime "
-            f"({proxy_cert.not_after - now:.0f}s > {offered_lifetime:.0f}s offered)"
+            f"({proxy_cert.not_after - now:.0f}s > {lifetime:.0f}s offered)"
         )
-    if proxy_cert.subject.last_cn_is_limited != offered_limited:
+    if proxy_cert.subject.last_cn_is_limited != limited:
         raise CredentialError(
             "issued proxy limitation does not match the offer "
-            f"(offered limited={offered_limited})"
+            f"(offered limited={limited})"
         )
     return Credential(certificate=proxy_cert, key=key, chain=chain)
