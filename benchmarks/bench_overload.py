@@ -151,15 +151,21 @@ def _qos_extra(server) -> dict:
 
 def _emulate_drop_on_accept(server) -> None:
     """Regress the shed path to the pre-QoS shape: close without a word."""
+    listener = server._listener
+    graceful = listener._shed
 
-    def bare_drop(conn, peer, reason, retry_after):  # noqa: ARG001
+    def bare_drop(item, reason, retry_after):
+        conn, _peer, channel, _binding = item
+        if channel is not None:  # a kept channel's request: not this path
+            graceful(item, reason, retry_after)
+            return
         server.stats.inc("shed")
         try:
             conn.close()
         except OSError:
             pass
 
-    server._shed_socket = bare_drop
+    listener._shed = bare_drop
 
 
 # ----------------------------------------------------------------------

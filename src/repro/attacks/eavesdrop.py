@@ -20,6 +20,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.transport.links import Link, PipeLink, pipe_pair
+from repro.transport.listener import serve_link
 
 
 @dataclass
@@ -98,14 +99,13 @@ def tap_web_connector(portal, capture: WireCapture, validator):
 
     def _connect(scheme: str, host: str, port: int) -> HttpTransport:
         client_end, server_end = _tapped_pipe(capture, f"web:{host}")
-        if scheme == "https":
-            threading.Thread(
-                target=portal.web.handle_secure_link, args=(server_end,), daemon=True
-            ).start()
-            return SecureTransport(client_end, validator)
+        web = portal.web
+        binding = web.https_binding if scheme == "https" else web.http_binding
         threading.Thread(
-            target=portal.web.handle_plain_link, args=(server_end,), daemon=True
+            target=serve_link, args=(server_end, binding), daemon=True
         ).start()
+        if scheme == "https":
+            return SecureTransport(client_end, validator)
         return LinkTransport(client_end)
 
     return _connect

@@ -58,6 +58,7 @@ from repro.pki.proxy import sign_proxy_request
 from repro.pki.validation import ValidatedIdentity
 from repro.transport.channel import SecureChannel
 from repro.transport.delegation import accept_issue
+from repro.transport.listener import Binding, serve_link
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import (
     AuthenticationError,
@@ -248,11 +249,8 @@ class PendingDelegations:
         item.fate, item.key, item.until = fate, None, now + PUT_TOMBSTONE_TTL
 
 
-class MyProxyHttpGateway:
+class MyProxyHttpGateway(Binding):
     """HTTP front end for a :class:`MyProxyServer`'s repository."""
-
-    #: Client certificates are required (see :meth:`MyProxyServer.listen`).
-    allows_anonymous = False
 
     def __init__(
         self,
@@ -292,7 +290,7 @@ class MyProxyHttpGateway:
 
     def handle_secure_link(self, link) -> None:
         """Serve one HTTPS connection until it ends."""
-        self.server.serve_link(link, self)
+        serve_link(link, self)
 
     def serve(self, host: str, port: int) -> tuple[str, int]:
         """Listen for HTTPS connections on ``host:port`` beside the
@@ -305,6 +303,16 @@ class MyProxyHttpGateway:
         its channel's client certificate alone."""
         channel.send(self.web.answer(message, peer=channel.peer, sessions=False))
         return True
+
+    def open(self, link) -> SecureChannel | None:
+        """The server's handshake; client certificates are required."""
+        return self.server.open(link, allow_anonymous=False)
+
+    def resume(self, channel: SecureChannel) -> bool:
+        return self.server.resume(channel)
+
+    def failed(self, channel: SecureChannel, exc) -> None:
+        self.server.failed(channel, exc)
 
     def busy_reply(self, retry_after: float) -> bytes:
         return _render(Refusal("busy", "busy", retry_after)).serialize()

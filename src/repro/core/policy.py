@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.gsi.acl import AccessControlList
+from repro.qos.admission import DEFAULT_DEADLINE, DEFAULT_DEPTH
 from repro.qos.classes import ClassMap, ServiceClass
 from repro.util.errors import PolicyError
 
@@ -177,11 +178,11 @@ class ServerPolicy:
     #: Bound on connections waiting for a worker; beyond it new arrivals
     #: are shed with a busy reply.  0 disables queueing (every arrival
     #: needing a worker that is not free is shed immediately).
-    qos_queue_depth: int = 64
+    qos_queue_depth: int = DEFAULT_DEPTH
 
     #: Longest a connection may wait in the admission queue before it is
     #: shed rather than served stale (seconds).
-    qos_queue_deadline: float = 3.0
+    qos_queue_deadline: float = DEFAULT_DEADLINE
 
     #: Weighted service classes (``qos_class`` directives), resolved
     #: first-match-wins against the authenticated base identity.

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import sys
 import threading
 import time
@@ -81,15 +80,13 @@ from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import KeyPair, KeySource, OneShotKeyPool
 from repro.pki.validation import ChainValidator, ValidatedIdentity
-from repro.qos import AdmissionQueue, ClassMap, RateLimiter
+from repro.qos import ClassMap, RateLimiter
 from repro.transport.channel import SecureChannel, accept_secure
 from repro.transport.delegation import accept_delegation, delegate_credential
-from repro.transport.handshake import send_busy_notice
 from repro.transport.tickets import SessionTicketManager
-from repro.transport.links import Link, SocketLink
-from repro.transport.listener import Listener
+from repro.transport.links import Link
+from repro.transport.listener import WORKERS, Binding, Listener, serve_link
 from repro.util.clock import SYSTEM_CLOCK, Clock
-from repro.util.concurrency import ServiceThread
 from repro.util.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -100,7 +97,6 @@ from repro.util.errors import (
     RepositoryError,
     ReproError,
     ServerBusyError,
-    TransportError,
 )
 from repro.util.logging import get_logger
 
@@ -154,7 +150,7 @@ _FAILED_AUTH_PRUNE_EVERY = 256
 _ANON_FANIN = 4.0
 
 #: Worker pool size: conversations served at once (``--max-connections``).
-DEFAULT_MAX_CONNECTIONS = 64
+DEFAULT_MAX_CONNECTIONS = WORKERS
 
 logger = get_logger("core.server")
 
@@ -320,7 +316,7 @@ def _peer_name(peer: ValidatedIdentity | None) -> str:
     return str(peer.identity) if peer is not None else "<anonymous>"
 
 
-class MyProxyServer:
+class MyProxyServer(Binding):
     """An online credential repository.
 
     Parameters
@@ -441,7 +437,6 @@ class MyProxyServer:
         self._audit_path = audit_path
         self._audit_file = self._open_audit_file() if audit_path is not None else None
         self._listener: Listener | None = None
-        self._listener_thread: ServiceThread | None = None
         self._endpoint: tuple[str, int] | None = None
         # -- QoS serving path (repro.qos) ------------------------------
         # A fixed pool of this many workers drains a bounded admission
@@ -455,10 +450,6 @@ class MyProxyServer:
         # able to spend an authenticated identity's budget, or vice versa.
         self._identity_limiter = RateLimiter()
         self._anon_limiter = RateLimiter()
-        self._admission: AdmissionQueue | None = None
-        self._workers: list[threading.Thread] = []
-        self._workers_stop = threading.Event()
-        self._sweeper: ServiceThread | None = None
         self._shed_reason_total = self.metrics.counter(
             "myproxy_shed_reason_total",
             "Connections shed on the admission path, by reason.",
@@ -502,133 +493,41 @@ class MyProxyServer:
         self._endpoint = self.listen(host, port, self)
         return self._endpoint
 
-    def listen(self, host: str, port: int, binding) -> tuple[str, int]:
-        """Accept ``binding``'s connections on ``host:port``; returns the
-        bound endpoint.
-
-        A binding (this server for GSI, an HTTP gateway for §6.4) supplies
-        ``allows_anonymous``, ``answer(channel, message)`` — serve one
-        request, True to keep the connection — and ``busy_reply``.  The
-        rest is shared: one selector that only classifies and enqueues,
-        one bounded admission queue (see :mod:`repro.qos`) drained by
-        ``max_concurrent_connections`` workers that do the crypto, a
-        sweeper that sheds entries past the queue deadline, one idle
-        timeout and one :meth:`stop`.  Anything refused on this path gets
-        a busy notice naming a retry time — never a bare close.
-        """
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(self.policy.listen_backlog)
+    def listen(self, host: str, port: int, binding: Binding) -> tuple[str, int]:
+        """Accept ``binding``'s connections (GSI, or an HTTP gateway's) on
+        ``host:port`` with this server's one listener, whose hooks carry
+        its policy: the flood brake, shed counters and audit records."""
         if self._listener is None:
-            self._start_serving()
-        self._listener.listen(sock, binding)
-        endpoint = sock.getsockname()
-        logger.info(
-            "%s listening on %s:%d (%d workers, queue depth %d)", type(binding).__name__,
-            *endpoint, self.max_concurrent_connections, self.policy.qos_queue_depth,
-        )
-        return endpoint
-
-    def _start_serving(self) -> None:
-        queue = AdmissionQueue(
-            self.policy.qos_queue_depth,
-            self.policy.qos_queue_deadline,
-            depth_gauge=self._qos_queue_depth,
-        )
-        self._admission = queue
-
-        # Pre-handshake flood brake: per peer address, deliberately loose
-        # (_ANON_FANIN × the heaviest class) because the DN is not known
-        # yet — fairness proper happens post-handshake in admit().
-        anon_rate = anon_burst = 0.0
-        if self.policy.qos_rate > 0:
-            heaviest = self._class_map.max_weight()
-            anon_rate = self.policy.qos_rate * heaviest * _ANON_FANIN
-            anon_burst = (
-                self.policy.effective_qos_burst() * heaviest * _ANON_FANIN
+            self._listener = Listener(
+                "myproxy",
+                workers=self.max_concurrent_connections,
+                timeout=self.policy.connection_timeout,
+                queue_depth=self.policy.qos_queue_depth,
+                queue_deadline=self.policy.qos_queue_deadline,
+                admit=self._flood_brake(),
+                on_shed=self._count_shed,
+                on_wait=self._admission_wait_seconds.observe,
+                depth_gauge=self._qos_queue_depth,
+                inflight=self._qos_inflight,
             )
-
-        def _on_accept(conn: socket.socket, addr: tuple, binding) -> None:
-            peer = f"{addr[0]}:{addr[1]}"
-            if anon_rate > 0:
-                retry = self._anon_limiter.check(addr[0], anon_rate, anon_burst)
-                if retry > 0:
-                    self._shed_socket(conn, peer, "rate_limited", retry)
-                    return
-            if not queue.offer((conn, peer, None, binding)):
-                self._shed_socket(conn, peer, "no_slots", queue.suggest_retry_after())
-
-        def _on_request(*item) -> None:  # (conn, peer, channel, binding)
-            if not queue.offer(item):
-                self._shed(item, "no_slots", queue.suggest_retry_after())
-
-        # One selector thread owns every listening socket and every parked
-        # channel; workers only ever hold a connection with work on it.
-        self._listener = Listener(
-            idle_timeout=self.policy.connection_timeout,
-            on_accept=_on_accept,
-            on_request=_on_request,
+        return self._listener.listen(
+            host, port, binding, backlog=self.policy.listen_backlog
         )
 
-        def _sweep_loop(stop_event: threading.Event) -> None:
-            # Check often enough that a shed lands well within a deadline.
-            interval = min(max(queue.deadline / 4.0, 0.02), 0.25)
-            while not stop_event.wait(interval):
-                for ticket in queue.pop_expired():
-                    self._admission_wait_seconds.observe(ticket.waited)
-                    self._shed(ticket.item, "queue_deadline", queue.suggest_retry_after())
-
-        self._workers_stop.clear()
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(queue, self._workers_stop),
-                daemon=True,
-                name=f"myproxy-worker-{i}",
-            )
-            for i in range(self.max_concurrent_connections)
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._sweeper = ServiceThread(_sweep_loop, "myproxy-qos-sweeper")
-        self._sweeper.start()
-        self._listener_thread = ServiceThread(self._listener.run, "myproxy-listener")
-        self._listener_thread.start()
-
-    def _worker_loop(self, queue: AdmissionQueue, stop: threading.Event) -> None:
-        """Serve one request per queued item until told to stop: a new
-        connection's first turn, or the next turn on a parked channel."""
-        while not stop.is_set():
-            ticket = queue.take(timeout=0.2)
-            if ticket is None:
-                continue
-            conn, peer, channel, binding = ticket.item
-            self._admission_wait_seconds.observe(ticket.waited)
-            if ticket.expired:
-                self._shed(ticket.item, "queue_deadline", queue.suggest_retry_after())
-                continue
-            try:
-                if channel is None:
-                    conn.settimeout(self.policy.connection_timeout)
-                    channel = self._first_turn(SocketLink(conn), binding)
-                else:
-                    channel = self._next_turn(channel, binding)
-            except Exception:
-                logger.exception("unhandled error serving %s", peer)
-                channel = None
-            listener = self._listener
-            if channel is not None and listener is not None:
-                listener.park(conn, peer, channel, binding)
-            else:
-                if channel is not None:
-                    channel.close()
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
+    def _flood_brake(self):
+        """Pre-handshake flood brake: per peer address, deliberately loose
+        (_ANON_FANIN × the heaviest class) because the DN is not known
+        yet — fairness proper happens post-handshake in :meth:`admit`."""
+        if self.policy.qos_rate <= 0:
+            return lambda address: 0.0
+        heaviest = self._class_map.max_weight()
+        rate = self.policy.qos_rate * heaviest * _ANON_FANIN
+        burst = self.policy.effective_qos_burst() * heaviest * _ANON_FANIN
+        return lambda address: self._anon_limiter.check(address, rate, burst)
 
     def _count_shed(self, peer: str, reason: str, retry_after: float) -> None:
+        """The listener's ``on_shed``: every shed is counted (the aggregate
+        plus a by-reason counter) and audited, but not as a denial."""
         self.stats.inc("shed")
         self._shed_reason_total.labels(reason=reason).inc()
         self.audit(
@@ -636,43 +535,6 @@ class MyProxyServer:
             f"shed ({reason}); retry in {retry_after:.3f}s",
             count_denial=False,
         )
-
-    def _shed(self, item: tuple, reason: str, retry_after: float) -> None:
-        """Shed one admission-queue item: a new connection, or a parked
-        channel whose next request has arrived (answered with its
-        binding's busy reply — GSI ``RESPONSE=2``, HTTP's JSON 503 — then
-        a close alert)."""
-        conn, peer, channel, binding = item
-        if channel is None:
-            self._shed_socket(conn, peer, reason, retry_after)
-            return
-        self._count_shed(peer, reason, retry_after)
-        try:
-            channel.send(binding.busy_reply(retry_after))
-        except TransportError:  # pragma: no cover - peer already gone
-            pass
-        channel.close(drain=True)
-
-    def _shed_socket(
-        self, conn: socket.socket, peer: str, reason: str, retry_after: float
-    ) -> None:
-        """Refuse a connection on the admission path, politely.
-
-        Every shed is counted (the aggregate plus a by-reason counter),
-        audited, and told when to come back — the busy notice rides the
-        handshake framing, so the client surfaces it as
-        :class:`~repro.util.errors.ServerBusyError` instead of a reset.
-        The close drains first, so a shed burst does not become an RST
-        storm.
-        """
-        self._count_shed(peer, reason, retry_after)
-        try:
-            link = SocketLink(conn)
-        except OSError:  # pragma: no cover - peer already gone
-            conn.close()
-            return
-        send_busy_notice(link, retry_after)
-        link.close_gracefully()
 
     def start_metrics_endpoint(
         self, host: str = "127.0.0.1", port: int = 0
@@ -696,38 +558,11 @@ class MyProxyServer:
         return self._metrics_exporter.endpoint
 
     def stop(self, drain_timeout: float = 5.0) -> None:
-        # The selector closes every listening socket, and every parked
-        # channel with a close alert, on its way out; a channel a worker
-        # parks after that is closed too.
-        if self._listener_thread is not None:
-            self._listener_thread.stop()
-            self._listener_thread = None
-        if self._sweeper is not None:
-            self._sweeper.stop()
-            self._sweeper = None
-        # Connections still queued are quietly closed: the server going
-        # away IS a transport failure, and failover clients should treat
-        # it as one (unlike a busy shed, which must not trigger failover).
-        if self._admission is not None:
-            for ticket in self._admission.close():
-                try:
-                    ticket.item[0].close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
-            self._admission = None
         # Drain in-flight conversations (bounded): tests and benchmarks
         # must not leak worker threads or half-open sockets past stop().
-        self._workers_stop.set()
-        deadline = time.monotonic() + drain_timeout
-        for worker in self._workers:
-            worker.join(max(deadline - time.monotonic(), 0.0))
-            if worker.is_alive():
-                logger.warning(
-                    "worker %s still serving after %.1fs drain",
-                    worker.name, drain_timeout,
-                )
-        self._workers = []
-        self._listener = None
+        if self._listener is not None:
+            self._listener.stop(drain_timeout)
+            self._listener = None
         if self._owned_key_pool is not None:
             self._owned_key_pool.close()
         if self._metrics_exporter is not None:
@@ -825,8 +660,8 @@ class MyProxyServer:
         """Time one conversation phase into the phase histogram.
 
         The elapsed time is also collected into the per-conversation phase
-        map (thread-local, reset by :meth:`handle_link`) so a slow-op
-        record can show where a slow conversation spent its time.
+        map (thread-local, reset by :meth:`open` and :meth:`resume`) so a
+        slow-op record can show where a slow conversation spent its time.
         """
         timer = self._phase_seconds.labels(phase=phase).time()
         try:
@@ -838,97 +673,9 @@ class MyProxyServer:
                 phases[phase] = phases.get(phase, 0.0) + timer.elapsed
 
     def handle_link(self, link: Link) -> None:
-        """Serve one complete GSI conversation on ``link`` (any
-        transport), then end the channel."""
-        channel = self._first_turn(link, self)
-        if channel is not None:
-            channel.close()
-
-    def serve_link(self, link: Link, binding) -> None:
-        """Serve ``binding``'s requests on ``link`` until the channel ends:
-        the TCP path's turns, blocking, for links no selector can watch."""
-        channel = self._first_turn(link, binding)
-        while channel is not None:
-            channel = self._next_turn(channel, binding)
-
-    def _first_turn(self, link: Link, binding) -> SecureChannel | None:
-        """Handshake, then serve the first request.
-
-        Returns the channel when it may carry another request (the caller
-        parks or closes it); otherwise the channel has already been ended.
-        """
-        self.stats.inc("connections")
-        self._qos_inflight.inc()
-        self._phase_local.phases = {}
-        try:
-            try:
-                with self._observe_phase("handshake"):
-                    channel = accept_secure(
-                        link,
-                        self.credential,
-                        self.validator,
-                        allow_anonymous=binding.allows_anonymous,
-                        ticket_manager=self.ticket_manager,
-                    )
-                if channel.resumed:
-                    outcome = "hit"
-                elif channel.ticket_presented:
-                    outcome = "miss"
-                else:
-                    outcome = "none"
-                self._resumption_total.labels(outcome=outcome).inc()
-            except ReproError as exc:
-                self.stats.inc("handshake_failures")
-                self.audit("<unauthenticated>", "handshake", "", "", False, str(exc))
-                return None
-            return self._turn(channel, binding)
-        finally:
-            self._qos_inflight.dec()
-
-    def _next_turn(self, channel: SecureChannel, binding) -> SecureChannel | None:
-        """Serve the next request on a kept channel (no handshake).
-
-        Read the request, then re-check trust exactly as a ticket
-        redemption would (DESIGN §6.5), so a change that landed while the
-        channel idled is seen; a peer that fails gets a close alert and
-        its request is not acted on.  A peer that goes away between
-        requests is a normal end, neither audited nor counted.
-        """
-        try:
-            message = channel.recv()
-        except TransportError:
-            channel.close()
-            return None
-        self._qos_inflight.inc()
-        self._phase_local.phases = {}
-        try:
-            if not channel.still_trusted(self.validator):
-                channel.close()
-                return None
-            return self._turn(channel, binding, message)
-        finally:
-            self._qos_inflight.dec()
-
-    def _turn(
-        self, channel: SecureChannel, binding, message: bytes | None = None
-    ) -> SecureChannel | None:
-        """Have ``binding`` answer one request (read here on a first turn);
-        the channel if the binding keeps it.
-
-        A transport or protocol error ends the channel with a close alert;
-        an unexpected error drops the link without one, so a client never
-        mistakes it for "request not acted on" (PROTOCOL.md §3.1).
-        """
-        try:
-            if binding.answer(channel, channel.recv() if message is None else message):
-                return channel
-        except (TransportError, ProtocolError) as exc:
-            self.audit(_peer_name(channel.peer), "conversation", "", "", False, str(exc))
-        except BaseException:
-            channel.abort()
-            raise
-        channel.close()
-        return None
+        """Serve GSI requests on ``link`` (any transport) until the
+        conversation ends, blocking — the in-memory pipes' entry point."""
+        serve_link(link, self)
 
     def admit(self, peer: ValidatedIdentity | None) -> float:
         """Per-identity fairness, applied once a handshake names the peer.
@@ -999,13 +746,53 @@ class MyProxyServer:
         return refusal
 
     # ------------------------------------------------------------------
-    # the GSI binding (see listen)
+    # the GSI binding (see listen and repro.transport.listener.Binding)
     # ------------------------------------------------------------------
 
-    @property
-    def allows_anonymous(self) -> bool:
-        """Anonymous peers may connect (for TRUSTROOTS only) if policy allows."""
-        return self.policy.allow_anonymous_trustroots
+    def open(
+        self, link: Link, *, allow_anonymous: bool | None = None
+    ) -> SecureChannel | None:
+        """The handshake, for either binding: the channel, or None once a
+        failure has been counted and audited.  Anonymous peers may connect
+        (for TRUSTROOTS only) if policy allows, unless ``allow_anonymous``
+        says otherwise."""
+        self.stats.inc("connections")
+        self._phase_local.phases = {}
+        if allow_anonymous is None:
+            allow_anonymous = self.policy.allow_anonymous_trustroots
+        try:
+            with self._observe_phase("handshake"):
+                channel = accept_secure(
+                    link,
+                    self.credential,
+                    self.validator,
+                    allow_anonymous=allow_anonymous,
+                    ticket_manager=self.ticket_manager,
+                )
+        except ReproError as exc:
+            self.stats.inc("handshake_failures")
+            self.audit("<unauthenticated>", "handshake", "", "", False, str(exc))
+            return None
+        if channel.resumed:
+            outcome = "hit"
+        elif channel.ticket_presented:
+            outcome = "miss"
+        else:
+            outcome = "none"
+        self._resumption_total.labels(outcome=outcome).inc()
+        return channel
+
+    def resume(self, channel: SecureChannel) -> bool:
+        """Before a kept channel's next request (either binding): re-check
+        trust exactly as a ticket redemption would (DESIGN §6.5), so a
+        change that landed while the channel idled is seen; a peer that
+        fails gets a close alert and its request is not acted on."""
+        self._phase_local.phases = {}
+        return channel.still_trusted(self.validator)
+
+    def failed(self, channel: SecureChannel, exc: ReproError) -> None:
+        """A transport or protocol error ended a conversation: audited."""
+        self.audit(_peer_name(channel.peer), "conversation", "", "", False, str(exc))
 
     def busy_reply(self, retry_after: float) -> bytes:
         return Response.busy_reply(retry_after).encode()

@@ -21,7 +21,6 @@ extended one realm further.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.httpbinding import MyProxyHttpGateway
@@ -31,16 +30,10 @@ from repro.federation.gateway import FederationGateway
 from repro.federation.sso import SsoAuthority, enable_sso
 from repro.pki.keys import PooledKeySource
 from repro.portal.portal import GridPortal
-from repro.testbed import TEST_KEY_BITS, GridTestbed, _PipeTarget
-from repro.transport.links import pipe_pair
+from repro.testbed import TEST_KEY_BITS, GridTestbed, _PipeTarget, web_transport
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import ConfigError, TransportError
-from repro.web.client import (
-    Browser,
-    HttpTransport,
-    LinkTransport,
-    SecureTransport,
-)
+from repro.web.client import Browser, HttpTransport
 
 DEFAULT_REALMS = ("alpha", "beta")
 
@@ -112,7 +105,7 @@ class FederatedTestbed:
             http_gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
             cdp = CdpService(http_gateway)
             if transport == "pipe":
-                cdp_target: object = _PipeTarget(http_gateway.handle_secure_link)
+                cdp_target: object = _PipeTarget(http_gateway)
             else:
                 cdp_target = http_gateway.serve("127.0.0.1", 0)
             portal = tb.new_portal(f"portal-{name}")
@@ -176,39 +169,15 @@ class FederatedTestbed:
                 hosts[host] = service
                 validators[host] = realm.tb.validator
 
-        if self.transport == "tcp":
-            def _tcp_connect(scheme: str, host: str, port: int) -> HttpTransport:
-                service = hosts.get(host)
-                if service is None:
-                    raise TransportError(f"unknown host {host!r}")
-                if scheme == "https":
-                    return SecureTransport(
-                        service.web.https_endpoint, validators[host]
-                    )
-                from repro.web.client import RawTcpTransport
-
-                return RawTcpTransport(*service.web.http_endpoint)
-
-            return Browser(_tcp_connect)
-
-        def _pipe_connect(scheme: str, host: str, port: int) -> HttpTransport:
+        def _connect(scheme: str, host: str, port: int) -> HttpTransport:
             service = hosts.get(host)
             if service is None:
                 raise TransportError(f"unknown host {host!r}")
-            client_end, server_end = pipe_pair(f"web:{host}")
-            if scheme == "https":
-                threading.Thread(
-                    target=service.web.handle_secure_link,
-                    args=(server_end,), daemon=True,
-                ).start()
-                return SecureTransport(client_end, validators[host])
-            threading.Thread(
-                target=service.web.handle_plain_link,
-                args=(server_end,), daemon=True,
-            ).start()
-            return LinkTransport(client_end)
+            return web_transport(
+                self.transport, service.web, scheme, host, validators[host]
+            )
 
-        return Browser(_pipe_connect)
+        return Browser(_connect)
 
     def sso_round_trip(
         self,

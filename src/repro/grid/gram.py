@@ -285,11 +285,16 @@ class GramService(GsiService):
 
     # -- the simulated job engine ------------------------------------------------
 
+    def sweep(self, now: float) -> None:
+        """The listener's tick (see :mod:`repro.transport.listener`)."""
+        self.poll_jobs()
+
     def poll_jobs(self) -> list[str]:
         """Advance every active job against the clock; return changed ids.
 
-        Drive this from tests (with a :class:`~repro.util.clock.ManualClock`)
-        or from a periodic thread in deployments.
+        Over TCP the service's listener calls this once per tick
+        (:meth:`sweep`), with no client asking; pipe testbeds have no
+        listener, so tests call it themselves.
         """
         changed: list[str] = []
         now = self.clock.now()

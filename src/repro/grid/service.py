@@ -9,6 +9,10 @@ Every Grid service in this reproduction follows the same shape:
    the client closes — handlers may run delegation sub-protocols on the
    same channel (that is how GRAM receives job credentials).
 
+A service is a binding of the package's one serving stack
+(:mod:`repro.transport.listener`): over TCP its channel waits between
+requests in the listener's selector, not on a worker, and the listener's
+tick runs the service's :meth:`~GsiService.sweep` (GRAM's job poll).
 Subclasses implement :meth:`GsiService.dispatch`.
 
 :class:`ServiceClient` is the matching client-side helper: open a channel,
@@ -18,34 +22,34 @@ exchange JSON, optionally delegate.
 from __future__ import annotations
 
 import json
-import socket
-import threading
 
 from repro.gsi.context import SecurityContext
 from repro.gsi.gridmap import GridMap
 from repro.pki.credentials import Credential
 from repro.pki.validation import ChainValidator
 from repro.transport.channel import SecureChannel, accept_secure, connect_secure
-from repro.transport.links import Link, SocketLink
+from repro.transport.links import Link
+from repro.transport.listener import Binding, Listener
 from repro.util.clock import SYSTEM_CLOCK, Clock
-from repro.util.concurrency import ServiceThread
 from repro.util.errors import (
     AuthorizationError,
     ProtocolError,
     ReproError,
-    TransportError,
 )
 from repro.util.logging import get_logger
 
 logger = get_logger("grid.service")
+
+#: A service's per-operation timeout; its pool and queue are the
+#: listener's defaults (:data:`repro.transport.listener.WORKERS`).
+TIMEOUT = 30.0
 
 
 def send_json(channel: SecureChannel, obj: dict) -> None:
     channel.send(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
 
-def recv_json(channel: SecureChannel) -> dict:
-    data = channel.recv()
+def _decode_json(data: bytes) -> dict:
     try:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -55,7 +59,11 @@ def recv_json(channel: SecureChannel) -> dict:
     return obj
 
 
-class GsiService:
+def recv_json(channel: SecureChannel) -> dict:
+    return _decode_json(channel.recv())
+
+
+class GsiService(Binding):
     """A TCP (or pipe) server fronted by GSI mutual authentication."""
 
     def __init__(
@@ -76,8 +84,7 @@ class GsiService:
         #: Where keys for *accepted delegations* come from (job credentials,
         #: transfer credentials).  Defaults to fresh per-delegation keys.
         self.key_source = key_source
-        self._listener: ServiceThread | None = None
-        self._listen_sock: socket.socket | None = None
+        self._listener: Listener | None = None
         self._endpoint: tuple[str, int] | None = None
 
     # -- dispatch (subclass API) ------------------------------------------------
@@ -88,76 +95,43 @@ class GsiService:
         """Handle one request; return the response object."""
         raise NotImplementedError
 
-    # -- serving ------------------------------------------------------------
+    # -- serving (a binding: see repro.transport.listener) ----------------------
 
-    def handle_link(self, link: Link) -> None:
-        """Serve one connection end to end (any transport)."""
+    def open(self, link: Link) -> SecureChannel | None:
         try:
-            channel = accept_secure(link, self.credential, self.validator)
+            return accept_secure(link, self.credential, self.validator)
         except ReproError as exc:
             logger.info("%s: handshake rejected: %s", self.name, exc)
-            return
+            return None
+
+    def answer(self, channel: SecureChannel, message: bytes) -> bool:
+        """Dispatch one JSON request; the channel is kept for the next."""
+        request = _decode_json(message)
         ctx = SecurityContext(channel=channel, peer=channel.peer, service_name=self.name)
         try:
-            while True:
-                try:
-                    request = recv_json(channel)
-                except TransportError:
-                    break  # client closed
-                except ProtocolError as exc:
-                    # Desynchronized or hostile peer (e.g. stray stream
-                    # chunks after a refused upload): drop the connection
-                    # rather than guess at framing.
-                    logger.info("%s: dropping desynchronized peer: %s", self.name, exc)
-                    break
-                try:
-                    response = self.dispatch(ctx, request, channel)
-                except (AuthorizationError, ProtocolError, ReproError) as exc:
-                    response = {"ok": False, "error": str(exc)}
-                try:
-                    send_json(channel, response)
-                except TransportError:
-                    break
-        finally:
-            channel.close()
+            response = self.dispatch(ctx, request, channel)
+        except ReproError as exc:
+            response = {"ok": False, "error": str(exc)}
+        send_json(channel, response)
+        return True
+
+    def failed(self, channel: SecureChannel, exc: ReproError) -> None:
+        # A desynchronized or hostile peer (e.g. stray stream chunks after
+        # a refused upload) is dropped rather than guessed at.
+        logger.info("%s: dropping peer: %s", self.name, exc)
+
+    def busy_reply(self, retry_after: float) -> bytes:
+        return json.dumps({"ok": False, "error": f"busy; retry in {retry_after:.3f}s"}).encode()
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(64)
-        sock.settimeout(0.2)
-        self._listen_sock = sock
-        self._endpoint = sock.getsockname()
-
-        def _loop(stop_event: threading.Event) -> None:
-            while not stop_event.is_set():
-                try:
-                    conn, _addr = sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                conn.settimeout(30.0)
-                threading.Thread(
-                    target=self.handle_link,
-                    args=(SocketLink(conn),),
-                    daemon=True,
-                    name=f"{self.name}-conn",
-                ).start()
-
-        self._listener = ServiceThread(_loop, f"{self.name}-listener")
-        self._listener.start()
-        logger.info("%s listening on %s:%d", self.name, *self._endpoint)
+        self._listener = Listener(self.name, timeout=TIMEOUT)
+        self._endpoint = self._listener.listen(host, port, self)
         return self._endpoint
 
     def stop(self) -> None:
         if self._listener is not None:
             self._listener.stop()
             self._listener = None
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-            self._listen_sock = None
 
     @property
     def endpoint(self) -> tuple[str, int]:

@@ -11,26 +11,33 @@ The endpoint is intentionally *not* the MyProxy protocol port and speaks
 no GSI: metrics are operational metadata, never credential material, and
 a scrape must stay cheap (no handshake, no delegation).  Deployments that
 consider even metadata sensitive simply don't enable it — the server runs
-identically without.  HTTP parsing reuses :mod:`repro.web.http11`.
+identically without.  The exporter is a plain-HTTP binding
+(:class:`~repro.web.server.PlainHttpBinding`: one request per
+connection) on a listener of its own, so a scrape is answered even while
+every MyProxy worker is busy.
 """
 
 from __future__ import annotations
 
-import socket
-import threading
-
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slowlog import SlowOpLog
-from repro.util.concurrency import ServiceThread
+from repro.transport.listener import Listener
 from repro.util.errors import ProtocolError, TransportError
 from repro.util.logging import get_logger
-from repro.web.http11 import HttpParser, HttpResponse
+from repro.web.client import RawTcpTransport
+from repro.web.http11 import HttpRequest, HttpResponse
+from repro.web.server import PlainHttpBinding
 
 logger = get_logger("obs.exporter")
 
+#: Its own workers (a scrape never waits on a MyProxy worker): scrapers are
+#: few, so two, one left while a stalled peer holds the other.
+WORKERS = 2
+TIMEOUT = 5.0
 
-class MetricsExporter:
+
+class MetricsExporter(PlainHttpBinding):
     """Serve a registry (and optionally a slow-op log) over plain HTTP."""
 
     def __init__(
@@ -45,15 +52,21 @@ class MetricsExporter:
         # Optional callable returning extra exposition text appended to
         # /metrics (e.g. a cluster coordinator contributing lag lines).
         self._extra_text = extra_text
-        self._listener: ServiceThread | None = None
-        self._sock: socket.socket | None = None
+        self._listener: Listener | None = None
         self._endpoint: tuple[str, int] | None = None
 
     # ------------------------------------------------------------------
     # request handling
     # ------------------------------------------------------------------
 
-    def _respond(self, path: str) -> HttpResponse:
+    def answer(self, channel, message: bytes) -> bool:
+        request = HttpRequest.parse(message)
+        channel.send(self._respond(request.method, request.path).serialize())
+        return False
+
+    def _respond(self, method: str, path: str) -> HttpResponse:
+        if method != "GET":
+            return HttpResponse.error(405, "metrics endpoint is read-only")
         if path == "/metrics":
             text = render_prometheus(self.registry)
             if self._extra_text is not None:
@@ -76,62 +89,13 @@ class MetricsExporter:
             )
         return HttpResponse.error(404, "unknown metrics path")
 
-    def handle_request(self, method: str, path: str) -> HttpResponse:
-        if method != "GET":
-            return HttpResponse.error(405, "metrics endpoint is read-only")
-        return self._respond(path)
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        parser = HttpParser()
-        try:
-            with conn:
-                while True:
-                    request = parser.next_request()
-                    if request is None:
-                        chunk = conn.recv(65536)
-                        if not chunk:
-                            return
-                        parser.feed(chunk)
-                        continue
-                    response = self.handle_request(request.method, request.path)
-                    conn.sendall(response.serialize())
-                    if (request.header("Connection") or "").lower() == "keep-alive":
-                        continue
-                    return
-        except (OSError, ProtocolError):
-            return  # a broken scrape is the scraper's problem
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._sock = sock
-        self._endpoint = sock.getsockname()
-
-        def _loop(stop_event: threading.Event) -> None:
-            while not stop_event.is_set():
-                try:
-                    conn, _addr = sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                conn.settimeout(5.0)
-                threading.Thread(
-                    target=self._serve_conn,
-                    args=(conn,),
-                    daemon=True,
-                    name="metrics-conn",
-                ).start()
-
-        self._listener = ServiceThread(_loop, "metrics-exporter")
-        self._listener.start()
+        self._listener = Listener("metrics", workers=WORKERS, timeout=TIMEOUT)
+        self._endpoint = self._listener.listen(host, port, self, backlog=16)
         logger.info("metrics endpoint on http://%s:%d/metrics", *self._endpoint)
         return self._endpoint
 
@@ -139,9 +103,6 @@ class MetricsExporter:
         if self._listener is not None:
             self._listener.stop()
             self._listener = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -156,31 +117,14 @@ def fetch_metrics(host: str, port: int, path: str = "/metrics", timeout: float =
     Used by ``myproxy-admin metrics`` and tests; deliberately dependency-
     free (no urllib) so its failure modes are this package's own.
     """
-    from repro.web.http11 import HttpRequest
-
-    with socket.create_connection((host, port), timeout=timeout) as conn:
+    transport = RawTcpTransport(host, port, timeout=timeout)
+    try:
         request = HttpRequest.get(path, Host=f"{host}:{port}")
-        conn.sendall(request.serialize())
-        data = b""
-        while True:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            data += chunk
-            # A response is complete once headers + declared body are in.
-            head, sep, body = data.partition(b"\r\n\r\n")
-            if sep:
-                declared = 0
-                for line in head.decode("latin-1").split("\r\n")[1:]:
-                    name, colon, value = line.partition(":")
-                    if colon and name.strip().lower() == "content-length":
-                        declared = int(value.strip())
-                        break
-                if len(body) >= declared:
-                    break
-    from repro.web.http11 import HttpResponse as _Resp
-
-    response = _Resp.parse(data)
+        response = HttpResponse.parse(transport.roundtrip(request.serialize()))
+    except ProtocolError as exc:
+        raise TransportError(f"metrics endpoint sent a bad reply: {exc}") from exc
+    finally:
+        transport.close()
     if response.status != 200:
         raise TransportError(
             f"metrics endpoint answered {response.status} for {path!r}"

@@ -10,7 +10,9 @@ Security behaviour reproduced from the paper:
   credential on the portal.  If a user forgets to log off, the credential
   will expire at the lifetime specified when requested from the MyProxy
   service" (§4.3) — expiry is checked on every use, and session destruction
-  always wipes the credential map entry;
+  always wipes the credential map entry: at logout, on the next touch of
+  an expired session, and — for a session nobody touches again — on the
+  web server's listener tick (:meth:`~repro.web.server.WebServer.sweep`);
 - the portal authenticates to the repository with *its own* credential
   (step 2 of Figure 3), which §5.2 notes is kept unencrypted so the service
   runs unattended;

@@ -26,7 +26,12 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-__all__ = ["AdmissionQueue", "AdmissionTicket"]
+__all__ = ["AdmissionQueue", "AdmissionTicket", "DEFAULT_DEADLINE", "DEFAULT_DEPTH"]
+
+#: Queue bound and deadline (seconds): MyProxy's ``qos_queue_*`` defaults,
+#: and every other server's fixed queue.
+DEFAULT_DEPTH = 64
+DEFAULT_DEADLINE = 3.0
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,15 @@ from repro.pki.validation import ChainValidator
 from repro.portal.portal import GridPortal, PortalConfig
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import ConfigError, TransportError
-from repro.web.client import Browser, HttpTransport, LinkTransport, SecureTransport
+from repro.web.client import (
+    Browser,
+    HttpTransport,
+    LinkTransport,
+    RawTcpTransport,
+    SecureTransport,
+)
 from repro.transport.links import pipe_pair
+from repro.transport.listener import Binding, serve_link
 from repro.transport.tickets import TicketStore
 
 TEST_KEY_BITS = 1024
@@ -61,16 +68,29 @@ class UserAccount:
 
 @dataclass
 class _PipeTarget:
-    """Link factory that spawns a server handler thread per connection."""
+    """Link factory that serves each connection's pipe on its own thread."""
 
-    handler: object  # callable(link) -> None
+    binding: Binding
+    name: str = "pipe"
 
     def __call__(self):
-        client_end, server_end = pipe_pair()
+        client_end, server_end = pipe_pair(self.name)
         threading.Thread(
-            target=self.handler, args=(server_end,), daemon=True
+            target=serve_link, args=(server_end, self.binding), daemon=True
         ).start()
         return client_end
+
+
+def web_transport(transport: str, web, scheme: str, host: str, validator) -> HttpTransport:
+    """A browser's connection to web server ``web`` over the testbed's
+    ``transport``: its TCP endpoint, or a fresh pipe."""
+    if transport == "tcp":
+        if scheme == "https":
+            return SecureTransport(web.https_endpoint, validator)
+        return RawTcpTransport(*web.http_endpoint)
+    binding = web.https_binding if scheme == "https" else web.http_binding
+    link = _PipeTarget(binding, f"web:{host}")()
+    return SecureTransport(link, validator) if scheme == "https" else LinkTransport(link)
 
 
 class GridTestbed:
@@ -134,7 +154,7 @@ class GridTestbed:
                 metrics_registry=myproxy_metrics_registry,
             )
             self.myproxy_servers.append(server)
-            self.myproxy_targets[f"repo-{i}"] = self._serve(server.handle_link, server)
+            self.myproxy_targets[f"repo-{i}"] = self._serve(server)
 
         self.myproxy = self.myproxy_servers[0]
 
@@ -151,7 +171,7 @@ class GridTestbed:
                 "mass-storage", storage_cred, self.validator, self.gridmap,
                 clock=clock, key_source=self.key_source,
             )
-            self.storage_target = self._serve(self.storage.handle_link, self.storage)
+            self.storage_target = self._serve(self.storage)
             gram_cred = self.ca.issue_host_credential(
                 "gram.example.org", key=self.key_source.new_key()
             )
@@ -164,7 +184,7 @@ class GridTestbed:
                 key_source=self.key_source,
                 storage_target=self.storage_target,
             )
-            self.gram_target = self._serve(self.gram.handle_link, self.gram)
+            self.gram_target = self._serve(self.gram)
 
         # -- portals and browsers ------------------------------------------------
         self.portals: dict[str, GridPortal] = {}
@@ -174,10 +194,11 @@ class GridTestbed:
     # transports
     # ------------------------------------------------------------------
 
-    def _serve(self, handler, server) -> object:
-        """Return a connect target for a per-link handler."""
+    def _serve(self, server) -> object:
+        """Return a connect target for ``server`` (a binding with a
+        ``start``)."""
         if self.transport == "pipe":
-            return _PipeTarget(handler)
+            return _PipeTarget(server)
         endpoint = server.start()
         self._maybe_track(server)
         return endpoint
@@ -308,35 +329,14 @@ class GridTestbed:
 
     def browser(self) -> Browser:
         """A standard browser wired to this testbed's portals."""
-        if self.transport == "tcp":
-            def _tcp_connect(scheme: str, host: str, port: int) -> HttpTransport:
-                portal = self._web_hosts.get(host)
-                if portal is None:
-                    raise TransportError(f"unknown host {host!r}")
-                if scheme == "https":
-                    return SecureTransport(portal.web.https_endpoint, self.validator)
-                from repro.web.client import RawTcpTransport
 
-                return RawTcpTransport(*portal.web.http_endpoint)
-
-            return Browser(_tcp_connect)
-
-        def _pipe_connect(scheme: str, host: str, port: int) -> HttpTransport:
+        def _connect(scheme: str, host: str, port: int) -> HttpTransport:
             portal = self._web_hosts.get(host)
             if portal is None:
                 raise TransportError(f"unknown host {host!r}")
-            client_end, server_end = pipe_pair(f"web:{host}")
-            if scheme == "https":
-                threading.Thread(
-                    target=portal.web.handle_secure_link, args=(server_end,), daemon=True
-                ).start()
-                return SecureTransport(client_end, self.validator)
-            threading.Thread(
-                target=portal.web.handle_plain_link, args=(server_end,), daemon=True
-            ).start()
-            return LinkTransport(client_end)
+            return web_transport(self.transport, portal.web, scheme, host, self.validator)
 
-        return Browser(_pipe_connect)
+        return Browser(_connect)
 
     # ------------------------------------------------------------------
     # lifecycle

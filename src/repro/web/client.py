@@ -21,8 +21,8 @@ from urllib.parse import urlsplit, urljoin
 from repro.pki.validation import ChainValidator
 from repro.transport.channel import connect_secure
 from repro.transport.links import Link
-from repro.util.errors import ProtocolError, TransportError
-from repro.web.http11 import HttpRequest, HttpResponse
+from repro.util.errors import TransportError
+from repro.web.http11 import HttpRequest, HttpResponse, HttpStreamLink
 
 
 class HttpTransport:
@@ -33,40 +33,6 @@ class HttpTransport:
 
     def close(self) -> None:
         pass
-
-
-class RawTcpTransport(HttpTransport):
-    """Plain HTTP over a real TCP socket (Connection: close semantics)."""
-
-    def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.settimeout(timeout)
-
-    def roundtrip(self, data: bytes) -> bytes:
-        self._sock.sendall(data)
-        chunks = bytearray()
-        while True:
-            try:
-                chunk = self._sock.recv(65536)
-            except OSError as exc:
-                raise TransportError(f"HTTP read failed: {exc}") from exc
-            if not chunk:
-                break
-            chunks += chunk
-            # Stop early once the declared body is complete.
-            head, sep, body = bytes(chunks).partition(b"\r\n\r\n")
-            if sep:
-                try:
-                    probe = HttpResponse.parse(head + sep)
-                except ProtocolError:
-                    break
-                declared = int(probe.header("Content-Length") or 0)
-                if len(body) >= declared:
-                    break
-        return bytes(chunks)
-
-    def close(self) -> None:
-        self._sock.close()
 
 
 class LinkTransport(HttpTransport):
@@ -81,6 +47,14 @@ class LinkTransport(HttpTransport):
 
     def close(self) -> None:
         self._link.close()
+
+
+class RawTcpTransport(LinkTransport):
+    """Plain HTTP over a real TCP socket (Connection: close semantics)."""
+
+    def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
+        sock = socket.create_connection((host, port), timeout=timeout)
+        super().__init__(HttpStreamLink(sock))
 
 
 class SecureTransport(HttpTransport):

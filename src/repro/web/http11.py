@@ -8,16 +8,22 @@ POST body.
 
 Messages are exchanged either as whole byte blobs over the secure channel
 (HTTPS mode) or over a TCP stream with incremental parsing (plain mode) —
-:class:`HttpParser` handles the buffering for the latter.
+:class:`HttpParser` frames the latter, and :class:`HttpStreamLink` makes
+such a stream carry one message per frame, as a pipe does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import re
+import socket
+import time
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, quote, unquote, urlencode
 
-from repro.util.errors import ProtocolError
+from repro.transport.links import SocketLink
+from repro.util.errors import ProtocolError, TransportError
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -34,6 +40,17 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def content_length(headers: list[tuple[str, str]]) -> int | None:
+    """The declared body length (None if undeclared); anything but a plain
+    decimal count (a sign, a space, ``abc``) is a :class:`ProtocolError`."""
+    for name, value in headers:
+        if name.lower() == "content-length":
+            if not re.fullmatch(r"[0-9]{1,18}", value):
+                raise ProtocolError(f"malformed Content-Length {value!r}")
+            return int(value)
+    return None
 
 
 def _parse_headers(lines: list[str]) -> list[tuple[str, str]]:
@@ -119,8 +136,8 @@ class HttpRequest:
             headers=_parse_headers(lines[1:]),
             body=body,
         )
-        declared = request.header("Content-Length")
-        if declared is not None and int(declared) != len(body):
+        declared = content_length(request.headers)
+        if declared is not None and declared != len(body):
             raise ProtocolError("Content-Length does not match body")
         return request
 
@@ -227,10 +244,10 @@ class HttpResponse:
 
 
 class HttpParser:
-    """Incremental parser for plain-TCP byte streams.
+    """Incremental framer for plain-TCP byte streams.
 
-    Feed raw chunks; :meth:`next_request` returns a request once one is
-    fully buffered (or ``None`` if more bytes are needed).
+    Feed raw chunks; :meth:`next_message` returns the bytes of one whole
+    message once they are buffered (or ``None`` if more are needed).
     """
 
     def __init__(self) -> None:
@@ -241,24 +258,16 @@ class HttpParser:
         if len(self._buffer) > MAX_HEADER_BYTES + MAX_BODY_BYTES:
             raise ProtocolError("HTTP message too large")
 
-    def next_request(self) -> HttpRequest | None:
-        idx = bytes(self._buffer).find(b"\r\n\r\n")
+    def next_message(self) -> bytes | None:
+        idx = self._buffer.find(b"\r\n\r\n")
         if idx < 0:
             if len(self._buffer) > MAX_HEADER_BYTES:
                 raise ProtocolError("HTTP headers too large")
             return None
-        head = bytes(self._buffer[: idx + 4])
-        # Probe only the headers for Content-Length; the body may not have
-        # arrived yet, so a full parse (which checks the length) must wait.
-        length = 0
-        for line in head.decode("latin-1").split("\r\n")[1:]:
-            name, sep, value = line.partition(":")
-            if sep and name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError as exc:
-                    raise ProtocolError("malformed Content-Length") from exc
-                break
+        # Only the headers are read here; the body may not have arrived
+        # yet, so the full parse (which checks its length) comes later.
+        lines = self._buffer[:idx].decode("latin-1").split("\r\n")[1:]
+        length = content_length(_parse_headers(lines)) or 0
         if length > MAX_BODY_BYTES:
             raise ProtocolError("declared body too large")
         total = idx + 4 + length
@@ -266,4 +275,41 @@ class HttpParser:
             return None
         message = bytes(self._buffer[:total])
         del self._buffer[:total]
-        return HttpRequest.parse(message)
+        return message
+
+
+class HttpStreamLink(SocketLink):
+    """Plain HTTP on a TCP socket, one whole message per frame (as on a
+    framed pipe).  The socket's timeout bounds the whole message, not each
+    ``recv``, so a peer trickling a byte at a time loses its turn on time."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__(sock)
+        self._parser = HttpParser()
+
+    def send_frame(self, frame: bytes) -> None:
+        try:
+            self._sock.sendall(frame)
+        except OSError as exc:
+            raise TransportError(f"socket send failed: {exc}") from exc
+
+    def recv_frame(self) -> bytes:
+        timeout = self._sock.gettimeout()
+        deadline = time.monotonic() + (timeout or 0.0)
+        try:
+            while (message := self._parser.next_message()) is None:
+                if timeout is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TransportError("HTTP message not received in time")
+                    self._sock.settimeout(left)
+                chunk = self._sock.recv(65536)
+                if not chunk:
+                    raise TransportError("connection closed by peer")
+                self._parser.feed(chunk)
+        except OSError as exc:
+            raise TransportError(f"socket recv failed: {exc}") from exc
+        finally:
+            with contextlib.suppress(OSError):  # a closed socket has none to restore
+                self._sock.settimeout(timeout)
+        return message

@@ -1,40 +1,124 @@
 """The web server behind every Grid portal in this reproduction.
 
-Listens in two modes, matching §5.2's distinction:
+Serves in two modes, matching §5.2's distinction, each a binding of the
+package's one serving stack (:mod:`repro.transport.listener`):
 
-- **plain HTTP** — either raw TCP (real byte-stream parsing via
-  :class:`~repro.web.http11.HttpParser`) or framed over a
-  :class:`~repro.transport.links.Link` (so the in-memory attack harness can
-  tap plaintext traffic).  This is the mode a portal must *refuse* logins
-  on.
-- **HTTPS** — HTTP messages over the secure channel with anonymous clients
-  allowed ("the portal web server must currently be configured to only
-  allow HTTP connections secured with SSL encryption").
+- **plain HTTP** (:attr:`WebServer.http_binding`) — one request per
+  connection, parsed from a TCP byte stream
+  (:class:`~repro.web.http11.HttpStreamLink`) or framed over a
+  :class:`~repro.transport.links.Link` (so the in-memory attack harness
+  can tap plaintext traffic).  This is the mode a portal must *refuse*
+  logins on.
+- **HTTPS** (:attr:`WebServer.https_binding`) — HTTP messages over the
+  secure channel with anonymous clients allowed ("the portal web server
+  must currently be configured to only allow HTTP connections secured
+  with SSL encryption").
 
 Routing is exact-path; handlers receive a :class:`WebContext` carrying the
 request, the (cookie-tracked) session and whether the connection was
-secure.
+secure.  The listener's tick reaps sessions that expired unseen
+(:meth:`WebServer.sweep`).
 """
 
 from __future__ import annotations
 
-import socket
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.pki.credentials import Credential
 from repro.pki.validation import ChainValidator
-from repro.transport.channel import accept_secure
-from repro.transport.links import Link, SocketLink
+from repro.transport.channel import SecureChannel, accept_secure
+from repro.transport.links import Link
+from repro.transport.listener import Binding, Listener
 from repro.util.clock import SYSTEM_CLOCK, Clock
-from repro.util.concurrency import ServiceThread
 from repro.util.errors import ProtocolError, ReproError, TransportError
 from repro.util.logging import get_logger
-from repro.web.http11 import HttpParser, HttpRequest, HttpResponse
+from repro.web.http11 import HttpRequest, HttpResponse, HttpStreamLink
 from repro.web.sessions import SESSION_COOKIE, DEFAULT_TTL, Session, SessionStore
 
 logger = get_logger("web.server")
+
+#: A web server's per-operation timeout; its pool and queue are the
+#: listener's defaults (:data:`repro.transport.listener.WORKERS`).
+TIMEOUT = 30.0
+
+
+def _busy_page(retry_after: float) -> bytes:
+    return HttpResponse.error(503, f"busy; retry in {retry_after:.3f}s").serialize()
+
+
+class PlainChannel:
+    """HTTP messages on a link with no channel security: there is no
+    peer identity, and the channel is never kept (so never drained)."""
+
+    peer = None
+
+    def __init__(self, link: Link) -> None:
+        self.recv, self.send = link.recv_frame, link.send_frame
+        self.close = self.abort = lambda drain=False: link.close()
+
+
+class PlainHttpBinding(Binding):
+    """Plain HTTP: one request per connection (subclasses answer it)."""
+
+    link = HttpStreamLink
+
+    busy_reply = staticmethod(_busy_page)
+
+    def open(self, link: Link) -> PlainChannel:
+        return PlainChannel(link)
+
+    def turn_away(self, link: Link, retry_after: float) -> None:
+        try:
+            link.send_frame(_busy_page(retry_after))
+        except TransportError:  # pragma: no cover - peer already gone
+            pass
+
+    def failed(self, channel: PlainChannel, exc: ReproError) -> None:
+        """A request that does not frame or parse gets a 400."""
+        if isinstance(exc, ProtocolError):
+            try:
+                channel.send(HttpResponse.error(400, str(exc)).serialize())
+            except TransportError:
+                pass
+
+
+class _WebBinding(Binding):
+    def __init__(self, web: WebServer) -> None:
+        self.web = web
+        self.sweep = web.sweep  # the server's one sweep (see Listener._sweep)
+
+
+class _PlainHttp(_WebBinding, PlainHttpBinding):
+
+    def answer(self, channel: PlainChannel, message: bytes) -> bool:
+        channel.send(self.web.answer(message, secure=False))
+        return False
+
+
+class _Https(_WebBinding):
+    """HTTP over the secure channel; anonymous (browser) clients welcome."""
+
+    busy_reply = staticmethod(_busy_page)
+
+    def require_credential(self) -> None:
+        if self.web.credential is None or self.web.validator is None:
+            raise RuntimeError(f"{self.web.name} has no credential/validator for HTTPS")
+
+    def open(self, link: Link) -> SecureChannel | None:
+        self.require_credential()
+        try:
+            return accept_secure(
+                link, self.web.credential, self.web.validator, allow_anonymous=True
+            )
+        except ReproError as exc:
+            logger.info("%s: TLS handshake failed: %s", self.web.name, exc)
+            return None
+
+    def answer(self, channel: SecureChannel, message: bytes) -> bool:
+        """Reply; only a certificate-authenticated client keeps its channel."""
+        channel.send(self.web.answer(message, peer=channel.peer))
+        return channel.peer is not None
 
 
 @dataclass
@@ -89,8 +173,11 @@ class WebServer:
         self.credential = credential  # needed for HTTPS mode
         self.validator = validator
         self._routes: dict[tuple[str, str], Handler] = {}
-        self._listeners: list[ServiceThread] = []
-        self._socks: list[socket.socket] = []
+        self._listener: Listener | None = None
+        #: What :func:`~repro.transport.listener.serve_link` serves a pipe
+        #: with, and the listener a TCP connection.
+        self.http_binding = _PlainHttp(self)
+        self.https_binding = _Https(self)
         self.http_endpoint: tuple[str, int] | None = None
         self.https_endpoint: tuple[str, int] | None = None
 
@@ -169,121 +256,34 @@ class WebServer:
             response = HttpResponse.error(400, str(exc))
         return response.serialize()
 
-    # -- plain HTTP over a framed Link (pipes; tappable by the attack harness) --
+    # -- serving (see repro.transport.listener) ------------------------------
 
-    def handle_plain_link(self, link: Link) -> None:
-        try:
-            while True:
-                try:
-                    data = link.recv_frame()
-                except TransportError:
-                    break
-                link.send_frame(self.answer(data, secure=False))
-        finally:
-            link.close()
+    def sweep(self, now: float) -> None:
+        """Destroy the sessions that expired unseen, on the listener's tick:
+        a session nobody touches still dies on time (and with it whatever
+        hangs off :attr:`SessionStore.on_destroy`)."""
+        self.sessions.reap()
 
-    # -- HTTPS: HTTP messages over the secure channel ----------------------------
-
-    def handle_secure_link(self, link: Link) -> None:
-        """Serve HTTP requests over one secure channel (anonymous browsers
-        welcome) until the peer hangs up."""
-        if self.credential is None or self.validator is None:
-            raise RuntimeError(f"{self.name} has no credential/validator for HTTPS")
-        try:
-            channel = accept_secure(
-                link, self.credential, self.validator, allow_anonymous=True
-            )
-        except ReproError as exc:
-            logger.info("%s: TLS handshake failed: %s", self.name, exc)
-            return
-        try:
-            while True:
-                try:
-                    data = channel.recv()
-                except TransportError:
-                    break
-                channel.send(self.answer(data, peer=channel.peer))
-        finally:
-            channel.close()
-
-    # -- raw-TCP plain HTTP (real byte-stream parsing) ----------------------------
-
-    def _handle_plain_socket(self, conn: socket.socket) -> None:
-        parser = HttpParser()
-        try:
-            while True:
-                request = parser.next_request()
-                if request is not None:
-                    response = self.respond(request, secure=False)
-                    conn.sendall(response.serialize())
-                    break  # Connection: close semantics
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                parser.feed(chunk)
-        except (ProtocolError, OSError) as exc:
-            try:
-                conn.sendall(HttpResponse.error(400, str(exc)).serialize())
-            except OSError:
-                pass
-        finally:
-            conn.close()
-
-    # -- listeners ------------------------------------------------------------
-
-    def listen(
-        self, host: str, port: int, per_conn: Callable, label: str
-    ) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(64)
-        sock.settimeout(0.2)
-        self._socks.append(sock)
-        endpoint = sock.getsockname()
-
-        def _loop(stop_event: threading.Event) -> None:
-            while not stop_event.is_set():
-                try:
-                    conn, _addr = sock.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                conn.settimeout(30.0)
-                threading.Thread(
-                    target=per_conn, args=(conn,), daemon=True, name=f"{self.name}-{label}"
-                ).start()
-
-        listener = ServiceThread(_loop, f"{self.name}-{label}-listener")
-        listener.start()
-        self._listeners.append(listener)
-        logger.info("%s %s listening on %s:%d", self.name, label, *endpoint)
-        return endpoint
+    def _listen(self, host: str, port: int, binding: Binding) -> tuple[str, int]:
+        if self._listener is None:
+            self._listener = Listener(self.name, timeout=TIMEOUT)
+        return self._listener.listen(host, port, binding)
 
     def start_http(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Plain HTTP on raw TCP."""
-        self.http_endpoint = self.listen(host, port, self._handle_plain_socket, "http")
+        self.http_endpoint = self._listen(host, port, self.http_binding)
         return self.http_endpoint
 
     def start_https(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """HTTPS (secure channel) on TCP."""
-        if self.credential is None or self.validator is None:
-            raise RuntimeError(f"{self.name} has no credential/validator for HTTPS")
-
-        def _per_conn(conn: socket.socket) -> None:
-            self.handle_secure_link(SocketLink(conn))
-
-        self.https_endpoint = self.listen(host, port, _per_conn, "https")
+        self.https_binding.require_credential()
+        self.https_endpoint = self._listen(host, port, self.https_binding)
         return self.https_endpoint
 
     def stop(self) -> None:
-        for listener in self._listeners:
-            listener.stop()
-        self._listeners.clear()
-        for sock in self._socks:
-            sock.close()
-        self._socks.clear()
+        if self._listener is not None:
+            self._listener.stop()
+            self._listener = None
 
     def __enter__(self) -> WebServer:
         return self

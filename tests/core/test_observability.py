@@ -190,7 +190,7 @@ class TestStopDrains:
         with socket.create_connection((host, port), timeout=5.0) as conn:
             conn.sendall(b"not a myproxy handshake")
         server.stop(drain_timeout=5.0)
-        assert server._workers == []
+        assert server._listener is None
         assert not any(
             t.name.startswith("myproxy-worker") and t.is_alive()
             for t in threading.enumerate()

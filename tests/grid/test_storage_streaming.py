@@ -66,7 +66,7 @@ def two_sites(tb, key_pool):
     remote = StorageService(
         "mass-storage-2", remote_cred, tb.validator, tb.gridmap, clock=tb.clock
     )
-    remote_target = tb._serve(remote.handle_link, remote)
+    remote_target = tb._serve(remote)
     tb.storage.peers["site-2"] = remote_target
     return tb, remote
 

@@ -74,3 +74,37 @@ def test_stop_closes_the_socket(exporter):
     exporter.stop()
     with pytest.raises(OSError):
         socket.create_connection((host, port), timeout=0.5).close()
+
+
+def test_scrape_answered_while_every_myproxy_worker_is_held(key_pool):
+    """The exporter has workers of its own: a peer that stalls the
+    repository's only worker does not stall a health check."""
+    import time
+
+    from repro.core.server import MyProxyServer
+    from repro.pki.ca import CertificateAuthority
+    from repro.pki.names import DistinguishedName
+    from repro.pki.validation import ChainValidator
+    from repro.util.concurrency import wait_for
+
+    ca = CertificateAuthority(
+        DistinguishedName.parse("/O=Grid/CN=Exporter CA"), key=key_pool.new_key()
+    )
+    server = MyProxyServer(
+        ca.issue_host_credential("metrics.example.org", key=key_pool.new_key()),
+        ChainValidator([ca.certificate]),
+        key_source=key_pool,
+        max_concurrent_connections=1,
+    )
+    server.start()
+    host, port = server.start_metrics_endpoint()
+    holder = socket.create_connection(server.endpoint)
+    try:
+        holder.sendall(b"\x00")  # one byte of a handshake frame, then nothing
+        wait_for(lambda: server._qos_inflight.value == 1, message="worker held")
+        started = time.monotonic()
+        assert fetch_metrics(host, port, "/healthz") == "ok\n"
+        assert time.monotonic() - started < 0.5
+    finally:
+        holder.close()
+        server.stop()

@@ -7,7 +7,7 @@ takes the server thread down.
 
 import threading
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 import pytest
 
 from repro.core.protocol import Request, Response
@@ -40,6 +40,8 @@ class TestProtocolFuzz:
 
     @_fuzz_settings
     @given(st.binary(max_size=512))
+    @example(b"POST /login HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n")
+    @example(b"POST /login HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n")
     def test_http_request_parse_never_crashes(self, data):
         try:
             HttpRequest.parse(data)
@@ -48,14 +50,31 @@ class TestProtocolFuzz:
 
     @_fuzz_settings
     @given(st.lists(st.binary(max_size=128), max_size=8))
+    @example([b"POST /login HTTP/1.1\r\nContent-Length: abc\r\n\r\n"])
+    @example([b"POST /login HTTP/1.1\r\nContent-Length: -5\r\n\r\n"])
     def test_http_incremental_parser_never_crashes(self, chunks):
         parser = HttpParser()
         try:
             for chunk in chunks:
                 parser.feed(chunk)
-                parser.next_request()
+                parser.next_message()
         except ProtocolError:
             pass
+
+
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_malformed_content_length_answers_400(self, declared):
+        """The web server's one entry for a serialized request (HTTPS, the
+        §6.4 gateway, CDP) answers a bad length with a 400, not a raise."""
+        from repro.web.http11 import HttpResponse
+        from repro.web.server import WebServer
+
+        data = (
+            "POST /login HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        ).encode()
+        reply = HttpResponse.parse(WebServer("fuzz").answer(data))
+        assert reply.status == 400
 
 
 class TestHandshakeFuzz:

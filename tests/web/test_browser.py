@@ -82,6 +82,7 @@ class TestCookieJar:
         import threading
 
         from repro.transport.links import pipe_pair
+        from repro.transport.listener import serve_link
         from repro.web.client import Browser, LinkTransport
 
         servers = {"site-a": server, "site-b": other}
@@ -89,7 +90,7 @@ class TestCookieJar:
         def connector(scheme, host, port):
             client_end, server_end = pipe_pair()
             threading.Thread(
-                target=servers[host].handle_plain_link, args=(server_end,),
+                target=serve_link, args=(server_end, servers[host].http_binding),
                 daemon=True,
             ).start()
             return LinkTransport(client_end)

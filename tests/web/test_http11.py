@@ -79,32 +79,32 @@ class TestIncrementalParser:
         raw = HttpRequest.post_form("/login", {"a": "b"}).serialize()
         parser = HttpParser()
         for i in range(0, len(raw), 7):
-            assert parser.next_request() is None or True
+            assert parser.next_message() is None or True
             parser.feed(raw[i : i + 7])
-        parsed = parser.next_request()
-        assert parsed is not None and parsed.form == {"a": "b"}
+        parsed = HttpRequest.parse(parser.next_message())
+        assert parsed.form == {"a": "b"}
 
     def test_pipelined_requests(self):
         raw = HttpRequest.get("/one").serialize() + HttpRequest.get("/two").serialize()
         parser = HttpParser()
         parser.feed(raw)
-        assert parser.next_request().path == "/one"
-        assert parser.next_request().path == "/two"
-        assert parser.next_request() is None
+        assert HttpRequest.parse(parser.next_message()).path == "/one"
+        assert HttpRequest.parse(parser.next_message()).path == "/two"
+        assert parser.next_message() is None
 
     def test_incomplete_body_waits(self):
         raw = HttpRequest.post_form("/login", {"a": "b"}).serialize()
         parser = HttpParser()
         parser.feed(raw[:-1])
-        assert parser.next_request() is None
+        assert parser.next_message() is None
         parser.feed(raw[-1:])
-        assert parser.next_request() is not None
+        assert parser.next_message() is not None
 
     def test_oversized_headers_rejected(self):
         parser = HttpParser()
         with pytest.raises(ProtocolError):
             parser.feed(b"GET / HTTP/1.1\r\nX: " + b"a" * (70 * 1024))
-            parser.next_request()
+            parser.next_message()
 
 
 _names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10)

@@ -1,11 +1,16 @@
 """The web server: routing, sessions-over-cookies, both transports."""
 
+import functools
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.transport.links import pipe_pair
-from repro.web.client import Browser, LinkTransport, SecureTransport
+from repro.transport.listener import Listener, serve_link
+from repro.web import server as web_server
+from repro.web.client import Browser, LinkTransport, RawTcpTransport, SecureTransport
 from repro.web.http11 import HttpResponse
 from repro.web.server import WebServer
 from repro.web.sessions import SESSION_COOKIE
@@ -38,14 +43,12 @@ def server(clock, host_cred, validator):
 def browser_for(server, validator):
     def _connector(scheme, host, port):
         client_end, server_end = pipe_pair()
-        if scheme == "https":
-            threading.Thread(
-                target=server.handle_secure_link, args=(server_end,), daemon=True
-            ).start()
-            return SecureTransport(client_end, validator)
+        binding = server.https_binding if scheme == "https" else server.http_binding
         threading.Thread(
-            target=server.handle_plain_link, args=(server_end,), daemon=True
+            target=serve_link, args=(server_end, binding), daemon=True
         ).start()
+        if scheme == "https":
+            return SecureTransport(client_end, validator)
         return LinkTransport(client_end)
 
     return Browser(_connector)
@@ -103,7 +106,7 @@ class TestSecureMode:
         bare = WebServer("bare", clock=clock)  # no credential
         _c, server_end = pipe_pair()
         with pytest.raises(RuntimeError):
-            bare.handle_secure_link(server_end)
+            serve_link(server_end, bare.https_binding)
 
 
 class TestTcpMode:
@@ -121,4 +124,91 @@ class TestTcpMode:
             assert browser.get("http://127.0.0.1/").text == "home"
             assert browser.get("https://127.0.0.1/secure-flag").text == "secure=True"
         finally:
+            server.stop()
+
+
+def _read_reply(sock: socket.socket) -> HttpResponse:
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return HttpResponse.parse(data)
+
+
+class TestListenerLimits:
+    """The web server's worker pool and admission queue, made small."""
+
+    def test_trickling_http_peer_does_not_hold_https_past_its_deadline(
+        self, server, validator, monkeypatch
+    ):
+        # One worker, and a plain-HTTP request must arrive whole within 1 s.
+        monkeypatch.setattr(web_server, "Listener", functools.partial(Listener, workers=1))
+        monkeypatch.setattr(web_server, "TIMEOUT", 1.0)
+        http = server.start_http()
+        https = server.start_https()
+        trickler = socket.create_connection(http)
+        stop = threading.Event()
+
+        def _trickle():
+            # A byte every 0.2 s: never idle for a whole per-recv timeout.
+            for byte in b"GET / HTTP/1.1\r\nHost: x\r\nX-Slow: " + b"a" * 100:
+                if stop.wait(0.2):
+                    return
+                try:
+                    trickler.send(bytes([byte]))
+                except OSError:
+                    return  # the server gave up on it
+
+        thread = threading.Thread(target=_trickle, daemon=True)
+        try:
+            thread.start()
+            time.sleep(0.3)  # the trickler holds the only worker
+            started = time.monotonic()
+            transport = SecureTransport(https, validator)
+            try:
+                reply = HttpResponse.parse(
+                    transport.roundtrip(b"GET /secure-flag HTTP/1.1\r\nHost: x\r\n\r\n")
+                )
+            finally:
+                transport.close()
+            # Served once the trickler's 1 s ran out, well inside the
+            # queue deadline that would have shed it.
+            assert reply.text == "secure=True"
+            assert time.monotonic() - started < 2.0
+        finally:
+            stop.set()
+            thread.join()
+            trickler.close()
+            server.stop()
+
+    def test_overfull_listener_answers_503(self, server, monkeypatch):
+        monkeypatch.setattr(
+            web_server,
+            "Listener",
+            functools.partial(Listener, workers=1, queue_depth=1, queue_deadline=0.5),
+        )
+        http = server.start_http()
+        staller = socket.create_connection(http)
+        queued = None
+        try:
+            staller.sendall(b"G")  # holds the only worker
+            time.sleep(0.2)
+            queued = socket.create_connection(http, timeout=5.0)  # fills the queue
+            time.sleep(0.2)
+            started = time.monotonic()
+            overflow = RawTcpTransport(*http, timeout=5.0)
+            try:
+                reply = HttpResponse.parse(
+                    overflow.roundtrip(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+                )
+            finally:
+                overflow.close()
+            assert reply.status == 503
+            assert time.monotonic() - started < 0.5
+            # The queued connection is shed at its deadline, not left hanging.
+            assert _read_reply(queued).status == 503
+            assert time.monotonic() - started < 1.5
+        finally:
+            staller.close()
+            if queued is not None:
+                queued.close()
             server.stop()
