@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import faults
-from repro.core.framing import encode_frame, scan_frames
+from repro.core.framing import FrameDecoder, encode_frame, file_chunks
 from repro.core.repository import CredentialRepository, RepositoryEntry
 from repro.util.errors import RepositoryError
 from repro.util.logging import get_logger
@@ -200,10 +200,16 @@ class ReplicationLog:
             self._open(Path(path))
 
     def _open(self, path: Path) -> None:
-        data = path.read_bytes() if path.exists() else b""
-        payloads, clean_len, status = scan_frames(data)
+        self._file = faults.ShimFile(
+            path,
+            self._injector,
+            write_site="replog.append.write",
+            fsync_site="replog.append.fsync",
+        )
+        size = self._file.size
+        decoder = FrameDecoder(size=size)
         recovered: list[ReplicatedOp] = []
-        for payload in payloads:
+        for payload, _, _ in decoder.decode(file_chunks(self._file.fd, 0, size)):
             try:
                 recovered.append(ReplicatedOp.decode(payload))
             except RepositoryError as exc:
@@ -213,24 +219,19 @@ class ReplicationLog:
                 logger.error("replog %s: skipping corrupt record: %s", self.origin, exc)
         recovered.sort(key=lambda op: op.seq)
         self._ops = recovered
-        self._file = faults.ShimFile(
-            path,
-            self._injector,
-            write_site="replog.append.write",
-            fsync_site="replog.append.fsync",
-        )
-        if clean_len != len(data):
-            if status == "torn":
+        clean_len = decoder.clean_end
+        if clean_len != size:
+            if decoder.status == "torn":
                 self.torn_truncated += 1
                 logger.warning(
                     "replog %s: truncated %d torn bytes",
-                    self.origin, len(data) - clean_len,
+                    self.origin, size - clean_len,
                 )
             else:
                 self.corrupt_skipped += 1
                 logger.error(
                     "replog %s: dropped %d corrupt trailing bytes",
-                    self.origin, len(data) - clean_len,
+                    self.origin, size - clean_len,
                 )
             self._file.truncate(clean_len)
 

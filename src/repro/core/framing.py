@@ -7,8 +7,8 @@ in the same frame::
 
 The header is a single ASCII line (length-prefixed, CRC32 of the payload),
 so a file stays human-inspectable while torn tails and bit rot are
-*detectable* instead of silently parsed into garbage.  :func:`scan_frames`
-classifies a byte stream's end state:
+*detectable* instead of silently parsed into garbage.  A stream's end
+state is one of:
 
 - ``clean``   — every frame intact;
 - ``torn``    — the stream ends mid-frame (a crashed append): the tail is
@@ -16,15 +16,32 @@ classifies a byte stream's end state:
 - ``corrupt`` — a complete-looking frame fails its CRC or magic (bit rot,
   a zeroed block): everything from that point is quarantined, never
   silently dropped.
+
+There is one decoder, :class:`FrameDecoder`: it is fed a stream in
+chunks of any size and holds only the bytes of the frame it is on, so
+segment recovery, the replication log and snapshot ingest decode a
+stream of any length in one chunk plus the longest frame a header in it
+claims — and a claim that runs past a stream of known size is torn at
+once, never waited for.  :func:`scan_frames`, :func:`iter_frames` and
+:func:`find_next_frame` are its three views over a whole buffer.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
+from collections.abc import Iterable, Iterator
 
 from repro.util.errors import RepositoryError
 
 MAGIC = b"%MPF1"
+
+#: Bytes read (and checksummed, and fed) per step when a file is
+#: decoded, CRC'd or copied: the memory a scan holds beyond one frame.
+CHUNK_BYTES = 1 << 18
+
+# A frame header must end within this many bytes of its first one.
+_HEADER_WINDOW = 64
 
 
 class FramingError(RepositoryError):
@@ -37,6 +54,197 @@ def encode_frame(payload: bytes) -> bytes:
     return header + payload + b"\n"
 
 
+def file_chunks(fd: int, start: int, end: int) -> Iterator[bytes]:
+    """The bytes ``[start, end)`` of open file ``fd``, ``CHUNK_BYTES`` at a
+    time (positional reads: the file offset is left alone)."""
+    while start < end:
+        piece = os.pread(fd, min(CHUNK_BYTES, end - start), start)
+        if not piece:
+            return
+        start += len(piece)
+        yield piece
+
+
+def file_crc(fd: int, end: int) -> int:
+    """CRC32 of the first ``end`` bytes of ``fd``, read a chunk at a time."""
+    crc = 0
+    for piece in file_chunks(fd, 0, end):
+        crc = zlib.crc32(piece, crc)
+    return crc
+
+
+# What _probe returns for bytes that are not (yet) an intact frame.
+_TORN, _CORRUPT = (None, 0), (None, -1)
+
+
+def _probe(buf: bytes, at: int, final: bool, limit: int | None):
+    """Classify the frame that should start at ``buf[at]``.
+
+    Returns ``(payload, end)`` for an intact frame; ``(None, want)``
+    when ``buf`` must reach length ``want`` first; else :data:`_TORN`
+    or :data:`_CORRUPT`.  ``final`` says ``buf`` ends the stream;
+    ``limit`` is where the stream ends in ``buf``'s terms, when known,
+    so a header that claims more than is left is torn at once instead
+    of waited for.
+    """
+    nl = buf.find(b"\n", at, at + _HEADER_WINDOW)
+    if nl == -1:
+        if len(buf) - at >= _HEADER_WINDOW:
+            return _CORRUPT
+        return _TORN if final else (None, len(buf) + 1)
+    parts = buf[at:nl].split(b" ")
+    if len(parts) != 3 or parts[0] != MAGIC:
+        return _CORRUPT
+    try:
+        length, crc = int(parts[1]), int(parts[2])
+    except ValueError:
+        return _CORRUPT
+    if length < 0:
+        return _CORRUPT
+    end = nl + 2 + length  # header, payload, trailing newline
+    if limit is not None and end > limit:
+        return _TORN
+    if end > len(buf):
+        return _TORN if final else (None, end)
+    payload = buf[nl + 1:end - 1]
+    if buf[end - 1] != 0x0A or zlib.crc32(payload) != crc:
+        return _CORRUPT
+    return payload, end
+
+
+class FrameDecoder:
+    """Decode a framed stream fed in chunks of any size.
+
+    :meth:`feed` and :meth:`finish` return events in stream order:
+    ``(payload, start, end)`` for each intact frame, with ``start`` and
+    ``end`` stream offsets (counted from ``offset``, the position of the
+    first byte fed).  Once the stream's end state is known, ``status``
+    is ``"clean"``, ``"torn"`` or ``"corrupt"`` and ``clean_end`` is the
+    offset just past the last intact frame; later feeds are ignored.
+
+    Without ``resync`` decoding stops at the first torn or corrupt byte.
+    With it, a corrupt region is reported as ``(None, start, end)`` and
+    decoding resumes on the next intact frame after its first byte; a
+    region that no intact frame follows runs to the end of the stream,
+    and ``status`` is then ``"corrupt"``.  The region's bytes are not
+    kept: the caller reads them back from its source if it wants them.
+
+    ``size``, the offset where the stream ends, is optional; given, a
+    header that claims more bytes than are left is torn (or, while
+    resynchronising, not a frame) without waiting for them.  Either way
+    the decoder holds only the bytes of the frame it is on — a declared
+    length is never allocated up front.
+    """
+
+    def __init__(self, offset: int = 0, *, size: int | None = None,
+                 resync: bool = False) -> None:
+        self.status: str | None = None
+        self.clean_end = offset
+        self._size = size
+        self._resync = resync
+        self._buf = b""
+        self._base = offset  # stream offset of _buf[0]
+        self._at = 0  # in _buf: the next frame, or where the search resumes
+        self._pending: list[bytes] = []  # fed, not yet joined onto _buf
+        self._fed = offset  # stream offset past the last byte fed
+        self._want = offset  # progress needs the stream to reach this offset
+        self._gap: int | None = None  # start of the corrupt region being crossed
+
+    def feed(self, chunk: bytes) -> list[tuple]:
+        """Take the next bytes of the stream; return the events they complete."""
+        if self.status is not None or not chunk:
+            return []
+        self._pending.append(chunk)
+        self._fed += len(chunk)
+        if self._fed < self._want:
+            return []
+        return self._run(final=False)
+
+    def finish(self) -> list[tuple]:
+        """The stream has ended: return the last events and settle ``status``."""
+        if self.status is not None:
+            return []
+        return self._run(final=True)
+
+    def decode(self, chunks: Iterable[bytes]) -> Iterator[tuple]:
+        """Feed every chunk, then finish; yield the events.  Stops pulling
+        chunks as soon as the end state is known (the first torn or
+        corrupt byte, unless resynchronising)."""
+        for chunk in chunks:
+            yield from self.feed(chunk)
+            if self.status is not None:
+                return
+        yield from self.finish()
+
+    def _run(self, final: bool) -> list[tuple]:
+        if self._pending:
+            rest, self._buf = self._buf[self._at:], b""
+            self._buf = rest + b"".join(self._pending)
+            self._pending.clear()
+            self._base += self._at
+            self._at = 0
+        buf, base, at, gap = self._buf, self._base, self._at, self._gap
+        limit = None if self._size is None else self._size - base
+        events: list[tuple] = []
+        status = clean = None
+        while True:
+            if gap is None:
+                if at == len(buf):
+                    if final:
+                        status = "clean"
+                    else:
+                        self._want = base + at + 1
+                    break
+                payload, end = _probe(buf, at, final, limit)
+                if payload is not None:
+                    events.append((payload, base + at, base + end))
+                    at = clean = end
+                    continue
+                if end > 0:
+                    self._want = base + end
+                    break
+                if end == 0:
+                    status = "torn"
+                    break
+                if not self._resync:
+                    status = "corrupt"
+                    break
+                gap = base + at
+                at += 1
+                continue
+            # Crossing a corrupt region: the next intact frame ends it.
+            found = buf.find(MAGIC, at)
+            if found == -1:
+                if final:
+                    events.append((None, gap, base + len(buf)))
+                    status = "corrupt"
+                else:
+                    # Keep only what may be the start of a magic.
+                    at = max(at, len(buf) - len(MAGIC) + 1)
+                    self._want = base + len(buf) + 1
+                break
+            payload, end = _probe(buf, found, final, limit)
+            if payload is None:
+                if end > 0:
+                    at = found
+                    self._want = base + end
+                    break
+                at = found + 1
+                continue
+            events.append((None, gap, base + found))
+            events.append((payload, base + found, base + end))
+            gap = None
+            at = clean = end
+        self._at, self._gap = at, gap
+        if clean is not None:
+            self.clean_end = base + clean
+        if status is not None:
+            self.status = status
+            self._buf = b""
+            self._at = 0
+        return events
+
+
 def scan_frames(data: bytes) -> tuple[list[bytes], int, str]:
     """Decode consecutive frames from ``data``.
 
@@ -45,68 +253,21 @@ def scan_frames(data: bytes) -> tuple[list[bytes], int, str]:
     of ``"clean"``, ``"torn"`` (incomplete tail) or ``"corrupt"`` (a full
     frame that fails magic/CRC).
     """
-    payloads: list[bytes] = []
-    pos = 0
-    size = len(data)
-    while pos < size:
-        nl = data.find(b"\n", pos, pos + 64)
-        if nl == -1:
-            incomplete = size - pos < 64 and data.find(b"\n", pos) == -1
-            return payloads, pos, "torn" if incomplete else "corrupt"
-        parts = data[pos:nl].split(b" ")
-        if len(parts) != 3 or parts[0] != MAGIC:
-            return payloads, pos, "corrupt"
-        try:
-            length, crc = int(parts[1]), int(parts[2])
-        except ValueError:
-            return payloads, pos, "corrupt"
-        if length < 0:
-            return payloads, pos, "corrupt"
-        start = nl + 1
-        end = start + length + 1  # payload plus trailing newline
-        if end > size:
-            return payloads, pos, "torn"
-        payload = data[start:start + length]
-        if data[end - 1] != 0x0A or zlib.crc32(payload) != crc:
-            return payloads, pos, "corrupt"
-        payloads.append(payload)
-        pos = end
-    return payloads, pos, "clean"
+    decoder = FrameDecoder(size=len(data))
+    payloads = [payload for payload, _, _ in decoder.decode((data,))]
+    return payloads, decoder.clean_end, decoder.status
 
 
 def iter_frames(data: bytes, pos: int = 0):
     """Yield ``(payload, start, end)`` for consecutive intact frames.
 
-    Like :func:`scan_frames` but with byte offsets, which is what the
-    segment engine's index needs; stops at the first torn or corrupt
-    byte.  The caller learns where it stopped from the last yielded
-    ``end`` (or ``pos`` if nothing was yielded) and can classify the
-    remainder with :func:`scan_frames` or resume with
+    Like :func:`scan_frames` but with byte offsets; stops at the first
+    torn or corrupt byte.  The caller learns where it stopped from the
+    last yielded ``end`` (or ``pos`` if nothing was yielded) and can
+    classify the remainder with :func:`scan_frames` or resume with
     :func:`find_next_frame`.
     """
-    size = len(data)
-    while pos < size:
-        nl = data.find(b"\n", pos, pos + 64)
-        if nl == -1:
-            return
-        parts = data[pos:nl].split(b" ")
-        if len(parts) != 3 or parts[0] != MAGIC:
-            return
-        try:
-            length, crc = int(parts[1]), int(parts[2])
-        except ValueError:
-            return
-        if length < 0:
-            return
-        start = nl + 1
-        end = start + length + 1
-        if end > size:
-            return
-        payload = data[start:start + length]
-        if data[end - 1] != 0x0A or zlib.crc32(payload) != crc:
-            return
-        yield payload, pos, end
-        pos = end
+    yield from FrameDecoder(pos, size=len(data)).decode((data[pos:],))
 
 
 def find_next_frame(data: bytes, pos: int) -> int:
@@ -117,17 +278,15 @@ def find_next_frame(data: bytes, pos: int) -> int:
     resynchronizes on the next verifiable frame header instead of
     discarding the rest of the file.
     """
-    size = len(data)
-    while 0 <= pos < size:
-        pos = data.find(MAGIC, pos)
-        if pos == -1:
-            return -1
-        probe = iter_frames(data, pos)
-        try:
-            next(probe)
-            return pos
-        except StopIteration:
-            pos += 1
+    if not 0 <= pos < len(data):
+        return -1
+    decoder = FrameDecoder(pos, size=len(data), resync=True)
+    decoder._gap = pos  # search from ``pos`` itself, as if a region began there
+    # In chunks, so the frames behind the one found are not decoded too.
+    chunks = (data[at:at + CHUNK_BYTES] for at in range(pos, len(data), CHUNK_BYTES))
+    for payload, start, _ in decoder.decode(chunks):
+        if payload is not None:
+            return start
     return -1
 
 

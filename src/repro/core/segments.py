@@ -55,13 +55,16 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro import faults
 from repro.core.framing import (
+    FrameDecoder,
     decode_single_frame,
     encode_frame,
-    find_next_frame,
+    file_chunks,
+    file_crc,
     is_framed,
     iter_frames,
     scan_frames,
@@ -410,11 +413,11 @@ class SegmentRepository(CredentialRepository):
         out.sort(key=lambda row: (row[1], row[2]))
         return out
 
-    def _load_sidecar(self, path: Path, data: bytes, crc: int):
+    def _load_sidecar(self, path: Path, size: int, crc: int):
         """Validated sidecar record rows, or ``None`` (→ full scan)."""
         try:
             doc = json.loads(_sidecar_path(path).read_text("utf-8"))
-            if doc.get("v") != 1 or int(doc["size"]) != len(data):
+            if doc.get("v") != 1 or int(doc["size"]) != size:
                 return None
             if int(doc["crc"]) != crc:
                 return None
@@ -454,67 +457,63 @@ class SegmentRepository(CredentialRepository):
         Returns ``(records, crc, from_sidecar)`` — the ordered record
         rows and the CRC of the segment's (possibly truncated) bytes —
         or ``(None, None, False)`` when the whole file was quarantined.
+        The file is read ``CHUNK_BYTES`` at a time, never whole.
         """
         try:
-            data = path.read_bytes()
-            _, _, covers, pos = _parse_header(data)
-        except (RepositoryError, OSError) as exc:
-            # The header itself is gone: quarantine the whole file.
+            fh = open(path, "rb")
+        except OSError as exc:
             self._quarantine_file(path, f"unreadable segment header: {exc}")
             return None, None, False
-        seg = _Segment(path, seg_id, gen, covers, size=len(data))
-        segkey = seg.key
+        with fh:
+            try:
+                _, _, covers, pos = _parse_header(fh.read(128))
+            except (RepositoryError, OSError) as exc:
+                # The header itself is gone: quarantine the whole file.
+                self._quarantine_file(path, f"unreadable segment header: {exc}")
+                return None, None, False
+            fd = fh.fileno()
+            size = os.fstat(fd).st_size
+            seg = _Segment(path, seg_id, gen, covers, size=size)
+            segkey = seg.key
 
-        crc = zlib.crc32(data)
-        sidecar = self._load_sidecar(path, data, crc)
-        if sidecar is not None:
-            for kind, username, cred_name, offset, length in sidecar:
-                self._apply_record(
-                    segkey, kind, (username, cred_name), offset, length, seg
-                )
-            self._segments[segkey] = seg
-            return sidecar, crc, True
+            crc = file_crc(fd, size)
+            sidecar = self._load_sidecar(path, size, crc)
+            if sidecar is not None:
+                for kind, username, cred_name, offset, length in sidecar:
+                    self._apply_record(
+                        segkey, kind, (username, cred_name), offset, length, seg
+                    )
+                self._segments[segkey] = seg
+                return sidecar, crc, True
 
-        records: list[tuple[str, str, str, int, int]] = []
-        truncate_to: int | None = None
-        while pos < len(data):
-            stopped = pos
-            for payload, start, end in iter_frames(data, pos):
+            # Full scan.  A corrupt region is quarantined and the scan
+            # resynchronizes on the next intact frame, so the records behind
+            # it survive; a torn tail is a crashed append, never acknowledged.
+            records: list[tuple[str, str, str, int, int]] = []
+            decoder = FrameDecoder(pos, size=size, resync=True)
+            for payload, start, end in decoder.decode(file_chunks(fd, pos, size)):
+                if payload is None:
+                    self._quarantine_region(path.name, start, file_chunks(fd, start, end))
+                    seg.dead_bytes += end - start
+                    seg.total_record_bytes += end - start
+                    continue
                 row = self._index_record(segkey, payload, start, end - start, seg)
                 if row is not None:
                     records.append((row[0], row[1], row[2], start, end - start))
-                stopped = end
-            pos = stopped
-            if pos >= len(data):
-                break
-            _, _, status = scan_frames(data[pos:])
-            if status == "torn":
-                # A crashed append: never acknowledged, safe to drop.
-                self.stats.inc("torn_truncated")
-                truncate_to = pos
-                logger.warning("segment %s: truncated %d torn bytes",
-                               path.name, len(data) - pos)
-                break
-            # Corrupt: quarantine the damaged region, then resynchronize
-            # on the next intact frame so the records behind it survive.
-            nxt = find_next_frame(data, pos + 1)
-            end_of_gap = nxt if nxt != -1 else len(data)
-            self._quarantine_region(path.name, pos, data[pos:end_of_gap])
-            seg.dead_bytes += end_of_gap - pos
-            seg.total_record_bytes += end_of_gap - pos
-            if nxt == -1:
-                truncate_to = pos
-                break
-            pos = nxt
-        if truncate_to is not None:
-            with open(path, "r+b") as fh:
-                fh.truncate(truncate_to)
-                fh.flush()
-                os.fsync(fh.fileno())
-            seg.size = truncate_to
-            crc = zlib.crc32(data[:truncate_to])
-        self._segments[segkey] = seg
-        return records, crc, False
+            if decoder.status != "clean":
+                truncate_to = decoder.clean_end
+                if decoder.status == "torn":
+                    self.stats.inc("torn_truncated")
+                    logger.warning("segment %s: truncated %d torn bytes",
+                                   path.name, size - truncate_to)
+                with open(path, "r+b") as out:
+                    out.truncate(truncate_to)
+                    out.flush()
+                    os.fsync(out.fileno())
+                seg.size = truncate_to
+                crc = file_crc(fd, truncate_to)
+            self._segments[segkey] = seg
+            return records, crc, False
 
     def _index_record(self, segkey: tuple[int, int], payload: bytes,
                       offset: int, length: int,
@@ -534,7 +533,7 @@ class SegmentRepository(CredentialRepository):
             # Good CRC, bad writer: quarantine the record, keep scanning.
             seg.total_record_bytes += length
             self.stats.inc("corruption_detected")
-            self._quarantine_region(seg.path.name, offset, payload)
+            self._quarantine_region(seg.path.name, offset, (payload,))
             seg.dead_bytes += length
             return None
         kind_text = "P" if kind == b"P" else "D"
@@ -579,6 +578,9 @@ class SegmentRepository(CredentialRepository):
     def _write_quarantine(self, name: str, data: bytes, reason: str) -> None:
         target = self._quarantine_target(name)
         target.write_bytes(data)
+        self._note_quarantined(target, name, reason)
+
+    def _note_quarantined(self, target: Path, name: str, reason: str) -> None:
         try:
             target.with_name(target.name + ".reason").write_text(reason + "\n", "utf-8")
         except OSError:  # pragma: no cover - reason is best-effort
@@ -586,24 +588,49 @@ class SegmentRepository(CredentialRepository):
         self.stats.inc("quarantined")
         logger.error("quarantined %s: %s", name, reason)
 
-    def _quarantine_region(self, segment_name: str, offset: int, data: bytes) -> None:
-        """Set aside a corrupt byte range, named for its credential when
-        the record header inside survived the damage."""
+    def _quarantine_region(self, segment_name: str, offset: int,
+                           pieces: Iterable[bytes]) -> None:
+        """Set aside a corrupt byte range, given in pieces, named for its
+        credential when the record header inside survived the damage.
+
+        The pieces are copied as they come (a region read from a segment
+        arrives a chunk at a time), so the name is settled afterwards."""
         self.stats.inc("corruption_detected")
-        match = _TOKEN_RE.search(data)
+        self._quarantine_dir.mkdir(mode=0o700, exist_ok=True)
+        partial = self._quarantine_dir / f".{segment_name}+{offset}.partial"
+        size = 0
+        # Holds the region's tail from where the first token match could
+        # still start, or from the first match while it may grow.
+        scan = b""
+        match = None
+        with open(partial, "wb") as out:
+            for piece in pieces:
+                out.write(piece)
+                size += len(piece)
+                if match is None or match.end() == len(scan):
+                    scan += piece
+                    match = _TOKEN_RE.search(scan)
+                    if match is not None:
+                        scan = scan[match.start():]
+                        match = _TOKEN_RE.match(scan)
+                    else:
+                        scan = scan[-2:]
         identity = None
-        if match:
+        if match is not None:
             try:
                 identity = decode_key_token(match.group(1).decode("ascii"))
             except (ValueError, UnicodeDecodeError):
                 identity = None
-        reason = (f"corrupt region at {segment_name}+{offset} "
-                  f"({len(data)} bytes failed CRC)")
         if identity is not None:
-            token = encode_key_token(*identity)
-            self._write_quarantine(f"{token}.json", data, reason)
+            name = f"{encode_key_token(*identity)}.json"
         else:
-            self._write_quarantine(f"{segment_name}+{offset}.corrupt", data, reason)
+            name = f"{segment_name}+{offset}.corrupt"
+        target = self._quarantine_target(name)
+        os.replace(partial, target)
+        self._note_quarantined(
+            target, name,
+            f"corrupt region at {segment_name}+{offset} ({size} bytes failed CRC)",
+        )
 
     def _quarantine_file(self, path: Path, reason: str) -> None:
         target = self._quarantine_target(path.name + ".corrupt")
@@ -821,7 +848,7 @@ class SegmentRepository(CredentialRepository):
         if len(frames) != 1 or frames[0][2] != length:
             # Bit rot under a live index entry: set it aside for repair
             # and fail the read loudly — never serve a corrupt credential.
-            self._quarantine_region(seg.path.name, offset, raw)
+            self._quarantine_region(seg.path.name, offset, (raw,))
             seg.dead_bytes += length
             self._index.pop(key, None)
             names = self._by_user.get(key[0])
@@ -1074,36 +1101,35 @@ class SegmentRepository(CredentialRepository):
             marker = self.root / INGEST_MARKER
             marker.write_bytes(b"ingest in flight\n")
             self._fsync_root()
-            buf = bytearray()
+            decoder = FrameDecoder()
             crc = 0
             count = 0
             header_seen = False
             trailer: dict | None = None
             try:
-                for chunk in chunks:
-                    buf += chunk
-                    pos = 0
-                    for payload, start, end in iter_frames(bytes(buf)):
-                        pos = end
-                        tag = payload[:2]
-                        if tag == b"H ":
-                            header_seen = True
-                            continue
-                        if tag == b"T ":
-                            trailer = json.loads(payload[2:].decode("utf-8"))
-                            continue
-                        if not header_seen:
-                            raise RepositoryError("snapshot stream missing header")
-                        raw = bytes(buf[start:end])
-                        crc = zlib.crc32(raw, crc)
-                        self._ingest_record(payload, raw)
-                        count += 1
-                    del buf[:pos]
+                for payload, _, _ in decoder.decode(chunks):
+                    tag = payload[:2]
+                    if tag == b"H ":
+                        header_seen = True
+                        continue
+                    if tag == b"T ":
+                        trailer = json.loads(payload[2:].decode("utf-8"))
+                        continue
+                    if not header_seen:
+                        raise RepositoryError("snapshot stream missing header")
+                    raw = encode_frame(payload)
+                    crc = zlib.crc32(raw, crc)
+                    self._ingest_record(payload, raw)
+                    count += 1
+                if decoder.status == "corrupt":
+                    raise RepositoryError(
+                        f"snapshot stream corrupt at byte {decoder.clean_end}"
+                    )
                 if trailer is None:
                     raise RepositoryError("snapshot stream ended without trailer")
-                if buf:
+                if decoder.status == "torn":
                     raise RepositoryError(
-                        f"snapshot stream left {len(buf)} undecodable bytes"
+                        f"snapshot stream ends in a torn frame at byte {decoder.clean_end}"
                     )
                 if int(trailer.get("entries", -1)) != count:
                     raise RepositoryError(

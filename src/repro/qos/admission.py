@@ -71,8 +71,13 @@ class AdmissionQueue:
         self._timefunc = timefunc
         self._depth_gauge = depth_gauge
         self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
         self._entries: deque[tuple[object, float]] = deque()
+        # One lock per consumer asleep in take(), newest last.  An offer
+        # wakes the newest, so work goes to the workers that ran last and
+        # a pool larger than the load leaves the rest asleep, their stacks
+        # and allocator caches untouched (waking the oldest cycles through
+        # every worker of the pool).
+        self._sleepers: list[threading.Lock] = []
         self._waiters = 0
         self._closed = False
 
@@ -93,24 +98,22 @@ class AdmissionQueue:
                 return False
             self._entries.append((item, self._timefunc()))
             self._set_gauge_locked()
-            self._available.notify()
+            if self._sleepers:
+                self._sleepers.pop().release()
             return True
 
     # -- consumers ----------------------------------------------------------
 
-    def take(self, timeout: float) -> AdmissionTicket | None:
-        """Dequeue the oldest entry, or None after ``timeout`` seconds.
+    def take(self, timeout: float | None) -> AdmissionTicket | None:
+        """Dequeue the oldest entry, or None after ``timeout`` seconds
+        (``None``: wait as long as it takes) or once the queue is closed.
 
         The ticket reports whether the entry already overran the deadline;
         the worker sheds those instead of serving them.
         """
         with self._lock:
-            if not self._entries:
-                self._waiters += 1
-                try:
-                    self._available.wait(timeout)
-                finally:
-                    self._waiters -= 1
+            if not self._entries and not self._closed and (timeout is None or timeout > 0):
+                self._sleep_locked(timeout)
             if not self._entries:
                 return None
             item, enqueued_at = self._entries.popleft()
@@ -122,6 +125,22 @@ class AdmissionQueue:
             waited=waited,
             expired=waited > self.deadline,
         )
+
+    def _sleep_locked(self, timeout: float | None) -> None:
+        """Release the lock until an offer or :meth:`close` wakes this
+        consumer, or ``timeout`` passes; holds the lock again on return."""
+        wake = threading.Lock()
+        wake.acquire()
+        self._sleepers.append(wake)
+        self._waiters += 1
+        self._lock.release()
+        try:
+            wake.acquire(timeout=-1 if timeout is None else timeout)
+        finally:
+            self._lock.acquire()
+            self._waiters -= 1
+            if wake in self._sleepers:  # timed out: no offer woke it
+                self._sleepers.remove(wake)
 
     def pop_expired(self) -> list[AdmissionTicket]:
         """Remove every entry past its deadline (the sweeper's call).
@@ -181,7 +200,9 @@ class AdmissionQueue:
             ]
             self._entries.clear()
             self._set_gauge_locked()
-            self._available.notify_all()
+            for wake in self._sleepers:
+                wake.release()
+            self._sleepers.clear()
         return drained
 
     def _set_gauge_locked(self) -> None:

@@ -326,7 +326,9 @@ class Listener:
         """Serve one turn per queued item until told to stop."""
         queue = self._queue
         while not self._stopping.is_set():
-            ticket = queue.take(timeout=_TICK)
+            # Blocks until work arrives or stop() closes the queue: an
+            # idle worker never wakes.
+            ticket = queue.take(timeout=None)
             if ticket is None:
                 continue
             conn, peer, channel, binding = ticket.item

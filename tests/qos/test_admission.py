@@ -1,6 +1,7 @@
 """The bounded admission queue (repro.qos.admission)."""
 
 import threading
+import time
 
 import pytest
 
@@ -80,6 +81,35 @@ class TestDepthZero:
             deadline_evt.wait(0.01)
         worker.join(timeout=5.0)
         assert got and got[0].item == "handoff"
+
+
+class TestWakeOrder:
+    def test_an_offer_wakes_the_newest_sleeper(self):
+        # Work goes to the consumer that went idle last, so a pool larger
+        # than the load keeps its other workers asleep.
+        q = AdmissionQueue(8, deadline=5.0)
+        served = []
+
+        def consume(name):
+            ticket = q.take(timeout=None)
+            if ticket is not None:
+                served.append((name, ticket.item))
+
+        threads = []
+        for name in "abc":
+            threads.append(threading.Thread(target=consume, args=(name,), daemon=True))
+            threads[-1].start()
+            deadline = time.monotonic() + 5.0
+            while q._waiters < len(threads) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        assert q.offer("job")
+        threads[-1].join(timeout=5.0)
+        assert served == [("c", "job")]
+        q.close()  # wakes the others with nothing to take
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert served == [("c", "job")]
+        assert not any(thread.is_alive() for thread in threads)
 
 
 class TestSweeping:
