@@ -33,7 +33,9 @@ short-lived clients should use so no idle channel outlives them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 import threading
 import time
@@ -52,11 +54,15 @@ from repro.core.protocol import (
 )
 from repro.core.policy import ONE_WEEK
 from repro.pki.credentials import Credential
-from repro.pki.keys import KeySource
+from repro.pki.keys import FreshKeySource, KeyPair, KeySource
 from repro.pki.proxy import create_proxy
 from repro.pki.validation import ChainValidator
 from repro.transport.channel import PeerClosedError, SecureChannel, connect_secure
-from repro.transport.delegation import accept_delegation, delegate_credential
+from repro.transport.delegation import (
+    accept_csr_reply,
+    delegate_credential,
+    new_csr,
+)
 from repro.transport.links import Link
 from repro.transport.tickets import TicketStore
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -468,6 +474,38 @@ class MyProxyClient:
             raise AuthenticationError(f"server refused: {response.error}")
         return response
 
+    def _new_key(self) -> KeyPair:
+        return (self.key_source or FreshKeySource()).new_key()
+
+    def _csr(self, key: KeyPair) -> dict | None:
+        """A GET's CSR for ``key``, bound to the identity we authenticate
+        as (an anonymous client, which no server serves a GET, sends none)."""
+        if self.credential is None:
+            return None
+        return new_csr(key, self.credential.identity)
+
+    def _accept_proxy(
+        self, channel: SecureChannel, granted: Response, key: KeyPair, lifetime: float
+    ) -> Credential:
+        """The proxy for ``key`` after ``granted``, the OK to a GET that
+        carried its CSR: held to the lifetime and limited flag the server
+        states it granted, and to ``lifetime`` when one was asked for."""
+        try:
+            allowed = float(granted.info["granted_lifetime"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError("GET response lacks its granted lifetime") from exc
+        if not math.isfinite(allowed) or allowed <= 0:
+            raise ProtocolError("GET response's granted lifetime must be positive")
+        if lifetime > 0:
+            allowed = min(allowed, lifetime)
+        return accept_csr_reply(
+            channel,
+            key,
+            lifetime=allowed,
+            limited=granted.info.get("limited") is True,
+            clock=self.clock,
+        )
+
     # -- Figure 1: delegate a proxy *to* the repository ------------------------
 
     def put(
@@ -543,7 +581,13 @@ class MyProxyClient:
         expects (static pass phrase, the next OTP word, or a site ticket).
         Returns the delegated proxy credential, private key and all —
         generated locally; only the public half traveled.
+
+        The key and its CSR are made before the request is sent, so the
+        server answers in one flight (PROTOCOL.md §4); a server that
+        ignores the CSR gets the Offer exchange, with the same key.  A
+        refused GET leaves that key unused.
         """
+        key = self._new_key()
         request = Request(
             command=Command.GET,
             username=username,
@@ -551,13 +595,12 @@ class MyProxyClient:
             lifetime=lifetime,
             cred_name=cred_name,
             auth_method=auth_method,
+            csr=self._csr(key),
         )
         def conversation(channel: SecureChannel) -> Credential:
             channel.send(request.encode())
-            self._expect_ok(channel)
-            return accept_delegation(
-                channel, key_source=self.key_source, clock=self.clock
-            )
+            granted = self._expect_ok(channel)
+            return self._accept_proxy(channel, granted, key, lifetime)
 
         return self._converse(conversation)
 
@@ -576,10 +619,14 @@ class MyProxyClient:
         """
         if not items:
             return []
+        keys = [self._new_key() for _ in items]
         request = Request(
             command=Command.GET_MULTI,
             username=items[0].username,
-            batch=tuple(items),
+            batch=tuple(
+                dataclasses.replace(item, csr=self._csr(key))
+                for item, key in zip(items, keys)
+            ),
         )
 
         def conversation(channel: SecureChannel) -> list[Credential | Exception]:
@@ -591,7 +638,7 @@ class MyProxyClient:
                     f"server acknowledged {count} batch items, sent {len(items)}"
                 )
             results: list[Credential | Exception] = []
-            for _item in items:
+            for item, key in zip(items, keys):
                 response = Response.decode(channel.recv())
                 if response.busy:
                     results.append(
@@ -606,9 +653,7 @@ class MyProxyClient:
                     )
                     continue
                 results.append(
-                    accept_delegation(
-                        channel, key_source=self.key_source, clock=self.clock
-                    )
+                    self._accept_proxy(channel, response, key, item.lifetime)
                 )
             return results
 

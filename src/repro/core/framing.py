@@ -22,7 +22,8 @@ chunks of any size and holds only the bytes of the frame it is on, so
 segment recovery, the replication log and snapshot ingest decode a
 stream of any length in one chunk plus the longest frame a header in it
 claims — and a claim that runs past a stream of known size is torn at
-once, never waited for.  :func:`scan_frames`, :func:`iter_frames` and
+once (or, when resynchronising, where a search for the next frame
+starts), never waited for.  :func:`scan_frames`, :func:`iter_frames` and
 :func:`find_next_frame` are its three views over a whole buffer.
 """
 
@@ -126,8 +127,12 @@ class FrameDecoder:
     With it, a corrupt region is reported as ``(None, start, end)`` and
     decoding resumes on the next intact frame after its first byte; a
     region that no intact frame follows runs to the end of the stream,
-    and ``status`` is then ``"corrupt"``.  The region's bytes are not
-    kept: the caller reads them back from its source if it wants them.
+    and ``status`` is then ``"corrupt"``.  Bytes that look torn (a header
+    claiming more than is left, or a stream ending mid-frame) are a torn
+    tail only when no intact frame follows them; otherwise they are a
+    corrupt region like any other — a length damaged mid-stream must not
+    cost the records behind it.  The region's bytes are not kept: the
+    caller reads them back from its source if it wants them.
 
     ``size``, the offset where the stream ends, is optional; given, a
     header that claims more bytes than are left is torn (or, while
@@ -149,6 +154,7 @@ class FrameDecoder:
         self._fed = offset  # stream offset past the last byte fed
         self._want = offset  # progress needs the stream to reach this offset
         self._gap: int | None = None  # start of the corrupt region being crossed
+        self._gap_torn = False  # that region began as a torn-looking frame
 
     def feed(self, chunk: bytes) -> list[tuple]:
         """Take the next bytes of the stream; return the events they complete."""
@@ -184,6 +190,7 @@ class FrameDecoder:
             self._base += self._at
             self._at = 0
         buf, base, at, gap = self._buf, self._base, self._at, self._gap
+        gap_torn = self._gap_torn
         limit = None if self._size is None else self._size - base
         events: list[tuple] = []
         status = clean = None
@@ -203,21 +210,21 @@ class FrameDecoder:
                 if end > 0:
                     self._want = base + end
                     break
-                if end == 0:
-                    status = "torn"
-                    break
                 if not self._resync:
-                    status = "corrupt"
+                    status = "torn" if end == 0 else "corrupt"
                     break
-                gap = base + at
+                gap, gap_torn = base + at, end == 0
                 at += 1
                 continue
             # Crossing a corrupt region: the next intact frame ends it.
             found = buf.find(MAGIC, at)
             if found == -1:
                 if final:
-                    events.append((None, gap, base + len(buf)))
-                    status = "corrupt"
+                    if gap_torn:
+                        status = "torn"
+                    else:
+                        events.append((None, gap, base + len(buf)))
+                        status = "corrupt"
                 else:
                     # Keep only what may be the start of a magic.
                     at = max(at, len(buf) - len(MAGIC) + 1)
@@ -235,7 +242,7 @@ class FrameDecoder:
             events.append((payload, base + found, base + end))
             gap = None
             at = clean = end
-        self._at, self._gap = at, gap
+        self._at, self._gap, self._gap_torn = at, gap, gap_torn
         if clean is not None:
             self.clean_end = base + clean
         if status is not None:

@@ -12,8 +12,9 @@ repository's operations as JSON-over-HTTPS endpoints, and
 decision, GET's authorize-and-load, PUT's checks and storage, INFO,
 DESTROY, CHANGE_PASSPHRASE — are the same public
 :class:`~repro.core.server.MyProxyServer` methods the GSI dispatcher
-calls.  The gateway keeps only decoding, its own key-exchange step, and
-encoding.
+calls, and a GET's proxy comes from the same issuing step
+(:func:`~repro.transport.delegation.issue`) as a GSI GET's.  The gateway
+keeps only decoding, the PUT key exchange, and encoding.
 
 Transport security is the same GSI channel (the gateway **requires client
 certificates** — no anonymous access), so the §5.1 properties carry over
@@ -40,7 +41,6 @@ credential services (e.g. CILogon) did:
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import secrets
@@ -53,11 +53,17 @@ from repro.core.repository import RepositoryEntry
 from repro.core.server import REFUSABLE, MyProxyServer, Refusal
 from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
-from repro.pki.keys import FreshKeySource, KeyPair, KeySource, PublicKey
-from repro.pki.proxy import sign_proxy_request
+from repro.pki.keys import FreshKeySource, KeyPair, KeySource
 from repro.pki.validation import ValidatedIdentity
 from repro.transport.channel import SecureChannel
-from repro.transport.delegation import accept_issue
+from repro.transport.delegation import (
+    accept_issue,
+    check_csr,
+    csr_nonce,
+    issue,
+    make_csr,
+    new_csr,
+)
 from repro.transport.listener import Binding, serve_link
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import (
@@ -80,10 +86,6 @@ PUT_TOMBSTONE_TTL = 10 * PUT_SESSION_TTL
 _REFUSAL_STATUS = {"denied": 403, "rejected": 400, "busy": 503, "storage": 503}
 
 
-def _pop_message(nonce_hex: str, public_pem: bytes, identity: str) -> bytes:
-    return _POP_LABEL + bytes.fromhex(nonce_hex) + public_pem + identity.encode()
-
-
 def _json_body(request: HttpRequest) -> dict:
     try:
         payload = json.loads(request.body.decode("utf-8"))
@@ -92,38 +94,6 @@ def _json_body(request: HttpRequest) -> dict:
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
     return payload
-
-
-def _nonce(payload: dict) -> str:
-    nonce_hex = str(payload.get("nonce", ""))
-    if len(nonce_hex) < 32:
-        raise ProtocolError("CSR nonce too short")
-    return nonce_hex
-
-
-def _csr(key: KeyPair, nonce_hex: str, client) -> dict:
-    """A CSR for ``key``: its public half plus proof of possession over
-    ``nonce_hex``, bound to the *client's* identity (no cross-client
-    splicing).  The client makes one for GET, the server for PUT/CDP."""
-    public_pem = key.public.to_pem()
-    pop = key.sign(_pop_message(nonce_hex, public_pem, str(client)))
-    return {
-        "public_key_pem": public_pem.decode("ascii"),
-        "pop": base64.b64encode(pop).decode("ascii"),
-    }
-
-
-def _check_csr(csr, nonce_hex: str, client) -> PublicKey:
-    """The public key of a :func:`_csr` whose proof of possession holds."""
-    try:
-        public_pem = csr["public_key_pem"].encode("ascii")
-        pop = base64.b64decode(csr["pop"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ProtocolError("malformed CSR") from exc
-    public_key = PublicKey.from_pem(public_pem)
-    if not public_key.verify(pop, _pop_message(nonce_hex, public_pem, str(client))):
-        raise ProtocolError("CSR proof-of-possession failed")
-    return public_key
 
 
 def _request_from(payload: dict, command: Command) -> Request:
@@ -367,17 +337,13 @@ class MyProxyHttpGateway(Binding):
 
     def _op_get(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         request = _request_from(payload, Command.GET)
-        stored, lifetime = self.server.authorize_get(peer, request)
-
-        csr = payload.get("csr")
-        if not isinstance(csr, dict):
-            raise ProtocolError("malformed CSR")
-        public_key = _check_csr(csr, _nonce(csr), peer.identity)
-        issued = sign_proxy_request(
-            stored, public_key, lifetime=lifetime, clock=self.server.clock
+        stored, lifetime, chain_pem = self.server.authorize_get(peer, request)
+        public_key = check_csr(payload.get("csr"), peer.identity, label=_POP_LABEL)
+        issued, chain_pem = issue(
+            stored, public_key, lifetime=lifetime, clock=self.server.clock,
+            chain_pem=chain_pem,
         )
         self.server.record_get(peer, request, issued.not_after)
-        chain_pem = b"".join(c.to_pem() for c in stored.full_chain())
         return HttpResponse.json(
             {
                 "ok": True,
@@ -393,12 +359,11 @@ class MyProxyHttpGateway(Binding):
 
     def _op_put_begin(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         self.server.require_acl(self.server.policy.accepted_credentials, peer)
-        nonce_hex = _nonce(payload)
+        nonce_hex = csr_nonce(payload)
         key = self.key_source.new_key()
         token, _expires = self._put_sessions.add(str(peer.identity), key)
-        return HttpResponse.json(
-            {"ok": True, "token": token, **_csr(key, nonce_hex, peer.identity)}
-        )
+        csr = make_csr(key, nonce_hex, peer.identity, label=_POP_LABEL)
+        return HttpResponse.json({"ok": True, "token": token, **csr})
 
     def _op_put_complete(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         key = self._put_sessions.take(str(payload.get("token", "")), str(peer.identity))
@@ -514,11 +479,12 @@ class HttpMyProxyClient:
         """Check the server's proof of possession over ``nonce``, then sign
         its key as a proxy of ``signer``: the certificate fields of the
         request that completes a PUT or a CDP delegation."""
-        public_key = _check_csr(csr, nonce, self.credential.identity)
-        cert = sign_proxy_request(
+        public_key = check_csr(
+            csr, self.credential.identity, nonce_hex=nonce, label=_POP_LABEL
+        )
+        cert, chain_pem = issue(
             signer, public_key, lifetime=lifetime, clock=self.clock, **proxy
         )
-        chain_pem = b"".join(c.to_pem() for c in signer.full_chain())
         return {
             "certificate_pem": cert.to_pem().decode("ascii"),
             "chain_pem": chain_pem.decode("ascii"),
@@ -543,7 +509,6 @@ class HttpMyProxyClient:
         one was asked for.
         """
         key = self.key_source.new_key()
-        nonce = secrets.token_hex(16)
         answer = self._call(
             "/myproxy/get",
             {
@@ -552,9 +517,7 @@ class HttpMyProxyClient:
                 "lifetime": lifetime,
                 "cred_name": cred_name,
                 "auth_method": auth_method.value,
-                "csr": {
-                    "nonce": nonce, **_csr(key, nonce, self.credential.identity)
-                },
+                "csr": new_csr(key, self.credential.identity, label=_POP_LABEL),
             },
         )
         try:

@@ -26,6 +26,9 @@ RENEWERS            PUT only: comma-separated DN globs enabling §6.6
                     renewal-by-possession for this credential (absent =
                     renewal disabled)
 NEW_PASSPHRASE      CHANGE_PASSPHRASE only
+CSR                 GET only: ``{nonce, public_key_pem, pop}`` JSON — the
+                    requester's new public key and its proof of
+                    possession (:func:`repro.transport.delegation.make_csr`)
 ==================  =======================================================
 
 Responses carry ``RESPONSE=0`` (OK), ``RESPONSE=1`` plus ``ERROR``, or
@@ -34,7 +37,9 @@ sends instead of silently dropping the connection (see :mod:`repro.qos`);
 INFO replies append ``INFO`` with a JSON document.  After an OK response to
 ``PUT``/``GET``/``STORE``/``RETRIEVE``, the corresponding credential
 transfer runs on the same secure channel (see
-:mod:`repro.transport.delegation` for PUT/GET).
+:mod:`repro.transport.delegation` for PUT/GET).  A GET that carries a
+``CSR`` needs no transfer exchange: the OK response (stating the granted
+lifetime and limited flag) and the delegation Issue arrive together.
 
 Every message rides the mutually-authenticated encrypted channel — §5.1:
 "all data passing to and from the server is encrypted".
@@ -106,6 +111,8 @@ class BatchItem:
     lifetime: float = 0.0
     cred_name: str = DEFAULT_CRED_NAME
     auth_method: AuthMethod = AuthMethod.PASSPHRASE
+    #: The item's CSR, as the GET ``CSR`` field carries it.
+    csr: dict | None = None
 
     def __post_init__(self) -> None:
         if not self.username:
@@ -116,13 +123,16 @@ class BatchItem:
             raise ProtocolError("batch item LIFETIME must be non-negative")
 
     def to_wire(self) -> dict:
-        return {
+        wire = {
             "username": self.username,
             "passphrase": self.passphrase,
             "lifetime": self.lifetime,
             "cred_name": self.cred_name,
             "auth_method": self.auth_method.value,
         }
+        if self.csr is not None:
+            wire["csr"] = self.csr
+        return wire
 
     @classmethod
     def from_wire(cls, raw: dict) -> "BatchItem":
@@ -144,7 +154,14 @@ class BatchItem:
             lifetime=lifetime,
             cred_name=str(raw.get("cred_name", DEFAULT_CRED_NAME)),
             auth_method=auth_method,
+            csr=_csr_object(raw.get("csr")),
         )
+
+
+def _csr_object(raw) -> dict | None:
+    if raw is not None and not isinstance(raw, dict):
+        raise ProtocolError("CSR must be a JSON object")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -163,6 +180,8 @@ class Request:
     new_passphrase: str = ""
     #: GET_MULTI only: the per-credential requests of the batch.
     batch: tuple[BatchItem, ...] | None = None
+    #: GET only: the requester's CSR, which makes the GET one flight.
+    csr: dict | None = None
 
     def __post_init__(self) -> None:
         if not self.username:
@@ -180,6 +199,8 @@ class Request:
                 )
         elif self.batch is not None:
             raise ProtocolError("BATCH is only valid with GET_MULTI")
+        if self.csr is not None and self.command is not Command.GET:
+            raise ProtocolError("CSR is only valid with GET")
 
     # -- wire form ------------------------------------------------------------
 
@@ -205,6 +226,8 @@ class Request:
             fields["BATCH"] = json.dumps(
                 [item.to_wire() for item in self.batch], sort_keys=True
             )
+        if self.csr is not None:
+            fields["CSR"] = json.dumps(self.csr, sort_keys=True)
         return encode_kv(fields)
 
     @classmethod
@@ -250,6 +273,14 @@ class Request:
                 raise ProtocolError("BATCH payload must be a JSON array")
             batch = tuple(BatchItem.from_wire(item) for item in parsed)
 
+        csr: dict | None = None
+        csr_raw = fields.get("CSR")
+        if csr_raw is not None:
+            try:
+                csr = _csr_object(json.loads(csr_raw))
+            except json.JSONDecodeError as exc:
+                raise ProtocolError("malformed CSR payload") from exc
+
         max_get = fields.get("MAX_GET_LIFETIME")
         return cls(
             command=command,
@@ -263,6 +294,7 @@ class Request:
             renewers=renewers,
             new_passphrase=fields.get("NEW_PASSPHRASE", ""),
             batch=batch,
+            csr=csr,
         )
 
 

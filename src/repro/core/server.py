@@ -40,8 +40,9 @@ methods — :meth:`MyProxyServer.admit`, :meth:`~MyProxyServer.refuse`,
 :meth:`~MyProxyServer.info`, :meth:`~MyProxyServer.destroy` and
 :meth:`~MyProxyServer.change_passphrase`.  The GSI dispatcher below and
 the §6.4 HTTP/CDP gateway (:mod:`repro.core.httpbinding`) are codecs over
-them: each decodes its request, runs its own key-exchange step (delegation
-over the channel, or a CSR over HTTP) and encodes the reply.  Both are
+them: each decodes its request, runs its key exchange — a GET's CSR, on
+either binding, goes to the one issuing step
+(:func:`~repro.transport.delegation.issue`) — and encodes the reply.  Both are
 also *bindings* of one connection path (:meth:`MyProxyServer.listen`):
 the same handshake, per-request trust re-check, admission, parking and
 idle timeout serve either protocol's connections.
@@ -82,7 +83,13 @@ from repro.pki.keys import KeyPair, KeySource, OneShotKeyPool
 from repro.pki.validation import ChainValidator, ValidatedIdentity
 from repro.qos import ClassMap, RateLimiter
 from repro.transport.channel import SecureChannel, accept_secure
-from repro.transport.delegation import accept_delegation, delegate_credential
+from repro.transport.delegation import (
+    accept_delegation,
+    check_csr,
+    delegate_credential,
+    issue,
+    issue_message,
+)
 from repro.transport.tickets import SessionTicketManager
 from repro.transport.links import Link
 from repro.transport.listener import WORKERS, Binding, Listener, serve_link
@@ -1194,14 +1201,16 @@ class MyProxyServer(Binding):
 
     def authorize_get(
         self, peer: ValidatedIdentity, request: Request
-    ) -> tuple[Credential, float]:
+    ) -> tuple[Credential, float, bytes]:
         """GET's first half: authorize, then open the stored credential.
 
         Checks the retriever ACLs and the entry's secret (or §6.6 renewal
         by possession), expiry, and clamps the lifetime.  Returns the
-        stored credential — its key decrypted for this one request — and
-        the lifetime to grant.  The binding then issues the proxy and
-        calls :meth:`record_get`.
+        stored credential — its key decrypted for this one request — the
+        lifetime to grant, and the credential's chain as the entry stores
+        it (PEM).  The binding then issues the proxy
+        (:func:`~repro.transport.delegation.issue`) and calls
+        :meth:`record_get`.
         """
         self.require_acl(self.policy.authorized_retrievers, peer)
         entry = self.repository.get(request.username, request.cred_name)
@@ -1220,7 +1229,7 @@ class MyProxyServer(Binding):
 
         if key is None:
             key = self._decrypt_entry_key(entry, request.passphrase)
-        return self._load_entry_credential(entry, key), lifetime
+        return self._load_entry_credential(entry, key), lifetime, entry.certificate_pem
 
     def record_get(
         self, peer: ValidatedIdentity, request: Request, not_after: float
@@ -1235,16 +1244,31 @@ class MyProxyServer(Binding):
     def _do_get(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
     ) -> None:
-        stored, lifetime = self.authorize_get(peer, request)
-        channel.send(
-            Response.success(
-                {"granted_lifetime": lifetime, "cred_name": request.cred_name}
-            ).encode()
-        )
-        with self._observe_phase("delegation"):
-            issued = delegate_credential(
-                channel, stored, lifetime=lifetime, clock=self.clock
-            )
+        """One GET (or GET_MULTI item).  With a ``CSR`` it is one flight:
+        the PoP is checked, the proxy signed, and the OK response and the
+        Issue leave in one write — no Offer, nothing more read.  Without
+        one, the OK response is followed by the Offer/Request/Issue
+        exchange."""
+        stored, lifetime, chain_pem = self.authorize_get(peer, request)
+        granted = {"granted_lifetime": lifetime, "cred_name": request.cred_name}
+        if request.csr is None:
+            channel.send(Response.success(granted).encode())
+            with self._observe_phase("delegation"):
+                issued = delegate_credential(
+                    channel, stored, lifetime=lifetime, clock=self.clock,
+                    chain_pem=chain_pem,
+                )
+        else:
+            with self._observe_phase("delegation"):
+                public_key = check_csr(request.csr, peer.identity)
+                issued, chain_pem = issue(
+                    stored, public_key, lifetime=lifetime, clock=self.clock,
+                    chain_pem=chain_pem,
+                )
+                channel.send_many([
+                    Response.success({**granted, "limited": False}).encode(),
+                    issue_message(issued, chain_pem),
+                ])
         self.record_get(peer, request, issued.not_after)
 
     def _do_get_multi(
@@ -1273,6 +1297,7 @@ class MyProxyServer(Binding):
                 lifetime=item.lifetime,
                 cred_name=item.cred_name,
                 auth_method=item.auth_method,
+                csr=item.csr,
             )
             try:
                 self._do_get(channel, peer, sub)

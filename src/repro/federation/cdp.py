@@ -33,16 +33,16 @@ from __future__ import annotations
 import secrets
 
 from repro.core.httpbinding import (
+    _POP_LABEL,
     HttpMyProxyClient,
     MyProxyHttpGateway,
     PendingDelegations,
-    _csr,
-    _nonce,
 )
 from repro.pki.credentials import Credential
 from repro.pki.keys import KeySource
 from repro.pki.proxy import ProxyRestrictions
 from repro.pki.validation import ValidatedIdentity
+from repro.transport.delegation import csr_nonce, make_csr
 from repro.web.http11 import HttpResponse
 
 #: How long a registered delegation resource waits for its certificate.
@@ -86,7 +86,7 @@ class CdpService:
         key = self._delegations.peek(
             str(payload.get("delegation_id", "")), str(peer.identity)
         )
-        csr = _csr(key, _nonce(payload), peer.identity)
+        csr = make_csr(key, csr_nonce(payload), peer.identity, label=_POP_LABEL)
         return HttpResponse.json({"ok": True, **csr})
 
     def _op_certificate(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:

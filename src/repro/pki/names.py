@@ -138,8 +138,18 @@ class DistinguishedName:
     # -- proxy naming rule (§2.3) -------------------------------------------
 
     def proxy_subject(self, limited: bool = False) -> DistinguishedName:
-        """The subject DN a proxy issued by this identity must carry."""
-        return self.with_component("CN", LIMITED_PROXY_CN if limited else PROXY_CN)
+        """The subject DN a proxy issued by this identity must carry.
+
+        Built once per DN object, like :meth:`to_x509`, so every proxy a
+        stored credential signs reuses one subject and its ``x509.Name``."""
+        return self._proxy_subjects[limited]
+
+    @cached_property
+    def _proxy_subjects(self) -> tuple[DistinguishedName, DistinguishedName]:
+        return (
+            self.with_component("CN", PROXY_CN),
+            self.with_component("CN", LIMITED_PROXY_CN),
+        )
 
     def is_proxy_of(self, issuer: DistinguishedName) -> bool:
         """True if this DN follows the proxy naming rule for ``issuer``."""

@@ -65,10 +65,15 @@ class SecureChannel:
 
     def send(self, message: bytes) -> None:
         """Encrypt and send one application message."""
+        self.send_many([message])
+
+    def send_many(self, messages: list[bytes]) -> None:
+        """Encrypt ``messages`` as consecutive records and hand them to
+        the link together: over TCP, one write for the lot."""
         with self._send_lock:
             if self._closed:
                 raise TransportError("channel is closed")
-            self._link.send_frame(self._writer.seal(ContentType.DATA, message))
+            self._link.send_frames([self._writer.seal(ContentType.DATA, m) for m in messages])
 
     def recv(self) -> bytes:
         """Receive the next application message.

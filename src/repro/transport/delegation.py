@@ -23,6 +23,14 @@ ever sees the public half, and signs it after a proof-of-possession check
 (the PoP signature covers the delegator's nonce, so it cannot be replayed
 from an earlier delegation).
 
+A requester that asks for its proxy inside a command (a MyProxy GET) can
+skip the Offer: it makes its key first and sends a *CSR* —
+public key plus a PoP signature over its own nonce and its authenticated
+identity (:func:`make_csr`) — and the delegator answers with the Issue at
+once (:func:`issue`, :func:`issue_message`).  Both MyProxy bindings' GET
+carry one; :func:`accept_csr_reply` takes the Issue, or finishes the
+Offer exchange with the same key when the peer predates CSRs.
+
 Delegation *chains* (§2.4: "delegation can be chained") fall out naturally:
 an accepted delegated credential is itself a valid issuer for the next hop,
 subject to the limited-proxy and restriction rules of :mod:`repro.pki.proxy`.
@@ -30,11 +38,13 @@ subject to the limited-proxy and restriction rules of :mod:`repro.pki.proxy`.
 
 from __future__ import annotations
 
+import base64
 import secrets
 
 from repro.pki.certs import CLOCK_SKEW, Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import FreshKeySource, KeyPair, KeySource, PublicKey
+from repro.pki.names import DistinguishedName
 from repro.pki.proxy import DEFAULT_PROXY_LIFETIME, ProxyRestrictions, sign_proxy_request
 from repro.transport.channel import SecureChannel
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -45,10 +55,133 @@ _T_OFFER = b"DG1"
 _T_REQUEST = b"DG2"
 _T_ISSUE = b"DG3"
 _POP_LABEL = b"gsi-delegation-proof-of-possession-v1"
+#: The PoP label of a CSR carried by a GSI GET (PROTOCOL.md §4).
+CSR_POP_LABEL = b"gsi-get-csr-proof-of-possession-v1"
 
 
 def _pop_message(nonce: bytes, public_pem: bytes) -> bytes:
     return _POP_LABEL + nonce + public_pem
+
+
+# ---------------------------------------------------------------------------
+# CSRs: a public key plus proof of possession, bound to the requester
+# ---------------------------------------------------------------------------
+
+
+def csr_nonce(payload) -> str:
+    """The hex client nonce of ``payload`` (a CSR, or an HTTP request that
+    asks the server for one)."""
+    if not isinstance(payload, dict):
+        raise ProtocolError("malformed CSR")
+    nonce_hex = str(payload.get("nonce", ""))
+    if len(nonce_hex) < 32:
+        raise ProtocolError("CSR nonce too short")
+    try:
+        bytes.fromhex(nonce_hex)
+    except ValueError:
+        raise ProtocolError("CSR nonce is not hex") from None
+    return nonce_hex
+
+
+def _csr_message(
+    label: bytes, nonce_hex: str, public_pem: bytes, requester: DistinguishedName
+) -> bytes:
+    return label + bytes.fromhex(nonce_hex) + public_pem + str(requester).encode()
+
+
+def make_csr(
+    key: KeyPair,
+    nonce_hex: str,
+    requester: DistinguishedName,
+    *,
+    label: bytes = CSR_POP_LABEL,
+) -> dict:
+    """A CSR for ``key``: its public half plus proof of possession over
+    label ‖ ``nonce_hex`` ‖ public key ‖ ``requester``, the identity the
+    *requesting* client authenticates as (no cross-client splicing).  A
+    GET's client makes one for its new key; the HTTP binding's server
+    makes one for PUT/CDP."""
+    public_pem = key.public.to_pem()
+    pop = key.sign(_csr_message(label, nonce_hex, public_pem, requester))
+    return {
+        "public_key_pem": public_pem.decode("ascii"),
+        "pop": base64.b64encode(pop).decode("ascii"),
+    }
+
+
+def new_csr(
+    key: KeyPair, requester: DistinguishedName, *, label: bytes = CSR_POP_LABEL
+) -> dict:
+    """A GET's CSR object, ``{nonce, public_key_pem, pop}``, over a fresh
+    client nonce."""
+    nonce_hex = secrets.token_hex(16)
+    return {"nonce": nonce_hex, **make_csr(key, nonce_hex, requester, label=label)}
+
+
+def check_csr(
+    csr,
+    requester: DistinguishedName,
+    *,
+    nonce_hex: str | None = None,
+    label: bytes = CSR_POP_LABEL,
+) -> PublicKey:
+    """The public key of a :func:`make_csr` CSR whose proof of possession
+    holds for ``requester``, over ``nonce_hex`` or else the CSR's own
+    nonce.  A defect raises :class:`ProtocolError` (or, for a key that
+    does not parse, :class:`CredentialError`)."""
+    if nonce_hex is None:
+        nonce_hex = csr_nonce(csr)
+    try:
+        public_pem = csr["public_key_pem"].encode("ascii")
+        pop = base64.b64decode(csr["pop"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolError("malformed CSR") from exc
+    public_key = PublicKey.from_pem(public_pem)
+    if not public_key.verify(pop, _csr_message(label, nonce_hex, public_pem, requester)):
+        raise ProtocolError("CSR proof-of-possession failed")
+    return public_key
+
+
+# ---------------------------------------------------------------------------
+# the delegator
+# ---------------------------------------------------------------------------
+
+
+def issue(
+    stored: Credential,
+    public_key: PublicKey,
+    *,
+    lifetime: float,
+    limited: bool = False,
+    restrictions: ProxyRestrictions | None = None,
+    clock: Clock = SYSTEM_CLOCK,
+    chain_pem: bytes | None = None,
+) -> tuple[Certificate, bytes]:
+    """The one proxy-issuing step: sign ``public_key`` as a proxy of
+    ``stored`` and return the certificate with its issuer chain (PEM).
+
+    Every delegator calls it — the Offer exchange, a GET's CSR on either
+    binding, each GET_MULTI item, the HTTP client signing the server's
+    key for PUT or CDP.  ``chain_pem``, when the caller already holds
+    ``stored``'s chain as PEM (a repository entry does), is reused
+    instead of re-encoded.
+    """
+    cert = sign_proxy_request(
+        stored,
+        public_key,
+        lifetime=lifetime,
+        limited=limited,
+        restrictions=restrictions,
+        clock=clock,
+    )
+    if chain_pem is None:
+        chain_pem = b"".join(c.to_pem() for c in stored.full_chain())
+    return cert, chain_pem
+
+
+def issue_message(cert: Certificate, chain_pem: bytes) -> bytes:
+    """The Issue message carrying an :func:`issue` result."""
+    return pack_fields([_T_ISSUE, cert.to_pem(), chain_pem])
 
 
 def delegate_credential(
@@ -59,6 +192,7 @@ def delegate_credential(
     limited: bool = False,
     restrictions: ProxyRestrictions | None = None,
     clock: Clock = SYSTEM_CLOCK,
+    chain_pem: bytes | None = None,
 ) -> Certificate:
     """Delegate a proxy for ``issuer`` to the peer on ``channel``.
 
@@ -85,17 +219,63 @@ def delegate_credential(
     if not public_key.verify(pop_signature, _pop_message(nonce, public_pem)):
         raise ProtocolError("delegation proof-of-possession failed")
 
-    proxy_cert = sign_proxy_request(
+    proxy_cert, chain_pem = issue(
         issuer,
         public_key,
         lifetime=lifetime,
         limited=limited,
         restrictions=restrictions,
         clock=clock,
+        chain_pem=chain_pem,
     )
-    chain_pem = b"".join(c.to_pem() for c in issuer.full_chain())
-    channel.send(pack_fields([_T_ISSUE, proxy_cert.to_pem(), chain_pem]))
+    channel.send(issue_message(proxy_cert, chain_pem))
     return proxy_cert
+
+
+# ---------------------------------------------------------------------------
+# the acceptor
+# ---------------------------------------------------------------------------
+
+
+def _parse_offer(fields: list[bytes]) -> tuple[float, bool, bytes]:
+    if len(fields) != 4 or fields[0] != _T_OFFER:
+        raise ProtocolError("expected a delegation Offer message")
+    try:
+        offered_lifetime = float(fields[1].decode("ascii"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ProtocolError(f"malformed delegation Offer lifetime: {exc}") from None
+    if offered_lifetime <= 0:
+        raise ProtocolError("delegation Offer lifetime must be positive")
+    nonce = fields[3]
+    if len(nonce) < 16:
+        raise ProtocolError("delegation nonce too short")
+    return offered_lifetime, fields[2] == b"1", nonce
+
+
+def _answer_offer(
+    channel: SecureChannel,
+    offer: tuple[float, bool, bytes],
+    key: KeyPair,
+    clock: Clock,
+) -> Credential:
+    """Send the Request for ``key`` and accept the Issue against ``offer``."""
+    lifetime, limited, nonce = offer
+    public_pem = key.public.to_pem()
+    pop = key.sign(_pop_message(nonce, public_pem))
+    channel.send(pack_fields([_T_REQUEST, public_pem, pop]))
+    return _accept_issue_message(
+        unpack_fields(channel.recv()), key, lifetime=lifetime, limited=limited, clock=clock
+    )
+
+
+def _accept_issue_message(
+    fields: list[bytes], key: KeyPair, *, lifetime: float, limited: bool, clock: Clock
+) -> Credential:
+    if len(fields) != 3 or fields[0] != _T_ISSUE:
+        raise ProtocolError("expected a delegation Issue message")
+    return accept_issue(
+        key, fields[1], fields[2], lifetime=lifetime, limited=limited, clock=clock
+    )
 
 
 def accept_delegation(
@@ -113,35 +293,31 @@ def accept_delegation(
     buggy or malicious delegator cannot hand back more authority than it
     offered, or a chain that falls apart on first use.
     """
-    fields = unpack_fields(channel.recv())
-    if len(fields) != 4 or fields[0] != _T_OFFER:
-        raise ProtocolError("expected a delegation Offer message")
-    try:
-        offered_lifetime = float(fields[1].decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"malformed delegation Offer lifetime: {exc}") from None
-    if offered_lifetime <= 0:
-        raise ProtocolError("delegation Offer lifetime must be positive")
-    offered_limited = fields[2] == b"1"
-    nonce = fields[3]
-    if len(nonce) < 16:
-        raise ProtocolError("delegation nonce too short")
-
+    offer = _parse_offer(unpack_fields(channel.recv()))
     key = (key_source or FreshKeySource()).new_key()
-    public_pem = key.public.to_pem()
-    pop = key.sign(_pop_message(nonce, public_pem))
-    channel.send(pack_fields([_T_REQUEST, public_pem, pop]))
+    return _answer_offer(channel, offer, key, clock)
 
+
+def accept_csr_reply(
+    channel: SecureChannel,
+    key: KeyPair,
+    *,
+    lifetime: float,
+    limited: bool,
+    clock: Clock = SYSTEM_CLOCK,
+) -> Credential:
+    """Receive the proxy for a request that carried a CSR for ``key``.
+
+    The delegator's answer is the Issue, held by :func:`accept_issue` to
+    the ``lifetime`` and ``limited`` flag it granted.  A delegator that
+    ignores CSRs sends an Offer instead; the exchange then finishes as
+    :func:`accept_delegation` does, with ``key``.
+    """
     fields = unpack_fields(channel.recv())
-    if len(fields) != 3 or fields[0] != _T_ISSUE:
-        raise ProtocolError("expected a delegation Issue message")
-    return accept_issue(
-        key,
-        fields[1],
-        fields[2],
-        lifetime=offered_lifetime,
-        limited=offered_limited,
-        clock=clock,
+    if fields[:1] == [_T_OFFER]:
+        return _answer_offer(channel, _parse_offer(fields), key, clock)
+    return _accept_issue_message(
+        fields, key, lifetime=lifetime, limited=limited, clock=clock
     )
 
 

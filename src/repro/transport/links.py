@@ -38,6 +38,11 @@ class Link:
     def send_frame(self, frame: bytes) -> None:
         raise NotImplementedError
 
+    def send_frames(self, frames: list[bytes]) -> None:
+        """Send ``frames`` in order; a stream link writes them at once."""
+        for frame in frames:
+            self.send_frame(frame)
+
     def recv_frame(self) -> bytes:
         """Block for the next frame; raise :class:`TransportError` on EOF."""
         raise NotImplementedError
@@ -72,13 +77,22 @@ class SocketLink(Link):
         self._recv_lock = threading.Lock()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def send_frame(self, frame: bytes) -> None:
+    def _wire(self, frame: bytes) -> bytes:
+        """``frame`` as it goes on the stream: length header, then body."""
         if len(frame) > MAX_FRAME:
             raise TransportError(f"frame of {len(frame)} bytes exceeds limit")
-        header = _HEADER.pack(len(frame))
+        return _HEADER.pack(len(frame)) + frame
+
+    def send_frame(self, frame: bytes) -> None:
+        self.send_frames([frame])
+
+    def send_frames(self, frames: list[bytes]) -> None:
+        """One ``sendall`` for every frame: a multi-message reply leaves
+        in one write (and, small enough, one segment)."""
+        data = b"".join(self._wire(frame) for frame in frames)
         with self._send_lock:
             try:
-                self._sock.sendall(header + frame)
+                self._sock.sendall(data)
             except OSError as exc:
                 raise TransportError(f"socket send failed: {exc}") from exc
 

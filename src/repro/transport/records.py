@@ -34,25 +34,31 @@ class ContentType(enum.IntEnum):
     ALERT = 3
 
 
+def _direction(key: bytes, iv_salt: bytes) -> tuple[AESGCM, int]:
+    """One direction's cipher and IV salt (as an integer, for :func:`_nonce`)."""
+    if len(iv_salt) != _NONCE_LEN:
+        raise ValueError("IV salt must be 12 bytes")
+    return AESGCM(key), int.from_bytes(iv_salt, "big")
+
+
+def _nonce(salt: int, seq: int) -> bytes:
+    """The GCM nonce of record ``seq``: the salt XOR the sequence number,
+    right-aligned in 12 big-endian bytes."""
+    return (salt ^ seq).to_bytes(_NONCE_LEN, "big")
+
+
 class RecordWriter:
     """Encrypts outbound records for one direction of a connection."""
 
     def __init__(self, key: bytes, iv_salt: bytes) -> None:
-        if len(iv_salt) != _NONCE_LEN:
-            raise ValueError("IV salt must be 12 bytes")
-        self._aead = AESGCM(key)
-        self._salt = iv_salt
+        self._aead, self._salt = _direction(key, iv_salt)
         self._seq = 0
-
-    def _nonce(self, seq: int) -> bytes:
-        counter = _SEQ.pack(seq).rjust(_NONCE_LEN, b"\0")
-        return bytes(s ^ c for s, c in zip(self._salt, counter))
 
     def seal(self, content_type: ContentType, plaintext: bytes) -> bytes:
         seq = self._seq
         self._seq += 1
         aad = bytes([content_type]) + _SEQ.pack(seq)
-        ciphertext = self._aead.encrypt(self._nonce(seq), plaintext, aad)
+        ciphertext = self._aead.encrypt(_nonce(self._salt, seq), plaintext, aad)
         return bytes([content_type]) + ciphertext
 
 
@@ -60,15 +66,8 @@ class RecordReader:
     """Decrypts and authenticates inbound records for one direction."""
 
     def __init__(self, key: bytes, iv_salt: bytes) -> None:
-        if len(iv_salt) != _NONCE_LEN:
-            raise ValueError("IV salt must be 12 bytes")
-        self._aead = AESGCM(key)
-        self._salt = iv_salt
+        self._aead, self._salt = _direction(key, iv_salt)
         self._seq = 0
-
-    def _nonce(self, seq: int) -> bytes:
-        counter = _SEQ.pack(seq).rjust(_NONCE_LEN, b"\0")
-        return bytes(s ^ c for s, c in zip(self._salt, counter))
 
     def open(self, record: bytes) -> tuple[ContentType, bytes]:
         if len(record) < 1 + 16:
@@ -80,7 +79,7 @@ class RecordReader:
         seq = self._seq
         aad = bytes([content_type]) + _SEQ.pack(seq)
         try:
-            plaintext = self._aead.decrypt(self._nonce(seq), record[1:], aad)
+            plaintext = self._aead.decrypt(_nonce(self._salt, seq), record[1:], aad)
         except InvalidTag as exc:
             raise IntegrityError(
                 "record failed authentication (tampered, replayed or reordered)"

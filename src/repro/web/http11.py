@@ -287,11 +287,8 @@ class HttpStreamLink(SocketLink):
         super().__init__(sock)
         self._parser = HttpParser()
 
-    def send_frame(self, frame: bytes) -> None:
-        try:
-            self._sock.sendall(frame)
-        except OSError as exc:
-            raise TransportError(f"socket send failed: {exc}") from exc
+    def _wire(self, frame: bytes) -> bytes:
+        return frame  # an HTTP message delimits itself
 
     def recv_frame(self) -> bytes:
         timeout = self._sock.gettimeout()

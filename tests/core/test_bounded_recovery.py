@@ -120,7 +120,10 @@ def _ref_next(data: bytes, pos: int) -> int:
 
 def _ref_recover(data: bytes, pos: int):
     """``(frames, gaps, status, clean_end)`` of recovery's resynchronising
-    scan from ``pos``; gaps are ``(start, end)`` corrupt regions."""
+    scan from ``pos``; gaps are ``(start, end)`` corrupt regions.  Bytes
+    that look torn are a torn tail only when no intact frame follows them:
+    a header whose length was damaged mid-stream is a corrupt region, and
+    the records behind it are kept."""
     frames, gaps = [], []
     status = "clean"
     while pos < len(data):
@@ -129,10 +132,10 @@ def _ref_recover(data: bytes, pos: int):
             pos = frame[2]
         if pos >= len(data):
             break
-        if _ref_scan(data[pos:])[2] == "torn":
+        nxt = _ref_next(data, pos + 1)
+        if nxt == -1 and _ref_scan(data[pos:])[2] == "torn":
             status = "torn"
             break
-        nxt = _ref_next(data, pos + 1)
         gaps.append((pos, nxt if nxt != -1 else len(data)))
         if nxt == -1:
             status = "corrupt"
@@ -204,6 +207,26 @@ def test_resync_decoder_matches_recovery_scan_for_any_chunking(data, sizes, size
     assert [e for e in events if e[0] is not None] == frames
     assert [(s, e) for p, s, e in events if p is None] == gaps
     assert (decoder.status, decoder.clean_end) == (status, clean_end)
+
+
+@pytest.mark.parametrize("sized", [True, False])
+@pytest.mark.parametrize("step", [1, 7, 64, 10_000])
+def test_a_damaged_length_mid_stream_is_a_region_not_a_torn_tail(sized, step):
+    before, after = encode_frame(b"kept before"), encode_frame(b"kept after")
+    data = before + HUGE_HEADER + after + encode_frame(b"and the last")
+    decoder = FrameDecoder(size=len(data) if sized else None, resync=True)
+    events = list(decoder.decode(_chunked(data, [step])))
+    assert [p for p, _, _ in events] == [
+        b"kept before", None, b"kept after", b"and the last"]
+    assert events[1][1:] == (len(before), len(before) + len(HUGE_HEADER))
+    assert (decoder.status, decoder.clean_end) == ("clean", len(data))
+
+    # With nothing intact behind it, the same header is a torn tail.
+    stream = before + HUGE_HEADER + b"partial"
+    tail = FrameDecoder(size=len(stream) if sized else None, resync=True)
+    events = list(tail.decode(_chunked(stream, [step])))
+    assert [p for p, _, _ in events] == [b"kept before"]
+    assert (tail.status, tail.clean_end) == ("torn", len(before))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +325,7 @@ def test_open_is_bounded_and_matches_the_whole_buffer_scan(pristine, tmp_path, s
     assert len(data) >= 30 * MIB
     index, quarantine, size = _expected(data)
     damage = {"corrupt_middle": "quarantined", "torn_tail": "truncated",
-              "huge_length_header": "truncated"}.get(state)
+              "huge_length_header": "quarantined"}.get(state)
     assert bool(quarantine) == (damage == "quarantined")
     assert (size < len(data)) == (damage == "truncated")
     del data
