@@ -96,6 +96,13 @@ def _json_body(request: HttpRequest) -> dict:
     return payload
 
 
+def _dn_globs(value) -> tuple[str, ...]:
+    # A bare string would iterate into a tuple of one-character globs.
+    if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
+        raise TypeError("retrievers and renewers must be JSON lists of DN globs")
+    return tuple(value)
+
+
 def _request_from(payload: dict, command: Command) -> Request:
     def optional(key: str, convert):
         value = payload.get(key)
@@ -110,8 +117,8 @@ def _request_from(payload: dict, command: Command) -> Request:
             cred_name=str(payload.get("cred_name", DEFAULT_CRED_NAME)),
             auth_method=AuthMethod(payload.get("auth_method", "passphrase")),
             max_get_lifetime=optional("max_get_lifetime", float),
-            retrievers=optional("retrievers", tuple),
-            renewers=optional("renewers", tuple),
+            retrievers=optional("retrievers", _dn_globs),
+            renewers=optional("renewers", _dn_globs),
             new_passphrase=str(payload.get("new_passphrase", "")),
         )
     except (TypeError, ValueError) as exc:

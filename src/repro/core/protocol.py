@@ -17,9 +17,9 @@ CRED_NAME           which of the user's credentials (§6.2 wallet); default
 AUTH_METHOD         ``passphrase`` | ``otp`` | ``site`` (§6.3)
 PASSPHRASE          the secret for the chosen method (an OTP word or a
                     site ticket travels in the same field)
-LIFETIME            requested proxy lifetime, seconds (float)
+LIFETIME            requested proxy lifetime, seconds (finite float)
 MAX_GET_LIFETIME    PUT only: cap on later retrievals (§4.1's "retrieval
-                    restrictions ... a maximum lifetime")
+                    restrictions ... a maximum lifetime"; finite float)
 RETRIEVERS          PUT only: comma-separated DN globs further narrowing
                     who may retrieve *this* credential
 RENEWERS            PUT only: comma-separated DN globs enabling §6.6
@@ -49,10 +49,12 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 
+from repro.gsi.acl import AccessControlList
 from repro.util.encoding import decode_kv, encode_kv
-from repro.util.errors import ProtocolError
+from repro.util.errors import ConfigError, ProtocolError
 
 PROTOCOL_VERSION = "MYPROXYv2-REPRO"
 
@@ -102,6 +104,26 @@ MAX_BATCH_ITEMS = 64
 """Cap on GET_MULTI batch size — a burst, not a bulk-export channel."""
 
 
+def _check_lifetime(key: str, value: float) -> None:
+    """A lifetime is finite and non-negative: ``nan`` or ``inf`` would
+    pass every clamp (``nan < x`` is False) and reach the signer."""
+    if not math.isfinite(value):
+        raise ProtocolError(f"{key} must be finite")
+    if value < 0:
+        raise ProtocolError(f"{key} must be non-negative")
+
+
+def _check_globs(key: str, globs: tuple[str, ...] | None) -> None:
+    """A RETRIEVERS/RENEWERS list is parsed here, as the ACL will parse it
+    on every GET, so a bad glob is refused when stored, not when used."""
+    if globs is None:
+        return
+    try:
+        AccessControlList(globs)
+    except ConfigError as exc:
+        raise ProtocolError(f"{key}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class BatchItem:
     """One credential request inside a GET_MULTI batch."""
@@ -119,8 +141,7 @@ class BatchItem:
             raise ProtocolError("batch item USERNAME must not be empty")
         if len(self.username) > 256:
             raise ProtocolError("batch item USERNAME too long")
-        if self.lifetime < 0:
-            raise ProtocolError("batch item LIFETIME must be non-negative")
+        _check_lifetime("batch item LIFETIME", self.lifetime)
 
     def to_wire(self) -> dict:
         wire = {
@@ -188,8 +209,11 @@ class Request:
             raise ProtocolError("USERNAME must not be empty")
         if len(self.username) > 256:
             raise ProtocolError("USERNAME too long")
-        if self.lifetime < 0:
-            raise ProtocolError("LIFETIME must be non-negative")
+        _check_lifetime("LIFETIME", self.lifetime)
+        if self.max_get_lifetime is not None and not math.isfinite(self.max_get_lifetime):
+            raise ProtocolError("MAX_GET_LIFETIME must be finite")
+        _check_globs("RETRIEVERS", self.retrievers)
+        _check_globs("RENEWERS", self.renewers)
         if self.command is Command.GET_MULTI:
             if not self.batch:
                 raise ProtocolError("GET_MULTI needs a non-empty BATCH")

@@ -97,6 +97,7 @@ from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import (
     AuthenticationError,
     AuthorizationError,
+    ConfigError,
     CredentialError,
     NotFoundError,
     PolicyError,
@@ -881,10 +882,15 @@ class MyProxyServer(Binding):
         globs: tuple[str, ...] | None, peer: ValidatedIdentity, what: str
     ) -> None:
         """A per-credential DN-glob restriction (§4.1 retrievers, §6.6
-        renewers); ``None`` means unrestricted."""
-        if globs is not None and not AccessControlList(
-            globs, name=f"credential {what}"
-        ).allows(peer.identity):
+        renewers); ``None`` means unrestricted.  A stored list the ACL
+        cannot parse allows no one."""
+        if globs is None:
+            return
+        try:
+            allowed = AccessControlList(globs).allows(peer.identity)
+        except ConfigError as exc:
+            raise AuthorizationError(f"credential {what} unusable: {exc}") from exc
+        if not allowed:
             raise AuthorizationError(
                 f"{peer.identity} is not among this credential's allowed {what}"
             )

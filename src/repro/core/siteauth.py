@@ -15,12 +15,12 @@ authority and the MyProxy server.  The ticket travels in the protocol's
 from __future__ import annotations
 
 import base64
-import hashlib
 import hmac
 import json
 import secrets
 import threading
 
+from repro.core.repository import pbkdf2_sha256
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import AuthenticationError
 
@@ -49,9 +49,7 @@ class SiteAuthority:
     # -- account management ---------------------------------------------------
 
     def register_user(self, username: str, password: str) -> None:
-        digest = hashlib.pbkdf2_hmac(
-            "sha256", password.encode("utf-8"), self.realm.encode("utf-8"), 5000
-        )
+        digest = pbkdf2_sha256(password, self.realm.encode("utf-8"), 5000)
         with self._lock:
             self._users[username] = digest
 
@@ -61,9 +59,7 @@ class SiteAuthority:
         self, username: str, password: str, lifetime: float = DEFAULT_TICKET_LIFETIME
     ) -> str:
         """Authenticate locally and obtain a ticket string."""
-        digest = hashlib.pbkdf2_hmac(
-            "sha256", password.encode("utf-8"), self.realm.encode("utf-8"), 5000
-        )
+        digest = pbkdf2_sha256(password, self.realm.encode("utf-8"), 5000)
         with self._lock:
             stored = self._users.get(username)
         if stored is None or not hmac.compare_digest(stored, digest):
