@@ -48,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.core.protocol import DEFAULT_CRED_NAME, AuthMethod, Request, Command
+from repro.core.protocol import Command, Request, parse_json
 from repro.core.repository import RepositoryEntry
 from repro.core.server import REFUSABLE, MyProxyServer, Refusal
 from repro.pki.certs import Certificate
@@ -84,45 +84,6 @@ PUT_TOMBSTONE_TTL = 10 * PUT_SESSION_TTL
 
 #: HTTP status for each :class:`~repro.core.server.Refusal` kind.
 _REFUSAL_STATUS = {"denied": 403, "rejected": 400, "busy": 503, "storage": 503}
-
-
-def _json_body(request: HttpRequest) -> dict:
-    try:
-        payload = json.loads(request.body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError("request body is not valid JSON") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError("request body must be a JSON object")
-    return payload
-
-
-def _dn_globs(value) -> tuple[str, ...]:
-    # A bare string would iterate into a tuple of one-character globs.
-    if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
-        raise TypeError("retrievers and renewers must be JSON lists of DN globs")
-    return tuple(value)
-
-
-def _request_from(payload: dict, command: Command) -> Request:
-    def optional(key: str, convert):
-        value = payload.get(key)
-        return None if value is None else convert(value)
-
-    try:
-        return Request(
-            command=command,
-            username=str(payload.get("username", "")),
-            passphrase=str(payload.get("passphrase", "")),
-            lifetime=float(payload.get("lifetime", 0.0)),
-            cred_name=str(payload.get("cred_name", DEFAULT_CRED_NAME)),
-            auth_method=AuthMethod(payload.get("auth_method", "passphrase")),
-            max_get_lifetime=optional("max_get_lifetime", float),
-            retrievers=optional("retrievers", _dn_globs),
-            renewers=optional("renewers", _dn_globs),
-            new_passphrase=str(payload.get("new_passphrase", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad request fields: {exc}") from exc
 
 
 def _render(refusal: Refusal) -> HttpResponse:
@@ -322,12 +283,15 @@ class MyProxyHttpGateway(Binding):
                 if retry > 0:
                     refusal = Refusal("busy", "busy", retry)
                 else:
+                    payload = {}
                     try:
-                        response = op(peer, _json_body(ctx.request))
+                        payload = parse_json(ctx.request.body, "request body", dict)
+                        response = op(peer, payload)
                         outcome = "ok"
                         return response
                     except REFUSABLE as exc:
-                        refusal = server.refuse(exc, str(peer.identity), audit_command)
+                        named = Request.named(payload)[1:]  # the user and credential
+                        refusal = server.refuse(exc, str(peer.identity), audit_command, *named)
                 outcome = refusal.kind
                 return _render(refusal)
             finally:
@@ -343,9 +307,9 @@ class MyProxyHttpGateway(Binding):
     # ------------------------------------------------------------------
 
     def _op_get(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        request = _request_from(payload, Command.GET)
+        request = Request.from_json(payload, Command.GET)
         stored, lifetime, chain_pem = self.server.authorize_get(peer, request)
-        public_key = check_csr(payload.get("csr"), peer.identity, label=_POP_LABEL)
+        public_key = check_csr(request.csr, peer.identity, label=_POP_LABEL)
         issued, chain_pem = issue(
             stored, public_key, lifetime=lifetime, clock=self.server.clock,
             chain_pem=chain_pem,
@@ -398,7 +362,7 @@ class MyProxyHttpGateway(Binding):
         :meth:`~repro.core.server.MyProxyServer.store_delegation` do the
         rest, exactly as for a GSI PUT.
         """
-        request = _request_from(payload, Command.PUT)
+        request = Request.from_json(payload, Command.PUT)
         secret = self.server.check_put(peer, request)
         try:
             cert = Certificate.from_pem(payload["certificate_pem"].encode("ascii"))
@@ -419,16 +383,15 @@ class MyProxyHttpGateway(Binding):
     # ------------------------------------------------------------------
 
     def _op_info(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        request = _request_from(payload, Command.INFO)
-        rows = self.server.info(peer, request.username)
+        rows = self.server.info(peer, Request.from_json(payload, Command.INFO).username)
         return HttpResponse.json({"ok": True, "credentials": rows})
 
     def _op_destroy(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        self.server.destroy(peer, _request_from(payload, Command.DESTROY))
+        self.server.destroy(peer, Request.from_json(payload, Command.DESTROY))
         return HttpResponse.json({"ok": True, "destroyed": True})
 
     def _op_change(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        request = _request_from(payload, Command.CHANGE_PASSPHRASE)
+        request = Request.from_json(payload, Command.CHANGE_PASSPHRASE)
         self.server.change_passphrase(peer, request)
         return HttpResponse.json({"ok": True, "changed": True})
 
@@ -466,10 +429,7 @@ class HttpMyProxyClient:
             response = HttpResponse.parse(transport.roundtrip(request.serialize()))
         finally:
             transport.close()
-        try:
-            answer = json.loads(response.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError("gateway returned non-JSON") from exc
+        answer = parse_json(response.body, "gateway reply", dict)
         if not answer.get("ok", False):
             if response.status == 503 and answer.get("error") == "busy":
                 raise ServerBusyError(
@@ -497,17 +457,9 @@ class HttpMyProxyClient:
             "chain_pem": chain_pem.decode("ascii"),
         }
 
-    # -- operations ------------------------------------------------------------
+    # -- operations: keywords are :class:`~repro.core.protocol.Request`'s ------
 
-    def get_delegation(
-        self,
-        *,
-        username: str,
-        passphrase: str = "",
-        lifetime: float = 0.0,
-        cred_name: str = DEFAULT_CRED_NAME,
-        auth_method: AuthMethod = AuthMethod.PASSPHRASE,
-    ) -> Credential:
+    def get_delegation(self, **fields) -> Credential:
         """GET via CSR: the private key is generated here and never sent.
 
         The answer is held to the GSI client's checks
@@ -516,17 +468,11 @@ class HttpMyProxyClient:
         one was asked for.
         """
         key = self.key_source.new_key()
-        answer = self._call(
-            "/myproxy/get",
-            {
-                "username": username,
-                "passphrase": passphrase,
-                "lifetime": lifetime,
-                "cred_name": cred_name,
-                "auth_method": auth_method.value,
-                "csr": new_csr(key, self.credential.identity, label=_POP_LABEL),
-            },
+        request = Request(
+            Command.GET, csr=new_csr(key, self.credential.identity, label=_POP_LABEL),
+            **fields,
         )
+        answer = self._call("/myproxy/get", request.to_json())
         try:
             cert_pem = answer["certificate_pem"].encode("ascii")
             chain_pem = answer["chain_pem"].encode("ascii")
@@ -535,62 +481,38 @@ class HttpMyProxyClient:
             raise ProtocolError("malformed GET answer") from exc
         if not math.isfinite(granted) or granted <= 0:
             raise ProtocolError("GET answer's granted lifetime must be positive")
-        if lifetime > 0:
-            granted = min(granted, lifetime)
+        if request.lifetime > 0:
+            granted = min(granted, request.lifetime)
         return accept_issue(
             key, cert_pem, chain_pem, lifetime=granted, limited=False, clock=self.clock
         )
 
-    def put(
-        self,
-        source_credential: Credential,
-        *,
-        username: str,
-        passphrase: str,
-        lifetime: float,
-        cred_name: str = DEFAULT_CRED_NAME,
-        max_get_lifetime: float | None = None,
-        retrievers: tuple[str, ...] | None = None,
-        renewers: tuple[str, ...] | None = None,
-    ) -> dict:
+    def put(self, source_credential: Credential, **fields) -> dict:
         """Two-step PUT: fetch the server's CSR, sign it, complete."""
+        request = Request(Command.PUT, **fields)
         nonce = secrets.token_hex(16)
         begin = self._call("/myproxy/put/begin", {"nonce": nonce})
         return self._call(
             "/myproxy/put/complete",
             {
                 "token": begin["token"],
-                "username": username,
-                "passphrase": passphrase,
-                "lifetime": lifetime,
-                "cred_name": cred_name,
-                "max_get_lifetime": max_get_lifetime,
-                "retrievers": list(retrievers) if retrievers is not None else None,
-                "renewers": list(renewers) if renewers is not None else None,
-                **self._sign_server_csr(begin, nonce, source_credential, lifetime),
+                **request.to_json(),
+                **self._sign_server_csr(begin, nonce, source_credential, request.lifetime),
             },
         )
 
-    def info(self, *, username: str) -> list[dict]:
-        return list(self._call("/myproxy/info", {"username": username})["credentials"])
+    def info(self, **fields) -> list[dict]:
+        request = Request(Command.INFO, **fields)
+        return list(self._call("/myproxy/info", request.to_json())["credentials"])
 
-    def destroy(self, *, username: str, cred_name: str = DEFAULT_CRED_NAME) -> None:
-        self._call("/myproxy/destroy", {"username": username, "cred_name": cred_name})
+    def destroy(self, **fields) -> None:
+        self._call("/myproxy/destroy", Request(Command.DESTROY, **fields).to_json())
 
     def change_passphrase(
-        self,
-        *,
-        username: str,
-        old_passphrase: str,
-        new_passphrase: str,
-        cred_name: str = DEFAULT_CRED_NAME,
+        self, *, old_passphrase: str, new_passphrase: str, **fields
     ) -> None:
-        self._call(
-            "/myproxy/change-passphrase",
-            {
-                "username": username,
-                "passphrase": old_passphrase,
-                "new_passphrase": new_passphrase,
-                "cred_name": cred_name,
-            },
+        request = Request(
+            Command.CHANGE_PASSPHRASE, passphrase=old_passphrase,
+            new_passphrase=new_passphrase, **fields,
         )
+        self._call("/myproxy/change-passphrase", request.to_json())

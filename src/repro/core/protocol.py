@@ -3,33 +3,13 @@
 The paper notes the protocol "was quickly designed as a prototype"; the real
 implementation spoke newline-separated ``KEY=value`` text.  We keep that
 shape (``VERSION`` first, then ``COMMAND`` and its arguments) and add the
-fields the §6 extensions need:
-
-==================  =======================================================
-field               meaning
-==================  =======================================================
-VERSION             must be ``MYPROXYv2-REPRO``
-COMMAND             numeric command code (see :class:`Command`)
-USERNAME            the *user identity* of §4.1 — "typically different from
-                    the user's DN ... more memorable and concise"
-CRED_NAME           which of the user's credentials (§6.2 wallet); default
-                    ``default``
-AUTH_METHOD         ``passphrase`` | ``otp`` | ``site`` (§6.3)
-PASSPHRASE          the secret for the chosen method (an OTP word or a
-                    site ticket travels in the same field)
-LIFETIME            requested proxy lifetime, seconds (finite float)
-MAX_GET_LIFETIME    PUT only: cap on later retrievals (§4.1's "retrieval
-                    restrictions ... a maximum lifetime"; finite float)
-RETRIEVERS          PUT only: comma-separated DN globs further narrowing
-                    who may retrieve *this* credential
-RENEWERS            PUT only: comma-separated DN globs enabling §6.6
-                    renewal-by-possession for this credential (absent =
-                    renewal disabled)
-NEW_PASSPHRASE      CHANGE_PASSPHRASE only
-CSR                 GET only: ``{nonce, public_key_pem, pop}`` JSON — the
-                    requester's new public key and its proof of
-                    possession (:func:`repro.transport.delegation.make_csr`)
-==================  =======================================================
+fields the §6 extensions need.  :data:`FIELDS` declares each request field
+once: its :class:`Request` attribute, its GSI key and JSON key, its kind
+and bound, and the commands that take it.  The GSI codec
+(:meth:`Request.encode`/:meth:`Request.decode`), GET_MULTI's items
+(:class:`BatchItem`) and the HTTP binding's JSON bodies
+(:meth:`Request.to_json`/:meth:`Request.from_json`) are loops over it, and
+PROTOCOL.md §6 tabulates the same rows.
 
 Responses carry ``RESPONSE=0`` (OK), ``RESPONSE=1`` plus ``ERROR``, or
 ``RESPONSE=2`` plus ``RETRY_AFTER`` — the *busy* reply a loaded server
@@ -47,10 +27,15 @@ Every message rides the mutually-authenticated encrypted channel — §5.1:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.gsi.acl import AccessControlList
 from repro.util.encoding import decode_kv, encode_kv
@@ -103,25 +88,208 @@ class AuthMethod(str, enum.Enum):
 MAX_BATCH_ITEMS = 64
 """Cap on GET_MULTI batch size — a burst, not a bulk-export channel."""
 
+MAX_NAME = 256
+"""Longest USERNAME or CRED_NAME, in characters."""
 
-def _check_lifetime(key: str, value: float) -> None:
-    """A lifetime is finite and non-negative: ``nan`` or ``inf`` would
-    pass every clamp (``nan < x`` is False) and reach the signer."""
-    if not math.isfinite(value):
-        raise ProtocolError(f"{key} must be finite")
-    if value < 0:
-        raise ProtocolError(f"{key} must be non-negative")
+MAX_JSON_DIGITS = 64
+"""Longest integer literal a message's JSON may hold."""
 
 
-def _check_globs(key: str, globs: tuple[str, ...] | None) -> None:
-    """A RETRIEVERS/RENEWERS list is parsed here, as the ACL will parse it
-    on every GET, so a bad glob is refused when stored, not when used."""
+def parse_json(data: str | bytes, what: str, kind: type = object):
+    """The codec's one JSON parse (BATCH, CSR, INFO, HTTP bodies): a
+    malformed value of any size or nesting is a :class:`ProtocolError`, and
+    so is one that is not an object where ``kind`` is ``dict``."""
+    try:
+        value = _DECODER.decode(data.decode() if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise ProtocolError(f"malformed {what}: {exc}") from exc
+    if not isinstance(value, kind):
+        raise ProtocolError(f"{what} must be a JSON object")
+    return value
+
+
+def _json_int(digits: str) -> int:
+    if len(digits) > MAX_JSON_DIGITS:
+        raise ValueError(f"integer of {len(digits)} digits")
+    return int(digits)
+
+
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
+class Field(NamedTuple):
+    """A request field: :class:`Request` attribute, GSI and JSON keys (no JSON
+    key: the HTTP endpoint names it), kind, bound, the commands that take it
+    (None: every command, and then it is written even at its default) and
+    whether a GET_MULTI item carries it."""
+
+    attr: str
+    gsi: str
+    json: str | None
+    kind: str
+    bound: int | None = None
+    commands: frozenset[Command] | None = None
+    item: bool = False
+
+
+COMMAND, NAME, TEXT, AUTH = "command", "name", "text", "auth method"
+SECONDS, OPTIONAL_SECONDS, GLOBS = "seconds", "optional seconds", "DN globs"
+OBJECT, BATCH = "object", "item array"
+_STORED = frozenset({Command.PUT, Command.STORE})
+
+FIELDS: tuple[Field, ...] = (
+    # The first three name a refused request on the audit trail.
+    Field("command", "COMMAND", None, COMMAND),
+    Field("username", "USERNAME", "username", NAME, MAX_NAME, item=True),
+    Field("cred_name", "CRED_NAME", "cred_name", TEXT, MAX_NAME, item=True),
+    Field("auth_method", "AUTH_METHOD", "auth_method", AUTH, item=True),
+    Field("passphrase", "PASSPHRASE", "passphrase", TEXT, item=True),
+    Field("lifetime", "LIFETIME", "lifetime", SECONDS, item=True),
+    Field("max_get_lifetime", "MAX_GET_LIFETIME", "max_get_lifetime", OPTIONAL_SECONDS,
+          commands=_STORED),
+    Field("retrievers", "RETRIEVERS", "retrievers", GLOBS, commands=_STORED),
+    Field("renewers", "RENEWERS", "renewers", GLOBS, commands=_STORED),
+    Field("new_passphrase", "NEW_PASSPHRASE", "new_passphrase", TEXT,
+          commands=frozenset({Command.CHANGE_PASSPHRASE})),
+    Field("batch", "BATCH", "batch", BATCH, MAX_BATCH_ITEMS,
+          commands=frozenset({Command.GET_MULTI})),
+    Field("csr", "CSR", "csr", OBJECT, commands=frozenset({Command.GET}), item=True),
+)
+
+
+# -- kinds: check a value; read and write it in either binding ----------------
+
+def _refuse(label: str, problem: str):
+    raise ProtocolError(f"{label} {problem}")
+
+
+def _check_text(f: Field, value: str, label: str) -> None:
+    if not value and f.kind == NAME:
+        _refuse(label, "must not be empty")
+    if f.bound is not None and len(value) > f.bound:
+        _refuse(label, f"longer than {f.bound} characters")
+    if "\n" in value or "\r" in value:  # so that either binding can carry it
+        _refuse(label, "must not hold a line break")
+
+
+def _check_seconds(f: Field, value, label: str) -> None:
+    """A lifetime is finite: ``nan`` or ``inf`` would pass every clamp
+    (``nan < x`` is False) and reach the signer."""
+    if value is None and f.kind == OPTIONAL_SECONDS:
+        return
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past float range
+        finite = False
+    if not finite:
+        _refuse(label, "must be finite")
+    if value < 0 and f.kind == SECONDS:
+        _refuse(label, "must be non-negative")
+
+
+def _check_globs(f: Field, globs, label: str) -> None:
+    """Parsed here, as the ACL will parse it on every GET, so a bad glob is
+    refused when stored, not when used."""
     if globs is None:
         return
+    if not all(isinstance(glob, str) for glob in globs):
+        _refuse(label, "must hold DN-glob strings")
     try:
         AccessControlList(globs)
     except ConfigError as exc:
-        raise ProtocolError(f"{key}: {exc}") from exc
+        raise ProtocolError(f"{label}: {exc}") from exc
+
+
+def _check_batch(f: Field, items, label: str) -> None:
+    if not items:
+        _refuse(label, "must be non-empty for GET_MULTI")
+    if len(items) > f.bound:
+        _refuse(label, f"of {len(items)} exceeds {f.bound} items")
+
+
+def _typed(noun: str, *types, then=None):
+    """A reader: the value must have one of ``types`` (a bool is no
+    number), and ``then``, if given, converts it."""
+    def read(f: Field, value, label: str):
+        if not isinstance(value, types) or isinstance(value, bool):
+            _refuse(label, f"must be a JSON {noun}")
+        try:
+            return value if then is None else then(value)
+        except ValueError:
+            _refuse(label, f"is malformed: {str(value)[:32]!r}")
+    return read
+
+
+def _json_batch(f: Field, value, label: str) -> tuple[BatchItem, ...]:
+    _check_batch(f, _typed("array", list)(f, value, label), label)
+    return tuple(map(BatchItem.from_wire, value))
+
+
+_string, _object = _typed("string", str), _typed("object", dict)
+_auth = _typed("string", str, then=AuthMethod)
+_dump = partial(json.dumps, sort_keys=True)
+
+#: kind -> its check; the kinds missing here need none beyond their reader.
+_CHECKS = {NAME: _check_text, TEXT: _check_text, SECONDS: _check_seconds,
+           OPTIONAL_SECONDS: _check_seconds, GLOBS: _check_globs, BATCH: _check_batch}
+#: kind -> (reader, writer) on the GSI wire, where every value is text.
+_GSI = {
+    COMMAND: (_typed("string", str, then=lambda text: Command(int(text))), lambda v: str(int(v))),
+    NAME: (_string, str),
+    TEXT: (_string, str),
+    AUTH: (_auth, attrgetter("value")),
+    SECONDS: (_typed("string", str, then=float), "{:.3f}".format),
+    OPTIONAL_SECONDS: (_typed("string", str, then=float), "{:.3f}".format),
+    GLOBS: (_typed("string", str, then=lambda text: tuple(filter(None, text.split(",")))),
+            ",".join),
+    OBJECT: (lambda f, text, label: _object(f, parse_json(text, label), label), _dump),
+    BATCH: (lambda f, text, label: _json_batch(f, parse_json(text, label), label),
+            lambda items: _dump([item.to_wire() for item in items])),
+}
+#: kind -> (reader, writer) in a JSON body: a value must already have its kind.
+_JSON = {
+    NAME: (_string, str),
+    TEXT: (_string, str),
+    AUTH: (_auth, attrgetter("value")),
+    SECONDS: (_typed("number", int, float), float),
+    OPTIONAL_SECONDS: (_typed("number", int, float), float),
+    GLOBS: (_typed("array", list, then=tuple), list),
+    OBJECT: (_object, dict),
+    BATCH: (_json_batch, lambda items: [item.to_wire() for item in items]),
+}
+
+
+def _read(fields, raw: dict, key: str, codec: dict, prefix: str = "") -> dict:
+    """The attributes ``raw`` carries under each field's ``key``; an absent
+    (or JSON ``null``) field keeps its default, and one without a default
+    is refused."""
+    values = {}
+    for f in fields:
+        value = raw.get(getattr(f, key))
+        if value is not None:
+            values[f.attr] = codec[f.kind][0](f, value, prefix + f.gsi)
+        elif _DEFAULTS[f.attr] is dataclasses.MISSING:
+            _refuse(prefix + f.gsi, "is missing")
+    return values
+
+
+def _write(fields, obj, key: str, codec: dict) -> dict:
+    return {
+        getattr(f, key): codec[f.kind][1](value)
+        for f in fields
+        if (value := getattr(obj, f.attr)) is not None
+        and (f.commands is None or value != _DEFAULTS[f.attr])
+    }
+
+
+def _check(obj, fields, command: Command, prefix: str = "") -> None:
+    for f in fields:
+        value = getattr(obj, f.attr)
+        if f.commands is None or command in f.commands:
+            if f.kind in _CHECKS:
+                _CHECKS[f.kind](f, value, prefix + f.gsi)
+        elif value != _DEFAULTS[f.attr]:
+            _refuse(f.gsi, f"is only valid with {', '.join(c.name for c in sorted(f.commands))}")
 
 
 @dataclass(frozen=True)
@@ -137,57 +305,26 @@ class BatchItem:
     csr: dict | None = None
 
     def __post_init__(self) -> None:
-        if not self.username:
-            raise ProtocolError("batch item USERNAME must not be empty")
-        if len(self.username) > 256:
-            raise ProtocolError("batch item USERNAME too long")
-        _check_lifetime("batch item LIFETIME", self.lifetime)
+        _check(self, _ITEM_FIELDS, Command.GET, _ITEM_PREFIX)
 
     def to_wire(self) -> dict:
-        wire = {
-            "username": self.username,
-            "passphrase": self.passphrase,
-            "lifetime": self.lifetime,
-            "cred_name": self.cred_name,
-            "auth_method": self.auth_method.value,
-        }
-        if self.csr is not None:
-            wire["csr"] = self.csr
-        return wire
+        return _write(_ITEM_FIELDS, self, "json", _JSON)
 
     @classmethod
     def from_wire(cls, raw: dict) -> "BatchItem":
         if not isinstance(raw, dict):
             raise ProtocolError("BATCH items must be JSON objects")
-        try:
-            auth_method = AuthMethod(raw.get("auth_method", "passphrase"))
-        except ValueError as exc:
-            raise ProtocolError(
-                f"unknown batch AUTH_METHOD {raw.get('auth_method')!r}"
-            ) from exc
-        try:
-            lifetime = float(raw.get("lifetime", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError("malformed batch LIFETIME") from exc
-        return cls(
-            username=str(raw.get("username", "")),
-            passphrase=str(raw.get("passphrase", "")),
-            lifetime=lifetime,
-            cred_name=str(raw.get("cred_name", DEFAULT_CRED_NAME)),
-            auth_method=auth_method,
-            csr=_csr_object(raw.get("csr")),
-        )
+        return cls(**_read(_ITEM_FIELDS, raw, "json", _JSON, _ITEM_PREFIX))
 
-
-def _csr_object(raw) -> dict | None:
-    if raw is not None and not isinstance(raw, dict):
-        raise ProtocolError("CSR must be a JSON object")
-    return raw
+    def as_get(self) -> Request:
+        """The single GET this item stands for."""
+        return Request(Command.GET, **{f.attr: getattr(self, f.attr) for f in _ITEM_FIELDS})
 
 
 @dataclass(frozen=True)
 class Request:
-    """A decoded client request."""
+    """A decoded client request; :data:`FIELDS` says how each attribute
+    travels and what it may hold."""
 
     command: Command
     username: str
@@ -205,121 +342,55 @@ class Request:
     csr: dict | None = None
 
     def __post_init__(self) -> None:
-        if not self.username:
-            raise ProtocolError("USERNAME must not be empty")
-        if len(self.username) > 256:
-            raise ProtocolError("USERNAME too long")
-        _check_lifetime("LIFETIME", self.lifetime)
-        if self.max_get_lifetime is not None and not math.isfinite(self.max_get_lifetime):
-            raise ProtocolError("MAX_GET_LIFETIME must be finite")
-        _check_globs("RETRIEVERS", self.retrievers)
-        _check_globs("RENEWERS", self.renewers)
-        if self.command is Command.GET_MULTI:
-            if not self.batch:
-                raise ProtocolError("GET_MULTI needs a non-empty BATCH")
-            if len(self.batch) > MAX_BATCH_ITEMS:
-                raise ProtocolError(
-                    f"BATCH of {len(self.batch)} exceeds {MAX_BATCH_ITEMS} items"
-                )
-        elif self.batch is not None:
-            raise ProtocolError("BATCH is only valid with GET_MULTI")
-        if self.csr is not None and self.command is not Command.GET:
-            raise ProtocolError("CSR is only valid with GET")
+        _check(self, FIELDS, self.command)
 
-    # -- wire form ------------------------------------------------------------
+    # -- wire forms -----------------------------------------------------------
 
     def encode(self) -> bytes:
-        fields: dict[str, str] = {
-            "VERSION": PROTOCOL_VERSION,
-            "COMMAND": str(int(self.command)),
-            "USERNAME": self.username,
-            "CRED_NAME": self.cred_name,
-            "AUTH_METHOD": self.auth_method.value,
-            "PASSPHRASE": self.passphrase,
-            "LIFETIME": f"{self.lifetime:.3f}",
-        }
-        if self.max_get_lifetime is not None:
-            fields["MAX_GET_LIFETIME"] = f"{self.max_get_lifetime:.3f}"
-        if self.retrievers is not None:
-            fields["RETRIEVERS"] = ",".join(self.retrievers)
-        if self.renewers is not None:
-            fields["RENEWERS"] = ",".join(self.renewers)
-        if self.new_passphrase:
-            fields["NEW_PASSPHRASE"] = self.new_passphrase
-        if self.batch is not None:
-            fields["BATCH"] = json.dumps(
-                [item.to_wire() for item in self.batch], sort_keys=True
-            )
-        if self.csr is not None:
-            fields["CSR"] = json.dumps(self.csr, sort_keys=True)
-        return encode_kv(fields)
+        return encode_kv({"VERSION": PROTOCOL_VERSION, **_write(FIELDS, self, "gsi", _GSI)})
 
     @classmethod
     def decode(cls, data: bytes) -> Request:
-        fields = decode_kv(data)
-        if fields.get("VERSION") != PROTOCOL_VERSION:
+        wire = decode_kv(data)
+        if wire.get("VERSION") != PROTOCOL_VERSION:
             raise ProtocolError(
-                f"unsupported protocol version {fields.get('VERSION')!r}"
+                f"unsupported protocol version {wire.get('VERSION')!r}"
             )
+        return cls(**_read(FIELDS, wire, "gsi", _GSI))
+
+    def to_json(self) -> dict:
+        """The HTTP binding's body for this request (the endpoint names
+        the command)."""
+        return _write(_JSON_FIELDS, self, "json", _JSON)
+
+    @classmethod
+    def from_json(cls, payload: dict, command: Command) -> Request:
+        return cls(command=command, **_read(_JSON_FIELDS, payload, "json", _JSON))
+
+    @staticmethod
+    def named(message: bytes | dict) -> tuple[str, str, str]:
+        """The COMMAND name, USERNAME and CRED_NAME a refused GSI message or
+        JSON body carried, each where it decoded (else ""): what the
+        refusal is audited under."""
+        key, codec = ("json", _JSON) if isinstance(message, dict) else ("gsi", _GSI)
         try:
-            command = Command(int(fields["COMMAND"]))
-        except (KeyError, ValueError) as exc:
-            raise ProtocolError("missing or unknown COMMAND") from exc
-        try:
-            auth_method = AuthMethod(fields.get("AUTH_METHOD", "passphrase"))
-        except ValueError as exc:
-            raise ProtocolError(
-                f"unknown AUTH_METHOD {fields.get('AUTH_METHOD')!r}"
-            ) from exc
-        def _dn_list(key: str) -> tuple[str, ...] | None:
-            raw = fields.get(key)
-            if raw is None:
-                return None
-            return tuple(p for p in raw.split(",") if p)
+            raw = message if key == "json" else decode_kv(message)
+        except ProtocolError:
+            raw = {}
+        named = dict.fromkeys(FIELDS[:3], "")
+        for f in named:
+            with suppress(ProtocolError):
+                value = _read([f], raw, key, codec).get(f.attr, "")
+                if f.kind in _CHECKS:
+                    _CHECKS[f.kind](f, value, f.gsi)
+                named[f] = getattr(value, "name", value)  # a Command by its name
+        return tuple(named.values())
 
-        retrievers = _dn_list("RETRIEVERS")
-        renewers = _dn_list("RENEWERS")
 
-        def _lifetime(key: str) -> float:
-            try:
-                return float(fields.get(key, "0"))
-            except ValueError as exc:
-                raise ProtocolError(f"malformed {key}") from exc
-
-        batch: tuple[BatchItem, ...] | None = None
-        batch_raw = fields.get("BATCH")
-        if batch_raw is not None:
-            try:
-                parsed = json.loads(batch_raw)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError("malformed BATCH payload") from exc
-            if not isinstance(parsed, list):
-                raise ProtocolError("BATCH payload must be a JSON array")
-            batch = tuple(BatchItem.from_wire(item) for item in parsed)
-
-        csr: dict | None = None
-        csr_raw = fields.get("CSR")
-        if csr_raw is not None:
-            try:
-                csr = _csr_object(json.loads(csr_raw))
-            except json.JSONDecodeError as exc:
-                raise ProtocolError("malformed CSR payload") from exc
-
-        max_get = fields.get("MAX_GET_LIFETIME")
-        return cls(
-            command=command,
-            username=fields.get("USERNAME", ""),
-            passphrase=fields.get("PASSPHRASE", ""),
-            lifetime=_lifetime("LIFETIME"),
-            cred_name=fields.get("CRED_NAME", DEFAULT_CRED_NAME),
-            auth_method=auth_method,
-            max_get_lifetime=_lifetime("MAX_GET_LIFETIME") if max_get is not None else None,
-            retrievers=retrievers,
-            renewers=renewers,
-            new_passphrase=fields.get("NEW_PASSPHRASE", ""),
-            batch=batch,
-            csr=csr,
-        )
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Request)}  # MISSING if none
+_JSON_FIELDS = tuple(f for f in FIELDS if f.json)
+_ITEM_FIELDS = tuple(f for f in FIELDS if f.item)
+_ITEM_PREFIX = "batch item "
 
 
 @dataclass(frozen=True)
@@ -385,12 +456,7 @@ class Response:
         if code not in ("0", "1", "2"):
             raise ProtocolError(f"malformed RESPONSE {code!r}")
         info_raw = fields.get("INFO", "")
-        try:
-            info = json.loads(info_raw) if info_raw else {}
-        except json.JSONDecodeError as exc:
-            raise ProtocolError("malformed INFO payload") from exc
-        if not isinstance(info, dict):
-            raise ProtocolError("INFO payload must be a JSON object")
+        info = parse_json(info_raw, "INFO payload", dict) if info_raw else {}
         retry_after: float | None = None
         if code == "2":
             try:

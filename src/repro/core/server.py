@@ -822,8 +822,12 @@ class MyProxyServer(Binding):
         try:
             request = Request.decode(message)
         except ProtocolError as exc:
-            channel.send(Response.failure(f"bad request: {exc}").encode())
-            raise
+            command, username, cred_name = Request.named(message)
+            refusal = self.refuse(
+                exc, peer_name, command or "conversation", username, cred_name
+            )
+            channel.send(Response.failure(f"bad request: {refusal.message}").encode())
+            return False
         if peer is None and request.command is not Command.TRUSTROOTS:
             # Anonymous channels exist only for public trust material.
             refusal = self.refuse(
@@ -1296,17 +1300,8 @@ class MyProxyServer(Binding):
         channel.send(Response.success({"accepted": True, "count": len(items)}).encode())
         all_served = True
         for item in items:
-            sub = Request(
-                command=Command.GET,
-                username=item.username,
-                passphrase=item.passphrase,
-                lifetime=item.lifetime,
-                cred_name=item.cred_name,
-                auth_method=item.auth_method,
-                csr=item.csr,
-            )
             try:
-                self._do_get(channel, peer, sub)
+                self._do_get(channel, peer, item.as_get())
             except REFUSABLE as exc:
                 refusal = self.refuse(
                     exc, str(peer.identity), "GET_MULTI", item.username,

@@ -38,6 +38,7 @@ from repro.core.httpbinding import (
     MyProxyHttpGateway,
     PendingDelegations,
 )
+from repro.core.protocol import Command, Request
 from repro.pki.credentials import Credential
 from repro.pki.keys import KeySource
 from repro.pki.proxy import ProxyRestrictions
@@ -122,16 +123,13 @@ class CdpClient(HttpMyProxyClient):
         self,
         signer: Credential,
         *,
-        username: str,
-        passphrase: str,
-        lifetime: float,
-        cred_name: str = "default",
-        max_get_lifetime: float | None = None,
-        retrievers: tuple[str, ...] | None = None,
         restrictions: ProxyRestrictions | None = None,
         limited: bool = False,
+        **fields,
     ) -> dict:
-        """register → proxy-csr → sign → certificate, in one call.
+        """register → proxy-csr → sign → certificate, in one call;
+        ``fields`` are the stored entry's :class:`~repro.core.protocol.Request`
+        keywords, as for a PUT.
 
         ``signer`` is the credential that mints the proxy.  The stored
         delegation must carry the *transport* identity (the server binds
@@ -140,6 +138,7 @@ class CdpClient(HttpMyProxyClient):
         gateway authenticates as the user's session proxy and signs with
         it too.
         """
+        request = Request(Command.PUT, **fields)
         registered = self._call("/cdp/register", {})
         delegation_id = registered["delegation_id"]
         nonce = secrets.token_hex(16)
@@ -150,14 +149,9 @@ class CdpClient(HttpMyProxyClient):
             "/cdp/certificate",
             {
                 "delegation_id": delegation_id,
-                "username": username,
-                "passphrase": passphrase,
-                "lifetime": lifetime,
-                "cred_name": cred_name,
-                "max_get_lifetime": max_get_lifetime,
-                "retrievers": list(retrievers) if retrievers is not None else None,
+                **request.to_json(),
                 **self._sign_server_csr(
-                    csr, nonce, signer, lifetime,
+                    csr, nonce, signer, request.lifetime,
                     limited=limited, restrictions=restrictions,
                 ),
             },

@@ -56,6 +56,7 @@ def _refused_at_decode(tb, reply, field):
     assert reply.error.startswith("bad request:") and field in reply.error
     last = tb.myproxy.audit_log()[-1]
     assert not last.ok and field in last.detail
+    assert last.command in Command.__members__ and last.username in ("alice", "alice2")
 
 
 def _put_fields(command=Command.PUT, **extra):
@@ -188,3 +189,140 @@ class TestHttpBinding:
         assert (last.command, last.ok) == ("HTTP", False)
         with pytest.raises(NotFoundError):
             tb.myproxy.repository.get("alice2", "default")
+
+
+# A value of any size or nesting is refused at decode like any other
+# malformed field: the uniform ``bad request:`` reply, an audit record,
+# and a close alert rather than a dropped link.
+HUGE_INT = "1" * 5000
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+BIG_LIFETIME = str(10**400)
+
+
+def _item_json(**overrides) -> str:
+    fields = {"username": '"alice"', "passphrase": json.dumps(PASS), "lifetime": "600.0",
+              **overrides}
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
+def _gsi_get_multi(tb, portal, batch: str) -> Response:
+    return _raw(tb, portal, COMMAND=str(int(Command.GET_MULTI)), USERNAME="alice",
+                BATCH=batch)
+
+
+def _http_raw(tb, user, path: str, body: bytes):
+    """POST ``body`` verbatim twice on one kept connection; both statuses,
+    the first reply's error and the audit record the first left."""
+    from repro.web.http11 import HttpRequest, HttpResponse
+
+    channel = connect_secure(_gateway_target(tb)(), user.credential, tb.validator)
+    replies = []
+    try:
+        for _ in range(2):
+            channel.send(HttpRequest(
+                "POST", path, headers=[("Content-Type", "application/json")], body=body,
+            ).serialize())
+            replies.append(HttpResponse.parse(channel.recv()))
+            if len(replies) == 1:
+                last = tb.myproxy.audit_log()[-1]
+    finally:
+        channel.close()
+    error = json.loads(replies[0].body)["error"] if replies[0].status == 400 else ""
+    return [r.status for r in replies], error, last
+
+
+def _http_get_body(key_pool, portal, **overrides) -> bytes:
+    csr = json.dumps(new_csr(key_pool.new_key(), portal.dn, label=_POP_LABEL))
+    fields = {"username": '"alice"', "passphrase": json.dumps(PASS), "csr": csr, **overrides}
+    return ("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}").encode()
+
+
+class TestOversizedAndOverNested:
+    def test_gsi_get_csr_huge_integer(self, seeded):
+        tb, _alice, portal = seeded
+        reply = _raw(tb, portal, COMMAND="0", USERNAME="alice", PASSPHRASE=PASS,
+                     LIFETIME="600", CSR=HUGE_INT)
+        _refused_at_decode(tb, reply, "CSR")
+        assert tb.myproxy.stats.snapshot()["gets"] == 0
+
+    @pytest.mark.parametrize("batch", [
+        "[" + _item_json(lifetime=HUGE_INT) + "]",
+        "[" + _item_json(lifetime=BIG_LIFETIME) + "]",
+        DEEP_ARRAY,
+    ], ids=["huge-integer", "lifetime-10e400", "deep-array"])
+    def test_get_multi(self, seeded, batch):
+        tb, _alice, portal = seeded
+        reply = _gsi_get_multi(tb, portal, batch)
+        _refused_at_decode(tb, reply, "BATCH")
+        assert tb.myproxy.stats.snapshot()["gets"] == 0
+
+    @pytest.mark.parametrize("body", [
+        lambda pool, portal: _http_get_body(pool, portal, lifetime=HUGE_INT),
+        lambda pool, portal: _http_get_body(pool, portal, lifetime=BIG_LIFETIME),
+        lambda pool, portal: DEEP_ARRAY.encode(),
+    ], ids=["huge-integer", "lifetime-10e400", "deep-array"])
+    def test_http_get(self, seeded, key_pool, body):
+        tb, _alice, portal = seeded
+        statuses, error, last = _http_raw(tb, portal, "/myproxy/get", body(key_pool, portal))
+        assert statuses == [400, 400]  # refused, and the connection kept
+        assert error
+        assert (last.command, last.ok) == ("HTTP", False)
+        assert tb.myproxy.stats.snapshot()["gets"] == 0
+
+
+LONG_NAME = "w" * 257
+
+
+class TestTypesAndBounds:
+    def test_gsi_oversized_cred_name(self, seeded):
+        tb, _alice, portal = seeded
+        reply = _raw(tb, portal, COMMAND="0", USERNAME="alice", PASSPHRASE=PASS,
+                     LIFETIME="600", CRED_NAME=LONG_NAME)
+        _refused_at_decode(tb, reply, "CRED_NAME")
+
+    def test_gsi_put_oversized_cred_name(self, seeded):
+        tb, alice, _portal = seeded
+        reply = _raw(tb, alice, **_put_fields(CRED_NAME=LONG_NAME))
+        _refused_at_decode(tb, reply, "CRED_NAME")
+        assert tb.myproxy.repository.list_for("alice2") == []
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("cred_name", json.dumps(LONG_NAME), "CRED_NAME"),
+        ("username", '["a"]', "USERNAME"),
+        ("lifetime", "true", "LIFETIME"),
+        ("lifetime", '"3600"', "LIFETIME"),
+        ("cred_name", "{}", "CRED_NAME"),
+    ], ids=["long-cred-name", "list-username", "bool-lifetime", "string-lifetime",
+            "object-cred-name"])
+    def test_get_multi_item(self, seeded, field, value, named):
+        tb, _alice, portal = seeded
+        reply = _gsi_get_multi(tb, portal, "[" + _item_json(**{field: value}) + "]")
+        _refused_at_decode(tb, reply, named)
+        assert tb.myproxy.stats.snapshot()["gets"] == 0
+
+    @pytest.mark.parametrize("field,value,named,user", [
+        ("cred_name", json.dumps(LONG_NAME), "CRED_NAME", "alice"),
+        ("username", '["a"]', "USERNAME", ""),  # a field that did not decode names no one
+        ("lifetime", "true", "LIFETIME", "alice"),
+        ("lifetime", '"3600"', "LIFETIME", "alice"),
+        ("cred_name", "{}", "CRED_NAME", "alice"),
+        ("username", json.dumps("alice\nLIFETIME=nan"), "USERNAME", ""),  # GSI cannot carry it
+    ], ids=["long-cred-name", "list-username", "bool-lifetime", "string-lifetime",
+            "object-cred-name", "line-break-username"])
+    def test_http_get(self, seeded, key_pool, field, value, named, user):
+        tb, _alice, portal = seeded
+        body = _http_get_body(key_pool, portal, **{field: value})
+        statuses, error, last = _http_raw(tb, portal, "/myproxy/get", body)
+        assert statuses == [400, 400] and named in error
+        assert (last.command, last.ok, last.username) == ("HTTP", False, user)
+        assert tb.myproxy.stats.snapshot()["gets"] == 0
+
+
+class TestDecodeRefusalAudit:
+    def test_gsi_names_command_user_and_credential(self, seeded):
+        tb, _alice, portal = seeded
+        reply = _raw(tb, portal, COMMAND="0", USERNAME="alice", CRED_NAME="wallet",
+                     PASSPHRASE=PASS, LIFETIME="nan")
+        _refused_at_decode(tb, reply, "LIFETIME")
+        last = tb.myproxy.audit_log()[-1]
+        assert (last.command, last.username, last.cred_name) == ("GET", "alice", "wallet")

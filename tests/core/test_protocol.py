@@ -1,15 +1,20 @@
 """The MyProxy wire protocol: encode/decode, versioning, robustness."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.protocol import (
+    FIELDS,
     MAX_BATCH_ITEMS,
+    PROTOCOL_VERSION,
     AuthMethod,
     BatchItem,
     Command,
     Request,
     Response,
+    parse_json,
 )
 from repro.util.errors import ProtocolError
 
@@ -137,6 +142,7 @@ class TestBusyResponse:
         assert not Response.failure("nope").busy
 
 
+_JSON_KEYS = [f.json for f in FIELDS if f.json]
 _usernames = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789._@-"),
     min_size=1,
@@ -148,37 +154,107 @@ _phrases = st.text(
 )
 
 
+_seconds = st.floats(min_value=0, max_value=1e9, allow_nan=False).map(lambda x: round(x, 3))
+_globs = st.lists(
+    st.sampled_from(["*", " *", "/O=Grid/CN=*", "/O=Grid/OU=Repro/CN=portal.*"]), max_size=3
+).map(tuple)
+_csrs = st.dictionaries(st.sampled_from(["nonce", "public_key_pem", "pop"]), _phrases)
+_items = st.builds(
+    BatchItem, username=_usernames, passphrase=_phrases, lifetime=_seconds,
+    cred_name=_usernames, auth_method=st.sampled_from(list(AuthMethod)),
+    csr=st.none() | _csrs,
+)
+#: A value for each field only some commands take, keyed by attribute.
+_OPTIONAL = {
+    "max_get_lifetime": st.none() | st.floats(-1e9, 1e9).map(lambda x: round(x, 3)),
+    "retrievers": st.none() | _globs,
+    "renewers": st.none() | _globs,
+    "new_passphrase": _phrases,
+    "batch": st.lists(_items, min_size=1, max_size=3).map(tuple),
+    "csr": st.none() | _csrs,
+}
+
+
 @given(
     command=st.sampled_from(list(Command)),
     username=_usernames,
     passphrase=_phrases,
-    lifetime=st.floats(min_value=0, max_value=1e9, allow_nan=False),
+    lifetime=_seconds,
     cred_name=_usernames,
     auth=st.sampled_from(list(AuthMethod)),
+    data=st.data(),
 )
-def test_property_request_roundtrip(command, username, passphrase, lifetime, cred_name, auth):
-    # GET_MULTI structurally requires a batch; give it a representative one.
-    batch = None
-    if command is Command.GET_MULTI:
-        batch = (
-            BatchItem(
-                username=username,
-                passphrase=passphrase,
-                lifetime=round(lifetime, 3),
-                cred_name=cred_name,
-                auth_method=auth,
-            ),
-        )
+def test_property_request_roundtrip(command, username, passphrase, lifetime, cred_name, auth,
+                                    data):
+    # Every field its command takes is drawn, as FIELDS says.
+    extra = {
+        f.attr: data.draw(_OPTIONAL[f.attr], label=f.attr)
+        for f in FIELDS
+        if f.commands is not None and command in f.commands
+    }
+    assert set(_OPTIONAL) == {f.attr for f in FIELDS if f.commands is not None}
     request = Request(
         command=command,
         username=username,
         passphrase=passphrase,
-        lifetime=round(lifetime, 3),
+        lifetime=lifetime,
         cred_name=cred_name,
         auth_method=auth,
-        batch=batch,
+        **extra,
     )
     assert Request.decode(request.encode()) == request
+    body = parse_json(json.dumps(request.to_json()), "body")
+    assert Request.from_json(body, command) == request
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_wire_lines = st.lists(
+    st.tuples(
+        st.sampled_from([f.gsi for f in FIELDS]),
+        st.one_of(
+            st.text(alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+                    max_size=12),
+            _json_values.map(json.dumps),
+        ),
+    ),
+    max_size=8,
+    unique_by=lambda line: line[0],
+).map(lambda lines: ("VERSION=" + PROTOCOL_VERSION + "\n"
+                     + "".join(f"{key}={value}\n" for key, value in lines)).encode())
+
+
+@given(st.binary(max_size=256) | _wire_lines)
+def test_property_any_bytes_decode_or_refuse(data):
+    try:
+        Request.decode(data)
+    except ProtocolError:
+        pass
+
+
+@given(
+    command=st.sampled_from(list(Command)),
+    payload=st.dictionaries(st.sampled_from(_JSON_KEYS), _json_values, max_size=6),
+)
+def test_property_any_json_object_decodes_or_refuses(command, payload):
+    try:
+        Request.from_json(payload, command)
+    except ProtocolError:
+        pass
+
+
+@pytest.mark.parametrize("lifetime", [3600, 3600.5])
+def test_json_numbers_are_seconds(lifetime):
+    """A seconds field takes any JSON number, int or float (but no bool)."""
+    body = {"username": "u", "lifetime": lifetime}
+    assert Request.from_json(body, Command.GET).lifetime == lifetime
+    assert BatchItem.from_wire(body).lifetime == lifetime
+    with pytest.raises(ProtocolError, match="LIFETIME"):
+        Request.from_json({"username": "u", "lifetime": True}, Command.GET)
 
 
 class TestBatch:
