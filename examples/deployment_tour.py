@@ -72,9 +72,9 @@ def main() -> None:
     # -- 4. the §6.4 HTTP binding serves the same store, stopped with it ------------
     gw_endpoint = MyProxyHttpGateway(server).serve("127.0.0.1", 0)
     portal_cred = ca.issue_host_credential("portal.examplegrid.org")
-    http_client = HttpMyProxyClient(gw_endpoint, portal_cred, validator)
-    proxy = http_client.get_delegation(username="alice", passphrase=PASS,
-                                       lifetime=2 * 3600)
+    with HttpMyProxyClient(gw_endpoint, portal_cred, validator) as http_client:
+        proxy = http_client.get_delegation(username="alice", passphrase=PASS,
+                                           lifetime=2 * 3600)
     print(f"HTTP binding GET -> proxy for {proxy.identity} "
           f"({proxy.seconds_remaining(server.clock) / 3600:.1f}h)")
 

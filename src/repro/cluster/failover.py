@@ -23,9 +23,12 @@ Against a *partitioned* cluster, raw failover is not enough — a client
 that retries every endpoint every round amplifies the outage.  The
 cluster client therefore carries per-endpoint circuit breakers, a shared
 retry-budget token bucket, and optional end-to-end deadlines (see
-:mod:`repro.cluster.resilience`); every per-operation client it builds is
-handed an :class:`~repro.cluster.resilience.OperationGuard` over that
-shared state.
+:mod:`repro.cluster.resilience`); each operation runs the client core's
+one loop over the user's shard order, under an
+:class:`~repro.cluster.resilience.OperationGuard` over that shared state.
+Like any client it keeps an idle channel per (subject, node) between
+operations, so a user's next operation skips the dial; close it (or use
+``with``) when done.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from repro.cluster.resilience import (
     OperationGuard,
     RetryBudget,
 )
-from repro.core.client import ClientStats, MyProxyClient, RetryPolicy
+from repro.core.client import MyProxyClient, RetryPolicy
 from repro.pki.credentials import Credential
 from repro.pki.validation import ChainValidator
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -79,13 +82,13 @@ class ClusterRouter:
         return self.ring.preference_list(username, self.replication_factor)
 
 
-class FailoverMyProxyClient:
+class FailoverMyProxyClient(MyProxyClient):
     """A MyProxy client for a whole cluster rather than one endpoint.
 
     ``targets`` maps node name → connect target (``(host, port)`` or a link
-    factory); per operation a shard-ordered single-server client is built,
-    so every :class:`~repro.core.client.MyProxyClient` method is available
-    with identical signatures.
+    factory).  Every :class:`~repro.core.client.MyProxyClient` method is
+    available with identical signatures; each operation dials the nodes in
+    its username's shard order.
     """
 
     def __init__(
@@ -111,6 +114,10 @@ class FailoverMyProxyClient:
         unknown = set(targets) - set(router.ring.nodes)
         if unknown:
             raise ValueError(f"targets name nodes not on the ring: {sorted(unknown)}")
+        super().__init__(
+            None, credential, validator, clock=clock, key_source=key_source,
+            retry=retry or DEFAULT_CLUSTER_RETRY, sleep=sleep, rng=rng,
+        )
         self.targets = dict(targets)
         if injector is not None:
             # Chaos hook: each dial of node <name> passes the injector at
@@ -128,29 +135,19 @@ class FailoverMyProxyClient:
                 for name, t in self.targets.items()
             }
         self.router = router
-        self.credential = credential
-        self.validator = validator
-        self.retry = retry or DEFAULT_CLUSTER_RETRY
-        self.clock = clock
-        self.key_source = key_source
-        self._sleep = sleep
-        self._rng = rng
-        # One ClientStats shared by every per-operation client below, so
-        # retry/failover counts accumulate for the cluster client as a
-        # whole instead of dying with each short-lived MyProxyClient.
-        self.stats = ClientStats()
         # Long-lived resilience state shared across operations: one breaker
-        # per endpoint, one retry-budget bucket for the whole client.  The
-        # per-operation guard (built in client_for) is just a view over
-        # these plus a fresh deadline.
+        # per endpoint, one retry-budget bucket for the whole client.  Each
+        # operation's guard (built in _route) is just a view over these
+        # plus a fresh deadline.
         self.deadline_seconds = deadline_seconds
+        self.breakers: dict[str, CircuitBreaker] = {}
+        self.budget: RetryBudget | None = None
         if resilience:
             gauge = self.stats.registry.gauge(
                 "myproxy_client_breaker_state",
                 "Circuit breaker per endpoint: 0 closed, 1 half-open, 2 open.",
                 labelnames=("endpoint",),
             )
-            self.breakers: dict[str, CircuitBreaker] = {}
             for name in sorted(self.targets):
                 child = gauge.labels(endpoint=name)
                 child.set(0)
@@ -160,87 +157,29 @@ class FailoverMyProxyClient:
                     clock=clock,
                     gauge=child,
                 )
-            self.budget: RetryBudget | None = RetryBudget(
+            self.budget = RetryBudget(
                 tokens=retry_budget_tokens,
                 refill_per_s=retry_budget_refill_per_s,
                 clock=clock,
             )
-        else:
-            self.breakers = {}
-            self.budget = None
 
-    def _guard_for(self, names: list[str]) -> OperationGuard | None:
-        """One operation's guard over the shared breakers and budget."""
-        if not self.breakers and self.budget is None and self.deadline_seconds is None:
-            return None
+    def _route(self, username: str | None):
+        """``username``'s shard order (primary, replicas, the rest; trust
+        material is identical cluster-wide, so TRUSTROOTS takes any), and
+        a guard over the shared breakers and budget."""
+        names = [
+            name for name in self.router.order(username) if name in self.targets
+        ]
+        if not names:
+            raise ValueError("no dialable targets for this cluster")
+        targets = [self.targets[name] for name in names]
         deadline = (
             Deadline(self.deadline_seconds, clock=self.clock)
             if self.deadline_seconds is not None
             else None
         )
-        return OperationGuard(
-            names,
-            self.breakers,
-            budget=self.budget,
-            deadline=deadline,
-            stats=self.stats,
+        if not self.breakers and self.budget is None and deadline is None:
+            return targets, None
+        return targets, OperationGuard(
+            names, self.breakers, budget=self.budget, deadline=deadline, stats=self.stats
         )
-
-    def client_for(self, username: str) -> MyProxyClient:
-        """A single-server client dialing ``username``'s shard first."""
-        names = [
-            name for name in self.router.order(username) if name in self.targets
-        ]
-        ordered = [self.targets[name] for name in names]
-        if not ordered:
-            raise ValueError("no dialable targets for this cluster")
-        return MyProxyClient(
-            ordered[0],
-            self.credential,
-            self.validator,
-            clock=self.clock,
-            key_source=self.key_source,
-            fallbacks=ordered[1:],
-            retry=self.retry,
-            sleep=self._sleep,
-            rng=self._rng,
-            stats=self.stats,
-            guard=self._guard_for(names),
-        )
-
-    # -- the MyProxyClient call surface, routed per username ----------------
-    # Each operation's client is closed with it, so no idle channel is
-    # left parked on a node.
-
-    def put(self, source_credential, *, username: str, **kwargs):
-        with self.client_for(username) as client:
-            return client.put(source_credential, username=username, **kwargs)
-
-    def get_delegation(self, *, username: str, **kwargs):
-        with self.client_for(username) as client:
-            return client.get_delegation(username=username, **kwargs)
-
-    def info(self, *, username: str):
-        with self.client_for(username) as client:
-            return client.info(username=username)
-
-    def destroy(self, *, username: str, **kwargs):
-        with self.client_for(username) as client:
-            return client.destroy(username=username, **kwargs)
-
-    def change_passphrase(self, *, username: str, **kwargs):
-        with self.client_for(username) as client:
-            return client.change_passphrase(username=username, **kwargs)
-
-    def store_longterm(self, credential, *, username: str, **kwargs):
-        with self.client_for(username) as client:
-            return client.store_longterm(credential, username=username, **kwargs)
-
-    def retrieve_longterm(self, *, username: str, **kwargs):
-        with self.client_for(username) as client:
-            return client.retrieve_longterm(username=username, **kwargs)
-
-    def get_trustroots(self):
-        # Trust material is identical cluster-wide; any node answers.
-        with self.client_for("trustroots") as client:
-            return client.get_trustroots()

@@ -23,9 +23,9 @@ blast radius:
   not by the retry schedule's worst case.
 
 :class:`OperationGuard` packages the three for one operation and is what
-:class:`~repro.core.client.MyProxyClient` actually consults; the
-failover client builds one per operation over its long-lived breakers
-and budget (see :mod:`repro.cluster.failover`).
+the client loop (:meth:`~repro.core.client.ClientCore._converse`)
+consults; the failover client hands each operation a fresh one over its
+long-lived breakers and budget (see :mod:`repro.cluster.failover`).
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ class Deadline:
 class OperationGuard:
     """The per-operation view over shared breakers and budget.
 
-    ``names`` orders the endpoints exactly as the client's
-    ``(target, *fallbacks)`` tuple does, so the client can consult the
-    guard by dial index without knowing endpoint naming.
+    ``names`` orders the endpoints exactly as the operation dials them,
+    so the client loop can consult the guard by dial index without
+    knowing endpoint naming.
     """
 
     def __init__(

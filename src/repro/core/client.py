@@ -20,15 +20,22 @@ proxy for ``put``, a portal's host credential for ``get_delegation``) and
 the endpoint of one repository; a portal that talks to several repositories
 holds one client per repository (§3.3's scalability goal).
 
-A client keeps at most one idle channel to a TCP endpoint after an
-operation that completed normally, and runs its next operation on it — no
-connect, no handshake — while it still authenticates under the same leaf
-subject, the key its session tickets are filed under (PROTOCOL.md §6).  A
-renewal agent that swaps in its fresh proxy keeps the channel; a swap to
-another subject (a limited proxy, another user) dials.  Any exception
-closes the channel;
-so does :meth:`MyProxyClient.close` (or leaving a ``with`` block), which
-short-lived clients should use so no idle channel outlives them.
+:class:`ClientCore` is the one client loop under both bindings:
+:class:`MyProxyClient` runs the GSI codec on it,
+:class:`~repro.core.httpbinding.HttpMyProxyClient` (and so the IVOA CDP
+client) the §6.4 JSON codec, and
+:class:`~repro.cluster.failover.FailoverMyProxyClient` is a
+:class:`MyProxyClient` whose endpoints are the user's shard, in order.
+
+After an operation that completed normally, a client keeps one idle
+channel per (leaf subject, TCP endpoint), the key its session tickets are
+filed under (PROTOCOL.md §6), and runs its next operation to that endpoint
+on it: no connect, no handshake, for either binding.  A renewal agent that
+swaps in its fresh proxy keeps the channel; a swap to another subject
+(a limited proxy, another user) dials.  Any exception closes the channel it
+happened on; :meth:`ClientCore.close` (or leaving a ``with`` block) closes
+every idle one, which short-lived clients should use so no idle channel
+outlives them.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from repro.pki.proxy import create_proxy
 from repro.pki.validation import ChainValidator
 from repro.transport.channel import PeerClosedError, SecureChannel, connect_secure
 from repro.transport.delegation import (
+    CSR_POP_LABEL,
     accept_csr_reply,
     delegate_credential,
     new_csr,
@@ -161,10 +169,8 @@ _CLIENT_COUNTERS: tuple[tuple[str, str, str], ...] = (
 class ClientStats:
     """Retry/failover counters for a client, exact under concurrency.
 
-    A :class:`MyProxyClient` owns one by default; a failover-aware cluster
-    client shares one across the per-operation clients it builds, so the
-    counters survive each short-lived client (see
-    :class:`repro.cluster.failover.FailoverMyProxyClient`).
+    A client owns one by default; clients built with a shared one (a load
+    generator's, a renewal agent's) count together.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -208,8 +214,16 @@ class StoredCredentialInfo:
     retrievers: tuple[str, ...] | None
 
 
-class MyProxyClient:
-    """Speaks the MyProxy protocol to one repository."""
+class ClientCore:
+    """The one client loop under both bindings.
+
+    It dials, keeps channels, redials a stale one, backs off on busy,
+    fails over across endpoints and consults the resilience guard; a
+    binding supplies only its conversation (the codec) and maps each
+    reply through :meth:`_checked`.  :class:`MyProxyClient` speaks the GSI
+    codec on it, :class:`~repro.core.httpbinding.HttpMyProxyClient` the
+    §6.4 JSON codec.
+    """
 
     def __init__(
         self,
@@ -228,11 +242,11 @@ class MyProxyClient:
         guard=None,
     ) -> None:
         self._target = target
+        self._targets = (target, *fallbacks)
         self.credential = credential
         self.validator = validator
         self.clock = clock
         self.key_source = key_source
-        self._fallbacks = tuple(fallbacks)
         self.retry = retry or RetryPolicy()
         self._sleep = sleep
         self._rng = rng
@@ -242,7 +256,7 @@ class MyProxyClient:
         # cluster layer.
         self._guard = guard
         # Retry/failover accounting; pass a shared ClientStats to aggregate
-        # across several clients (e.g. one per cluster operation).
+        # across several clients.
         self.stats = stats if stats is not None else ClientStats()
         # Session-resumption tickets, keyed by _ticket_key (our subject plus
         # the endpoint).  The default is a private store (each client
@@ -250,31 +264,30 @@ class MyProxyClient:
         # clients shares one store so tickets outlive the client objects
         # that earned them.
         self.ticket_store = ticket_store if ticket_store is not None else TicketStore()
-        # The one idle channel: (_ticket_key it was opened under, channel).
-        # A swapped-in credential with the same leaf subject finds it; the
-        # server re-checks the chain the channel proved before every
-        # request (DESIGN §6.5).  Threads sharing this client check it out
-        # under the lock, so two conversations never interleave on one
-        # channel.
-        self._idle: tuple[str, SecureChannel] | None = None
+        # Idle channels, one per _ticket_key they were opened under.  A
+        # swapped-in credential with the same leaf subject finds its
+        # channel; the server re-checks the chain the channel proved
+        # before every request (DESIGN §6.5).  A conversation takes its
+        # channel out under the lock, so two never interleave on one.
+        self._idle: dict[str, SecureChannel] = {}
         self._idle_lock = threading.Lock()
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the idle channel, if any; the client stays usable."""
+        """Close every idle channel; the client stays usable."""
         with self._idle_lock:
-            idle, self._idle = self._idle, None
-        if idle is not None:
-            idle[1].close()
+            idle, self._idle = self._idle, {}
+        for channel in idle.values():
+            channel.close()
 
-    def __enter__(self) -> MyProxyClient:
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- plumbing -----------------------------------------------------------
+    # -- the loop -----------------------------------------------------------
 
     @staticmethod
     def _ticket_key(
@@ -282,7 +295,7 @@ class MyProxyClient:
     ) -> str:
         """Who we authenticate as (the leaf subject) and where we dial.
 
-        Session tickets and the kept channel are both filed under this
+        Session tickets and kept channels are both filed under this
         key.  It binds *who we are* as well as where we dial: a shared
         store must never hand one identity's ticket to a client
         authenticating as another (the server would resume the wrong
@@ -311,23 +324,15 @@ class MyProxyClient:
         return channel
 
     def _checkout(self, key: str | None) -> SecureChannel | None:
-        """Take the idle channel if it is filed under ``key``; one filed
-        otherwise is closed."""
+        """Take the idle channel filed under ``key``, if there is one."""
         with self._idle_lock:
-            idle, self._idle = self._idle, None
-        if idle is None:
-            return None
-        if idle[0] == key:
-            return idle[1]
-        idle[1].close()
-        return None
+            return self._idle.pop(key, None)
 
     def _checkin(self, key: str, channel: SecureChannel) -> None:
         with self._idle_lock:
-            if self._idle is None:
-                self._idle = (key, channel)
-                return
-        channel.close()
+            kept = self._idle.setdefault(key, channel)
+        if kept is not channel:
+            channel.close()
 
     def _exchange(
         self,
@@ -362,11 +367,19 @@ class MyProxyClient:
         self._checkin(key, channel)
         return result
 
-    def _converse(self, conversation: Callable[[SecureChannel], object]):
+    def _route(self, username: str | None):
+        """An operation's endpoints in dial order, and its resilience
+        guard: this client's target, then its fallbacks."""
+        return self._targets, self._guard
+
+    def _converse(
+        self, conversation: Callable[[SecureChannel], object], username: str | None = None
+    ):
         """Run one request conversation with endpoint failover + backoff.
 
-        The first attempt rides the idle channel when one is kept for the
-        primary target and the current credential's subject.  Only
+        :meth:`_route` names the endpoints for ``username``'s operation.
+        The first attempt rides the idle channel kept for the first
+        endpoint and the current credential's subject.  Only
         authenticated channels to a TCP endpoint are kept: a link
         factory's server end serves one conversation per link, and
         anonymous channels serve one request.  If the server had
@@ -377,7 +390,7 @@ class MyProxyClient:
         transport-failure path below, because the server may already have
         acted on the request.
 
-        Each round dials the primary target, then the fallbacks, on a fresh
+        Each round dials the endpoints in order on a fresh
         mutually-authenticated channel; only transport/handshake failures
         rotate onward.  Conversations must be safe to re-run from the top
         (every MyProxy command is: PUT/STORE replace the entry, GET/INFO
@@ -395,11 +408,10 @@ class MyProxyClient:
         budget or an expired deadline aborts the operation) and around
         every sleep (backoffs are clamped to the deadline).
         """
-        targets = (self._target, *self._fallbacks)
+        targets, guard = self._route(username)
         backoffs = self.retry.backoffs(self._rng)
         last: Exception | None = None
         self.stats.inc("operations")
-        guard = self._guard
         rotated = False  # at least one dial already failed this operation
         attempted = False  # the guard's retry budget never charges dial one
         reuse = True  # only the operation's first attempt may reuse
@@ -463,48 +475,71 @@ class MyProxyClient:
         self.stats.inc("exhausted")
         raise last if last is not None else TransportError("no targets to dial")
 
+    # -- the steps both bindings share ----------------------------------------
+
     @staticmethod
-    def _expect_ok(channel: SecureChannel) -> Response:
-        response = Response.decode(channel.recv())
+    def _refusal(response: Response, refused: str = "server refused") -> Exception | None:
+        """What a reply that is not OK stands for: a busy reply is a
+        :class:`ServerBusyError` carrying its hint, any other refusal an
+        :class:`AuthenticationError`; an OK reply stands for nothing."""
         if response.busy:
-            raise ServerBusyError(
-                f"server busy: {response.error}", response.retry_after or 0.0
-            )
+            return ServerBusyError(f"server busy: {response.error}", response.retry_after)
         if not response.ok:
-            raise AuthenticationError(f"server refused: {response.error}")
+            return AuthenticationError(f"{refused}: {response.error}")
+        return None
+
+    @classmethod
+    def _checked(cls, response: Response, refused: str = "server refused") -> Response:
+        """``response`` if it is OK; otherwise its :meth:`_refusal`, raised."""
+        problem = cls._refusal(response, refused)
+        if problem is not None:
+            raise problem
         return response
 
-    def _new_key(self) -> KeyPair:
-        return (self.key_source or FreshKeySource()).new_key()
-
-    def _csr(self, key: KeyPair) -> dict | None:
-        """A GET's CSR for ``key``, bound to the identity we authenticate
-        as (an anonymous client, which no server serves a GET, sends none)."""
+    def _keyed_csr(self, label: bytes = CSR_POP_LABEL) -> tuple[KeyPair, dict | None]:
+        """A GET's fresh key and its CSR, bound to the identity we
+        authenticate as (an anonymous client, which no server serves a
+        GET, sends none)."""
+        key = (self.key_source or FreshKeySource()).new_key()
         if self.credential is None:
-            return None
-        return new_csr(key, self.credential.identity)
+            return key, None
+        return key, new_csr(key, self.credential.identity, label=label)
 
-    def _accept_proxy(
-        self, channel: SecureChannel, granted: Response, key: KeyPair, lifetime: float
-    ) -> Credential:
-        """The proxy for ``key`` after ``granted``, the OK to a GET that
-        carried its CSR: held to the lifetime and limited flag the server
-        states it granted, and to ``lifetime`` when one was asked for."""
+    def _granted(self, info: dict, lifetime: float) -> dict:
+        """The terms a GET's proxy is held to, as ``accept_issue``
+        keywords: the lifetime and limited flag the server's OK states it
+        granted, the lifetime capped by ``lifetime`` when one was asked
+        for."""
         try:
-            allowed = float(granted.info["granted_lifetime"])
+            allowed = float(info["granted_lifetime"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError("GET response lacks its granted lifetime") from exc
         if not math.isfinite(allowed) or allowed <= 0:
             raise ProtocolError("GET response's granted lifetime must be positive")
         if lifetime > 0:
             allowed = min(allowed, lifetime)
-        return accept_csr_reply(
-            channel,
-            key,
-            lifetime=allowed,
-            limited=granted.info.get("limited") is True,
-            clock=self.clock,
-        )
+        return {
+            "lifetime": allowed, "limited": info.get("limited") is True, "clock": self.clock
+        }
+
+
+class MyProxyClient(ClientCore):
+    """Speaks the MyProxy protocol to one repository."""
+
+    @classmethod
+    def _expect_ok(cls, channel: SecureChannel) -> Response:
+        return cls._checked(Response.decode(channel.recv()))
+
+    def _ask(self, request: Request, then=None):
+        """One operation: send ``request`` and expect OK, then finish with
+        ``then(channel, ok)`` when given (a command's transfer step)."""
+
+        def conversation(channel: SecureChannel):
+            channel.send(request.encode())
+            response = self._expect_ok(channel)
+            return response if then is None else then(channel, response)
+
+        return self._converse(conversation, request.username)
 
     # -- Figure 1: delegate a proxy *to* the repository ------------------------
 
@@ -554,15 +589,14 @@ class MyProxyClient:
             retrievers=retrievers,
             renewers=renewers,
         )
-        def conversation(channel: SecureChannel) -> Response:
-            channel.send(request.encode())
-            self._expect_ok(channel)
+
+        def deliver(channel: SecureChannel, _ok: Response) -> Response:
             delegate_credential(
                 channel, source_credential, lifetime=lifetime, clock=self.clock
             )
             return self._expect_ok(channel)
 
-        return self._converse(conversation)
+        return self._ask(request, deliver)
 
     # -- Figure 2: retrieve a delegation *from* the repository ------------------
 
@@ -587,7 +621,7 @@ class MyProxyClient:
         ignores the CSR gets the Offer exchange, with the same key.  A
         refused GET leaves that key unused.
         """
-        key = self._new_key()
+        key, csr = self._keyed_csr()
         request = Request(
             command=Command.GET,
             username=username,
@@ -595,14 +629,14 @@ class MyProxyClient:
             lifetime=lifetime,
             cred_name=cred_name,
             auth_method=auth_method,
-            csr=self._csr(key),
+            csr=csr,
         )
-        def conversation(channel: SecureChannel) -> Credential:
-            channel.send(request.encode())
-            granted = self._expect_ok(channel)
-            return self._accept_proxy(channel, granted, key, lifetime)
-
-        return self._converse(conversation)
+        return self._ask(
+            request,
+            lambda channel, granted: accept_csr_reply(
+                channel, key, **self._granted(granted.info, lifetime)
+            ),
+        )
 
     def get_delegations(
         self, items: Sequence[BatchItem]
@@ -619,57 +653,41 @@ class MyProxyClient:
         """
         if not items:
             return []
-        keys = [self._new_key() for _ in items]
+        keyed = [self._keyed_csr() for _ in items]
         request = Request(
             command=Command.GET_MULTI,
             username=items[0].username,
             batch=tuple(
-                dataclasses.replace(item, csr=self._csr(key))
-                for item, key in zip(items, keys)
+                dataclasses.replace(item, csr=csr) for item, (_, csr) in zip(items, keyed)
             ),
         )
 
-        def conversation(channel: SecureChannel) -> list[Credential | Exception]:
-            channel.send(request.encode())
-            initial = self._expect_ok(channel)
+        def each(channel: SecureChannel, initial: Response) -> list[Credential | Exception]:
             count = int(initial.info.get("count", 0))
             if count != len(items):
                 raise ProtocolError(
                     f"server acknowledged {count} batch items, sent {len(items)}"
                 )
             results: list[Credential | Exception] = []
-            for item, key in zip(items, keys):
+            for item, (key, _) in zip(items, keyed):
                 response = Response.decode(channel.recv())
-                if response.busy:
-                    results.append(
-                        ServerBusyError(
-                            f"server busy: {response.error}", response.retry_after
-                        )
-                    )
-                    continue
-                if not response.ok:
-                    results.append(
-                        AuthenticationError(f"server refused: {response.error}")
-                    )
-                    continue
+                problem = self._refusal(response)
                 results.append(
-                    self._accept_proxy(channel, response, key, item.lifetime)
+                    problem
+                    if problem is not None
+                    else accept_csr_reply(
+                        channel, key, **self._granted(response.info, item.lifetime)
+                    )
                 )
             return results
 
-        return self._converse(conversation)
+        return self._ask(request, each)
 
     # -- housekeeping -----------------------------------------------------------
 
     def info(self, *, username: str) -> list[StoredCredentialInfo]:
         """``myproxy-info``: list the credentials you own under ``username``."""
-        request = Request(command=Command.INFO, username=username)
-
-        def conversation(channel: SecureChannel) -> Response:
-            channel.send(request.encode())
-            return self._expect_ok(channel)
-
-        response = self._converse(conversation)
+        response = self._ask(Request(command=Command.INFO, username=username))
         rows = response.info.get("credentials", [])
         return [
             StoredCredentialInfo(
@@ -689,13 +707,9 @@ class MyProxyClient:
         self, *, username: str, cred_name: str = DEFAULT_CRED_NAME
     ) -> Response:
         """``myproxy-destroy``: remove a credential you own."""
-        request = Request(command=Command.DESTROY, username=username, cred_name=cred_name)
-
-        def conversation(channel: SecureChannel) -> Response:
-            channel.send(request.encode())
-            return self._expect_ok(channel)
-
-        return self._converse(conversation)
+        return self._ask(
+            Request(command=Command.DESTROY, username=username, cred_name=cred_name)
+        )
 
     def change_passphrase(
         self,
@@ -706,19 +720,15 @@ class MyProxyClient:
         cred_name: str = DEFAULT_CRED_NAME,
     ) -> Response:
         """``myproxy-change-pass-phrase``."""
-        request = Request(
-            command=Command.CHANGE_PASSPHRASE,
-            username=username,
-            passphrase=old_passphrase,
-            new_passphrase=new_passphrase,
-            cred_name=cred_name,
+        return self._ask(
+            Request(
+                command=Command.CHANGE_PASSPHRASE,
+                username=username,
+                passphrase=old_passphrase,
+                new_passphrase=new_passphrase,
+                cred_name=cred_name,
+            )
         )
-
-        def conversation(channel: SecureChannel) -> Response:
-            channel.send(request.encode())
-            return self._expect_ok(channel)
-
-        return self._converse(conversation)
 
     # -- trust distribution ------------------------------------------------------
 
@@ -731,13 +741,7 @@ class MyProxyClient:
         from repro.pki.ca import CertificateRevocationList
         from repro.pki.certs import Certificate
 
-        request = Request(command=Command.TRUSTROOTS, username="trustroots")
-
-        def conversation(channel: SecureChannel) -> Response:
-            channel.send(request.encode())
-            return self._expect_ok(channel)
-
-        response = self._converse(conversation)
+        response = self._ask(Request(command=Command.TRUSTROOTS, username="trustroots"))
         cas = [
             Certificate.from_pem(pem.encode("ascii"))
             for pem in response.info.get("cas", [])
@@ -794,13 +798,11 @@ class MyProxyClient:
         )
         blob = credential.export_pem(passphrase)
 
-        def conversation(channel: SecureChannel) -> Response:
-            channel.send(request.encode())
-            self._expect_ok(channel)
+        def upload(channel: SecureChannel, _ok: Response) -> Response:
             channel.send(blob)
             return self._expect_ok(channel)
 
-        return self._converse(conversation)
+        return self._ask(request, upload)
 
     def retrieve_longterm(
         self,
@@ -816,12 +818,7 @@ class MyProxyClient:
             passphrase=passphrase,
             cred_name=cred_name,
         )
-        def conversation(channel: SecureChannel) -> bytes:
-            channel.send(request.encode())
-            self._expect_ok(channel)
-            return channel.recv()
-
-        blob = self._converse(conversation)
+        blob = self._ask(request, lambda channel, _ok: channel.recv())
         return Credential.import_pem(blob, passphrase)
 
 

@@ -42,13 +42,13 @@ credential services (e.g. CILogon) did:
 from __future__ import annotations
 
 import json
-import math
 import secrets
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.core.protocol import Command, Request, parse_json
+from repro.core.client import ClientCore
+from repro.core.protocol import Command, Request, Response, busy_hint, parse_json
 from repro.core.repository import RepositoryEntry
 from repro.core.server import REFUSABLE, MyProxyServer, Refusal
 from repro.pki.certs import Certificate
@@ -62,16 +62,10 @@ from repro.transport.delegation import (
     csr_nonce,
     issue,
     make_csr,
-    new_csr,
 )
 from repro.transport.listener import Binding, serve_link
 from repro.util.clock import SYSTEM_CLOCK, Clock
-from repro.util.errors import (
-    AuthenticationError,
-    ProtocolError,
-    ServerBusyError,
-)
-from repro.web.client import SecureTransport
+from repro.util.errors import AuthenticationError, ProtocolError
 from repro.web.http11 import HttpRequest, HttpResponse
 from repro.web.server import WebContext, WebServer
 
@@ -396,8 +390,13 @@ class MyProxyHttpGateway(Binding):
         return HttpResponse.json({"ok": True, "changed": True})
 
 
-class HttpMyProxyClient:
-    """Speaks the §6.4 HTTP binding to a gateway."""
+class HttpMyProxyClient(ClientCore):
+    """Speaks the §6.4 HTTP binding to a gateway.
+
+    The JSON codec on the client core: each request rides a channel the
+    core's loop checked out, so the client keeps its HTTPS channel, files
+    session tickets and honours busy exactly as the GSI client does.
+    """
 
     def __init__(
         self,
@@ -408,37 +407,40 @@ class HttpMyProxyClient:
         key_source: KeySource | None = None,
         clock=None,
     ) -> None:
-        self._target = target
-        self.credential = credential
-        self.validator = validator
-        self.key_source = key_source or FreshKeySource()
-        self.clock = clock or SYSTEM_CLOCK
+        super().__init__(
+            target, credential, validator, key_source=key_source,
+            clock=clock or SYSTEM_CLOCK,
+        )
 
     def _call(self, path: str, payload: dict) -> dict:
-        target = self._target() if callable(self._target) else self._target
-        transport = SecureTransport(target, self.validator, self.credential)
-        try:
-            body = json.dumps(payload).encode("utf-8")
-            request = HttpRequest(
-                method="POST",
-                target=path,
-                headers=[("Content-Type", "application/json"),
-                         ("Content-Length", str(len(body)))],
-                body=body,
+        """POST one JSON request; the gateway's answer, or its refusal raised
+        as the GSI client raises one."""
+        body = json.dumps(payload).encode("utf-8")
+        message = HttpRequest(
+            method="POST",
+            target=path,
+            headers=[("Content-Type", "application/json"),
+                     ("Content-Length", str(len(body)))],
+            body=body,
+        ).serialize()
+
+        def conversation(channel: SecureChannel) -> dict:
+            channel.send(message)
+            reply = HttpResponse.parse(channel.recv())
+            answer = parse_json(reply.body, "gateway reply", dict)
+            ok = bool(answer.get("ok", False))
+            busy = not ok and reply.status == 503 and answer.get("error") == "busy"
+            self._checked(
+                Response(
+                    ok=ok,
+                    error=str(answer.get("error")),
+                    retry_after=busy_hint(answer.get("retry_after")) if busy else None,
+                ),
+                f"gateway refused ({reply.status})",
             )
-            response = HttpResponse.parse(transport.roundtrip(request.serialize()))
-        finally:
-            transport.close()
-        answer = parse_json(response.body, "gateway reply", dict)
-        if not answer.get("ok", False):
-            if response.status == 503 and answer.get("error") == "busy":
-                raise ServerBusyError(
-                    "gateway busy", float(answer.get("retry_after", 0.0))
-                )
-            raise AuthenticationError(
-                f"gateway refused ({response.status}): {answer.get('error')}"
-            )
-        return answer
+            return answer
+
+        return self._converse(conversation)
 
     def _sign_server_csr(
         self, csr: dict, nonce: str, signer: Credential, lifetime: float, **proxy
@@ -467,24 +469,16 @@ class HttpMyProxyClient:
         lifetime the gateway says it granted, capped by ``lifetime`` when
         one was asked for.
         """
-        key = self.key_source.new_key()
-        request = Request(
-            Command.GET, csr=new_csr(key, self.credential.identity, label=_POP_LABEL),
-            **fields,
-        )
+        key, csr = self._keyed_csr(_POP_LABEL)
+        request = Request(Command.GET, csr=csr, **fields)
         answer = self._call("/myproxy/get", request.to_json())
         try:
             cert_pem = answer["certificate_pem"].encode("ascii")
             chain_pem = answer["chain_pem"].encode("ascii")
-            granted = float(answer["granted_lifetime"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, ValueError, AttributeError) as exc:
             raise ProtocolError("malformed GET answer") from exc
-        if not math.isfinite(granted) or granted <= 0:
-            raise ProtocolError("GET answer's granted lifetime must be positive")
-        if request.lifetime > 0:
-            granted = min(granted, request.lifetime)
         return accept_issue(
-            key, cert_pem, chain_pem, lifetime=granted, limited=False, clock=self.clock
+            key, cert_pem, chain_pem, **self._granted(answer, request.lifetime)
         )
 
     def put(self, source_credential: Credential, **fields) -> dict:

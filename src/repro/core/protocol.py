@@ -457,17 +457,24 @@ class Response:
             raise ProtocolError(f"malformed RESPONSE {code!r}")
         info_raw = fields.get("INFO", "")
         info = parse_json(info_raw, "INFO payload", dict) if info_raw else {}
-        retry_after: float | None = None
-        if code == "2":
-            try:
-                retry_after = float(fields["RETRY_AFTER"])
-            except (KeyError, ValueError) as exc:
-                raise ProtocolError("busy response needs a RETRY_AFTER") from exc
-            if retry_after < 0:
-                raise ProtocolError("RETRY_AFTER must be non-negative")
         return cls(
             ok=code == "0",
             error=fields.get("ERROR", ""),
             info=info,
-            retry_after=retry_after,
+            retry_after=busy_hint(fields.get("RETRY_AFTER")) if code == "2" else None,
         )
+
+
+_RETRY_AFTER = Field("retry_after", "RETRY_AFTER", "retry_after", SECONDS)
+
+
+def busy_hint(value) -> float:
+    """A busy reply's ``RETRY_AFTER`` (GSI text or HTTP JSON), held to the
+    ``seconds`` kind's rule: finite and non-negative, or a
+    :class:`ProtocolError` before any client sleeps on it."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError("busy response needs a RETRY_AFTER") from exc
+    _check_seconds(_RETRY_AFTER, seconds, "RETRY_AFTER")
+    return seconds

@@ -184,19 +184,20 @@ class FederationGateway:
         passphrase = secrets.token_urlsafe(18)
         cred_name = f"fed-{self.realm}-{assertion.assertion_id[:8]}"
 
-        client = CdpClient(
-            peer_target, session_proxy, self.validator,
-            key_source=self.key_source, clock=self.clock,
-        )
         try:
-            deposited = client.delegate(
-                session_proxy,
-                username=assertion.username,
-                passphrase=passphrase,
-                lifetime=lifetime,
-                cred_name=cred_name,
-                restrictions=FEDERATED_RESTRICTIONS,
-            )
+            # One deposit's client: closing it leaves no kept channel behind.
+            with CdpClient(
+                peer_target, session_proxy, self.validator,
+                key_source=self.key_source, clock=self.clock,
+            ) as client:
+                deposited = client.delegate(
+                    session_proxy,
+                    username=assertion.username,
+                    passphrase=passphrase,
+                    lifetime=lifetime,
+                    cred_name=cred_name,
+                    restrictions=FEDERATED_RESTRICTIONS,
+                )
         except ReproError as exc:
             self.server.audit(
                 str(signer.identity), "FEDERATE", assertion.username, cred_name,

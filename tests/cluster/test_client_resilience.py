@@ -19,7 +19,14 @@ from repro.cluster.resilience import (
     OperationGuard,
     RetryBudget,
 )
-from repro.core.client import ClientStats, MyProxyClient, RetryPolicy
+from repro.core.client import (
+    ClientStats,
+    MyProxyClient,
+    RetryPolicy,
+    myproxy_init_from_longterm,
+)
+from repro.core.repository import MemoryRepository
+from repro.core.server import MyProxyServer
 from repro.util.clock import ManualClock
 from repro.util.errors import (
     DeadlineExceededError,
@@ -27,6 +34,7 @@ from repro.util.errors import (
     ServerBusyError,
     TransportError,
 )
+from tests.cluster.conftest import pipe_target
 
 
 @pytest.fixture()
@@ -395,30 +403,70 @@ class TestFailoverClientWiring:
             fclient.breakers["node1"].record_failure()
         assert gauge.labels(endpoint="node1").value == 2  # open
 
-    def test_per_operation_guard_shares_state(
-        self, targets, router, alice, validator, clock
-    ):
-        fclient = self.make(
-            targets, router, alice, validator, clock, deadline_seconds=30.0
+    @pytest.fixture()
+    def dialled(self, router, ca, validator, key_pool, clock):
+        """Targets whose dials are logged: alice's primary refuses every
+        dial, the other nodes front one in-process server."""
+        server = MyProxyServer(
+            ca.issue_host_credential("repo.example.org", key=key_pool.new_key()),
+            validator, repository=MemoryRepository(), clock=clock, key_source=key_pool,
         )
-        client = fclient.client_for("alice")
-        guard = client._guard
-        assert guard is not None
-        assert guard.breakers is fclient.breakers
-        assert guard.budget is fclient.budget
-        assert guard.deadline is not None
-        assert guard.deadline.remaining() == pytest.approx(30.0)
-        # the guard's name order matches the dial order for this user
-        assert guard.names == [
-            n for n in router.order("alice") if n in targets
-        ]
+        primary = router.order("alice")[0]
+        dials = []
+
+        def target(name):
+            def _dial():
+                dials.append(name)
+                if name == primary:
+                    raise TransportError(f"{name} refuses")
+                return pipe_target(server)()
+            return _dial
+
+        return {name: target(name) for name in router.order("alice")}, dials
+
+    def test_per_operation_guard_shares_state(
+        self, dialled, router, alice, validator, clock, key_pool
+    ):
+        """Each operation's guard is a view over the client's breakers and
+        budget: what one operation spends or trips, the next one sees."""
+        targets, dials = dialled
+        fclient = self.make(
+            targets, router, alice, validator, clock, deadline_seconds=30.0,
+            breaker_failures=1, retry_budget_refill_per_s=0.0,
+        )
+        primary, replica = router.order("alice")[:2]
+        full = fclient.budget.available()
+        myproxy_init_from_longterm(
+            fclient, alice, username="alice", passphrase="correct horse 42", key_source=key_pool
+        )
+        # The primary failed and tripped its breaker; the replica's dial
+        # was the operation's second, so it spent one token.
+        assert dials == [primary, replica]
+        assert fclient.breakers[primary].state == "open"
+        assert fclient.budget.available() == full - 1
+        assert [row.cred_name for row in fclient.info(username="alice")] == ["default"]
+        # The next operation skips the open breaker without a dial, and
+        # its first dial is free again.
+        assert dials == [primary, replica, replica]
+        assert fclient.budget.available() == full - 1
+        assert fclient.stats.transport_failures == 1
 
     def test_resilience_off_builds_plain_clients(
-        self, targets, router, alice, validator, clock
+        self, dialled, router, alice, validator, clock, key_pool
     ):
+        """Without resilience there is no breaker to skip an endpoint: every
+        operation dials the dead primary first."""
+        targets, dials = dialled
         fclient = self.make(
-            targets, router, alice, validator, clock, resilience=False
+            targets, router, alice, validator, clock, resilience=False,
+            breaker_failures=1,
         )
         assert fclient.breakers == {}
         assert fclient.budget is None
-        assert fclient.client_for("alice")._guard is None
+        primary, replica = router.order("alice")[:2]
+        myproxy_init_from_longterm(
+            fclient, alice, username="alice", passphrase="correct horse 42", key_source=key_pool
+        )
+        assert [row.cred_name for row in fclient.info(username="alice")] == ["default"]
+        assert dials == [primary, replica, primary, replica]
+        assert fclient.stats.transport_failures == 2

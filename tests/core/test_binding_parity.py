@@ -43,16 +43,18 @@ def world(request, tb):
     if request.param == "gsi":
         def make_client(user):
             client = tb.myproxy_client(user.credential)
-            client.retry = RetryPolicy(busy_retries=0)  # one attempt, as HTTP
+            client.retry = RetryPolicy(busy_retries=0)  # busy surfaces, unretried
             return client
     else:
         target = _serve(MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source))
 
         def make_client(user):
-            return HttpMyProxyClient(
+            client = HttpMyProxyClient(
                 target, user.credential, tb.validator,
                 key_source=tb.key_source, clock=tb.clock,
             )
+            client.retry = RetryPolicy(busy_retries=0)  # busy surfaces, unretried
+            return client
     tb.new_user("alice")
     tb.new_user("svc")
     return tb, make_client

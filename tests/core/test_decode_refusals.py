@@ -326,3 +326,35 @@ class TestDecodeRefusalAudit:
         _refused_at_decode(tb, reply, "LIFETIME")
         last = tb.myproxy.audit_log()[-1]
         assert (last.command, last.username, last.cred_name) == ("GET", "alice", "wallet")
+
+
+class TestBusyHints:
+    """A busy reply's ``RETRY_AFTER`` is held to the ``seconds`` rule on
+    either binding: a hint no client can sleep on is a ProtocolError, not
+    a ``ValueError`` out of the backoff."""
+
+    @pytest.mark.parametrize("value", [b"nan", b"inf"])
+    def test_gsi(self, value):
+        with pytest.raises(ProtocolError, match="RETRY_AFTER"):
+            Response.decode(b"VERSION=MYPROXYv2-REPRO\nRESPONSE=2\nRETRY_AFTER=" + value + b"\n")
+
+    @pytest.mark.parametrize("value", ["nan", "x", None, -1])
+    def test_http(self, seeded, value):
+        from repro.web.http11 import HttpResponse
+
+        tb, alice, _portal = seeded
+        gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+        gateway.add_json_route("/stub/busy", lambda peer, payload: HttpResponse.json(
+            {"ok": False, "error": "busy", "retry_after": value}, 503))
+
+        def target():
+            client_end, server_end = pipe_pair("https")
+            threading.Thread(
+                target=gateway.handle_secure_link, args=(server_end,), daemon=True
+            ).start()
+            return client_end
+
+        client = HttpMyProxyClient(target, alice.credential, tb.validator,
+                                   key_source=tb.key_source, clock=tb.clock)
+        with pytest.raises(ProtocolError, match="RETRY_AFTER"):
+            client._call("/stub/busy", {})
