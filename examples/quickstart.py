@@ -7,8 +7,9 @@ runs the paper's two figures:
   Figure 1  myproxy-init:             user  --delegate-->  repository
   Figure 2  myproxy-get-delegation:   portal <--delegate-- repository
 
-and finally uses the retrieved proxy to authenticate a mutual-TLS-style
-connection, proving it is a first-class Grid credential.
+and finally authenticates to the repository with the retrieved proxy,
+proving it is a first-class Grid credential: the repository takes it for
+alice herself.
 
 Run:  python examples/quickstart.py
 """
@@ -66,26 +67,10 @@ def main() -> None:
         )
 
         # --- the proxy is a working Grid credential -------------------------
-        import threading
-
-        from repro.transport import accept_secure, connect_secure, pipe_pair
-
-        client_end, server_end = pipe_pair()
-        seen = {}
-
-        def resource() -> None:
-            channel = accept_secure(server_end, portal_cred, validator)
-            seen["peer"] = channel.peer.identity
-            channel.send(b"welcome, " + str(channel.peer.identity).encode())
-            channel.close()
-
-        thread = threading.Thread(target=resource)
-        thread.start()
-        channel = connect_secure(client_end, proxy, validator)
-        print(f"resource  : {channel.recv().decode()}")
-        channel.close()
-        thread.join()
-        assert seen["peer"] == alice.subject
+        with MyProxyClient(endpoint, proxy, validator) as as_alice:
+            rows = as_alice.info(username="alice")
+        print(f"proxy     : the repository shows it alice's {len(rows)} credential(s)")
+        assert [row.cred_name for row in rows] == ["default"]
 
         # --- housekeeping ----------------------------------------------------
         for row in user_client.info(username="alice"):

@@ -48,7 +48,7 @@ def main() -> None:
         # ---- 1. sniffing the MyProxy channel --------------------------------
         capture = WireCapture("gsi-sniffer")
         client = MyProxyClient(
-            tap_link_target(tb.myproxy.handle_link, capture),
+            tap_link_target(tb.myproxy.connect, capture),
             alice.credential, tb.validator, key_source=tb.key_source,
         )
         myproxy_init_from_longterm(client, alice.credential, username="alice",
@@ -104,13 +104,14 @@ def main() -> None:
 
         # ---- 4. impersonating the repository ------------------------------------
         fake = FakeRepository(tb.ca.certificate)
-        fake_client = MyProxyClient(fake.target(), alice.credential, tb.validator,
-                                    key_source=tb.key_source)
-        try:
-            fake_client.get_delegation(username="alice", passphrase=PASS)
-            outcome = "ACCEPTED (BAD!)"
-        except HandshakeError as exc:
-            outcome = f"rejected in the handshake ({exc})"
+        with fake.server:
+            fake_client = MyProxyClient(fake.target(), alice.credential, tb.validator,
+                                        key_source=tb.key_source)
+            try:
+                fake_client.get_delegation(username="alice", passphrase=PASS)
+                outcome = "ACCEPTED (BAD!)"
+            except HandshakeError as exc:
+                outcome = f"rejected in the handshake ({exc})"
         print(f"4. fake repository    : {outcome}")
         print(f"   pass phrases harvested by the fake: {fake.server.stats.gets}")
 

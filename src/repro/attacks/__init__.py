@@ -3,7 +3,7 @@
 Each module arms one attacker capability and exposes what that attacker
 actually obtains, so the §5 claims become assertions:
 
-- :mod:`repro.attacks.eavesdrop` — a passive wire tap on any pipe-based
+- :mod:`repro.attacks.eavesdrop` — a passive wire tap on any in-process
   connection (§5.1 "all data passing to and from the server is encrypted";
   §5.2 "transmitting the name and pass phrase over unencrypted HTTP would
   allow any intruder to snoop the pass phrase").

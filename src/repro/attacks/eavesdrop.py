@@ -5,10 +5,13 @@ directions, exactly as a network sniffer between the two hosts would.  The
 capture API then answers the attacker's questions: *did a secret cross in
 cleartext?* and *how many bytes did I get?*
 
-Tapping hooks exist for both kinds of connection the paper worries about:
+:meth:`WireCapture.tap` wraps a client's end of a connection; the server
+is reached as usual.  Tapping hooks exist for both kinds of connection
+the paper worries about:
 
-- :func:`tap_link_target` wraps any testbed link-factory target (MyProxy,
-  GRAM, storage) — used to show the GSI channel leaks nothing;
+- :func:`tap_link_target` wraps any link-factory target (a testbed's
+  MyProxy, GRAM or storage target, a server's ``connect``) — used to show
+  the GSI channel leaks nothing;
 - :func:`tap_web_connector` wraps a browser connector — used to show a
   plain-HTTP portal login leaks the pass phrase while the HTTPS one does
   not.
@@ -19,8 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.transport.links import Link, PipeLink, pipe_pair
-from repro.transport.listener import serve_link
+from repro.transport.links import Link
 
 
 @dataclass
@@ -39,6 +41,10 @@ class WireCapture:
     def record_to_client(self, frame: bytes) -> None:
         with self._lock:
             self.frames_to_client.append(frame)
+
+    def tap(self, link: Link) -> Link:
+        """``link``, with every frame it carries recorded here."""
+        return _TappedLink(link, self)
 
     # -- attacker queries -----------------------------------------------------
 
@@ -65,28 +71,33 @@ class WireCapture:
         return [f for f in frames if f.split(b" ", 1)[0] in (b"GET", b"POST", b"HEAD")]
 
 
-def _tapped_pipe(capture: WireCapture, name: str) -> tuple[PipeLink, PipeLink]:
-    """A pipe pair with the capture attached to both directions."""
-    client_end, server_end = pipe_pair(name)
-    client_end.send_taps.append(capture.record_to_server)
-    client_end.recv_taps.append(capture.record_to_client)
-    return client_end, server_end
+class _TappedLink(Link):
+    """A client's link as a sniffer on the wire sees it."""
+
+    def __init__(self, link: Link, capture: WireCapture) -> None:
+        self._link = link
+        self._capture = capture
+
+    def send_frame(self, frame: bytes) -> None:
+        self._capture.record_to_server(frame)
+        self._link.send_frame(frame)
+
+    def recv_frame(self) -> bytes:
+        frame = self._link.recv_frame()
+        self._capture.record_to_client(frame)
+        return frame
+
+    def close(self) -> None:
+        self._link.close()
 
 
-def tap_link_target(handler, capture: WireCapture):
+def tap_link_target(target, capture: WireCapture):
     """A link-factory target whose traffic lands in ``capture``.
 
-    ``handler`` is a per-link server entry point
-    (e.g. ``MyProxyServer.handle_link``).  Drop-in replacement for the
-    testbed's pipe targets.
+    ``target`` is the link factory to tap (e.g. ``MyProxyServer.connect``
+    or a testbed's in-process target); the result is a drop-in replacement.
     """
-
-    def _connect() -> Link:
-        client_end, server_end = _tapped_pipe(capture, capture.label)
-        threading.Thread(target=handler, args=(server_end,), daemon=True).start()
-        return client_end
-
-    return _connect
+    return lambda: capture.tap(target())
 
 
 def tap_web_connector(portal, capture: WireCapture, validator):
@@ -98,14 +109,9 @@ def tap_web_connector(portal, capture: WireCapture, validator):
     from repro.web.client import HttpTransport, LinkTransport, SecureTransport
 
     def _connect(scheme: str, host: str, port: int) -> HttpTransport:
-        client_end, server_end = _tapped_pipe(capture, f"web:{host}")
-        web = portal.web
-        binding = web.https_binding if scheme == "https" else web.http_binding
-        threading.Thread(
-            target=serve_link, args=(server_end, binding), daemon=True
-        ).start()
+        link = capture.tap(portal.web.connect(scheme))
         if scheme == "https":
-            return SecureTransport(client_end, validator)
-        return LinkTransport(client_end)
+            return SecureTransport(link, validator)
+        return LinkTransport(link)
 
     return _connect

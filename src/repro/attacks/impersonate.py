@@ -13,14 +13,11 @@ byte (let alone a pass phrase) is sent.
 
 from __future__ import annotations
 
-import threading
-
 from repro.core.repository import MemoryRepository
 from repro.core.server import MyProxyServer
 from repro.pki.ca import CertificateAuthority
 from repro.pki.names import DistinguishedName
 from repro.pki.validation import ChainValidator
-from repro.transport.links import Link, pipe_pair
 from repro.util.clock import SYSTEM_CLOCK, Clock
 
 
@@ -60,12 +57,4 @@ class FakeRepository:
 
     def target(self):
         """A link factory victims can be pointed at."""
-
-        def _connect() -> Link:
-            client_end, server_end = pipe_pair("fake-repo")
-            threading.Thread(
-                target=self.server.handle_link, args=(server_end,), daemon=True
-            ).start()
-            return client_end
-
-        return _connect
+        return self.server.connect

@@ -617,9 +617,12 @@ class MyProxyCluster:
         self._monitor.start()
 
     def stop(self) -> None:
+        """Stop the heartbeat monitor and every node's server."""
         if self._monitor is not None:
             self._monitor.stop()
             self._monitor = None
+        for node in self.nodes.values():
+            node.server.stop()
 
     # ------------------------------------------------------------------
     # resync (a restarted node catches up from every peer's log)

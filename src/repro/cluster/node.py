@@ -8,9 +8,9 @@ every peer's log).  Whether a node acts as the *primary* or a *replica*
 for a given user is decided per shard by the cluster's hash ring — a node
 is usually primary for some users and replica for others.
 
-Nodes expose an in-process connect target (the same pipe transport the
-testbed uses), so a cluster can be exercised — and killed mid-workload —
-without real sockets; the TCP path reuses ``server.start()`` unchanged.
+Nodes expose an in-process connect target (the server's own listener, as
+the testbed dials), so a cluster can be exercised — and killed
+mid-workload — without ports; the TCP path reuses ``server.start()``.
 
 Fault posture: each node carries a :class:`~repro.faults.FaultInjector`
 threaded into its replication log, replicating wrapper and apply path.  A
@@ -35,7 +35,8 @@ from repro.cluster.replog import (
 )
 from repro.core.repository import CredentialRepository
 from repro.core.server import MyProxyServer
-from repro.transport.links import pipe_pair
+from repro.transport.channel import SecureChannel
+from repro.transport.links import Link
 from repro.util.errors import RepositoryError, TransportError
 from repro.util.logging import get_logger
 
@@ -75,6 +76,7 @@ class ClusterNode:
         if hasattr(backend, "publish_metrics"):
             backend.publish_metrics(server.metrics)
         self.alive = True
+        self._binding = _NodeBinding(self)
         #: set when an op had to be skipped; the coordinator's sweep (or an
         #: admin ``resync``) re-ships the tail to heal the gap.
         self.resync_requested = False
@@ -278,33 +280,45 @@ class ClusterNode:
         logger.info("node %s restarted", self.name)
 
     # ------------------------------------------------------------------
-    # connect target (pipe transport; TCP deployments use server.start())
+    # connect target (in process; TCP deployments use server.start())
     # ------------------------------------------------------------------
 
-    def target(self):
+    def target(self) -> Link:
         """A link factory clients can dial, refusing while the node is dead."""
         if not self.alive:
             raise TransportError(f"node {self.name} is down")
-        client_end, server_end = pipe_pair(f"cluster:{self.name}")
-
-        def _serve() -> None:
-            if not self.alive:
-                server_end.close()
-                return
-            try:
-                self.server.handle_link(server_end)
-            except faults.KillPoint:
-                # The simulated process died mid-conversation: the node
-                # goes dark and the peer sees the link drop, not a reply.
-                self.kill()
-                try:
-                    server_end.close()
-                except Exception:  # noqa: BLE001 - already torn down
-                    pass
-
-        threading.Thread(target=_serve, daemon=True, name=f"{self.name}-conn").start()
-        return client_end
+        return self.server.connect(self._binding)
 
     def lag_behind(self, origin: "ClusterNode") -> int:
         """How many of ``origin``'s logged ops this node has not applied."""
         return max(origin.log.last_seq - self.applied_seq(origin.name), 0)
+
+
+class _NodeBinding:
+    """A node's server binding as its in-process clients reach it: a dead
+    node answers nobody, and a :class:`~repro.faults.KillPoint` raised
+    inside a turn takes the node down and drops the link without a reply,
+    as a crashed process would — the listener's worker lives on."""
+
+    def __init__(self, node: ClusterNode) -> None:
+        self.node = node
+
+    def __getattr__(self, name: str):
+        return getattr(self.node.server, name)  # the rest of the binding
+
+    def open(self, link: Link) -> SecureChannel | None:
+        if not self.node.alive:
+            link.close()
+            return None
+        return self.node.server.open(link)
+
+    def resume(self, channel: SecureChannel) -> bool:
+        return self.node.alive and self.node.server.resume(channel)
+
+    def answer(self, channel: SecureChannel, message: bytes) -> bool:
+        try:
+            return self.node.server.answer(channel, message)
+        except faults.KillPoint:
+            self.node.kill()
+            channel.abort()
+            return False

@@ -381,8 +381,8 @@ class ClientCore:
         The first attempt rides the idle channel kept for the first
         endpoint and the current credential's subject.  Only
         authenticated channels to a TCP endpoint are kept: a link
-        factory's server end serves one conversation per link, and
-        anonymous channels serve one request.  If the server had
+        factory's link is used for one operation, and anonymous
+        channels serve one request.  If the server had
         already ended it (idle timeout, trust change, restart) without
         reading the request, the client redials once, transparently: that
         is not a transport failure, trips no breaker and costs no retry

@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.client import ClientCore
-from repro.core.protocol import Command, Request, Response, busy_hint, parse_json
+from repro.core.protocol import Command, Request, Response, parse_json
 from repro.core.repository import RepositoryEntry
 from repro.core.server import REFUSABLE, MyProxyServer, Refusal
 from repro.pki.certs import Certificate
@@ -63,9 +63,10 @@ from repro.transport.delegation import (
     issue,
     make_csr,
 )
-from repro.transport.listener import Binding, serve_link
+from repro.transport.links import Link
+from repro.transport.listener import Binding
 from repro.util.clock import SYSTEM_CLOCK, Clock
-from repro.util.errors import AuthenticationError, ProtocolError
+from repro.util.errors import AuthenticationError, ProtocolError, busy_hint
 from repro.web.http11 import HttpRequest, HttpResponse
 from repro.web.server import WebContext, WebServer
 
@@ -220,9 +221,9 @@ class MyProxyHttpGateway(Binding):
     # plumbing
     # ------------------------------------------------------------------
 
-    def handle_secure_link(self, link) -> None:
-        """Serve one HTTPS connection until it ends."""
-        serve_link(link, self)
+    def connect(self) -> Link:
+        """Dial this gateway in process, through the server's listener."""
+        return self.server.connect(self)
 
     def serve(self, host: str, port: int) -> tuple[str, int]:
         """Listen for HTTPS connections on ``host:port`` beside the

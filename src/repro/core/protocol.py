@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from repro.gsi.acl import AccessControlList
 from repro.util.encoding import decode_kv, encode_kv
-from repro.util.errors import ConfigError, ProtocolError
+from repro.util.errors import ConfigError, ProtocolError, busy_hint
 
 PROTOCOL_VERSION = "MYPROXYv2-REPRO"
 
@@ -465,16 +465,3 @@ class Response:
         )
 
 
-_RETRY_AFTER = Field("retry_after", "RETRY_AFTER", "retry_after", SECONDS)
-
-
-def busy_hint(value) -> float:
-    """A busy reply's ``RETRY_AFTER`` (GSI text or HTTP JSON), held to the
-    ``seconds`` kind's rule: finite and non-negative, or a
-    :class:`ProtocolError` before any client sleeps on it."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError("busy response needs a RETRY_AFTER") from exc
-    _check_seconds(_RETRY_AFTER, seconds, "RETRY_AFTER")
-    return seconds

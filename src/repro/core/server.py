@@ -14,8 +14,8 @@ Each conversation follows the original:
    and persisted what it received.
 
 After a successful command the channel may carry the next request, with
-step 1 replaced by a re-check of the peer's trust (PROTOCOL.md §6); in TCP
-mode an idle channel waits in the listener's selector, not on a worker.
+step 1 replaced by a re-check of the peer's trust (PROTOCOL.md §6); an
+idle channel waits in the listener's selector, not on a worker.
 
 Authorization structure (§5.1):
 
@@ -92,7 +92,7 @@ from repro.transport.delegation import (
 )
 from repro.transport.tickets import SessionTicketManager
 from repro.transport.links import Link
-from repro.transport.listener import WORKERS, Binding, Listener, serve_link
+from repro.transport.listener import WORKERS, Binding, Listener
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import (
     AuthenticationError,
@@ -445,6 +445,7 @@ class MyProxyServer(Binding):
         self._audit_path = audit_path
         self._audit_file = self._open_audit_file() if audit_path is not None else None
         self._listener: Listener | None = None
+        self._listener_lock = threading.Lock()  # clients may dial at once
         self._endpoint: tuple[str, int] | None = None
         # -- QoS serving path (repro.qos) ------------------------------
         # A fixed pool of this many workers drains a bounded admission
@@ -503,24 +504,33 @@ class MyProxyServer(Binding):
 
     def listen(self, host: str, port: int, binding: Binding) -> tuple[str, int]:
         """Accept ``binding``'s connections (GSI, or an HTTP gateway's) on
-        ``host:port`` with this server's one listener, whose hooks carry
-        its policy: the flood brake, shed counters and audit records."""
-        if self._listener is None:
-            self._listener = Listener(
-                "myproxy",
-                workers=self.max_concurrent_connections,
-                timeout=self.policy.connection_timeout,
-                queue_depth=self.policy.qos_queue_depth,
-                queue_deadline=self.policy.qos_queue_deadline,
-                admit=self._flood_brake(),
-                on_shed=self._count_shed,
-                on_wait=self._admission_wait_seconds.observe,
-                depth_gauge=self._qos_queue_depth,
-                inflight=self._qos_inflight,
-            )
-        return self._listener.listen(
+        ``host:port`` with this server's one listener."""
+        return self._serving().listen(
             host, port, binding, backlog=self.policy.listen_backlog
         )
+
+    def connect(self, binding: Binding | None = None) -> Link:
+        """Dial ``binding`` (by default, GSI) in process: a link factory."""
+        return self._serving().connect(binding or self)
+
+    def _serving(self) -> Listener:
+        """This server's one listener, whose hooks carry its policy: the
+        flood brake, shed counters and audit records."""
+        with self._listener_lock:
+            if self._listener is None:
+                self._listener = Listener(
+                    "myproxy",
+                    workers=self.max_concurrent_connections,
+                    timeout=self.policy.connection_timeout,
+                    queue_depth=self.policy.qos_queue_depth,
+                    queue_deadline=self.policy.qos_queue_deadline,
+                    admit=self._flood_brake(),
+                    on_shed=self._count_shed,
+                    on_wait=self._admission_wait_seconds.observe,
+                    depth_gauge=self._qos_queue_depth,
+                    inflight=self._qos_inflight,
+                )
+            return self._listener
 
     def _flood_brake(self):
         """Pre-handshake flood brake: per peer address, deliberately loose
@@ -679,11 +689,6 @@ class MyProxyServer(Binding):
             phases = getattr(self._phase_local, "phases", None)
             if phases is not None:
                 phases[phase] = phases.get(phase, 0.0) + timer.elapsed
-
-    def handle_link(self, link: Link) -> None:
-        """Serve GSI requests on ``link`` (any transport) until the
-        conversation ends, blocking — the in-memory pipes' entry point."""
-        serve_link(link, self)
 
     def admit(self, peer: ValidatedIdentity | None) -> float:
         """Per-identity fairness, applied once a handshake names the peer.
@@ -1268,18 +1273,21 @@ class MyProxyServer(Binding):
                     channel, stored, lifetime=lifetime, clock=self.clock,
                     chain_pem=chain_pem,
                 )
-        else:
-            with self._observe_phase("delegation"):
-                public_key = check_csr(request.csr, peer.identity)
-                issued, chain_pem = issue(
-                    stored, public_key, lifetime=lifetime, clock=self.clock,
-                    chain_pem=chain_pem,
-                )
-                channel.send_many([
-                    Response.success({**granted, "limited": False}).encode(),
-                    issue_message(issued, chain_pem),
-                ])
-        self.record_get(peer, request, issued.not_after)
+            self.record_get(peer, request, issued.not_after)
+            return
+        with self._observe_phase("delegation"):
+            public_key = check_csr(request.csr, peer.identity)
+            issued, chain_pem = issue(
+                stored, public_key, lifetime=lifetime, clock=self.clock,
+                chain_pem=chain_pem,
+            )
+            # Recorded before it leaves, as a PUT is stored before its
+            # commit reply: a client holding the proxy finds the record.
+            self.record_get(peer, request, issued.not_after)
+            channel.send_many([
+                Response.success({**granted, "limited": False}).encode(),
+                issue_message(issued, chain_pem),
+            ])
 
     def _do_get_multi(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request

@@ -30,7 +30,7 @@ from repro.federation.gateway import FederationGateway
 from repro.federation.sso import SsoAuthority, enable_sso
 from repro.pki.keys import PooledKeySource
 from repro.portal.portal import GridPortal
-from repro.testbed import TEST_KEY_BITS, GridTestbed, _PipeTarget, web_transport
+from repro.testbed import TEST_KEY_BITS, GridTestbed, web_transport
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import ConfigError, TransportError
 from repro.web.client import Browser, HttpTransport
@@ -75,7 +75,6 @@ class FederatedTestbed:
         self.clock = clock
         self.key_source = key_source or PooledKeySource(TEST_KEY_BITS, 16)
         self.realms: dict[str, FederatedRealm] = {}
-        self._started: list = []
 
         from dataclasses import replace as _replace
 
@@ -105,7 +104,7 @@ class FederatedTestbed:
             http_gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
             cdp = CdpService(http_gateway)
             if transport == "pipe":
-                cdp_target: object = _PipeTarget(http_gateway)
+                cdp_target: object = http_gateway.connect
             else:
                 cdp_target = http_gateway.serve("127.0.0.1", 0)
             portal = tb.new_portal(f"portal-{name}")
@@ -151,7 +150,6 @@ class FederatedTestbed:
             realm.web_hosts[realm.gateway_host] = realm.gateway
             if transport == "tcp":
                 realm.gateway.web.start_https()
-                self._started.append(realm.gateway.web)
 
     # ------------------------------------------------------------------
     # conveniences
@@ -173,9 +171,7 @@ class FederatedTestbed:
             service = hosts.get(host)
             if service is None:
                 raise TransportError(f"unknown host {host!r}")
-            return web_transport(
-                self.transport, service.web, scheme, host, validators[host]
-            )
+            return web_transport(self.transport, service.web, scheme, validators[host])
 
         return Browser(_connect)
 
@@ -214,9 +210,9 @@ class FederatedTestbed:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        for web in self._started:
-            web.stop()
         for realm in self.realms.values():
+            if realm.gateway is not None:
+                realm.gateway.web.stop()
             realm.tb.close()
 
     def __enter__(self) -> FederatedTestbed:

@@ -292,9 +292,9 @@ class GramService(GsiService):
     def poll_jobs(self) -> list[str]:
         """Advance every active job against the clock; return changed ids.
 
-        Over TCP the service's listener calls this once per tick
-        (:meth:`sweep`), with no client asking; pipe testbeds have no
-        listener, so tests call it themselves.
+        The service's listener calls this once per tick (:meth:`sweep`),
+        with no client asking; tests on a manual clock may call it
+        themselves.
         """
         changed: list[str] = []
         now = self.clock.now()

@@ -10,9 +10,9 @@ Every Grid service in this reproduction follows the same shape:
    same channel (that is how GRAM receives job credentials).
 
 A service is a binding of the package's one serving stack
-(:mod:`repro.transport.listener`): over TCP its channel waits between
-requests in the listener's selector, not on a worker, and the listener's
-tick runs the service's :meth:`~GsiService.sweep` (GRAM's job poll).
+(:mod:`repro.transport.listener`): its channel waits between requests
+in the listener's selector, not on a worker, and the listener's tick
+runs the service's :meth:`~GsiService.sweep` (GRAM's job poll).
 Subclasses implement :meth:`GsiService.dispatch`.
 
 :class:`ServiceClient` is the matching client-side helper: open a channel,
@@ -22,6 +22,7 @@ exchange JSON, optionally delegate.
 from __future__ import annotations
 
 import json
+import threading
 
 from repro.gsi.context import SecurityContext
 from repro.gsi.gridmap import GridMap
@@ -64,7 +65,7 @@ def recv_json(channel: SecureChannel) -> dict:
 
 
 class GsiService(Binding):
-    """A TCP (or pipe) server fronted by GSI mutual authentication."""
+    """A server fronted by GSI mutual authentication, over TCP or in process."""
 
     def __init__(
         self,
@@ -85,6 +86,7 @@ class GsiService(Binding):
         #: transfer credentials).  Defaults to fresh per-delegation keys.
         self.key_source = key_source
         self._listener: Listener | None = None
+        self._listener_lock = threading.Lock()  # clients may dial at once
         self._endpoint: tuple[str, int] | None = None
 
     # -- dispatch (subclass API) ------------------------------------------------
@@ -124,9 +126,18 @@ class GsiService(Binding):
         return json.dumps({"ok": False, "error": f"busy; retry in {retry_after:.3f}s"}).encode()
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        self._listener = Listener(self.name, timeout=TIMEOUT)
-        self._endpoint = self._listener.listen(host, port, self)
+        self._endpoint = self._serving().listen(host, port, self)
         return self._endpoint
+
+    def connect(self) -> Link:
+        """Dial this service in process, through its listener."""
+        return self._serving().connect(self)
+
+    def _serving(self) -> Listener:
+        with self._listener_lock:
+            if self._listener is None:
+                self._listener = Listener(self.name, timeout=TIMEOUT)
+            return self._listener
 
     def stop(self) -> None:
         if self._listener is not None:

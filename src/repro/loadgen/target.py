@@ -8,7 +8,7 @@ registry so the report can carry the server-side view.
 - :class:`SelfHostedTarget` assembles a complete single-node deployment
   in-process via :class:`~repro.testbed.GridTestbed` — real TCP loopback
   by default (the deployment shape, and what the committed baselines
-  measure), or in-memory pipes for deterministic tests on a
+  measure), or dialled in process for deterministic tests on a
   :class:`~repro.util.clock.ManualClock`.
 
 - :class:`ExternalTarget` drives an already-running ``myproxy-server``

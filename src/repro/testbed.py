@@ -2,9 +2,9 @@
 
 :class:`GridTestbed` wires together everything the paper's figures need —
 a CA, users, one or more MyProxy repositories, a GRAM job service, a mass
-storage service, Grid portals and browsers — over either in-memory pipes
-(fast, tappable; the default for tests) or real TCP loopback sockets (what
-the benchmarks measure).
+storage service, Grid portals and browsers — each server on its own
+listener, dialled in process (``transport="pipe"``, the default for tests)
+or over TCP loopback (what the benchmarks measure).
 
 Typical use::
 
@@ -22,7 +22,6 @@ Typical use::
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.core.client import MyProxyClient, myproxy_init_from_longterm
@@ -47,8 +46,6 @@ from repro.web.client import (
     RawTcpTransport,
     SecureTransport,
 )
-from repro.transport.links import pipe_pair
-from repro.transport.listener import Binding, serve_link
 from repro.transport.tickets import TicketStore
 
 TEST_KEY_BITS = 1024
@@ -66,30 +63,14 @@ class UserAccount:
     myproxy_passphrase: str = ""
 
 
-@dataclass
-class _PipeTarget:
-    """Link factory that serves each connection's pipe on its own thread."""
-
-    binding: Binding
-    name: str = "pipe"
-
-    def __call__(self):
-        client_end, server_end = pipe_pair(self.name)
-        threading.Thread(
-            target=serve_link, args=(server_end, self.binding), daemon=True
-        ).start()
-        return client_end
-
-
-def web_transport(transport: str, web, scheme: str, host: str, validator) -> HttpTransport:
+def web_transport(transport: str, web, scheme: str, validator) -> HttpTransport:
     """A browser's connection to web server ``web`` over the testbed's
-    ``transport``: its TCP endpoint, or a fresh pipe."""
+    ``transport``: its TCP endpoint, or dialled in process."""
     if transport == "tcp":
         if scheme == "https":
             return SecureTransport(web.https_endpoint, validator)
         return RawTcpTransport(*web.http_endpoint)
-    binding = web.https_binding if scheme == "https" else web.http_binding
-    link = _PipeTarget(binding, f"web:{host}")()
+    link = web.connect(scheme)
     return SecureTransport(link, validator) if scheme == "https" else LinkTransport(link)
 
 
@@ -118,7 +99,7 @@ class GridTestbed:
         # Sharing one pre-generated pool across many testbeds keeps key
         # generation out of the measured/tested paths.
         self.key_source = key_source or PooledKeySource(key_bits, key_pool)
-        self._servers_started: list = []
+        self._servers: list = []  # what close() stops
 
         # -- trust fabric ----------------------------------------------------
         # Federated testbeds give each realm its own CA *name*: two
@@ -195,17 +176,10 @@ class GridTestbed:
     # ------------------------------------------------------------------
 
     def _serve(self, server) -> object:
-        """Return a connect target for ``server`` (a binding with a
-        ``start``)."""
-        if self.transport == "pipe":
-            return _PipeTarget(server)
-        endpoint = server.start()
-        self._maybe_track(server)
-        return endpoint
-
-    def _maybe_track(self, server) -> None:
-        if server not in self._servers_started:
-            self._servers_started.append(server)
+        """Return a connect target for ``server`` (one with ``start`` and
+        ``connect``), and stop it at :meth:`close`."""
+        self._servers.append(server)
+        return server.connect if self.transport == "pipe" else server.start()
 
     # ------------------------------------------------------------------
     # users (§2.1: credentials from the CA, accounts from the gridmap)
@@ -319,10 +293,10 @@ class GridTestbed:
             key_source=self.key_source,
         )
         portal.host = host  # type: ignore[attr-defined]
+        self._servers.append(portal.web)
         if self.transport == "tcp":
             portal.web.start_http()
             portal.web.start_https()
-            self._maybe_track(portal.web)
         self.portals[name] = portal
         self._web_hosts[host] = portal
         return portal
@@ -334,7 +308,7 @@ class GridTestbed:
             portal = self._web_hosts.get(host)
             if portal is None:
                 raise TransportError(f"unknown host {host!r}")
-            return web_transport(self.transport, portal.web, scheme, host, self.validator)
+            return web_transport(self.transport, portal.web, scheme, self.validator)
 
         return Browser(_connect)
 
@@ -343,7 +317,7 @@ class GridTestbed:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        for server in self._servers_started:
+        for server in self._servers:
             server.stop()
 
     def __enter__(self) -> GridTestbed:

@@ -7,8 +7,8 @@ classic path validation rejects), which is exactly why Globus shipped its
 own verification callbacks.  This package therefore implements the channel
 itself, SSL-3-style:
 
-- :mod:`repro.transport.links` — byte-stream links (TCP socket or in-memory
-  pipe) with length-prefixed framing;
+- :mod:`repro.transport.links` — byte-stream links (a TCP or in-process
+  socket, or an in-memory pipe) with length-prefixed framing;
 - :mod:`repro.transport.kdf` — transcript hashing and the key schedule;
 - :mod:`repro.transport.records` — the AES-GCM record layer with per-record
   sequence numbers (integrity + privacy + in-connection replay protection);

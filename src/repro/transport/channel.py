@@ -144,18 +144,10 @@ class SecureChannel:
                 except TransportError:
                     pass
 
-    def close(self, drain: bool = False) -> None:
-        """Send a close alert (best effort) and shut the link.
-
-        ``drain=True`` reads off what the peer still had in flight before
-        closing (:meth:`Link.close_gracefully`) — for a peer whose request
-        was left unread, so the alert is not clobbered by a reset.
-        """
+    def close(self) -> None:
+        """Send a close alert (best effort) and shut the link."""
         self.notify_close()
-        if drain:
-            self._link.close_gracefully()
-        else:
-            self._link.close()
+        self._link.close()
 
     def abort(self) -> None:
         """Shut the link without a close alert: the peer sees a transport

@@ -75,6 +75,7 @@ from repro.util.errors import (
     ServerBusyError,
     TransportError,
     ValidationError,
+    busy_hint,
 )
 
 PROTOCOL_VERSION = b"GSIv1"
@@ -164,10 +165,7 @@ def send_busy_notice(link: Link, retry_after: float) -> None:
 
 def _raise_peer_abort(detail: str) -> None:
     if detail.startswith(_BUSY_PREFIX):
-        try:
-            retry_after = float(detail[len(_BUSY_PREFIX):])
-        except ValueError:
-            retry_after = 1.0
+        retry_after = busy_hint(detail[len(_BUSY_PREFIX):])
         raise ServerBusyError(
             f"server is shedding load; retry in {retry_after:.3f}s", retry_after
         )

@@ -4,10 +4,11 @@ A :class:`Link` moves opaque frames between two endpoints; everything above
 (records, handshake, application protocols) is transport-agnostic.  Two
 implementations:
 
-- :class:`SocketLink` — a TCP connection (what deployments use, and what the
-  benchmarks measure);
-- :class:`PipeLink` — an in-memory queue pair (what most unit tests use, and
-  what the §5 attack harness taps to play eavesdropper).
+- :class:`SocketLink` — a connected stream socket: a TCP connection (what
+  deployments use, and what the benchmarks measure) or one end of an
+  in-process socket pair (:meth:`repro.transport.listener.Listener.connect`);
+- :class:`PipeLink` — an in-memory queue pair, for code that drives both
+  ends of a conversation itself (the transport unit tests and probes).
 
 Frames are length-prefixed with a 4-byte big-endian header.  A frame of
 length zero is reserved as the end-of-stream marker.
@@ -50,11 +51,6 @@ class Link:
     def close(self) -> None:
         raise NotImplementedError
 
-    def close_gracefully(self) -> None:
-        """Close without clobbering what was just sent (see
-        :meth:`SocketLink.close_gracefully`)."""
-        self.close()
-
     def peek(self, count: int) -> bytes | None:
         """Up to ``count`` raw stream bytes already received, without
         consuming them or blocking: ``None`` when nothing waits, ``b""``
@@ -69,13 +65,14 @@ class Link:
 
 
 class SocketLink(Link):
-    """Frames over a connected TCP socket."""
+    """Frames over a connected stream socket."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.family != socket.AF_UNIX:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _wire(self, frame: bytes) -> bytes:
         """``frame`` as it goes on the stream: length header, then body."""
@@ -134,40 +131,9 @@ class SocketLink(Link):
             pass
         self._sock.close()
 
-    def close_gracefully(self) -> None:
-        """Drain-then-close so a refusal does not become an RST.
-
-        A straight ``close()`` with unread bytes in the kernel receive
-        buffer — the peer's hello or request usually landed before we
-        decided to refuse it — makes the kernel answer with RST, which
-        clobbers the reply still sitting in the send buffer.  Shut down
-        our write side, read off whatever the peer had in flight for a
-        bounded moment, then close.
-        """
-        sock = self._sock
-        try:
-            sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            sock.close()
-            return
-        try:
-            sock.settimeout(0.25)
-            for _ in range(8):  # bounded: a chatty peer must not pin us
-                if not sock.recv(4096):
-                    break
-        except OSError:
-            pass
-        finally:
-            sock.close()
-
 
 class PipeLink(Link):
-    """One endpoint of an in-memory frame pipe (see :func:`pipe_pair`).
-
-    Supports *taps*: callables invoked with every frame that passes through,
-    in each direction — the eavesdropper hook used by
-    :mod:`repro.attacks`.
-    """
+    """One endpoint of an in-memory frame pipe (see :func:`pipe_pair`)."""
 
     _CLOSE = object()
 
@@ -176,14 +142,10 @@ class PipeLink(Link):
         self._inbox = inbox
         self._name = name
         self._closed = False
-        self.send_taps: list = []
-        self.recv_taps: list = []
 
     def send_frame(self, frame: bytes) -> None:
         if self._closed:
             raise TransportError(f"{self._name}: link is closed")
-        for tap in self.send_taps:
-            tap(frame)
         self._outbox.put(frame)
 
     def recv_frame(self, timeout: float = 30.0) -> bytes:
@@ -196,8 +158,6 @@ class PipeLink(Link):
         if frame is self._CLOSE:
             self._closed = True
             raise TransportError("connection closed by peer")
-        for tap in self.recv_taps:
-            tap(frame)
         return frame
 
     def close(self) -> None:

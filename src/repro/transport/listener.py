@@ -1,9 +1,12 @@
-"""The one serving stack: every TCP server in this package runs on it.
+"""The one serving stack: every server in this package runs on it.
 
 A server plugs in one or more *bindings* (:class:`Binding`): the MyProxy
 GSI protocol and its §6.4 HTTP gateway, the portal web server over HTTP
 and HTTPS, the GSI Grid services, the metrics exporter.  Each server
-object owns one :class:`Listener`; no thread is spawned per connection:
+object owns one :class:`Listener`, which takes connections from its TCP
+listening sockets and, in process, over a socket pair
+(:meth:`Listener.connect`); either way they are served the same, and no
+thread is spawned per connection:
 
 - **one selector thread** owns the listening sockets and the *parked*
   channels — kept channels idle between two requests (PROTOCOL.md §6) —
@@ -22,10 +25,8 @@ busy reply), never closed on.  A parked channel ends quietly when its
 peer hangs up, and with a close alert once idle past the timeout; the
 socket is then drained off the selector (shut for writing, closed at the
 peer's EOF or after a grace period), so a request that raced the timeout
-meets the alert instead of a reset.
-
-:func:`serve_link` runs the same turns, blocking, on a link no selector
-can watch (the in-memory pipes).
+meets the alert instead of a reset.  A shed connection is drained the
+same way, after its busy answer.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from repro.util.logging import get_logger
 
 logger = get_logger("transport.listener")
 
-#: Longest the selector sleeps, so a stop request is noticed promptly;
-#: also the period of the bindings' sweeps.
+#: Longest the selector sleeps between expiry checks; also the period of
+#: the bindings' sweeps.  A stop wakes it at once.
 _TICK = 0.2
 #: How long a timed-out channel may keep sending before it is cut off.
 _DRAIN_GRACE = 2.0
@@ -61,14 +62,14 @@ WORKERS = 64
 
 
 class Binding:
-    """What a server plugs into a :class:`Listener` or :func:`serve_link`.
+    """What a server plugs into a :class:`Listener`.
 
     Subclasses supply :meth:`open`, :meth:`answer` and :meth:`busy_reply`.
     The other members default to a binding over the secure channel that
     keeps a channel without re-checking it and needs no housekeeping.
     """
 
-    #: Makes the link a new TCP connection is served over.
+    #: Makes the link a connection is served (and, in process, dialled) over.
     link: Callable[[socket.socket], Link] = SocketLink
 
     def open(self, link: Link):
@@ -98,12 +99,6 @@ class Binding:
 
     def sweep(self, now: float) -> None:
         """Housekeeping, once per listener tick (``now`` is monotonic)."""
-
-
-def _first_turn(link: Link, binding: Binding):
-    """Open ``link`` and serve its first request; the channel if kept."""
-    channel = binding.open(link)
-    return None if channel is None else _turn(channel, binding, kept=False)
 
 
 def _turn(channel, binding: Binding, *, kept: bool):
@@ -137,14 +132,6 @@ def _turn(channel, binding: Binding, *, kept: bool):
     return None
 
 
-def serve_link(link: Link, binding: Binding) -> None:
-    """Serve ``binding``'s requests on ``link`` until the conversation
-    ends: a listener's turns, blocking, for a link no selector watches."""
-    channel = _first_turn(link, binding)
-    while channel is not None:
-        channel = _turn(channel, binding, kept=True)
-
-
 @dataclass
 class _Parked:
     conn: socket.socket
@@ -157,11 +144,11 @@ class _Parked:
 class Listener:
     """One server's listening sockets, parked channels, workers and sweeper.
 
-    The threads start with the first :meth:`listen`; :meth:`stop` ends
-    them, and a listener is not restarted.  ``timeout`` bounds each
-    socket operation of a turn and how long a parked channel may idle.
-    The owner's policy rides in as hooks: ``admit(address)`` is a brake
-    applied before any handshake (seconds to wait, 0 to admit);
+    The threads start with the first :meth:`listen` or :meth:`connect`;
+    :meth:`stop` ends them, and a listener is not restarted.  ``timeout``
+    bounds each socket operation of a turn and how long a parked channel
+    may idle.  The owner's policy rides in as hooks: ``admit(address)`` is
+    a brake applied before any handshake (seconds to wait, 0 to admit);
     ``on_shed(peer, reason, retry_after)`` counts and records each shed;
     ``on_wait`` observes each admission wait; the gauges follow queue
     depth and turns in progress.
@@ -192,6 +179,10 @@ class Listener:
         self._inflight = inflight
         self._queue = AdmissionQueue(queue_depth, queue_deadline, depth_gauge=depth_gauge)
         self._selector = selectors.DefaultSelector()
+        # stop() closes the far end, so the selector wakes at once (and
+        # finds nothing to do: the wake end is neither parked nor drained).
+        self._wake, self._waker = socket.socketpair()
+        self._selector.register(self._wake, selectors.EVENT_READ)
         # Guards the selector's registrations and the tables below.
         # ``_idle`` and ``_draining`` are in deadline order: every entry
         # gets the same timeout from when it was added.
@@ -225,16 +216,33 @@ class Listener:
             # A listening socket's key carries its binding; a parked channel's, none.
             self._selector.register(sock, selectors.EVENT_READ, binding)
             self._listening.append(sock)
-            if binding not in self._bindings:
-                self._bindings.append(binding)
-        if not self._threads:
-            self._start()
+        self._serve(binding)
         logger.info(
             "%s listening on %s:%d (%s; %d workers, queue depth %d)",
             type(binding).__name__, *endpoint, self.name, self._worker_count,
             self._queue.depth,
         )
         return endpoint
+
+    def connect(self, binding: Binding) -> Link:
+        """Dial ``binding`` in process: one end of a socket pair is queued as
+        an accepted connection is; the other is the client's ``binding.link``."""
+        self._serve(binding)
+        server_end, client_end = socket.socketpair()
+        client_end.settimeout(self._timeout)
+        link = binding.link(client_end)
+        self._arrive(server_end, "local", "local", binding)  # no address
+        return link
+
+    def _serve(self, binding: Binding) -> None:
+        """Sweep ``binding`` from now on, starting the threads if need be."""
+        with self._lock:
+            if self._stopping.is_set():
+                raise TransportError(f"{self.name} has stopped")
+            if binding not in self._bindings:
+                self._bindings.append(binding)
+            if not self._threads:
+                self._threads = self._start()
 
     def stop(self, drain_timeout: float = 5.0) -> None:
         """Stop serving.  The selector closes every listening socket, and
@@ -243,11 +251,13 @@ class Listener:
         are quietly closed — the server going away IS a transport failure,
         and failover clients should treat it as one (unlike a busy shed).
         In-flight turns get ``drain_timeout`` to finish."""
-        if not self._threads:
+        with self._lock:
+            threads, self._threads = self._threads, []
+            self._stopping.set()
+        if not threads:
             return
-        self._stopping.set()
-        selector, sweeper, *workers = self._threads
-        self._threads = []
+        self._waker.close()
+        selector, sweeper, *workers = threads
         selector.join(drain_timeout)
         sweeper.join(drain_timeout)
         for ticket in self._queue.close():
@@ -263,15 +273,25 @@ class Listener:
                     "worker %s still serving after %.1fs drain", worker.name, drain_timeout
                 )
 
-    def _start(self) -> None:
+    def _start(self) -> list[threading.Thread]:
         targets = [(self._select, "listener"), (self._sweep, "sweeper")]
         targets += [(self._work, f"worker-{i}") for i in range(self._worker_count)]
-        self._threads = [
+        threads = [
             threading.Thread(target=target, name=f"{self.name}-{label}", daemon=True)
             for target, label in targets
         ]
-        for thread in self._threads:
+        for thread in threads:
             thread.start()
+        return threads
+
+    def _arrive(self, conn: socket.socket, address: str, peer: str, binding: Binding) -> None:
+        """A new connection from ``address``: brake, then queue it."""
+        item = (conn, peer, None, binding)
+        retry = self._admit(address)
+        if retry > 0:
+            self._shed(item, "rate_limited", retry)
+        else:
+            self._offer(item)
 
     def _park(self, conn: socket.socket, peer: str, channel, binding: Binding) -> None:
         """Hand an idle channel to the selector until its next request.
@@ -301,24 +321,29 @@ class Listener:
         """Shed one queue item, politely: a new connection gets its
         binding's busy notice before any crypto is spent on it, a parked
         channel whose request has arrived gets the binding's busy reply
-        and a close alert.  Either close drains first, so a shed burst
-        does not become an RST storm."""
+        and a close alert.  Either way the socket is then drained off the
+        selector: closed with the peer's request unread, it would answer
+        with a reset that clobbers the notice."""
         conn, peer, channel, binding = item
         self._on_shed(peer, reason, retry_after)
-        if channel is not None:
-            try:
-                channel.send(binding.busy_reply(retry_after))
-            except TransportError:  # pragma: no cover - peer already gone
-                pass
-            channel.close(drain=True)
-            return
         try:
-            link = binding.link(conn)
-        except OSError:  # pragma: no cover - peer already gone
-            conn.close()
-            return
-        binding.turn_away(link, retry_after)
-        link.close_gracefully()
+            if channel is None:
+                binding.turn_away(binding.link(conn), retry_after)
+            else:
+                channel.send(binding.busy_reply(retry_after))
+                channel.notify_close()
+        except (OSError, TransportError):  # pragma: no cover - peer already gone
+            pass
+        with self._lock:
+            if not self._closed:
+                try:
+                    self._selector.register(conn, selectors.EVENT_READ)
+                except (OSError, ValueError):  # pragma: no cover - peer already gone
+                    pass
+                else:
+                    self._drain_from_locked(conn, time.monotonic())
+                    return
+        conn.close()
 
     # -- the workers -----------------------------------------------------
 
@@ -341,7 +366,9 @@ class Listener:
             try:
                 if channel is None:
                     conn.settimeout(self._timeout)
-                    channel = _first_turn(binding.link(conn), binding)
+                    channel = binding.open(binding.link(conn))
+                    if channel is not None:
+                        channel = _turn(channel, binding, kept=False)
                 else:
                     channel = _turn(channel, binding, kept=True)
             except Exception:
@@ -402,7 +429,7 @@ class Listener:
                 idle, self._idle = list(self._idle.values()), OrderedDict()
                 draining, self._draining = list(self._draining), OrderedDict()
                 self._selector.close()
-            for sock in listening:
+            for sock in [*listening, self._wake, self._waker]:
                 sock.close()
             for entry in idle:
                 entry.channel.close()
@@ -427,12 +454,7 @@ class Listener:
                 return
             except OSError:
                 return  # listening socket closed under us: stop() is near
-            item = (conn, f"{addr[0]}:{addr[1]}", None, binding)
-            retry = self._admit(addr[0])
-            if retry > 0:
-                self._shed(item, "rate_limited", retry)
-            else:
-                self._offer(item)
+            self._arrive(conn, addr[0], f"{addr[0]}:{addr[1]}", binding)
 
     def _readable(self, conn: socket.socket) -> None:
         with self._lock:
@@ -455,20 +477,24 @@ class Listener:
                 if entry.deadline > now:
                     break
                 del self._idle[entry.conn]
-                # Alert, then half-close: the peer reads the alert, its
-                # EOF (or the grace period) finishes the drain.
                 entry.channel.notify_close()
-                try:
-                    entry.conn.shutdown(socket.SHUT_WR)
-                except OSError:
-                    pass
-                entry.conn.setblocking(False)
-                self._draining[entry.conn] = now + _DRAIN_GRACE
+                self._drain_from_locked(entry.conn, now)
             while self._draining:
                 conn, deadline = next(iter(self._draining.items()))
                 if deadline > now:
                     break
                 self._close_drained_locked(conn)
+
+    def _drain_from_locked(self, conn: socket.socket, now: float) -> None:
+        """Half-close ``conn``, registered on the selector: its peer reads
+        what it was last sent (an alert, a busy notice), and its EOF, or
+        the grace period, finishes the drain."""
+        try:
+            conn.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        conn.setblocking(False)
+        self._draining[conn] = now + _DRAIN_GRACE
 
     def _drain_locked(self, conn: socket.socket) -> None:
         try:

@@ -15,6 +15,8 @@ The hierarchy mirrors the failure domains of the original system:
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for every error raised by this package."""
@@ -86,6 +88,19 @@ class ServerBusyError(ReproError):
     def __init__(self, message: str, retry_after: float = 1.0) -> None:
         super().__init__(message)
         self.retry_after = max(float(retry_after), 0.0)
+
+
+def busy_hint(value) -> float:
+    """A busy notice's or reply's ``RETRY_AFTER`` (the handshake's notice,
+    GSI text or HTTP JSON): finite and non-negative, or a
+    :class:`ProtocolError` before any client sleeps on it."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError("busy response needs a RETRY_AFTER") from exc
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ProtocolError("RETRY_AFTER must be finite and non-negative")
+    return seconds
 
 
 class AuthenticationError(ReproError):

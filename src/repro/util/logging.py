@@ -8,8 +8,16 @@ examples and the CLI tools.
 from __future__ import annotations
 
 import logging
+import sys
 
 _ROOT = "repro"
+
+
+class _Stderr(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is at each record: a stream swapped
+    out since the handler was made may have been closed."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
 
 
 def get_logger(name: str) -> logging.Logger:
@@ -21,7 +29,7 @@ def get_logger(name: str) -> logging.Logger:
 
 def configure_cli_logging(verbose: bool = False) -> None:
     """Route package logs to stderr for command-line tools."""
-    handler = logging.StreamHandler()
+    handler = _Stderr()
     handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)-7s %(name)s: %(message)s")
     )

@@ -8,8 +8,8 @@ and the only secrets it ever sends are form fields — exactly the situation
 that makes MyProxy necessary.
 
 Features: cookie jar per host, form posts, redirect following, pluggable
-transports (raw TCP, secure channel, or in-memory pipes for the attack
-harness).
+transports (raw TCP, secure channel, or any framed link — an in-process
+connection, or one the attack harness taps).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class HttpTransport:
 
 
 class LinkTransport(HttpTransport):
-    """Plain HTTP framed over a Link (pipes — tappable by eavesdroppers)."""
+    """Plain HTTP over a Link (in process — tappable by eavesdroppers)."""
 
     def __init__(self, link: Link) -> None:
         self._link = link

@@ -22,6 +22,7 @@ secure.  The listener's tick reaps sessions that expired unseen
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -55,7 +56,7 @@ class PlainChannel:
 
     def __init__(self, link: Link) -> None:
         self.recv, self.send = link.recv_frame, link.send_frame
-        self.close = self.abort = lambda drain=False: link.close()
+        self.close = self.abort = link.close
 
 
 class PlainHttpBinding(Binding):
@@ -174,8 +175,8 @@ class WebServer:
         self.validator = validator
         self._routes: dict[tuple[str, str], Handler] = {}
         self._listener: Listener | None = None
-        #: What :func:`~repro.transport.listener.serve_link` serves a pipe
-        #: with, and the listener a TCP connection.
+        self._listener_lock = threading.Lock()  # browsers may dial at once
+        #: What the listener serves each kind of connection with.
         self.http_binding = _PlainHttp(self)
         self.https_binding = _Https(self)
         self.http_endpoint: tuple[str, int] | None = None
@@ -264,20 +265,28 @@ class WebServer:
         hangs off :attr:`SessionStore.on_destroy`)."""
         self.sessions.reap()
 
-    def _listen(self, host: str, port: int, binding: Binding) -> tuple[str, int]:
-        if self._listener is None:
-            self._listener = Listener(self.name, timeout=TIMEOUT)
-        return self._listener.listen(host, port, binding)
+    def _serving(self) -> Listener:
+        with self._listener_lock:
+            if self._listener is None:
+                self._listener = Listener(self.name, timeout=TIMEOUT)
+            return self._listener
+
+    def connect(self, scheme: str) -> Link:
+        """Dial this server in process over ``"http"`` or ``"https"``."""
+        if scheme == "http":
+            return self._serving().connect(self.http_binding)
+        self.https_binding.require_credential()
+        return self._serving().connect(self.https_binding)
 
     def start_http(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Plain HTTP on raw TCP."""
-        self.http_endpoint = self._listen(host, port, self.http_binding)
+        self.http_endpoint = self._serving().listen(host, port, self.http_binding)
         return self.http_endpoint
 
     def start_https(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """HTTPS (secure channel) on TCP."""
         self.https_binding.require_credential()
-        self.https_endpoint = self._listen(host, port, self.https_binding)
+        self.https_endpoint = self._serving().listen(host, port, self.https_binding)
         return self.https_endpoint
 
     def stop(self) -> None:

@@ -168,9 +168,9 @@ class TestClientFlowThroughChaos:
         """The Figure 1/2 flows, with the primary murdered mid-store.
 
         The client holds real credentials and speaks the real protocol;
-        the kill lands inside the server's conversation thread.  Client
-        retry + server-side failover must make both flows succeed with no
-        client reconfiguration.
+        the kill lands inside a turn on one of the server's listener
+        workers.  Client retry + server-side failover must make both flows
+        succeed with no client reconfiguration, and the worker survives.
         """
         cluster = chaos_cluster
         cred = ca.issue_credential(
@@ -193,6 +193,7 @@ class TestClientFlowThroughChaos:
         # client stored via another node
         assert not victim.alive
         assert client.stats.failovers >= 1
+        assert all(worker.is_alive() for worker in victim.server._listener._threads)
 
         _fail_over(cluster, clock)
         assert cluster.primary_for(USER).alive

@@ -1,10 +1,10 @@
 """CLI-test housekeeping.
 
 The tools call :func:`repro.util.logging.configure_cli_logging`, which
-installs a stream handler bound to pytest's captured stderr.  That stream
-is closed when the test module ends, and any later log line from a daemon
-thread would print a spurious "--- Logging error ---".  Restore the
-library-default null handler afterwards.
+installs a stderr handler.  The thread and error gate (``tests/conftest.py``)
+puts the ``repro`` loggers back after each test; a module-scoped fixture
+that runs a tool is undone here, when the module ends, so the servers it
+started do not log into the rest of the run.
 """
 
 import logging

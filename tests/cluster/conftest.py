@@ -8,13 +8,9 @@ storage-layer helpers the unit tests need.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.repository import RepositoryEntry
-from repro.core.server import MyProxyServer
-from repro.transport.links import pipe_pair
 
 
 def make_plain_entry(
@@ -39,16 +35,3 @@ def make_plain_entry(
 @pytest.fixture()
 def entry_factory():
     return make_plain_entry
-
-
-def pipe_target(server: MyProxyServer):
-    """A link factory serving one conversation per dial (testbed style)."""
-
-    def _connect():
-        client_end, server_end = pipe_pair("test-server")
-        threading.Thread(
-            target=server.handle_link, args=(server_end,), daemon=True
-        ).start()
-        return client_end
-
-    return _connect

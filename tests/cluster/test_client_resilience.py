@@ -34,7 +34,6 @@ from repro.util.errors import (
     ServerBusyError,
     TransportError,
 )
-from tests.cluster.conftest import pipe_target
 
 
 @pytest.fixture()
@@ -419,10 +418,11 @@ class TestFailoverClientWiring:
                 dials.append(name)
                 if name == primary:
                     raise TransportError(f"{name} refuses")
-                return pipe_target(server)()
+                return server.connect()
             return _dial
 
-        return {name: target(name) for name in router.order("alice")}, dials
+        with server:
+            yield {name: target(name) for name in router.order("alice")}, dials
 
     def test_per_operation_guard_shares_state(
         self, dialled, router, alice, validator, clock, key_pool

@@ -1,7 +1,6 @@
 """The cluster admin surface: status snapshots, control file, both CLIs."""
 
 import json
-import logging
 
 import pytest
 
@@ -9,18 +8,6 @@ from repro.cli import myproxy_admin, myproxy_cluster
 from repro.core.client import myproxy_init_from_longterm
 
 PASS = "correct horse 42"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _restore_repro_logging():
-    # Mirrors tests/cli/conftest.py: the tools bind a handler to pytest's
-    # captured stderr; restore the library default afterwards.
-    root = logging.getLogger("repro")
-    saved_handlers = list(root.handlers)
-    saved_level = root.level
-    yield
-    root.handlers[:] = saved_handlers
-    root.setLevel(saved_level)
 
 
 @pytest.fixture()

@@ -10,8 +10,6 @@ from repro.core.repository import MemoryRepository
 from repro.core.server import MyProxyServer
 from repro.util.errors import AuthenticationError, TransportError
 
-from tests.cluster.conftest import pipe_target
-
 PASS = "correct horse 42"
 
 
@@ -54,10 +52,11 @@ class TestRetryPolicy:
 @pytest.fixture()
 def server(ca, validator, key_pool, clock):
     cred = ca.issue_host_credential("repo.example.org", key=key_pool.new_key())
-    return MyProxyServer(
+    with MyProxyServer(
         cred, validator, repository=MemoryRepository(),
         clock=clock, key_source=key_pool,
-    )
+    ) as server:
+        yield server
 
 
 class TestClientFailover:
@@ -70,7 +69,7 @@ class TestClientFailover:
         sleeps = []
         client = MyProxyClient(
             dead, alice, validator, clock=clock, key_source=key_pool,
-            fallbacks=[pipe_target(server)],
+            fallbacks=[server.connect],
             retry=RetryPolicy(rounds=2), sleep=sleeps.append,
         )
         myproxy_init_from_longterm(
@@ -83,7 +82,7 @@ class TestClientFailover:
         self, server, alice, validator, key_pool, clock
     ):
         calls = {"n": 0}
-        real = pipe_target(server)
+        real = server.connect
 
         def flaky():
             calls["n"] += 1
@@ -127,7 +126,7 @@ class TestClientFailover:
         """A wrong pass phrase is an answer, not an outage — retrying would
         burn OTP words and lockout budget."""
         dials = {"n": 0}
-        real = pipe_target(server)
+        real = server.connect
 
         def counted():
             dials["n"] += 1

@@ -89,6 +89,7 @@ class TestHeartbeatMonitor:
         monitor.sweep_once()
         assert order == ["probe", "sweep"]
 
+    @pytest.mark.expect_error("RuntimeError")
     def test_on_sweep_exception_does_not_kill_monitoring(self, clock):
         detector = FailureDetector(timeout=5.0, clock=clock)
 

@@ -3,9 +3,15 @@
 Key generation dominates test run time, so a session-scoped
 :class:`~repro.pki.keys.PooledKeySource` is shared by everything; the
 certificates themselves are still minted per test (they embed clock times).
+
+Every test runs under the thread and error gate (:func:`_thread_and_error_gate`).
 """
 
 from __future__ import annotations
+
+import logging
+import threading
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import rsa
@@ -19,6 +25,76 @@ from repro.util.clock import ManualClock
 
 TEST_BITS = 1024
 EPOCH = 1_600_000_000.0  # a fixed, comfortably modern starting instant
+#: How long a thread a test started may take to finish once its fixtures
+#: are torn down (a stopped server's workers are already joined).
+THREAD_GRACE = 2.0
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "expect_error(*names): the test provokes exceptions of these type names "
+        "in a thread or an error log record on purpose (the gate lets them by)",
+    )
+
+
+class _ErrorRecords(logging.Handler):
+    """Collects the exceptions ``repro.*`` loggers report at ERROR."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.exceptions: list[BaseException] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if record.exc_info and record.exc_info[1] is not None:
+            self.exceptions.append(record.exc_info[1])
+
+
+@pytest.fixture(autouse=True)
+def _thread_and_error_gate(request):
+    """Fail a test that leaves a thread it started running after its
+    fixtures are torn down, whose threads end in an uncaught exception, or
+    that makes a ``repro`` logger report an exception at ERROR — unless an
+    ``expect_error`` marker names that exception's type (or a base of it).
+
+    Threads that fixtures of a wider scope started (before this one) are
+    theirs, not the test's.  The ``repro`` loggers' handlers and level are
+    put back as the test found them: the command-line tools install a
+    stderr handler, which must not outlive the test that ran them.
+    """
+    expected = {
+        name for marker in request.node.iter_markers("expect_error") for name in marker.args
+    }
+    before = set(threading.enumerate())
+    records = _ErrorRecords()
+    package = logging.getLogger("repro")
+    handlers, level = list(package.handlers), package.level
+    package.addHandler(records)
+    uncaught: list[BaseException] = []
+    previous_hook = threading.excepthook
+    threading.excepthook = lambda args: uncaught.append(args.exc_value)
+    try:
+        yield
+        deadline = time.monotonic() + THREAD_GRACE
+        for thread in set(threading.enumerate()) - before:
+            thread.join(max(deadline - time.monotonic(), 0.0))
+    finally:
+        threading.excepthook = previous_hook
+        package.handlers[:] = handlers
+        package.setLevel(level)
+    problems = [
+        f"thread {thread.name!r} is still running"
+        for thread in set(threading.enumerate()) - before
+    ]
+    problems += [
+        f"{where}: {type(exc).__name__}: {exc}"
+        for where, raised in (("uncaught in a thread", uncaught),
+                              ("logged at ERROR", records.exceptions))
+        for exc in raised
+        if not expected & {kind.__name__ for kind in type(exc).__mro__}
+    ]
+    if problems:
+        pytest.fail("thread and error gate:\n  " + "\n  ".join(problems), pytrace=False)
 
 
 @pytest.fixture(scope="session")
@@ -260,14 +336,11 @@ def https_gateway(validator, key_pool):
 
     ``https_gateway(server, via)`` returns ``connect(credential)``, which
     opens one kept-alive HTTPS connection to the gateway: through
-    ``gateway.serve`` when ``via="tcp"``, through ``handle_secure_link`` on
-    an in-memory pipe when ``via="pipe"``.
+    ``gateway.serve`` when ``via="tcp"``, dialled in process through the
+    server's listener when ``via="pipe"``.
     """
-    import threading
-
     from repro.core.httpbinding import MyProxyHttpGateway
     from repro.transport.channel import connect_secure
-    from repro.transport.links import pipe_pair
 
     def _mount(server, via="tcp"):
         gateway = MyProxyHttpGateway(server, key_source=key_pool)
@@ -276,14 +349,6 @@ def https_gateway(validator, key_pool):
             return lambda credential: connect_secure(
                 endpoint, credential, validator, timeout=5.0
             )
-
-        def connect(credential):
-            client_end, server_end = pipe_pair("https")
-            threading.Thread(
-                target=gateway.handle_secure_link, args=(server_end,), daemon=True
-            ).start()
-            return connect_secure(client_end, credential, validator)
-
-        return connect
+        return lambda credential: connect_secure(gateway.connect(), credential, validator)
 
     return _mount

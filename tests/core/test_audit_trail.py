@@ -15,8 +15,6 @@ def audited(tmp_path, key_pool, clock):
     from repro.pki.ca import CertificateAuthority
     from repro.pki.names import DistinguishedName
     from repro.pki.validation import ChainValidator
-    from repro.transport.links import pipe_pair
-    import threading
 
     audit_file = tmp_path / "audit.jsonl"
     ca = CertificateAuthority(
@@ -32,24 +30,19 @@ def audited(tmp_path, key_pool, clock):
         audit_path=str(audit_file),
     )
 
-    def target():
-        client_end, server_end = pipe_pair()
-        threading.Thread(target=server.handle_link, args=(server_end,),
-                         daemon=True).start()
-        return client_end
-
     alice = ca.issue_credential(
         DistinguishedName.grid_user("Grid", "Audit", "Alice"),
         key=key_pool.new_key(),
     )
-    client = MyProxyClient(target, alice, validator, clock=clock,
+    client = MyProxyClient(server.connect, alice, validator, clock=clock,
                            key_source=key_pool)
     myproxy_init_from_longterm(client, alice, username="alice",
                                passphrase=PASS, key_source=key_pool)
     with pytest.raises(AuthenticationError):
         client.get_delegation(username="alice", passphrase="wrong!")
     client.get_delegation(username="alice", passphrase=PASS)
-    return audit_file, server
+    with server:
+        yield audit_file, server
 
 
 class TestPersistence:

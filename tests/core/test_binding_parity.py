@@ -8,7 +8,6 @@ generic storage error that never leaks the storage layer's message.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.core.client import RetryPolicy
 from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
 from repro.core.policy import ServerPolicy
 from repro.transport.channel import connect_secure
-from repro.transport.links import pipe_pair
 from repro.util.errors import AuthenticationError, RepositoryError, ServerBusyError
 from repro.web.http11 import HttpRequest, HttpResponse
 from tests.conftest import http_post
@@ -24,17 +22,6 @@ from tests.conftest import http_post
 PASS = "correct horse 42"
 DENIAL = "remote authorization/authentication failed"
 STORAGE = "temporary repository error; retry"
-
-
-def _serve(gateway):
-    def _target():
-        client_end, server_end = pipe_pair("parity")
-        threading.Thread(
-            target=gateway.handle_secure_link, args=(server_end,), daemon=True
-        ).start()
-        return client_end
-
-    return _target
 
 
 @pytest.fixture(params=["gsi", "http"])
@@ -46,7 +33,7 @@ def world(request, tb):
             client.retry = RetryPolicy(busy_retries=0)  # busy surfaces, unretried
             return client
     else:
-        target = _serve(MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source))
+        target = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source).connect
 
         def make_client(user):
             client = HttpMyProxyClient(
@@ -211,12 +198,7 @@ class TestHttpRendering:
 def _exchange(gateway, user, requests):
     """POST each ``(path, payload)`` in turn over one kept-alive HTTPS
     connection; returns ``(status, JSON body)`` per reply."""
-    client_end, server_end = pipe_pair("keepalive")
-    server = threading.Thread(
-        target=gateway.handle_secure_link, args=(server_end,), daemon=True
-    )
-    server.start()
-    channel = connect_secure(client_end, user.credential, gateway.server.validator)
+    channel = connect_secure(gateway.connect(), user.credential, gateway.server.validator)
     replies = []
     try:
         for path, payload in requests:
@@ -231,8 +213,6 @@ def _exchange(gateway, user, requests):
             replies.append((response.status, json.loads(response.body)))
     finally:
         channel.close()
-    server.join(timeout=5.0)
-    assert not server.is_alive()
     return replies
 
 

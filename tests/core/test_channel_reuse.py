@@ -200,6 +200,7 @@ class TestFailuresOnAReusedChannel:
         assert owner.stats.dial_attempts == 1
         assert server._shed_reason_total.labels(reason="queue_deadline").value == 1
 
+    @pytest.mark.expect_error("RuntimeError")
     def test_eof_during_destroy_is_not_replayed(self, tcp_repository, alice, monkeypatch):
         server, client = tcp_repository()
         owner = client(alice)

@@ -9,7 +9,6 @@ an entry that already stores a bad glob gets the uniform denial.
 
 import dataclasses
 import json
-import threading
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.core.httpbinding import _POP_LABEL, HttpMyProxyClient, MyProxyHttpGat
 from repro.core.protocol import PROTOCOL_VERSION, Command, Request, Response
 from repro.transport.channel import connect_secure
 from repro.transport.delegation import new_csr
-from repro.transport.links import pipe_pair
 from repro.util.encoding import encode_kv
 from repro.util.errors import AuthenticationError, NotFoundError, ProtocolError, ReproError
 from tests.conftest import http_post
@@ -131,16 +129,7 @@ class TestDnGlobLists:
 
 
 def _gateway_target(tb):
-    gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
-
-    def _target():
-        client_end, server_end = pipe_pair("https")
-        threading.Thread(
-            target=gateway.handle_secure_link, args=(server_end,), daemon=True
-        ).start()
-        return client_end
-
-    return _target
+    return MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source).connect
 
 
 class TestHttpBinding:
@@ -346,15 +335,7 @@ class TestBusyHints:
         gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
         gateway.add_json_route("/stub/busy", lambda peer, payload: HttpResponse.json(
             {"ok": False, "error": "busy", "retry_after": value}, 503))
-
-        def target():
-            client_end, server_end = pipe_pair("https")
-            threading.Thread(
-                target=gateway.handle_secure_link, args=(server_end,), daemon=True
-            ).start()
-            return client_end
-
-        client = HttpMyProxyClient(target, alice.credential, tb.validator,
+        client = HttpMyProxyClient(gateway.connect, alice.credential, tb.validator,
                                    key_source=tb.key_source, clock=tb.clock)
         with pytest.raises(ProtocolError, match="RETRY_AFTER"):
             client._call("/stub/busy", {})

@@ -1,7 +1,6 @@
 """§6.4: the HTTP binding of the MyProxy protocol."""
 
 import json
-import threading
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
 from repro.core.protocol import AuthMethod
 from repro.federation.cdp import CdpClient, CdpService
 from repro.transport.channel import connect_secure
-from repro.transport.links import pipe_pair
 from repro.util.errors import AuthenticationError, HandshakeError
 from repro.web.http11 import HttpRequest, HttpResponse
 
@@ -22,15 +20,8 @@ def gateway(tb):
 
 
 def http_client(tb, gateway, credential):
-    def _target():
-        client_end, server_end = pipe_pair("http-binding")
-        threading.Thread(
-            target=gateway.handle_secure_link, args=(server_end,), daemon=True
-        ).start()
-        return client_end
-
     return HttpMyProxyClient(
-        _target, credential, tb.validator, key_source=tb.key_source, clock=tb.clock
+        gateway.connect, credential, tb.validator, key_source=tb.key_source, clock=tb.clock
     )
 
 
@@ -304,14 +295,8 @@ class TestTransportSecurity:
     def test_anonymous_clients_rejected_at_handshake(self, world):
         """Unlike the portal, the gateway demands client certificates."""
         tb, gateway, _, _ = world
-        client_end, server_end = pipe_pair()
-        threading.Thread(
-            target=gateway.handle_secure_link, args=(server_end,), daemon=True
-        ).start()
-        from repro.transport.channel import connect_secure
-
         with pytest.raises(HandshakeError):
-            connect_secure(client_end, None, tb.validator)
+            connect_secure(gateway.connect(), None, tb.validator)
 
     def test_gateway_audits_denials(self, world):
         tb, gateway, alice, svc = world
@@ -348,11 +333,7 @@ class TestNoBrowserSessions:
     def test_no_set_cookie(self, world, path, payload, status):
         tb, gateway, alice, _ = world
         CdpService(gateway)
-        client_end, server_end = pipe_pair()
-        threading.Thread(
-            target=gateway.handle_secure_link, args=(server_end,), daemon=True
-        ).start()
-        with connect_secure(client_end, alice.credential, tb.validator) as channel:
+        with connect_secure(gateway.connect(), alice.credential, tb.validator) as channel:
             channel.send(
                 HttpRequest(
                     "POST", path, headers=[("Content-Type", "application/json")],

@@ -155,6 +155,7 @@ class TestAuditHandle:
         self._event(server)
         assert len(path.read_text("utf-8").strip().splitlines()) == 1
 
+    @pytest.mark.expect_error("OSError")
     def test_disk_failure_keeps_memory_record(
         self, host_cred, validator, clock, tmp_path
     ):
@@ -208,6 +209,7 @@ class TestInstrumentedFlows:
         tb.myproxy_init(alice, passphrase=PASS)
         client = tb.myproxy_client(tb.new_user("req").credential)
         client.get_delegation(username="alice", passphrase=PASS, lifetime=3600)
+        tb.close()  # a request's time is observed after its reply: let the turn end
 
         snap = tb.myproxy.metrics.snapshot()
         requests = snap["myproxy_request_seconds"]
@@ -226,6 +228,7 @@ class TestInstrumentedFlows:
         tb.myproxy_init(alice, passphrase=PASS)
         client = tb.myproxy_client(tb.new_user("req").credential)
         client.get_delegation(username="alice", passphrase=PASS, lifetime=3600)
+        tb.close()  # a slow op is recorded after its reply: let the turn end
 
         records = tb.myproxy.slow_ops.records()
         assert records, "every op crosses a 1ns threshold"

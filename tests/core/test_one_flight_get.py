@@ -27,7 +27,7 @@ from repro.transport.delegation import (
     make_csr,
     new_csr,
 )
-from repro.transport.links import SocketLink, pipe_pair
+from repro.transport.links import SocketLink
 from repro.util.errors import AuthenticationError, ProtocolError
 from tests.conftest import REUSE_PASS
 
@@ -280,14 +280,7 @@ class TestBindingsIssueAlike:
             max_get_lifetime=1800.0,
         )
         gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
-
-        def http_target():
-            client_end, server_end = pipe_pair("http-get")
-            threading.Thread(target=gateway.handle_secure_link, args=(server_end,),
-                             daemon=True).start()
-            return client_end
-
-        http = HttpMyProxyClient(http_target, portal.credential, tb.validator,
+        http = HttpMyProxyClient(gateway.connect, portal.credential, tb.validator,
                                  key_source=tb.key_source, clock=tb.clock)
         gsi = tb.myproxy_client(portal.credential)
         proxies = [

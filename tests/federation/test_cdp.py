@@ -1,15 +1,13 @@
 """IVOA CDP lifecycle: the happy dance and every abuse of it."""
 
 import secrets
-import threading
 
 import pytest
 
 from repro.core.httpbinding import MyProxyHttpGateway
 from repro.federation.cdp import CdpClient, CdpService
 from repro.pki.proxy import ProxyRestrictions, effective_restrictions, sign_proxy_request
-from repro.transport.links import pipe_pair
-from repro.util.errors import AuthenticationError, ProtocolError
+from repro.util.errors import AuthenticationError
 
 PASS = "correct horse 42"
 
@@ -22,15 +20,8 @@ def cdp_world(tb):
 
 
 def cdp_client(tb, gateway, credential):
-    def _target():
-        client_end, server_end = pipe_pair("cdp")
-        threading.Thread(
-            target=gateway.handle_secure_link, args=(server_end,), daemon=True
-        ).start()
-        return client_end
-
     return CdpClient(
-        _target, credential, tb.validator, key_source=tb.key_source, clock=tb.clock
+        gateway.connect, credential, tb.validator, key_source=tb.key_source, clock=tb.clock
     )
 
 

@@ -70,6 +70,7 @@ class TestLifecycle:
         tb, _, proxy = grid
         with tb.gram_client(proxy) as gram:
             job_id = gram.submit(JobSpec(duration=100), delegate_from=proxy, clock=clock)
+        tb.gram.stop()  # this test reads what its own polls change: no sweep may race them
         assert tb.gram.poll_jobs() == []  # not finished yet
         clock.advance(101)
         assert tb.gram.poll_jobs() == [job_id]

@@ -34,6 +34,7 @@ class TestSlots:
     def test_fifo_activation_as_slots_free(self, slotted, clock):
         tb, _, proxy = slotted
         ids = [submit(tb, proxy, clock, duration=100.0) for _ in range(4)]
+        tb.gram.stop()  # this test reads what its own polls change: no sweep may race them
         clock.advance(101)
         changed = tb.gram.poll_jobs()
         # Two completed, two activated — in submission order.

@@ -1,9 +1,12 @@
 """GRAM advances its jobs on the listener's tick, with no client asking.
 
-Over TCP the service's listener calls :meth:`GramService.sweep` (its
-``poll_jobs``) once per tick, so §6.6's failure — a job whose delegated
-proxy expires before it finishes — is recorded even if nobody polls.
+The service's listener calls :meth:`GramService.sweep` (its ``poll_jobs``)
+once per tick, whether its clients dial it in process (the default
+transport) or over TCP, so §6.6's failure — a job whose delegated proxy
+expires before it finishes — is recorded even if nobody polls.
 """
+
+import pytest
 
 from repro.grid.gram import JobSpec, JobState
 from repro.pki.proxy import create_proxy
@@ -12,8 +15,9 @@ from repro.transport.listener import _TICK
 from repro.util.concurrency import wait_for
 
 
-def test_expired_job_proxy_fails_the_job_unprompted(clock, key_pool):
-    with GridTestbed(transport="tcp", clock=clock, key_source=key_pool) as tb:
+@pytest.mark.parametrize("transport", ["pipe", "tcp"])
+def test_expired_job_proxy_fails_the_job_unprompted(clock, key_pool, transport):
+    with GridTestbed(transport=transport, clock=clock, key_source=key_pool) as tb:
         alice = tb.new_user("alice")
         proxy = create_proxy(alice.credential, lifetime=7200, key_source=key_pool, clock=clock)
         short = create_proxy(proxy, lifetime=600, key_source=key_pool, clock=clock)

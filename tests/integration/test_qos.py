@@ -9,7 +9,6 @@ Covers the tentpole guarantees end to end:
   rotates to the next node after a real transport failure.
 """
 
-import threading
 
 import pytest
 
@@ -104,34 +103,26 @@ class TestPerIdentityFairness:
 
 
 class _FlakyTarget:
-    """Pipe link factory whose first ``n`` dials misbehave."""
+    """Link factory whose first ``n`` dials misbehave; later dials reach
+    the real server through ``connect``."""
 
-    def __init__(self, real_handler, *, busy_first=0, reset_first=0,
+    def __init__(self, connect, *, busy_first=0, reset_first=0,
                  retry_after=0.05):
-        self.real_handler = real_handler
+        self.connect = connect
         self.busy_first = busy_first
         self.reset_first = reset_first
         self.retry_after = retry_after
         self.dials = 0
 
     def __call__(self):
-        client_end, server_end = pipe_pair()
         self.dials += 1
-        if self.dials <= self.reset_first:
-            server_end.close()  # the client sees a dead transport
-        elif self.dials <= self.reset_first + self.busy_first:
-            threading.Thread(
-                target=self._shed, args=(server_end,), daemon=True
-            ).start()
-        else:
-            threading.Thread(
-                target=self.real_handler, args=(server_end,), daemon=True
-            ).start()
+        if self.dials > self.reset_first + self.busy_first:
+            return self.connect()
+        client_end, server_end = pipe_pair()
+        if self.dials > self.reset_first:
+            send_busy_notice(server_end, self.retry_after)
+        server_end.close()  # after a reset, the client sees a dead transport
         return client_end
-
-    def _shed(self, link):
-        send_busy_notice(link, self.retry_after)
-        link.close()
 
 
 class TestBusyVersusFailover:
@@ -144,8 +135,8 @@ class TestBusyVersusFailover:
 
     def test_busy_retries_same_node_without_failover(self, tb):
         alice = self._setup(tb)
-        primary = _FlakyTarget(tb.myproxy.handle_link, busy_first=2)
-        fallback = _FlakyTarget(tb.myproxy.handle_link)
+        primary = _FlakyTarget(tb.myproxy.connect, busy_first=2)
+        fallback = _FlakyTarget(tb.myproxy.connect)
         sleeps = []
         client = MyProxyClient(
             primary, alice.credential, tb.validator,
@@ -165,8 +156,8 @@ class TestBusyVersusFailover:
 
     def test_reset_fails_over_to_next_node(self, tb):
         alice = self._setup(tb)
-        primary = _FlakyTarget(tb.myproxy.handle_link, reset_first=10)
-        fallback = _FlakyTarget(tb.myproxy.handle_link)
+        primary = _FlakyTarget(tb.myproxy.connect, reset_first=10)
+        fallback = _FlakyTarget(tb.myproxy.connect)
         client = MyProxyClient(
             primary, alice.credential, tb.validator,
             clock=tb.clock, key_source=tb.key_source,
@@ -184,8 +175,8 @@ class TestBusyVersusFailover:
 
         alice = self._setup(tb)
         targets = {
-            "n1": _FlakyTarget(tb.myproxy.handle_link, busy_first=1),
-            "n2": _FlakyTarget(tb.myproxy.handle_link, busy_first=1),
+            "n1": _FlakyTarget(tb.myproxy.connect, busy_first=1),
+            "n2": _FlakyTarget(tb.myproxy.connect, busy_first=1),
         }
         client = FailoverMyProxyClient(
             targets, ClusterRouter(list(targets), 1),
@@ -206,8 +197,8 @@ class TestBusyVersusFailover:
         # Both nodes permanently busy: the client honors busy_retries per
         # target, then gives up with the busy error (not a transport one),
         # telling the caller to back off rather than declare an outage.
-        primary = _FlakyTarget(tb.myproxy.handle_link, busy_first=10 ** 6)
-        fallback = _FlakyTarget(tb.myproxy.handle_link, busy_first=10 ** 6)
+        primary = _FlakyTarget(tb.myproxy.connect, busy_first=10 ** 6)
+        fallback = _FlakyTarget(tb.myproxy.connect, busy_first=10 ** 6)
         client = MyProxyClient(
             primary, alice.credential, tb.validator,
             clock=tb.clock, key_source=tb.key_source,

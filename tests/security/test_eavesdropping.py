@@ -27,7 +27,7 @@ class TestMyProxyChannel:
     def tapped(self, tb):
         alice = tb.new_user("alice")
         capture = WireCapture("myproxy-tap")
-        target = tap_link_target(tb.myproxy.handle_link, capture)
+        target = tap_link_target(tb.myproxy.connect, capture)
         client = MyProxyClient(
             target, alice.credential, tb.validator,
             clock=tb.clock, key_source=tb.key_source,

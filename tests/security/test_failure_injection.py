@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.protocol import Command, Request, Response
 from repro.transport.channel import connect_secure
-from repro.transport.links import pipe_pair
 from repro.util.concurrency import wait_for
 from repro.util.errors import ReproError
 
@@ -115,16 +114,12 @@ class TestHostileMessages:
 
     def test_huge_declared_frame_refused_cheaply(self, tb):
         """A hostile 4 GiB length prefix must not allocate 4 GiB."""
-        from repro.transport.links import pipe_pair
+        from repro.util.concurrency import wait_for
 
-        client_end, server_end = pipe_pair()
-        thread = threading.Thread(
-            target=tb.myproxy.handle_link, args=(server_end,), daemon=True
-        )
-        thread.start()
-        client_end.send_frame(b"\x01" * 10)  # junk "handshake"
-        thread.join(10)
-        assert not thread.is_alive()
+        with tb.myproxy.connect() as link:
+            link.send_frame(b"\x01" * 10)  # junk "handshake"
+            wait_for(lambda: tb.myproxy.stats.handshake_failures >= 1, timeout=10,
+                     message="the junk handshake to be refused")
         assert tb.myproxy.stats.handshake_failures >= 1
 
     def test_unknown_delegation_message_mid_put(self, tb):

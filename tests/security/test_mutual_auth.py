@@ -16,7 +16,9 @@ PASS = "correct horse 42"
 
 @pytest.fixture()
 def fake(tb, clock):
-    return FakeRepository(tb.ca.certificate, clock=clock)
+    fake = FakeRepository(tb.ca.certificate, clock=clock)
+    with fake.server:
+        yield fake
 
 
 class TestImpersonation:

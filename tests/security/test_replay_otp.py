@@ -118,13 +118,12 @@ class TestWireReplay:
         handshake: fresh randoms mean fresh keys every connection."""
         from repro.attacks.eavesdrop import WireCapture, tap_link_target
         from repro.core.client import MyProxyClient, myproxy_init_from_longterm
-        from repro.transport.links import pipe_pair
+        from repro.util.concurrency import wait_for
         from repro.util.errors import ReproError
-        import threading
 
         alice = tb.new_user("alice")
         capture = WireCapture("wire")
-        target = tap_link_target(tb.myproxy.handle_link, capture)
+        target = tap_link_target(tb.myproxy.connect, capture)
         client = MyProxyClient(target, alice.credential, tb.validator,
                                clock=tb.clock, key_source=tb.key_source)
         myproxy_init_from_longterm(client, alice.credential, username="alice",
@@ -135,19 +134,15 @@ class TestWireReplay:
         failures_before = tb.myproxy.stats.handshake_failures
 
         # Replay every captured client→server frame on a new connection.
-        client_end, server_end = pipe_pair("replay")
-        thread = threading.Thread(
-            target=tb.myproxy.handle_link, args=(server_end,), daemon=True
-        )
-        thread.start()
+        client_end = tb.myproxy.connect()
         try:
             for frame in capture.frames_to_server:
                 client_end.send_frame(frame)
         except ReproError:
             pass  # server may already have torn the link down
         client_end.close()
-        thread.join(10)
-        assert not thread.is_alive()
+        wait_for(lambda: tb.myproxy.stats.handshake_failures > failures_before,
+                 timeout=10, message="the replayed handshake to be refused")
         # The server rejected the replayed handshake and stored nothing new.
         assert tb.myproxy.stats.handshake_failures == failures_before + 1
         assert tb.myproxy.stats.puts == puts_before

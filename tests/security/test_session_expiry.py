@@ -2,11 +2,14 @@
 
 ``portal.held_credentials()`` is exactly what an attacker who compromises
 the portal host gets (§5.1), so the session's limit must hold for a user
-who simply walks away: no later request may be needed to end it.  Over
-TCP the web server's listener reaps expired sessions on its own tick.
+who simply walks away: no later request may be needed to end it.  The
+web server's listener reaps expired sessions on its own tick, whether its
+clients dial it in process (the default transport) or over TCP.
 """
 
 import json
+
+import pytest
 
 from repro.federation.testbed import FederatedTestbed
 from repro.testbed import GridTestbed
@@ -24,10 +27,12 @@ LOGIN = {
 }
 #: The listener reaps within two ticks; the rest is scheduling slack.
 WITHIN_TWO_TICKS = 2 * _TICK + 0.1
+TRANSPORTS = pytest.mark.parametrize("transport", ["pipe", "tcp"])
 
 
-def test_unseen_expiry_drops_the_held_proxy(clock, key_pool):
-    with GridTestbed(transport="tcp", clock=clock, key_source=key_pool) as tb:
+@TRANSPORTS
+def test_unseen_expiry_drops_the_held_proxy(clock, key_pool, transport):
+    with GridTestbed(transport=transport, clock=clock, key_source=key_pool) as tb:
         alice = tb.new_user("alice")
         tb.myproxy_init(alice, passphrase=PASS)
         portal = tb.new_portal("portal", session_ttl=SESSION_TTL)
@@ -45,8 +50,9 @@ def test_unseen_expiry_drops_the_held_proxy(clock, key_pool):
         assert portal.held_credentials() == {}
 
 
-def test_unseen_expiry_revokes_sso_assertions(clock, key_pool):
-    with FederatedTestbed(transport="tcp", clock=clock, key_source=key_pool) as fed:
+@TRANSPORTS
+def test_unseen_expiry_revokes_sso_assertions(clock, key_pool, transport):
+    with FederatedTestbed(transport=transport, clock=clock, key_source=key_pool) as fed:
         alpha, beta = fed["alpha"], fed["beta"]
         alice = alpha.tb.new_user("alice")
         alpha.tb.myproxy_init(alice, passphrase=PASS)

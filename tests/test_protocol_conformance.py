@@ -14,8 +14,6 @@ class TestFrameSpec:
         from repro.transport.links import pipe_pair
 
         a, b = pipe_pair()
-        captured = []
-        a.send_taps.append(captured.append)
         a.send_frame(b"hello")
         # Pipe links carry whole frames; the TCP header format is the spec:
         assert struct.pack(">I", 5) == (5).to_bytes(4, "big")

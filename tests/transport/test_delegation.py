@@ -54,10 +54,10 @@ class TestDelegation:
         self, alice, host_cred, validator, key_pool, clock
     ):
         """Tap the raw link during delegation; no private key material leaks."""
+        from repro.attacks.eavesdrop import WireCapture
+
         cl, sl = pipe_pair()
-        wire = []
-        cl.send_taps.append(wire.append)
-        cl.recv_taps.append(wire.append)
+        capture = WireCapture()
         result = {}
 
         def _server():
@@ -66,13 +66,13 @@ class TestDelegation:
 
         thread = threading.Thread(target=_server)
         thread.start()
-        client = connect_secure(cl, alice, validator)
+        client = connect_secure(capture.tap(cl), alice, validator)
         delegate_credential(client, alice, lifetime=600, clock=clock)
         thread.join(10)
         received = result["cred"]
         # The acceptor's private key (PKCS8 DER) must appear nowhere on the wire.
         key_der_prefix = received.key.to_pem().splitlines()[1][:32]
-        all_wire = b"".join(wire)
+        all_wire = capture.all_bytes()
         assert key_der_prefix not in all_wire
         assert b"PRIVATE KEY" not in all_wire
 

@@ -171,6 +171,20 @@ class TestBusyNotice:
         # clients would declare the node dead.
         assert not isinstance(excinfo.value, (TransportError, HandshakeError))
 
+    @pytest.mark.parametrize("hint", [b"nan", b"inf", b"-1"])
+    def test_unusable_retry_hint_is_a_protocol_error(self, alice, validator, hint):
+        """A notice whose hint no client can sleep on is refused, as a busy
+        reply's is (``Response.decode``), not passed on to ``time.sleep``."""
+        from repro.transport.handshake import _BUSY_PREFIX, _T_FAILURE
+        from repro.util.encoding import pack_fields
+        from repro.util.errors import ProtocolError
+
+        cl, sl = pipe_pair()
+        sl.send_frame(pack_fields([_T_FAILURE, _BUSY_PREFIX.encode() + hint]))
+        sl.close()
+        with pytest.raises(ProtocolError, match="RETRY_AFTER"):
+            connect_secure(cl, alice, validator)
+
     def test_ordinary_abort_still_a_handshake_error(self, alice, validator):
         from repro.transport.handshake import _fail
 

@@ -42,12 +42,17 @@ class TestPipeLink:
             a.recv_frame(timeout=0.05)
 
     def test_taps_observe_traffic(self):
+        from repro.attacks.eavesdrop import WireCapture
+
         a, b = pipe_pair()
-        seen = []
-        a.send_taps.append(seen.append)
-        a.send_frame(b"secret bytes")
-        assert seen == [b"secret bytes"]
+        capture = WireCapture()
+        tapped = capture.tap(a)
+        tapped.send_frame(b"secret bytes")
+        assert capture.frames_to_server == [b"secret bytes"]
         assert b.recv_frame() == b"secret bytes"
+        b.send_frame(b"reply")
+        assert tapped.recv_frame() == b"reply"
+        assert capture.frames_to_client == [b"reply"]
 
 
 class TestSocketLink:

@@ -63,6 +63,7 @@ class TestServiceThread:
     def test_stop_when_never_started_is_noop(self):
         ServiceThread(lambda stop: None, "idle").stop()
 
+    @pytest.mark.expect_error("RuntimeError")
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )
@@ -85,6 +86,7 @@ class TestServiceThread:
         service.start()  # the crash did not poison the service
         service.stop()
 
+    @pytest.mark.expect_error("RuntimeError")
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )

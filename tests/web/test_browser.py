@@ -33,7 +33,8 @@ def server(clock, host_cred, validator):
     def _whoami(ctx):
         return HttpResponse.html(ctx.session.session_id)
 
-    return web
+    with web:
+        yield web
 
 
 class TestRedirects:
@@ -79,32 +80,24 @@ class TestCookieJar:
         def _who(ctx):
             return HttpResponse.html(ctx.session.session_id)
 
-        import threading
-
-        from repro.transport.links import pipe_pair
-        from repro.transport.listener import serve_link
         from repro.web.client import Browser, LinkTransport
 
         servers = {"site-a": server, "site-b": other}
 
         def connector(scheme, host, port):
-            client_end, server_end = pipe_pair()
-            threading.Thread(
-                target=serve_link, args=(server_end, servers[host].http_binding),
-                daemon=True,
-            ).start()
-            return LinkTransport(client_end)
+            return LinkTransport(servers[host].connect("http"))
 
         browser = Browser(connector)
         # give server-a a /whoami route too
         server.add_route("GET", "/whoami2", lambda ctx: HttpResponse.html("x"))
-        sid_a = browser.get("http://site-a/whoami").text
-        sid_b = browser.get("http://site-b/whoami").text
-        assert sid_a != sid_b
-        assert set(browser.cookies) == {"site-a", "site-b"}
-        # Returning to each host resumes each session.
-        assert browser.get("http://site-a/whoami").text == sid_a
-        assert browser.get("http://site-b/whoami").text == sid_b
+        with other:
+            sid_a = browser.get("http://site-a/whoami").text
+            sid_b = browser.get("http://site-b/whoami").text
+            assert sid_a != sid_b
+            assert set(browser.cookies) == {"site-a", "site-b"}
+            # Returning to each host resumes each session.
+            assert browser.get("http://site-a/whoami").text == sid_a
+            assert browser.get("http://site-b/whoami").text == sid_b
 
     def test_history_records_requests(self, server, validator):
         browser = browser_for(server, validator)

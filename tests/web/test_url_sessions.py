@@ -28,7 +28,8 @@ def server(clock, host_cred, validator):
     def _login_page(ctx):
         return HttpResponse.html("please log in")
 
-    return web
+    with web:
+        yield web
 
 
 class TestUrlRewriting:

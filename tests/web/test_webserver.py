@@ -7,8 +7,7 @@ import time
 
 import pytest
 
-from repro.transport.links import pipe_pair
-from repro.transport.listener import Listener, serve_link
+from repro.transport.listener import Listener
 from repro.web import server as web_server
 from repro.web.client import Browser, LinkTransport, RawTcpTransport, SecureTransport
 from repro.web.http11 import HttpResponse
@@ -37,19 +36,16 @@ def server(clock, host_cred, validator):
     def _boom(ctx):
         raise RuntimeError("handler bug")
 
-    return web
+    with web:
+        yield web
 
 
 def browser_for(server, validator):
     def _connector(scheme, host, port):
-        client_end, server_end = pipe_pair()
-        binding = server.https_binding if scheme == "https" else server.http_binding
-        threading.Thread(
-            target=serve_link, args=(server_end, binding), daemon=True
-        ).start()
+        link = server.connect(scheme)
         if scheme == "https":
-            return SecureTransport(client_end, validator)
-        return LinkTransport(client_end)
+            return SecureTransport(link, validator)
+        return LinkTransport(link)
 
     return Browser(_connector)
 
@@ -67,6 +63,7 @@ class TestRouting:
         browser = browser_for(server, validator)
         assert browser.get("http://site/count").status == 405
 
+    @pytest.mark.expect_error("RuntimeError")
     def test_handler_crash_yields_500(self, server, validator):
         browser = browser_for(server, validator)
         assert browser.get("http://site/boom").status == 500
@@ -104,9 +101,8 @@ class TestSecureMode:
 
     def test_https_requires_server_credential(self, clock, validator):
         bare = WebServer("bare", clock=clock)  # no credential
-        _c, server_end = pipe_pair()
         with pytest.raises(RuntimeError):
-            serve_link(server_end, bare.https_binding)
+            bare.connect("https")
 
 
 class TestTcpMode:
