@@ -290,8 +290,9 @@ class ClusterNode:
         return self.server.connect(self._binding)
 
     def lag_behind(self, origin: "ClusterNode") -> int:
-        """How many of ``origin``'s logged ops this node has not applied."""
-        return max(origin.log.last_seq - self.applied_seq(origin.name), 0)
+        """How many of ``origin``'s logged ops this node has not applied
+        (counted, not subtracted: sequence numbers may have gaps)."""
+        return len(origin.log.since(self.applied_seq(origin.name)))
 
 
 class _NodeBinding:

@@ -2,9 +2,9 @@
 
 Every mutation a node accepts as a primary — store (PUT/STORE, and the
 entry-replacing CHANGE_PASSPHRASE / OTP advance) or destroy — is recorded
-as a :class:`ReplicatedOp` with a per-origin monotonic sequence number and
-an HMAC-SHA256 tag under the shared cluster secret, then shipped
-primary→replica.
+as a :class:`ReplicatedOp` with a per-origin sequence number — monotone,
+never reused, possibly with gaps — and an HMAC-SHA256 tag under the
+shared cluster secret, then shipped primary→replica.
 
 Security invariant (§5.1 carried over to replication): the ``document``
 field of a ``put`` op is the entry's canonical JSON **exactly as persisted**
@@ -23,21 +23,30 @@ import hashlib
 import hmac
 import json
 import os
+import re
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import faults
-from repro.core.framing import FrameDecoder, encode_frame, file_chunks
-from repro.core.repository import CredentialRepository, RepositoryEntry
+from repro.core.framing import Quarantine, encode_frame, fsync_path, recover
+from repro.core.repository import (
+    QUARANTINE_DIR, CredentialRepository, RepositoryEntry, StorageStats)
 from repro.util.errors import RepositoryError
-from repro.util.logging import get_logger
-
-logger = get_logger("cluster.replog")
 
 OP_PUT = "put"
 OP_DELETE = "delete"
+
+# The log file's fixed-width first line, rewritten in place by every append.
+_HW_RE = re.compile(rb"%MPR1 hw=(\d{20})\n")
+
+
+def _hw_header(seq: int) -> bytes:
+    return b"%%MPR1 hw=%020d\n" % seq
+
+
+_HW_BYTES = len(_hw_header(0))
 
 # Replication-path kill points: the log append on the primary, the ship
 # to each replica, and the apply on the replica side.
@@ -92,20 +101,19 @@ class ReplicatedOp:
     mac: str  # hex HMAC-SHA256 over the signed payload
     epoch: int = 0  # shard primary epoch the origin held when it logged this
 
-    def _signed_payload(self) -> bytes:
-        doc = {
-            "origin": self.origin,
-            "seq": self.seq,
-            "kind": self.kind,
-            "username": self.username,
-            "cred_name": self.cred_name,
-            "document": self.document,
-        }
+    def _fields(self) -> dict:
+        return {"origin": self.origin, "seq": self.seq, "kind": self.kind,
+                "username": self.username, "cred_name": self.cred_name,
+                "document": self.document}
+
+    def _mac(self, secret: bytes) -> str:
+        doc = self._fields()
         # Epoch 0 is the pre-epoch wire form: leaving it out keeps the MACs
         # of records logged before the fencing upgrade verifiable.
         if self.epoch:
             doc["epoch"] = self.epoch
-        return json.dumps(doc, sort_keys=True).encode("utf-8")
+        signed = json.dumps(doc, sort_keys=True).encode("utf-8")
+        return hmac.new(secret, signed, hashlib.sha256).hexdigest()
 
     @classmethod
     def make(
@@ -120,15 +128,11 @@ class ReplicatedOp:
         secret: bytes,
         epoch: int = 0,
     ) -> ReplicatedOp:
-        op = cls(origin, seq, kind, username, cred_name, document, mac="",
-                 epoch=epoch)
-        mac = hmac.new(secret, op._signed_payload(), hashlib.sha256).hexdigest()
-        return cls(origin, seq, kind, username, cred_name, document, mac=mac,
-                   epoch=epoch)
+        op = cls(origin, seq, kind, username, cred_name, document, mac="", epoch=epoch)
+        return replace(op, mac=op._mac(secret))
 
     def verify(self, secret: bytes) -> None:
-        expected = hmac.new(secret, self._signed_payload(), hashlib.sha256).hexdigest()
-        if not hmac.compare_digest(expected, self.mac):
+        if not hmac.compare_digest(self._mac(secret), self.mac):
             raise RepositoryError(
                 f"replication op {self.origin}#{self.seq} failed HMAC verification"
             )
@@ -136,16 +140,7 @@ class ReplicatedOp:
     # -- wire form ----------------------------------------------------------
 
     def encode(self) -> bytes:
-        doc = {
-            "origin": self.origin,
-            "seq": self.seq,
-            "kind": self.kind,
-            "username": self.username,
-            "cred_name": self.cred_name,
-            "document": self.document,
-            "mac": self.mac,
-            "epoch": self.epoch,
-        }
+        doc = {**self._fields(), "mac": self.mac, "epoch": self.epoch}
         return json.dumps(doc, sort_keys=True).encode("utf-8")
 
     @classmethod
@@ -171,13 +166,16 @@ class ReplicatedOp:
 class ReplicationLog:
     """Per-node ordered log of the mutations it accepted as a primary.
 
-    With ``path`` set, every appended op is also persisted as a CRC-framed
-    record (through the fault injector's file shim, so chaos plans can
-    tear or error it) and recovered on reopen — a restarted primary can
-    still serve its log tail to lagging replicas.  Recovery truncates torn
-    tails and *skips* corrupt frames (counting them), which is why
-    sequence numbers may have gaps and :meth:`since` filters by value
-    instead of slicing.
+    With ``path`` set, the log is also a file, so a restarted primary can
+    still serve its tail to lagging replicas: a fixed-width high-water
+    header (the highest sequence number ever handed out, rewritten by each
+    append before the fsync that acks it), then one CRC frame per op,
+    written through the fault injector's file shim.  Reopening recovers it
+    as the store recovers a segment: a corrupt record goes to
+    ``quarantine/`` beside the file, the intact ones behind it are kept
+    and a torn tail is cut, counted in ``stats``.  The next number is
+    above the header and every intact record, so a number is never
+    reused; numbers may have gaps, and :meth:`since` filters by value.
     """
 
     def __init__(
@@ -191,49 +189,45 @@ class ReplicationLog:
         self.origin = origin
         self._secret = secret
         self._ops: list[ReplicatedOp] = []
+        self._hw = 0  # the highest sequence number handed out
         self._lock = threading.Lock()
         self._injector = injector if injector is not None else faults.NO_FAULTS
         self._file: faults.ShimFile | None = None
-        self.corrupt_skipped = 0
-        self.torn_truncated = 0
+        self.stats = StorageStats()
         if path is not None:
             self._open(Path(path))
 
+    def _shim(self, path: Path) -> faults.ShimFile:
+        return faults.ShimFile(path, self._injector, write_site="replog.append.write",
+                               fsync_site="replog.append.fsync")
+
     def _open(self, path: Path) -> None:
-        self._file = faults.ShimFile(
-            path,
-            self._injector,
-            write_site="replog.append.write",
-            fsync_site="replog.append.fsync",
-        )
-        size = self._file.size
-        decoder = FrameDecoder(size=size)
-        recovered: list[ReplicatedOp] = []
-        for payload, _, _ in decoder.decode(file_chunks(self._file.fd, 0, size)):
+        self._file = self._shim(path)
+        quarantine = Quarantine(path.parent / QUARANTINE_DIR, self.stats)
+        head = _HW_RE.fullmatch(os.pread(self._file.fd, _HW_BYTES, 0))
+        for payload, start, _ in recover(self._file, _HW_BYTES if head else 0,
+                                         quarantine):
             try:
-                recovered.append(ReplicatedOp.decode(payload))
-            except RepositoryError as exc:
+                self._ops.append(ReplicatedOp.decode(payload))
+            except RepositoryError:
                 # A frame that passed its CRC but does not decode: the
-                # writer was broken.  Skip it loudly; resync re-fetches.
-                self.corrupt_skipped += 1
-                logger.error("replog %s: skipping corrupt record: %s", self.origin, exc)
-        recovered.sort(key=lambda op: op.seq)
-        self._ops = recovered
-        clean_len = decoder.clean_end
-        if clean_len != size:
-            if decoder.status == "torn":
-                self.torn_truncated += 1
-                logger.warning(
-                    "replog %s: truncated %d torn bytes",
-                    self.origin, size - clean_len,
-                )
-            else:
-                self.corrupt_skipped += 1
-                logger.error(
-                    "replog %s: dropped %d corrupt trailing bytes",
-                    self.origin, size - clean_len,
-                )
-            self._file.truncate(clean_len)
+                # writer was broken.  Set it aside; resync re-fetches.
+                quarantine.region(path.name, start, (payload,))
+        self._ops.sort(key=lambda op: op.seq)
+        self._hw = max(int(head[1]) if head else 0, self.last_seq)
+        if head is None:
+            # A new log, one written before the header, or a damaged
+            # header: write header + intact records beside it, rename over.
+            self._file.close()
+            tmp = path.with_name(path.name + ".tmp")
+            with open(tmp, "wb", opener=lambda p, f: os.open(p, f, 0o600)) as out:
+                out.write(_hw_header(self._hw))
+                out.writelines(encode_frame(op.encode()) for op in self._ops)
+                out.flush()
+                os.fsync(out.fileno())
+            os.replace(tmp, path)
+            fsync_path(path.parent)
+            self._file = self._shim(path)
 
     @property
     def last_seq(self) -> int:
@@ -254,7 +248,7 @@ class ReplicationLog:
         epoch: int = 0,
     ) -> ReplicatedOp:
         with self._lock:
-            seq = (self._ops[-1].seq if self._ops else 0) + 1
+            seq = self._hw = self._hw + 1
             op = ReplicatedOp.make(
                 origin=self.origin,
                 seq=seq,
@@ -269,12 +263,14 @@ class ReplicationLog:
                 start = self._file.size
                 try:
                     self._file.write(encode_frame(op.encode()))
+                    # The high-water rides the fsync that acks the op.
+                    os.pwrite(self._file.fd, _hw_header(seq), 0)
                     self._file.fsync()
                 except OSError as exc:
                     # Survived a failed append: trim the partial frame so
                     # it cannot shadow later records at recovery.  (A
                     # crash mid-append leaves a torn tail instead, which
-                    # _open truncates.)
+                    # recovery cuts.)
                     try:
                         self._file.truncate(start)
                     except OSError:  # pragma: no cover - disk truly gone
@@ -288,8 +284,8 @@ class ReplicationLog:
     def since(self, seq: int) -> list[ReplicatedOp]:
         """All ops with sequence number strictly greater than ``seq``."""
         with self._lock:
-            # Recovered logs may have gaps (corrupt records skipped), so
-            # filter by sequence value rather than slicing by position.
+            # Sequence numbers may have gaps (records quarantined, failed
+            # appends), so filter by value rather than slicing by position.
             return [op for op in self._ops if op.seq > seq]
 
     def close(self) -> None:

@@ -689,19 +689,22 @@ class MyProxyClient(ClientCore):
         """``myproxy-info``: list the credentials you own under ``username``."""
         response = self._ask(Request(command=Command.INFO, username=username))
         rows = response.info.get("credentials", [])
-        return [
-            StoredCredentialInfo(
-                cred_name=row["cred_name"],
-                owner=row["owner"],
-                not_after=float(row["not_after"]),
-                seconds_remaining=float(row["seconds_remaining"]),
-                max_get_lifetime=float(row["max_get_lifetime"]),
-                auth_method=row["auth_method"],
-                long_term=bool(row["long_term"]),
-                retrievers=tuple(row["retrievers"]) if row["retrievers"] is not None else None,
-            )
-            for row in rows
-        ]
+        try:
+            return [
+                StoredCredentialInfo(
+                    cred_name=row["cred_name"],
+                    owner=row["owner"],
+                    not_after=float(row["not_after"]),
+                    seconds_remaining=float(row["seconds_remaining"]),
+                    max_get_lifetime=float(row["max_get_lifetime"]),
+                    auth_method=row["auth_method"],
+                    long_term=bool(row["long_term"]),
+                    retrievers=tuple(row["retrievers"]) if row["retrievers"] is not None else None,
+                )
+                for row in rows
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed INFO reply: {exc!r}") from exc
 
     def destroy(
         self, *, username: str, cred_name: str = DEFAULT_CRED_NAME

@@ -14,26 +14,41 @@ state is one of:
 - ``torn``    — the stream ends mid-frame (a crashed append): the tail is
   safe to truncate, the data in it was never acknowledged durable;
 - ``corrupt`` — a complete-looking frame fails its CRC or magic (bit rot,
-  a zeroed block): everything from that point is quarantined, never
-  silently dropped.
+  a zeroed block): the damaged bytes are quarantined, never silently
+  dropped.
 
 There is one decoder, :class:`FrameDecoder`: it is fed a stream in
-chunks of any size and holds only the bytes of the frame it is on, so
-segment recovery, the replication log and snapshot ingest decode a
-stream of any length in one chunk plus the longest frame a header in it
-claims — and a claim that runs past a stream of known size is torn at
-once (or, when resynchronising, where a search for the next frame
-starts), never waited for.  :func:`scan_frames`, :func:`iter_frames` and
-:func:`find_next_frame` are its three views over a whole buffer.
+chunks of any size and holds only the bytes of the frame it is on, so a
+stream of any length decodes in one chunk plus the longest frame a header
+in it claims — and a claim that runs past a stream of known size is torn
+at once (or, when resynchronising, where a search for the next frame
+starts), never waited for.  Snapshot ingest runs it strictly: a stream
+fails whole at its first bad frame.
+
+There is one recovery routine, :func:`recover`, and every reader of a
+durable framed file calls it: the segment scan, the replication log's
+open and the legacy spool journal import.  It resynchronises past each
+corrupt region, copies the region into a :class:`Quarantine`, cuts a
+torn or corrupt tail through the file's shim, and hands back the intact
+records — bit rot costs the damaged records, never the intact ones
+behind them, and never silently.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from collections.abc import Iterable, Iterator
+from pathlib import Path
 
+from repro.core.repository import (
+    QuarantinedEntry, StorageStats, decode_key_token, encode_key_token)
+from repro.faults import ShimFile
 from repro.util.errors import RepositoryError
+from repro.util.logging import get_logger
+
+logger = get_logger("core.framing")
 
 MAGIC = b"%MPF1"
 
@@ -72,6 +87,17 @@ def file_crc(fd: int, end: int) -> int:
     for piece in file_chunks(fd, 0, end):
         crc = zlib.crc32(piece, crc)
     return crc
+
+
+def fsync_path(path: str | os.PathLike) -> None:
+    """fsync by path.  On a directory this flushes its own metadata — a
+    create, rename or unlink is only durable once the parent directory's
+    entry hits the platter."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # What _probe returns for bytes that are not (yet) an intact frame.
@@ -252,57 +278,163 @@ class FrameDecoder:
         return events
 
 
-def scan_frames(data: bytes) -> tuple[list[bytes], int, str]:
-    """Decode consecutive frames from ``data``.
+# A store record's head inside damaged bytes: ``P <token>`` / ``D <token>``.
+_TOKEN_RE = re.compile(rb"[PD] ([A-Za-z0-9_=-]+)")
 
-    Returns ``(payloads, clean_length, status)`` where ``clean_length`` is
-    the byte offset just past the last intact frame and ``status`` is one
-    of ``"clean"``, ``"torn"`` (incomplete tail) or ``"corrupt"`` (a full
-    frame that fails magic/CRC).
+
+class Quarantine:
+    """A ``quarantine/`` directory: where damaged bytes are set aside.
+
+    Damage is copied here byte for byte, counted in ``stats``
+    (``corruption_detected``, ``quarantined``) and explained in a
+    ``.reason`` file beside it — never skipped, never deleted.  A region
+    is named ``<token>.json`` for the credential whose record header
+    survived inside it, so ``myproxy-cluster scrub`` can re-fetch that
+    entry from a peer, else for where it lay (``<file>+<offset>.corrupt``);
+    a name already taken gets a ``.q<n>`` suffix.
     """
-    decoder = FrameDecoder(size=len(data))
-    payloads = [payload for payload, _, _ in decoder.decode((data,))]
-    return payloads, decoder.clean_end, decoder.status
+
+    def __init__(self, directory: str | os.PathLike, stats: StorageStats) -> None:
+        self.directory = Path(directory)
+        self.stats = stats
+
+    def _target(self, name: str) -> Path:
+        self.directory.mkdir(mode=0o700, exist_ok=True)
+        target = self.directory / name
+        n = 0
+        while target.exists():
+            n += 1
+            target = self.directory / f"{name}.q{n}"
+        return target
+
+    def _note(self, target: Path, name: str, reason: str) -> None:
+        try:
+            target.with_name(target.name + ".reason").write_text(reason + "\n", "utf-8")
+        except OSError:  # pragma: no cover - reason is best-effort
+            pass
+        self.stats.inc("corruption_detected")
+        self.stats.inc("quarantined")
+        logger.error("quarantined %s: %s", name, reason)
+
+    def region(self, source: str, offset: int, pieces: Iterable[bytes],
+               name: str | None = None) -> None:
+        """Set aside the damaged bytes found at ``source+offset``, given in
+        pieces; ``name`` replaces ``<source>+<offset>.corrupt`` when no
+        record header survived.
+
+        The pieces are copied as they come (a region read from a file
+        arrives a chunk at a time), so the name is settled afterwards."""
+        self.directory.mkdir(mode=0o700, exist_ok=True)
+        partial = self.directory / f".{source}+{offset}.partial"
+        size = 0
+        # Holds the region's tail from where the first token match could
+        # still start, or from the first match while it may grow.
+        scan = b""
+        match = None
+        with open(partial, "wb") as out:
+            for piece in pieces:
+                out.write(piece)
+                size += len(piece)
+                if match is None or match.end() == len(scan):
+                    scan += piece
+                    match = _TOKEN_RE.search(scan)
+                    if match is not None:
+                        scan = scan[match.start():]
+                        match = _TOKEN_RE.match(scan)
+                    else:
+                        scan = scan[-2:]
+        identity = None
+        if match is not None:
+            try:
+                identity = decode_key_token(match.group(1).decode("ascii"))
+            except (ValueError, UnicodeDecodeError):
+                identity = None
+        if identity is not None:
+            name = f"{encode_key_token(*identity)}.json"
+        else:
+            name = name or f"{source}+{offset}.corrupt"
+        target = self._target(name)
+        os.replace(partial, target)
+        self._note(target, name,
+                   f"corrupt region at {source}+{offset} ({size} bytes failed CRC)")
+
+    def file(self, path: Path, reason: str) -> None:
+        """Move a whole unreadable file here as ``<name>.corrupt``."""
+        target = self._target(path.name + ".corrupt")
+        os.replace(path, target)
+        self._note(target, path.name, reason)
+
+    def entries(self) -> list[QuarantinedEntry]:
+        """Every artifact, with the credential's identity when its name
+        carries one (spool-style ``<token>.json`` names included)."""
+        if not self.directory.is_dir():
+            return []
+        out = []
+        for path in sorted(self.directory.iterdir()):
+            name = path.name
+            if name.endswith(".reason"):
+                continue
+            username = cred_name = ""
+            if ".json" in name:
+                try:
+                    username, cred_name = decode_key_token(name.split(".json", 1)[0])
+                except (ValueError, UnicodeDecodeError):
+                    username = cred_name = ""
+            try:
+                reason = path.with_name(name + ".reason").read_text("utf-8").strip()
+            except OSError:
+                reason = "corrupt"
+            out.append(QuarantinedEntry(username, cred_name, path, reason))
+        return out
+
+    def clear(self, username: str, cred_name: str) -> int:
+        """Remove the artifacts named for one credential (after a repair)."""
+        removed = 0
+        for item in self.entries():
+            if (item.username, item.cred_name) == (username, cred_name):
+                item.path.unlink(missing_ok=True)
+                item.path.with_name(item.path.name + ".reason").unlink(missing_ok=True)
+                removed += 1
+        return removed
 
 
-def iter_frames(data: bytes, pos: int = 0):
-    """Yield ``(payload, start, end)`` for consecutive intact frames.
+def recover(file: ShimFile, start: int, quarantine: Quarantine,
+            name: str | None = None) -> Iterator[tuple[bytes, int, int]]:
+    """Recover the framed file behind ``file`` from offset ``start``.
 
-    Like :func:`scan_frames` but with byte offsets; stops at the first
-    torn or corrupt byte.  The caller learns where it stopped from the
-    last yielded ``end`` (or ``pos`` if nothing was yielded) and can
-    classify the remainder with :func:`scan_frames` or resume with
-    :func:`find_next_frame`.
+    Yields ``(payload, start, end)`` for every intact frame, in file
+    order.  Decoding resynchronises: each corrupt region is streamed from
+    the file into ``quarantine`` (``name`` as in :meth:`Quarantine.region`)
+    and the scan resumes on the next intact frame.  Torn-looking bytes
+    are a torn tail only when no intact frame follows them — a crashed
+    append, never acknowledged — and are cut without a copy, counted as
+    ``torn_truncated`` in ``quarantine.stats``; a corrupt tail is cut
+    after its copy is made.  Cutting goes through ``file.truncate``,
+    which fsyncs, so ``file.size`` is the recovered length once the
+    records are exhausted.
     """
-    yield from FrameDecoder(pos, size=len(data)).decode((data[pos:],))
-
-
-def find_next_frame(data: bytes, pos: int) -> int:
-    """Offset of the next *intact* frame at or after ``pos``, or -1.
-
-    The salvage scan after a corrupt region: bit rot in the middle of a
-    segment must not cost the intact records behind it, so recovery
-    resynchronizes on the next verifiable frame header instead of
-    discarding the rest of the file.
-    """
-    if not 0 <= pos < len(data):
-        return -1
-    decoder = FrameDecoder(pos, size=len(data), resync=True)
-    decoder._gap = pos  # search from ``pos`` itself, as if a region began there
-    # In chunks, so the frames behind the one found are not decoded too.
-    chunks = (data[at:at + CHUNK_BYTES] for at in range(pos, len(data), CHUNK_BYTES))
-    for payload, start, _ in decoder.decode(chunks):
-        if payload is not None:
-            return start
-    return -1
+    size, source = file.size, os.path.basename(file.path)
+    decoder = FrameDecoder(start, size=size, resync=True)
+    for payload, at, end in decoder.decode(file_chunks(file.fd, start, size)):
+        if payload is None:
+            quarantine.region(source, at, file_chunks(file.fd, at, end), name)
+        else:
+            yield payload, at, end
+    if decoder.status == "torn":
+        quarantine.stats.inc("torn_truncated")
+        logger.warning("%s: truncated %d torn bytes", source, size - decoder.clean_end)
+    if decoder.status != "clean":
+        file.truncate(decoder.clean_end)
 
 
 def decode_single_frame(data: bytes) -> bytes:
-    """Decode a file that must hold exactly one intact frame (legacy spool entry)."""
-    payloads, clean_len, status = scan_frames(data)
-    if status != "clean" or len(payloads) != 1 or clean_len != len(data):
+    """Decode bytes that must hold exactly one intact frame and nothing else
+    (a legacy spool entry, or one record read back by its index slot)."""
+    decoder = FrameDecoder(size=len(data))
+    payloads = [payload for payload, _, _ in decoder.decode((data,))]
+    if decoder.status != "clean" or len(payloads) != 1:
         raise FramingError(
-            f"expected one intact frame, found {len(payloads)} ({status})"
+            f"expected one intact frame, found {len(payloads)} ({decoder.status})"
         )
     return payloads[0]
 

@@ -47,6 +47,7 @@ records, never the intact ones behind them, and never silently.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -55,19 +56,20 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from collections.abc import Iterable
 from pathlib import Path
 
 from repro import faults
 from repro.core.framing import (
     FrameDecoder,
+    FramingError,
+    Quarantine,
     decode_single_frame,
     encode_frame,
     file_chunks,
     file_crc,
+    fsync_path,
     is_framed,
-    iter_frames,
-    scan_frames,
+    recover,
 )
 from repro.core.repository import (
     QUARANTINE_DIR,
@@ -104,7 +106,6 @@ INGEST_MARKER = "snapshot.partial"
 _ZERO_CHUNK = 1 << 20
 
 _FILE_RE = re.compile(r"^seg-(\d{8})(?:\.c(\d+))?\.mps$")
-_TOKEN_RE = re.compile(rb"[PD] ([A-Za-z0-9_=-]+)")
 
 # The storage kill points; every site here is enumerated by the chaos suite.
 SITE_SEG_APPEND_PRE = faults.kill_point(
@@ -139,17 +140,6 @@ def _sidecar_path(path: Path) -> Path:
     segment grew, shrank, or rotted under it.
     """
     return path.with_name(path.name + ".idx")
-
-
-def _fsync_path(path: Path) -> None:
-    """fsync by path.  On a directory this flushes its own metadata — a
-    create, rename or unlink is only durable once the parent directory's
-    entry hits the platter."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _segment_header(seg_id: int, gen: int, covers: tuple[int, int] | None) -> bytes:
@@ -275,7 +265,7 @@ class SegmentRepository(CredentialRepository):
         self.stats = StorageStats()
         self.segment_max_bytes = max(int(segment_max_bytes), 4096)
         self.compact_ratio = float(compact_ratio)
-        self._quarantine_dir = self.root / QUARANTINE_DIR
+        self._quarantine = Quarantine(self.root / QUARANTINE_DIR, self.stats)
         # key -> (segment key, frame offset, frame length)
         self._index: dict[tuple[str, str], tuple[tuple[int, int], int, int]] = {}
         self._by_user: dict[str, set[str]] = {}
@@ -459,25 +449,22 @@ class SegmentRepository(CredentialRepository):
         or ``(None, None, False)`` when the whole file was quarantined.
         The file is read ``CHUNK_BYTES`` at a time, never whole.
         """
+        shim = None
         try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            self._quarantine_file(path, f"unreadable segment header: {exc}")
+            shim = self._open_shim(path)
+            _, _, covers, pos = _parse_header(os.pread(shim.fd, 128, 0))
+        except (RepositoryError, OSError) as exc:
+            # The header itself is gone: quarantine the whole file.
+            if shim is not None:
+                shim.close()
+            self._quarantine.file(path, f"unreadable segment header: {exc}")
+            _sidecar_path(path).unlink(missing_ok=True)
             return None, None, False
-        with fh:
-            try:
-                _, _, covers, pos = _parse_header(fh.read(128))
-            except (RepositoryError, OSError) as exc:
-                # The header itself is gone: quarantine the whole file.
-                self._quarantine_file(path, f"unreadable segment header: {exc}")
-                return None, None, False
-            fd = fh.fileno()
-            size = os.fstat(fd).st_size
-            seg = _Segment(path, seg_id, gen, covers, size=size)
+        with contextlib.closing(shim):
+            seg = _Segment(path, seg_id, gen, covers, size=shim.size)
             segkey = seg.key
-
-            crc = file_crc(fd, size)
-            sidecar = self._load_sidecar(path, size, crc)
+            crc = file_crc(shim.fd, seg.size)
+            sidecar = self._load_sidecar(path, seg.size, crc)
             if sidecar is not None:
                 for kind, username, cred_name, offset, length in sidecar:
                     self._apply_record(
@@ -486,32 +473,20 @@ class SegmentRepository(CredentialRepository):
                 self._segments[segkey] = seg
                 return sidecar, crc, True
 
-            # Full scan.  A corrupt region is quarantined and the scan
-            # resynchronizes on the next intact frame, so the records behind
-            # it survive; a torn tail is a crashed append, never acknowledged.
+            # Full scan, through the one recovery routine.
             records: list[tuple[str, str, str, int, int]] = []
-            decoder = FrameDecoder(pos, size=size, resync=True)
-            for payload, start, end in decoder.decode(file_chunks(fd, pos, size)):
-                if payload is None:
-                    self._quarantine_region(path.name, start, file_chunks(fd, start, end))
-                    seg.dead_bytes += end - start
-                    seg.total_record_bytes += end - start
-                    continue
+            intact = 0
+            for payload, start, end in recover(shim, pos, self._quarantine):
+                intact += end - start
                 row = self._index_record(segkey, payload, start, end - start, seg)
                 if row is not None:
                     records.append((row[0], row[1], row[2], start, end - start))
-            if decoder.status != "clean":
-                truncate_to = decoder.clean_end
-                if decoder.status == "torn":
-                    self.stats.inc("torn_truncated")
-                    logger.warning("segment %s: truncated %d torn bytes",
-                                   path.name, size - truncate_to)
-                with open(path, "r+b") as out:
-                    out.truncate(truncate_to)
-                    out.flush()
-                    os.fsync(out.fileno())
-                seg.size = truncate_to
-                crc = file_crc(fd, truncate_to)
+            if shim.size != seg.size:
+                seg.size = shim.size
+                crc = file_crc(shim.fd, seg.size)
+            # What is left between the intact records is quarantined damage.
+            seg.dead_bytes += seg.size - pos - intact
+            seg.total_record_bytes += seg.size - pos - intact
             self._segments[segkey] = seg
             return records, crc, False
 
@@ -532,8 +507,7 @@ class SegmentRepository(CredentialRepository):
         except (ValueError, UnicodeDecodeError):
             # Good CRC, bad writer: quarantine the record, keep scanning.
             seg.total_record_bytes += length
-            self.stats.inc("corruption_detected")
-            self._quarantine_region(seg.path.name, offset, (payload,))
+            self._quarantine.region(seg.path.name, offset, (payload,))
             seg.dead_bytes += length
             return None
         kind_text = "P" if kind == b"P" else "D"
@@ -555,94 +529,19 @@ class SegmentRepository(CredentialRepository):
         else:
             seg.dead_bytes += length  # the tombstone itself is dead weight
             if old is not None:
-                self._index.pop(key, None)
-                names = self._by_user.get(key[0])
-                if names is not None:
-                    names.discard(key[1])
-                    if not names:
-                        self._by_user.pop(key[0], None)
+                self._unindex(key)
+
+    def _unindex(self, key: tuple[str, str]) -> None:
+        self._index.pop(key, None)
+        names = self._by_user.get(key[0])
+        if names is not None:
+            names.discard(key[1])
+            if not names:
+                self._by_user.pop(key[0], None)
 
     # ------------------------------------------------------------------
     # quarantine (never-skip)
     # ------------------------------------------------------------------
-
-    def _quarantine_target(self, name: str) -> Path:
-        self._quarantine_dir.mkdir(mode=0o700, exist_ok=True)
-        target = self._quarantine_dir / name
-        n = 0
-        while target.exists():
-            n += 1
-            target = self._quarantine_dir / f"{name}.q{n}"
-        return target
-
-    def _write_quarantine(self, name: str, data: bytes, reason: str) -> None:
-        target = self._quarantine_target(name)
-        target.write_bytes(data)
-        self._note_quarantined(target, name, reason)
-
-    def _note_quarantined(self, target: Path, name: str, reason: str) -> None:
-        try:
-            target.with_name(target.name + ".reason").write_text(reason + "\n", "utf-8")
-        except OSError:  # pragma: no cover - reason is best-effort
-            pass
-        self.stats.inc("quarantined")
-        logger.error("quarantined %s: %s", name, reason)
-
-    def _quarantine_region(self, segment_name: str, offset: int,
-                           pieces: Iterable[bytes]) -> None:
-        """Set aside a corrupt byte range, given in pieces, named for its
-        credential when the record header inside survived the damage.
-
-        The pieces are copied as they come (a region read from a segment
-        arrives a chunk at a time), so the name is settled afterwards."""
-        self.stats.inc("corruption_detected")
-        self._quarantine_dir.mkdir(mode=0o700, exist_ok=True)
-        partial = self._quarantine_dir / f".{segment_name}+{offset}.partial"
-        size = 0
-        # Holds the region's tail from where the first token match could
-        # still start, or from the first match while it may grow.
-        scan = b""
-        match = None
-        with open(partial, "wb") as out:
-            for piece in pieces:
-                out.write(piece)
-                size += len(piece)
-                if match is None or match.end() == len(scan):
-                    scan += piece
-                    match = _TOKEN_RE.search(scan)
-                    if match is not None:
-                        scan = scan[match.start():]
-                        match = _TOKEN_RE.match(scan)
-                    else:
-                        scan = scan[-2:]
-        identity = None
-        if match is not None:
-            try:
-                identity = decode_key_token(match.group(1).decode("ascii"))
-            except (ValueError, UnicodeDecodeError):
-                identity = None
-        if identity is not None:
-            name = f"{encode_key_token(*identity)}.json"
-        else:
-            name = f"{segment_name}+{offset}.corrupt"
-        target = self._quarantine_target(name)
-        os.replace(partial, target)
-        self._note_quarantined(
-            target, name,
-            f"corrupt region at {segment_name}+{offset} ({size} bytes failed CRC)",
-        )
-
-    def _quarantine_file(self, path: Path, reason: str) -> None:
-        target = self._quarantine_target(path.name + ".corrupt")
-        os.replace(path, target)
-        _sidecar_path(path).unlink(missing_ok=True)
-        try:
-            target.with_name(target.name + ".reason").write_text(reason + "\n", "utf-8")
-        except OSError:  # pragma: no cover
-            pass
-        self.stats.inc("corruption_detected")
-        self.stats.inc("quarantined")
-        logger.error("quarantined %s: %s", path.name, reason)
 
     def quarantined(self) -> list[QuarantinedEntry]:
         """Every quarantined artifact, with identity when recoverable.
@@ -651,42 +550,17 @@ class SegmentRepository(CredentialRepository):
         verbatim) and segment-region artifacts are both listed, so
         ``myproxy-cluster scrub`` repairs either kind from peers.
         """
-        if not self._quarantine_dir.is_dir():
-            return []
-        out = []
-        for path in sorted(self._quarantine_dir.iterdir()):
-            name = path.name
-            if name.endswith(".reason"):
-                continue
-            username = cred_name = ""
-            if ".json" in name:
-                token = name.split(".json", 1)[0]
-                try:
-                    username, cred_name = decode_key_token(token)
-                except (ValueError, UnicodeDecodeError):
-                    username = cred_name = ""
-            try:
-                reason = path.with_name(name + ".reason").read_text("utf-8").strip()
-            except OSError:
-                reason = "corrupt"
-            out.append(QuarantinedEntry(username, cred_name, path, reason))
-        return out
+        return self._quarantine.entries()
 
     def clear_quarantine(self, username: str, cred_name: str) -> int:
-        removed = 0
-        for item in self.quarantined():
-            if (item.username, item.cred_name) == (username, cred_name):
-                item.path.unlink(missing_ok=True)
-                item.path.with_name(item.path.name + ".reason").unlink(missing_ok=True)
-                removed += 1
-        return removed
+        return self._quarantine.clear(username, cred_name)
 
     # ------------------------------------------------------------------
     # segment plumbing
     # ------------------------------------------------------------------
 
     def _fsync_root(self) -> None:
-        _fsync_path(self.root)
+        fsync_path(self.root)
 
     def _open_shim(self, path: Path) -> ShimFile:
         return ShimFile(
@@ -844,23 +718,19 @@ class SegmentRepository(CredentialRepository):
               if self._active is seg and self._active_file is not None
               else seg.fd())
         raw = os.pread(fd, length, offset)
-        frames = list(iter_frames(raw))
-        if len(frames) != 1 or frames[0][2] != length:
+        try:
+            payload = decode_single_frame(raw)
+        except FramingError:
             # Bit rot under a live index entry: set it aside for repair
             # and fail the read loudly — never serve a corrupt credential.
-            self._quarantine_region(seg.path.name, offset, (raw,))
+            self._quarantine.region(seg.path.name, offset, (raw,))
             seg.dead_bytes += length
-            self._index.pop(key, None)
-            names = self._by_user.get(key[0])
-            if names is not None:
-                names.discard(key[1])
-                if not names:
-                    self._by_user.pop(key[0], None)
+            self._unindex(key)
             raise RepositoryError(
                 f"credential {key[1]!r} for user {key[0]!r} is corrupt "
                 f"and has been quarantined"
             )
-        kind, username, cred_name, document = parse_record(frames[0][0])
+        kind, username, cred_name, document = parse_record(payload)
         if kind != "P" or (username, cred_name) != key:  # pragma: no cover
             raise RepositoryError(f"index points at foreign record for {key}")
         return RepositoryEntry.from_json(document.decode("utf-8"))
@@ -888,12 +758,7 @@ class SegmentRepository(CredentialRepository):
             seg = self._segments[segkey]
             seg.total_record_bytes += length
             seg.dead_bytes += length
-            self._index.pop(key, None)
-            names = self._by_user.get(username)
-            if names is not None:
-                names.discard(cred_name)
-                if not names:
-                    self._by_user.pop(username, None)
+            self._unindex(key)
             self._cache.pop(key, None)
             self._update_gauges()
             self._maybe_compact_locked()
@@ -1290,36 +1155,32 @@ def open_repository(path: str | os.PathLike, *, storage=None) -> SegmentReposito
 
 
 def _read_spool(root: Path, store: SegmentRepository) -> list[RepositoryEntry]:
-    """Read-only import of a legacy spool's live entries.
+    """Import of a legacy spool's live entries.
 
     Each ``*.json`` file is one CRC frame (or, older still, bare JSON)
     holding an entry.  The spool redo-logged mutations in ``journal.wal``
     before touching a file, so an op with no commit marker wins over the
     file it names: a pending put supplies the entry, a pending delete
-    drops it (and explains the zeroized husk it may have left).  Anything
-    else unreadable moves to ``store``'s quarantine — never skipped.
+    drops it (and explains the zeroized husk it may have left).  The
+    journal is recovered like every framed file (its damaged tail is the
+    only spool byte this rewrites); anything else unreadable moves to
+    ``store``'s quarantine — never skipped.
     """
     pending: dict[tuple[str, str], str | None] = {}
     journal = root / SPOOL_JOURNAL
     if journal.exists():
-        data = journal.read_bytes()
-        # A torn tail is an append that was never acknowledged.
-        payloads, clean_len, status = scan_frames(data)
-        if status == "corrupt":
-            store.stats.inc("corruption_detected")
-            store._write_quarantine(
-                f"{SPOOL_JOURNAL}.corrupt", data[clean_len:], "failed CRC scan"
-            )
         ops: dict[int, dict] = {}
-        for payload in payloads:
-            try:
-                doc = json.loads(payload)
-                if doc["op"] == "commit":
-                    ops.pop(int(doc["txid"]), None)
-                else:
-                    ops[int(doc["txid"])] = doc
-            except (ValueError, KeyError, TypeError):
-                store.stats.inc("corruption_detected")  # good CRC, bad writer
+        with contextlib.closing(store._open_shim(journal)) as shim:
+            for payload, _, _ in recover(shim, 0, store._quarantine,
+                                         f"{SPOOL_JOURNAL}.corrupt"):
+                try:
+                    doc = json.loads(payload)
+                    if doc["op"] == "commit":
+                        ops.pop(int(doc["txid"]), None)
+                    else:
+                        ops[int(doc["txid"])] = doc
+                except (ValueError, KeyError, TypeError):
+                    store.stats.inc("corruption_detected")  # good CRC, bad writer
         for doc in ops.values():  # log order; the latest op on a key wins
             key = (str(doc.get("username", "")), str(doc.get("cred_name", "")))
             pending[key] = doc.get("document")
@@ -1336,7 +1197,7 @@ def _read_spool(root: Path, store: SegmentRepository) -> list[RepositoryEntry]:
             payload = decode_single_frame(raw) if is_framed(raw) else raw
             entry = RepositoryEntry.from_json(payload.decode("utf-8"))
         except (RepositoryError, OSError, ValueError) as exc:
-            store._quarantine_file(path, str(exc))
+            store._quarantine.file(path, str(exc))
             continue
         entries[entry.key] = entry
     for key, document in pending.items():
@@ -1400,6 +1261,6 @@ def write_backend_marker(root: str | os.PathLike) -> None:
     root = Path(root)
     tmp = root / (BACKEND_MARKER + ".tmp")
     tmp.write_text("segments\n", "utf-8")
-    _fsync_path(tmp)
+    fsync_path(tmp)
     os.replace(tmp, root / BACKEND_MARKER)
-    _fsync_path(root)
+    fsync_path(root)

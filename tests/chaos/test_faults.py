@@ -109,10 +109,17 @@ class TestKillPointRegistry:
         assert replog.SITE_APPLY_PRE in replog_sites
 
 
+def _decode(data: bytes) -> tuple[list[bytes], int, str]:
+    """``(payloads, clean_end, status)`` of a strict decode of ``data``."""
+    decoder = framing.FrameDecoder(size=len(data))
+    payloads = [payload for payload, _, _ in decoder.decode((data,))]
+    return payloads, decoder.clean_end, decoder.status
+
+
 class TestFrameCodec:
     def test_roundtrip(self):
         data = framing.encode_frame(b"hello") + framing.encode_frame(b"world")
-        payloads, clean, status = framing.scan_frames(data)
+        payloads, clean, status = _decode(data)
         assert payloads == [b"hello", b"world"]
         assert clean == len(data)
         assert status == "clean"
@@ -125,7 +132,7 @@ class TestFrameCodec:
 
     def test_torn_tail_detected(self):
         data = framing.encode_frame(b"intact") + b"%MPF1 100 123\npart"
-        payloads, clean, status = framing.scan_frames(data)
+        payloads, clean, status = _decode(data)
         assert payloads == [b"intact"]
         assert status == "torn"
         assert clean == len(framing.encode_frame(b"intact"))
@@ -133,7 +140,7 @@ class TestFrameCodec:
     def test_bit_flip_detected_as_corrupt(self):
         good = bytearray(framing.encode_frame(b"payload-bytes"))
         good[-3] ^= 0x01  # flip one payload bit
-        payloads, clean, status = framing.scan_frames(bytes(good))
+        payloads, clean, status = _decode(bytes(good))
         assert payloads == []
         assert clean == 0
         assert status == "corrupt"

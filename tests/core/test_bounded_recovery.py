@@ -24,14 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.replog import OP_DELETE, ReplicationLog
 from repro.core import framing
-from repro.core.framing import (
-    FrameDecoder,
-    encode_frame,
-    find_next_frame,
-    iter_frames,
-    scan_frames,
-)
-from repro.core.repository import decode_key_token, encode_key_token
+from repro.core.framing import FrameDecoder, Quarantine, encode_frame
+from repro.core.repository import StorageStats, decode_key_token, encode_key_token
 from repro.core.segments import (
     SegmentRepository,
     _segment_header,
@@ -191,11 +185,10 @@ def test_decoder_matches_whole_buffer_scan_for_any_chunking(data, sizes, sized):
     assert list(decoder.decode(_chunked(data, sizes))) == expected_frames
     assert (decoder.clean_end, decoder.status) == (clean_end, status)
 
-    # The three views over a whole buffer.
-    assert scan_frames(data) == (payloads, clean_end, status)
-    assert list(iter_frames(data)) == expected_frames
-    for pos in range(0, len(data) + 1, 7):
-        assert find_next_frame(data, pos) == _ref_next(data, pos)
+    # The whole buffer as one chunk.
+    whole = FrameDecoder(size=len(data))
+    assert [payload for payload, _, _ in whole.decode((data,))] == payloads
+    assert (whole.clean_end, whole.status) == (clean_end, status)
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,15 +385,12 @@ def test_quarantined_region_is_named_alike_however_it_arrives(tmp_path):
     # even when a chunk boundary splits the record header inside it.
     token = encode_key_token("alice", "default").encode()
     region = b"\0rot\0 P " + token + b"\n{\"owner\": \"P x\"}"
-    repo = SegmentRepository(tmp_path / "store")
-    try:
-        splits = [(region[:cut], region[cut:]) for cut in range(1, len(region))]
-        splits.append([region[i:i + 1] for i in range(len(region))])
-        for n, pieces in enumerate(splits):
-            repo._quarantine_region(SEGMENT, n, pieces)
-        items = repo.quarantined()
-    finally:
-        repo.close()
+    quarantine = Quarantine(tmp_path / "quarantine", StorageStats())
+    splits = [(region[:cut], region[cut:]) for cut in range(1, len(region))]
+    splits.append([region[i:i + 1] for i in range(len(region))])
+    for n, pieces in enumerate(splits):
+        quarantine.region(SEGMENT, n, pieces)
+    items = quarantine.entries()
     assert len(items) == len(splits)
     assert {(item.username, item.cred_name) for item in items} == {("alice", "default")}
     assert {item.path.read_bytes() for item in items} == {region}
@@ -416,7 +406,7 @@ def test_replication_log_reopens_as_the_whole_buffer_scan_did(tmp_path, monkeypa
         log.append(OP_DELETE, f"u{i}", "default", None)
     log.close()
     data = bytearray(path.read_bytes())
-    ends = [end for _, _, end in _ref_iter(bytes(data))]
+    ends = [end for _, _, end in _ref_iter(bytes(data), data.index(b"\n") + 1)]
     if damage == "torn_tail":
         data += encode_frame(b"x" * 100)[:50]
     elif damage == "corrupt_third":
@@ -425,10 +415,12 @@ def test_replication_log_reopens_as_the_whole_buffer_scan_did(tmp_path, monkeypa
 
     log = ReplicationLog("n0", b"s" * 32, path=path)
     try:
-        kept = {"none": 5, "torn_tail": 5, "corrupt_third": 2}[damage]
-        assert [op.seq for op in log.since(0)] == list(range(1, kept + 1))
-        assert path.stat().st_size == ends[kept - 1]
-        assert log.torn_truncated == (damage == "torn_tail")
-        assert log.corrupt_skipped == (damage == "corrupt_third")
+        # A corrupt record costs only itself: it is quarantined, stays in
+        # the file, and the records behind it are kept.
+        kept = [1, 2, 4, 5] if damage == "corrupt_third" else [1, 2, 3, 4, 5]
+        assert [op.seq for op in log.since(0)] == kept
+        assert path.stat().st_size == ends[4]
+        assert log.stats.get("torn_truncated") == (damage == "torn_tail")
+        assert log.stats.get("quarantined") == (damage == "corrupt_third")
     finally:
         log.close()

@@ -339,3 +339,17 @@ class TestBusyHints:
                                    key_source=tb.key_source, clock=tb.clock)
         with pytest.raises(ProtocolError, match="RETRY_AFTER"):
             client._call("/stub/busy", {})
+
+
+class TestMalformedInfoReply:
+    """An INFO reply whose rows the client cannot read is a ProtocolError,
+    not a ``KeyError`` or ``TypeError`` out of the client."""
+
+    @pytest.mark.parametrize("rows", [[{"cred_name": "x"}], 5],
+                             ids=["row_missing_keys", "not_a_list"])
+    def test_gsi(self, seeded, monkeypatch, rows):
+        tb, alice, _portal = seeded
+        monkeypatch.setattr(tb.myproxy, "info", lambda peer, username: rows)
+        with tb.myproxy_client(alice.credential) as client:
+            with pytest.raises(ProtocolError, match="malformed INFO reply"):
+                client.info(username="alice")

@@ -21,7 +21,7 @@ import json
 import pytest
 
 from repro.core.client import myproxy_init_from_longterm
-from repro.core.framing import iter_frames
+from repro.core.framing import FrameDecoder
 from repro.core.segments import SegmentRepository, parse_record
 from repro.pki.names import DistinguishedName
 
@@ -121,7 +121,8 @@ class TestClusterFailoverAcceptance:
                 # One header line, then CRC32 frames: walking them also
                 # verifies the checksum on every stored byte we inspect.
                 data = path.read_bytes()
-                for payload, _, _ in iter_frames(data, data.index(b"\n") + 1):
+                start = data.index(b"\n") + 1
+                for payload, _, _ in FrameDecoder(start).decode((data[start:],)):
                     kind, _, _, document = parse_record(payload)
                     assert kind == "P"
                     _assert_only_ciphertext(document.decode("utf-8"))
