@@ -87,6 +87,9 @@ class _TappedLink(Link):
         self._capture.record_to_client(frame)
         return frame
 
+    def peek(self, count: int) -> bytes | None:
+        return self._link.peek(count)
+
     def close(self) -> None:
         self._link.close()
 

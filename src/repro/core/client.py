@@ -28,7 +28,7 @@ client) the §6.4 JSON codec, and
 :class:`MyProxyClient` whose endpoints are the user's shard, in order.
 
 After an operation that completed normally, a client keeps one idle
-channel per (leaf subject, TCP endpoint), the key its session tickets are
+channel per (leaf subject, endpoint), the key its session tickets are
 filed under (PROTOCOL.md §6), and runs its next operation to that endpoint
 on it: no connect, no handshake, for either binding.  A renewal agent that
 swaps in its fresh proxy keeps the channel; a swap to another subject
@@ -380,9 +380,8 @@ class ClientCore:
         :meth:`_route` names the endpoints for ``username``'s operation.
         The first attempt rides the idle channel kept for the first
         endpoint and the current credential's subject.  Only
-        authenticated channels to a TCP endpoint are kept: a link
-        factory's link is used for one operation, and anonymous
-        channels serve one request.  If the server had
+        authenticated channels are kept: anonymous channels serve one
+        request.  If the server had
         already ended it (idle timeout, trust change, restart) without
         reading the request, the client redials once, transparently: that
         is not a transport failure, trips no breaker and costs no retry
@@ -424,11 +423,7 @@ class ClientCore:
                 busy_left = self.retry.busy_retries
                 while True:
                     credential = self.credential
-                    key = (
-                        self._ticket_key(target, credential)
-                        if credential is not None and isinstance(target, tuple)
-                        else None
-                    )
+                    key = self._ticket_key(target, credential) if credential is not None else None
                     channel = self._checkout(key) if reuse else None
                     reuse = False
                     reused = channel is not None
@@ -617,9 +612,8 @@ class MyProxyClient(ClientCore):
         generated locally; only the public half traveled.
 
         The key and its CSR are made before the request is sent, so the
-        server answers in one flight (PROTOCOL.md §4); a server that
-        ignores the CSR gets the Offer exchange, with the same key.  A
-        refused GET leaves that key unused.
+        server answers in one flight (PROTOCOL.md §4).  A refused GET
+        leaves that key unused.
         """
         key, csr = self._keyed_csr()
         request = Request(

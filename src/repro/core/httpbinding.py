@@ -9,12 +9,11 @@ This module implements that option: :class:`MyProxyHttpGateway` exposes a
 repository's operations as JSON-over-HTTPS endpoints, and
 :class:`HttpMyProxyClient` is the matching client.  The gateway is a
 *codec*: every command's transport-neutral steps — admission, the refusal
-decision, GET's authorize-and-load, PUT's checks and storage, INFO,
-DESTROY, CHANGE_PASSPHRASE — are the same public
+decision, GET (authorize, check the CSR, issue, record), PUT's checks and
+storage, INFO, DESTROY, CHANGE_PASSPHRASE — are the same public
 :class:`~repro.core.server.MyProxyServer` methods the GSI dispatcher
-calls, and a GET's proxy comes from the same issuing step
-(:func:`~repro.transport.delegation.issue`) as a GSI GET's.  The gateway
-keeps only decoding, the PUT key exchange, and encoding.
+calls.  The gateway keeps only decoding, the PUT key exchange, and
+encoding.
 
 Transport security is the same GSI channel (the gateway **requires client
 certificates** — no anonymous access), so the §5.1 properties carry over
@@ -303,13 +302,7 @@ class MyProxyHttpGateway(Binding):
 
     def _op_get(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         request = Request.from_json(payload, Command.GET)
-        stored, lifetime, chain_pem = self.server.authorize_get(peer, request)
-        public_key = check_csr(request.csr, peer.identity, label=_POP_LABEL)
-        issued, chain_pem = issue(
-            stored, public_key, lifetime=lifetime, clock=self.server.clock,
-            chain_pem=chain_pem,
-        )
-        self.server.record_get(peer, request, issued.not_after)
+        issued, chain_pem, lifetime = self.server.get(peer, request, label=_POP_LABEL)
         return HttpResponse.json(
             {
                 "ok": True,

@@ -8,10 +8,17 @@ Each conversation follows the original:
 2. one :class:`~repro.core.protocol.Request`;
 3. a :class:`~repro.core.protocol.Response`;
 4. for PUT/GET/STORE/RETRIEVE, the credential transfer on the same channel
-   (GSI delegation for PUT/GET — private keys never travel; an encrypted
-   PEM blob for the §6.1 STORE/RETRIEVE of long-term credentials);
+   (GSI delegation for PUT, the Issue answering a GET's CSR — private keys
+   never travel; an encrypted PEM blob for the §6.1 STORE/RETRIEVE of
+   long-term credentials);
 5. for PUT/STORE, a final *commit* response after the server has validated
    and persisted what it received.
+
+Each command handler returns the frames of its reply's last flight, and
+:meth:`MyProxyServer.answer` sends them in one write once the request is
+audited, counted and timed: a client never holds what the audit trail and
+metrics do not yet show.  Only PUT and STORE write mid-command (their
+``accepted`` response, before the client's upload).
 
 After a successful command the channel may carry the next request, with
 step 1 replaced by a re-check of the peer's trust (PROTOCOL.md §6); an
@@ -35,14 +42,15 @@ be used as a user-name oracle.  The audit log records the precise reason.
 
 Every command's transport-neutral steps live here, once, as public
 methods — :meth:`MyProxyServer.admit`, :meth:`~MyProxyServer.refuse`,
-:meth:`~MyProxyServer.authorize_get` / :meth:`~MyProxyServer.record_get`,
+:meth:`~MyProxyServer.get`,
 :meth:`~MyProxyServer.check_put` / :meth:`~MyProxyServer.store_delegation`,
 :meth:`~MyProxyServer.info`, :meth:`~MyProxyServer.destroy` and
 :meth:`~MyProxyServer.change_passphrase`.  The GSI dispatcher below and
 the §6.4 HTTP/CDP gateway (:mod:`repro.core.httpbinding`) are codecs over
-them: each decodes its request, runs its key exchange — a GET's CSR, on
-either binding, goes to the one issuing step
-(:func:`~repro.transport.delegation.issue`) — and encodes the reply.  Both are
+them: each decodes its request, runs PUT's key exchange, and encodes the
+reply.  A GET on either binding is one call of :meth:`~MyProxyServer.get`,
+which checks the CSR under the binding's PoP label and issues through
+:func:`~repro.transport.delegation.issue`.  Both are
 also *bindings* of one connection path (:meth:`MyProxyServer.listen`):
 the same handshake, per-request trust re-check, admission, parking and
 idle timeout serve either protocol's connections.
@@ -84,9 +92,9 @@ from repro.pki.validation import ChainValidator, ValidatedIdentity
 from repro.qos import ClassMap, RateLimiter
 from repro.transport.channel import SecureChannel, accept_secure
 from repro.transport.delegation import (
+    CSR_POP_LABEL,
     accept_delegation,
     check_csr,
-    delegate_credential,
     issue,
     issue_message,
 )
@@ -663,8 +671,6 @@ class MyProxyServer(Binding):
         elif not ok:
             logger.info("shed %s from %s: %s", command, peer, detail)
 
-    _audit_event = audit  # alias kept for existing callers
-
     def audit_log(self) -> list[AuditRecord]:
         with self._audit_lock:
             return list(self._audit)
@@ -814,15 +820,27 @@ class MyProxyServer(Binding):
         """Admit and serve one request; True when the channel may carry
         another.
 
-        Only a successful command from an authenticated peer keeps the
-        channel.  A refusal, a busy reply or a protocol error ends it
-        with a close alert after the reply.
+        The one place a command's reply is sent: its last flight leaves
+        in one write, after the request's records — audit, counters, the
+        latency sample and the slow-op record — are committed, so what a
+        client has seen the operator can already see.  Only a successful
+        command from an authenticated peer keeps the channel.  A refusal,
+        a busy reply or a protocol error ends it with a close alert after
+        the reply.
         """
+        flight, kept = self._serve(channel, message)
+        channel.send_many(flight)
+        return kept
+
+    def _serve(
+        self, channel: SecureChannel, message: bytes
+    ) -> tuple[list[bytes], bool]:
+        """Serve one request up to its reply: the frames of its last
+        flight, and whether the channel is kept."""
         peer = channel.peer
         retry = self.admit(peer)
         if retry > 0:
-            channel.send(self.busy_reply(retry))
-            return False
+            return [self.busy_reply(retry)], False
         peer_name = _peer_name(peer)
         try:
             request = Request.decode(message)
@@ -831,16 +849,14 @@ class MyProxyServer(Binding):
             refusal = self.refuse(
                 exc, peer_name, command or "conversation", username, cred_name
             )
-            channel.send(Response.failure(f"bad request: {refusal.message}").encode())
-            return False
+            return [Response.failure(f"bad request: {refusal.message}").encode()], False
         if peer is None and request.command is not Command.TRUSTROOTS:
             # Anonymous channels exist only for public trust material.
             refusal = self.refuse(
                 AuthorizationError("anonymous client"), peer_name,
                 request.command.name, request.username, request.cred_name,
             )
-            channel.send(refusal.response().encode())
-            return False
+            return [refusal.response().encode()], False
         handler = {
             Command.PUT: self._do_put,
             Command.GET: self._do_get,
@@ -854,14 +870,13 @@ class MyProxyServer(Binding):
         }[request.command]
         started = time.perf_counter()
         try:
-            succeeded = handler(channel, peer, request) is not False
+            flight, served = handler(channel, peer, request)
         except REFUSABLE as exc:
             refusal = self.refuse(
                 exc, peer_name, request.command.name, request.username,
                 request.cred_name,
             )
-            channel.send(refusal.response().encode())
-            succeeded = False
+            flight, served = [refusal.response().encode()], False
         finally:
             elapsed = time.perf_counter() - started
             self._request_seconds.labels(command=request.command.name).observe(elapsed)
@@ -873,7 +888,7 @@ class MyProxyServer(Binding):
                 duration=elapsed,
                 phases=getattr(self._phase_local, "phases", None),
             )
-        return succeeded and peer is not None
+        return flight, served and peer is not None
 
     # ------------------------------------------------------------------
     # shared checks
@@ -1169,7 +1184,7 @@ class MyProxyServer(Binding):
 
     def _do_put(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
+    ) -> tuple[list[bytes], bool]:
         secret = self.check_put(peer, request)
         channel.send(Response.success({"accepted": True}).encode())
         with self._observe_phase("delegation"):
@@ -1178,11 +1193,8 @@ class MyProxyServer(Binding):
             )
         # A refusal from here on is the commit response.
         entry = self.store_delegation(peer, request, secret, delegated)
-        channel.send(
-            Response.success(
-                {"stored": True, "not_after": entry.not_after, "cred_name": entry.cred_name}
-            ).encode()
-        )
+        committed = {"stored": True, "not_after": entry.not_after, "cred_name": entry.cred_name}
+        return [Response.success(committed).encode()], True
 
     # ------------------------------------------------------------------
     # GET — Figure 2, myproxy-get-delegation
@@ -1214,18 +1226,24 @@ class MyProxyServer(Binding):
             )
         return self._decrypt_entry_key(entry, renewal=True)
 
-    def authorize_get(
-        self, peer: ValidatedIdentity, request: Request
-    ) -> tuple[Credential, float, bytes]:
-        """GET's first half: authorize, then open the stored credential.
+    def get(
+        self,
+        peer: ValidatedIdentity,
+        request: Request,
+        *,
+        label: bytes = CSR_POP_LABEL,
+    ) -> tuple[Certificate, bytes, float]:
+        """GET, on either binding: authorize, check the CSR, issue and
+        record.
 
         Checks the retriever ACLs and the entry's secret (or §6.6 renewal
-        by possession), expiry, and clamps the lifetime.  Returns the
-        stored credential — its key decrypted for this one request — the
-        lifetime to grant, and the credential's chain as the entry stores
-        it (PEM).  The binding then issues the proxy
-        (:func:`~repro.transport.delegation.issue`) and calls
-        :meth:`record_get`.
+        by possession), expiry, and clamps the lifetime.  The request's
+        CSR is then checked under the binding's PoP ``label``: a missing
+        or malformed one, or one whose proof of possession fails, is
+        refused (the secret was right, so no lockout counts it).  The
+        proxy is signed by the one issuing step
+        (:func:`~repro.transport.delegation.issue`), counted and audited,
+        and returned with its issuer chain (PEM) and the granted lifetime.
         """
         self.require_acl(self.policy.authorized_retrievers, peer)
         entry = self.repository.get(request.username, request.cred_name)
@@ -1244,80 +1262,59 @@ class MyProxyServer(Binding):
 
         if key is None:
             key = self._decrypt_entry_key(entry, request.passphrase)
-        return self._load_entry_credential(entry, key), lifetime, entry.certificate_pem
-
-    def record_get(
-        self, peer: ValidatedIdentity, request: Request, not_after: float
-    ) -> None:
-        """GET's second half: count and audit a delivered proxy."""
+        stored = self._load_entry_credential(entry, key)
+        with self._observe_phase("delegation"):
+            public_key = check_csr(request.csr, peer.identity, label=label)
+            issued, chain_pem = issue(
+                stored, public_key, lifetime=lifetime, clock=self.clock,
+                chain_pem=entry.certificate_pem,
+            )
         self.stats.inc("gets")
         self.audit(
             str(peer.identity), "GET", request.username, request.cred_name, True,
-            f"delegated until {not_after:.0f} (auth={request.auth_method.value})",
+            f"delegated until {issued.not_after:.0f} (auth={request.auth_method.value})",
         )
+        return issued, chain_pem, lifetime
 
     def _do_get(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
-        """One GET (or GET_MULTI item).  With a ``CSR`` it is one flight:
-        the PoP is checked, the proxy signed, and the OK response and the
-        Issue leave in one write — no Offer, nothing more read.  Without
-        one, the OK response is followed by the Offer/Request/Issue
-        exchange."""
-        stored, lifetime, chain_pem = self.authorize_get(peer, request)
-        granted = {"granted_lifetime": lifetime, "cred_name": request.cred_name}
-        if request.csr is None:
-            channel.send(Response.success(granted).encode())
-            with self._observe_phase("delegation"):
-                issued = delegate_credential(
-                    channel, stored, lifetime=lifetime, clock=self.clock,
-                    chain_pem=chain_pem,
-                )
-            self.record_get(peer, request, issued.not_after)
-            return
-        with self._observe_phase("delegation"):
-            public_key = check_csr(request.csr, peer.identity)
-            issued, chain_pem = issue(
-                stored, public_key, lifetime=lifetime, clock=self.clock,
-                chain_pem=chain_pem,
-            )
-            # Recorded before it leaves, as a PUT is stored before its
-            # commit reply: a client holding the proxy finds the record.
-            self.record_get(peer, request, issued.not_after)
-            channel.send_many([
-                Response.success({**granted, "limited": False}).encode(),
-                issue_message(issued, chain_pem),
-            ])
+    ) -> tuple[list[bytes], bool]:
+        """One GET (or GET_MULTI item), one flight: the OK response
+        stating the grant, and the Issue."""
+        issued, chain_pem, lifetime = self.get(peer, request)
+        granted = {"granted_lifetime": lifetime, "cred_name": request.cred_name,
+                   "limited": False}
+        return [Response.success(granted).encode(), issue_message(issued, chain_pem)], True
 
     def _do_get_multi(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> bool:
+    ) -> tuple[list[bytes], bool]:
         """Batched GET: many delegations over one handshake (one RTT of
         asymmetric crypto amortized across the batch — the portal shape
         of §3, where one web server fetches proxies for many users).
 
         One refused item — denied, rejected, busy or a storage error —
         does not abort the batch: each item gets its own Response (and, on
-        success, its own delegation), so the client can pair outcomes
+        success, its own Issue), so the client can pair outcomes
         positionally.  Each item is a single GET — batching changes
-        framing, never trust decisions.  Returns False when any item was
-        refused, which ends the channel like any other refusal.
+        framing, never trust decisions.  Any refused item ends the
+        channel, like any other refusal.
         """
         self.require_acl(self.policy.authorized_retrievers, peer)
         items = request.batch or ()
-        channel.send(Response.success({"accepted": True, "count": len(items)}).encode())
+        flight = [Response.success({"accepted": True, "count": len(items)}).encode()]
         all_served = True
         for item in items:
             try:
-                self._do_get(channel, peer, item.as_get())
+                flight += self._do_get(channel, peer, item.as_get())[0]
             except REFUSABLE as exc:
                 refusal = self.refuse(
                     exc, str(peer.identity), "GET_MULTI", item.username,
                     item.cred_name,
                 )
-                channel.send(refusal.response().encode())
+                flight.append(refusal.response().encode())
                 all_served = False
-        return all_served
+        return flight, all_served
 
     # ------------------------------------------------------------------
     # INFO / DESTROY / CHANGE_PASSPHRASE
@@ -1404,23 +1401,22 @@ class MyProxyServer(Binding):
 
     def _do_info(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
+    ) -> tuple[list[bytes], bool]:
         rows = self.info(peer, request.username)
-        channel.send(
-            Response.success({"username": request.username, "credentials": rows}).encode()
-        )
+        listing = {"username": request.username, "credentials": rows}
+        return [Response.success(listing).encode()], True
 
     def _do_destroy(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
+    ) -> tuple[list[bytes], bool]:
         self.destroy(peer, request)
-        channel.send(Response.success({"destroyed": True}).encode())
+        return [Response.success({"destroyed": True}).encode()], True
 
     def _do_change_passphrase(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
+    ) -> tuple[list[bytes], bool]:
         self.change_passphrase(peer, request)
-        channel.send(Response.success({"changed": True}).encode())
+        return [Response.success({"changed": True}).encode()], True
 
     # ------------------------------------------------------------------
     # TRUSTROOTS — anchor + CRL distribution (myproxy-get-trustroots)
@@ -1428,7 +1424,7 @@ class MyProxyServer(Binding):
 
     def _do_trustroots(
         self, channel: SecureChannel, peer: ValidatedIdentity | None, request: Request
-    ) -> None:
+    ) -> tuple[list[bytes], bool]:
         """Return this repository's trust fabric: CA certs and fresh CRLs.
 
         All public material — clients use it to bootstrap a trust
@@ -1443,7 +1439,7 @@ class MyProxyServer(Binding):
             peer_name, "TRUSTROOTS", request.username, "", True,
             f"{len(info['cas'])} CAs, {len(info['crls'])} CRLs",
         )
-        channel.send(Response.success(info).encode())
+        return [Response.success(info).encode()], True
 
     # ------------------------------------------------------------------
     # STORE / RETRIEVE — §6.1 managed long-term credentials
@@ -1451,7 +1447,7 @@ class MyProxyServer(Binding):
 
     def _do_store(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
+    ) -> tuple[list[bytes], bool]:
         self.require_acl(self.policy.accepted_credentials, peer)
         self.policy.passphrase_policy.check_username(request.username)
         if request.auth_method is not AuthMethod.PASSPHRASE:
@@ -1500,21 +1496,21 @@ class MyProxyServer(Binding):
             str(peer.identity), "STORE", request.username, request.cred_name, True,
             "long-term credential stored",
         )
-        channel.send(Response.success({"stored": True, "long_term": True}).encode())
+        return [Response.success({"stored": True, "long_term": True}).encode()], True
 
     def _do_retrieve(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> None:
+    ) -> tuple[list[bytes], bool]:
         self.require_acl(self.policy.authorized_retrievers, peer)
         entry = self.repository.get(request.username, request.cred_name)
         if not entry.long_term:
             raise AuthorizationError("RETRIEVE is only allowed for long-term entries")
         entry = self._verify_secret(entry, request)
         self._require_listed(entry.retrievers, peer, "retrievers")
-        channel.send(Response.success({"long_term": True}).encode())
-        channel.send(entry.key_pem)  # the original pass-phrase-encrypted PEM
         self.stats.inc("retrieves")
         self.audit(
             str(peer.identity), "RETRIEVE", request.username, request.cred_name, True,
             "long-term credential returned (key still encrypted)",
         )
+        # The original PEM, its key still under the user's pass phrase.
+        return [Response.success({"long_term": True}).encode(), entry.key_pem], True

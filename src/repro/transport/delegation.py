@@ -28,8 +28,7 @@ skip the Offer: it makes its key first and sends a *CSR* —
 public key plus a PoP signature over its own nonce and its authenticated
 identity (:func:`make_csr`) — and the delegator answers with the Issue at
 once (:func:`issue`, :func:`issue_message`).  Both MyProxy bindings' GET
-carry one; :func:`accept_csr_reply` takes the Issue, or finishes the
-Offer exchange with the same key when the peer predates CSRs.
+carry one, and must; :func:`accept_csr_reply` takes the Issue.
 
 Delegation *chains* (§2.4: "delegation can be chained") fall out naturally:
 an accepted delegated credential is itself a valid issuer for the next hop,
@@ -252,22 +251,6 @@ def _parse_offer(fields: list[bytes]) -> tuple[float, bool, bytes]:
     return offered_lifetime, fields[2] == b"1", nonce
 
 
-def _answer_offer(
-    channel: SecureChannel,
-    offer: tuple[float, bool, bytes],
-    key: KeyPair,
-    clock: Clock,
-) -> Credential:
-    """Send the Request for ``key`` and accept the Issue against ``offer``."""
-    lifetime, limited, nonce = offer
-    public_pem = key.public.to_pem()
-    pop = key.sign(_pop_message(nonce, public_pem))
-    channel.send(pack_fields([_T_REQUEST, public_pem, pop]))
-    return _accept_issue_message(
-        unpack_fields(channel.recv()), key, lifetime=lifetime, limited=limited, clock=clock
-    )
-
-
 def _accept_issue_message(
     fields: list[bytes], key: KeyPair, *, lifetime: float, limited: bool, clock: Clock
 ) -> Credential:
@@ -293,9 +276,14 @@ def accept_delegation(
     buggy or malicious delegator cannot hand back more authority than it
     offered, or a chain that falls apart on first use.
     """
-    offer = _parse_offer(unpack_fields(channel.recv()))
+    lifetime, limited, nonce = _parse_offer(unpack_fields(channel.recv()))
     key = (key_source or FreshKeySource()).new_key()
-    return _answer_offer(channel, offer, key, clock)
+    public_pem = key.public.to_pem()
+    pop = key.sign(_pop_message(nonce, public_pem))
+    channel.send(pack_fields([_T_REQUEST, public_pem, pop]))
+    return _accept_issue_message(
+        unpack_fields(channel.recv()), key, lifetime=lifetime, limited=limited, clock=clock
+    )
 
 
 def accept_csr_reply(
@@ -306,18 +294,12 @@ def accept_csr_reply(
     limited: bool,
     clock: Clock = SYSTEM_CLOCK,
 ) -> Credential:
-    """Receive the proxy for a request that carried a CSR for ``key``.
-
-    The delegator's answer is the Issue, held by :func:`accept_issue` to
-    the ``lifetime`` and ``limited`` flag it granted.  A delegator that
-    ignores CSRs sends an Offer instead; the exchange then finishes as
-    :func:`accept_delegation` does, with ``key``.
-    """
-    fields = unpack_fields(channel.recv())
-    if fields[:1] == [_T_OFFER]:
-        return _answer_offer(channel, _parse_offer(fields), key, clock)
+    """Receive the proxy for a request that carried a CSR for ``key``:
+    the delegator's Issue, held by :func:`accept_issue` to the
+    ``lifetime`` and ``limited`` flag it granted.  Anything else in its
+    place (an Offer too) is a :class:`ProtocolError`."""
     return _accept_issue_message(
-        fields, key, lifetime=lifetime, limited=limited, clock=clock
+        unpack_fields(channel.recv()), key, lifetime=lifetime, limited=limited, clock=clock
     )
 
 

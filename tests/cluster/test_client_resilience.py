@@ -245,11 +245,10 @@ class TestOperationGuard:
 
 
 class _FakeChannel:
-    def __enter__(self):
-        return self
+    received = 0
 
-    def __exit__(self, *exc):
-        return False
+    def close(self):
+        pass
 
 
 class TestConverseIntegration:
@@ -260,11 +259,11 @@ class TestConverseIntegration:
         retry=None, stats=None,
     ):
         client = MyProxyClient(
-            "a",
+            ("a", 1),
             alice,
             validator,
             clock=clock,
-            fallbacks=["b"],
+            fallbacks=[("b", 1)],
             retry=retry or RetryPolicy(rounds=5, base_delay=0.01, max_delay=0.05),
             sleep=clock.advance,
             stats=stats,
@@ -272,9 +271,10 @@ class TestConverseIntegration:
         )
 
         def _connect(target):
-            dials.append(target)
-            if fail(target):
-                raise TransportError(f"refused by {target}")
+            name = target[0]
+            dials.append(name)
+            if fail(name):
+                raise TransportError(f"refused by {name}")
             return _FakeChannel()
 
         client._connect = _connect

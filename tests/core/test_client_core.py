@@ -4,7 +4,8 @@ The HTTP and CDP clients run on the same kept-channel loop as the GSI
 client: one dial serves many requests, a busy 503 is honoured against the
 same gateway, and a channel the gateway closed at its idle timeout is
 redialled transparently.  The cluster client is that loop over a user's
-shard order, so it keeps its channel across operations too.
+shard order, so it keeps its channel across operations too, and a client
+of an in-process link factory keeps its channel as a TCP client does.
 """
 
 import sys
@@ -147,6 +148,19 @@ class TestHttpClientKeepsItsChannel:
         idle = list(client._idle.values())
         assert len(idle) == 1
         assert all(channel._closed for channel in dialled if channel not in idle)
+
+
+class TestLinkFactoryClientKeepsItsChannel:
+    def test_three_infos_on_the_pipe_testbed_cost_one_dial(self, tb):
+        alice = tb.new_user("alice")
+        tb.myproxy_init(alice, passphrase=REUSE_PASS)
+        before = tb.myproxy.stats.connections
+        with tb.myproxy_client(alice.credential) as client:
+            for _ in range(3):
+                assert client.info(username="alice")[0].cred_name == "default"
+            assert client.stats.dial_attempts == 1
+            assert client.stats.full_handshakes + client.stats.resumed_handshakes == 1
+        assert tb.myproxy.stats.connections - before == 1
 
 
 class TestFailoverClientKeepsItsChannel:

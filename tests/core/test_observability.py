@@ -123,7 +123,7 @@ class TestFailedAuthPruning:
 
 class TestAuditHandle:
     def _event(self, server, ok=True):
-        server._audit_event("/O=Grid/CN=peer", "GET", "alice", "default", ok, "x")
+        server.audit("/O=Grid/CN=peer", "GET", "alice", "default", ok, "x")
 
     def test_records_visible_without_stop(self, host_cred, validator, clock, tmp_path):
         path = tmp_path / "audit.jsonl"
@@ -209,7 +209,6 @@ class TestInstrumentedFlows:
         tb.myproxy_init(alice, passphrase=PASS)
         client = tb.myproxy_client(tb.new_user("req").credential)
         client.get_delegation(username="alice", passphrase=PASS, lifetime=3600)
-        tb.close()  # a request's time is observed after its reply: let the turn end
 
         snap = tb.myproxy.metrics.snapshot()
         requests = snap["myproxy_request_seconds"]
@@ -228,7 +227,6 @@ class TestInstrumentedFlows:
         tb.myproxy_init(alice, passphrase=PASS)
         client = tb.myproxy_client(tb.new_user("req").credential)
         client.get_delegation(username="alice", passphrase=PASS, lifetime=3600)
-        tb.close()  # a slow op is recorded after its reply: let the turn end
 
         records = tb.myproxy.slow_ops.records()
         assert records, "every op crosses a 1ns threshold"

@@ -3,12 +3,12 @@
 A GET (or GET_MULTI item) with a ``CSR`` is answered with ``RESPONSE=0``
 and the delegation Issue in one write; the server sends no Offer and reads
 nothing more.  Refusals, lockout accounting and the issued proxy are what
-they were, a GET without a CSR still gets the Offer exchange, and a new
-client still completes against a server that ignores the CSR.
+they were.  The CSR is required: a GET or GET_MULTI item without one is
+refused as a malformed CSR is, and a client that meets an Offer where the
+Issue belongs refuses it.
 """
 
 import base64
-import dataclasses
 import threading
 
 import pytest
@@ -18,17 +18,17 @@ from repro.core.httpbinding import _POP_LABEL as HTTP_LABEL
 from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
 from repro.core.protocol import BatchItem, Command, Request, Response
 from repro.pki.proxy import ProxyRestrictions, create_proxy, effective_restrictions
-from repro.transport.channel import connect_secure
+from repro.transport.channel import accept_secure, connect_secure
 from repro.transport.delegation import (
     CSR_POP_LABEL,
     accept_csr_reply,
-    accept_delegation,
     check_csr,
+    delegate_credential,
     make_csr,
     new_csr,
 )
-from repro.transport.links import SocketLink
-from repro.util.errors import AuthenticationError, ProtocolError
+from repro.transport.links import SocketLink, pipe_pair
+from repro.util.errors import AuthenticationError, ProtocolError, TransportError
 from tests.conftest import REUSE_PASS
 
 PASS = "correct horse 42"
@@ -38,20 +38,15 @@ DENIAL = "remote authorization/authentication failed"
 
 @pytest.fixture()
 def spies(monkeypatch):
-    """Count the server's calls of the Offer exchange and of ``issue``."""
-    calls = {"delegate_credential": 0, "issue": 0}
+    """Count the server's calls of ``issue``, its one issuing step."""
+    calls = {"issue": 0}
+    real = server_module.issue
 
-    def spy(name):
-        real = getattr(server_module, name)
+    def wrapper(*args, **kwargs):
+        calls["issue"] += 1
+        return real(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(server_module, name, wrapper)
-
-    spy("delegate_credential")
-    spy("issue")
+    monkeypatch.setattr(server_module, "issue", wrapper)
     return calls
 
 
@@ -108,7 +103,7 @@ class TestOneFlight:
             assert owner.stats.dial_attempts == 1
         assert on_worker(reads) == [1]  # the request, nothing after it
         assert on_worker(writes) == [2]  # RESPONSE=0 and the Issue, one write
-        assert spies == {"delegate_credential": 0, "issue": 1}
+        assert spies == {"issue": 1}
         assert proxy.identity == alice.identity
 
     def test_reply_states_the_grant_and_carries_the_issue(self, seeded, key_pool):
@@ -182,46 +177,76 @@ class TestRefusals:
         assert "locked out" in tb.myproxy.audit_log()[-1].detail
 
 
-class TestLegacy:
-    def test_a_get_without_csr_gets_offer_request_issue(self, seeded, key_pool, spies):
-        tb, alice, _bob, portal = seeded
+class TestCsrRequired:
+    def test_a_get_without_a_csr_is_refused_as_a_bad_csr(self, seeded, spies):
+        tb, _alice, _bob, portal = seeded
+        gets, denials = tb.myproxy.stats.gets, tb.myproxy.stats.denials
+        response = _raw_get(tb, portal, None)
+        assert not response.ok and not response.busy
+        assert "CSR" in response.error
+        assert tb.myproxy.stats.gets == gets
+        assert tb.myproxy.stats.denials == denials + 1
+        assert spies["issue"] == 0
+        assert tb.myproxy._failed_auths == {}  # the pass phrase was right
+        record = tb.myproxy.audit_log()[-1]
+        assert (record.command, record.username, record.ok) == ("GET", "alice", False)
+        assert "CSR" in record.detail
+
+    def test_a_batch_item_without_a_csr_is_refused_alone(self, seeded, key_pool, spies):
+        tb, alice, bob, portal = seeded
+        key = key_pool.new_key()
+        items = (
+            BatchItem(username="alice", passphrase=PASS),
+            BatchItem(username="bob", passphrase=PASS2,
+                      csr=new_csr(key, portal.credential.identity)),
+        )
+        gets = tb.myproxy.stats.gets
         channel = _open(tb, portal)
         try:
-            channel.send(Request(command=Command.GET, username="alice",
-                                 passphrase=PASS).encode())
-            assert Response.decode(channel.recv()).ok
-            proxy = accept_delegation(channel, key_source=key_pool, clock=tb.clock)
+            channel.send(Request(command=Command.GET_MULTI, username="alice",
+                                 batch=items).encode())
+            assert Response.decode(channel.recv()).info["count"] == 2
+            refused = Response.decode(channel.recv())
+            served = Response.decode(channel.recv())
+            proxy = accept_csr_reply(channel, key, lifetime=served.info["granted_lifetime"],
+                                     limited=False, clock=tb.clock)
         finally:
             channel.close()
-        assert proxy.identity == alice.dn
-        assert spies["delegate_credential"] == 1
+        assert not refused.ok and "CSR" in refused.error
+        assert proxy.identity == bob.dn
+        assert tb.myproxy.stats.gets == gets + 1
+        assert spies["issue"] == 1
+        refusals = [r for r in tb.myproxy.audit_log() if not r.ok]
+        assert [(r.command, r.username) for r in refusals[-1:]] == [("GET_MULTI", "alice")]
+        assert "CSR" in refusals[-1].detail
 
-    def test_a_new_client_completes_against_a_server_that_drops_csr(
-        self, seeded, monkeypatch, spies
+    def test_an_offer_in_place_of_the_issue_is_a_protocol_error(
+        self, host_cred, alice, validator, key_pool, clock
     ):
-        tb, alice, bob, portal = seeded
-        decode, from_wire = Request.decode.__func__, BatchItem.from_wire.__func__
-        monkeypatch.setattr(Request, "decode", classmethod(
-            lambda cls, data: dataclasses.replace(decode(cls, data), csr=None)))
-        monkeypatch.setattr(BatchItem, "from_wire", classmethod(
-            lambda cls, raw: dataclasses.replace(from_wire(cls, raw), csr=None)))
-        made = []
-        keys = tb.key_source
+        client_link, server_link = pipe_pair()
+        ended = []
 
-        class Recording:
-            def new_key(self):
-                made.append(keys.new_key())
-                return made[-1]
+        def delegator():
+            # A delegator that ignores CSRs opens the Offer exchange.
+            channel = accept_secure(server_link, host_cred, validator)
+            try:
+                delegate_credential(channel, host_cred, lifetime=600.0, clock=clock)
+            except TransportError as exc:
+                ended.append(exc)
+            finally:
+                channel.close()
 
-        client = tb.myproxy_client(portal.credential)
-        client.key_source = Recording()
-        proxy = client.get_delegation(username="alice", passphrase=PASS)
-        assert proxy.key is made[0]  # the key the CSR was made for
-        batch = client.get_delegations([BatchItem(username="alice", passphrase=PASS),
-                                        BatchItem(username="bob", passphrase=PASS2)])
-        assert [p.identity for p in batch] == [alice.dn, bob.dn]
-        assert [p.key for p in batch] == made[1:]
-        assert spies["delegate_credential"] == 3
+        thread = threading.Thread(target=delegator)
+        thread.start()
+        client = connect_secure(client_link, alice, validator)
+        try:
+            with pytest.raises(ProtocolError, match="expected a delegation Issue"):
+                accept_csr_reply(client, key_pool.new_key(), lifetime=600.0,
+                                 limited=False, clock=clock)
+        finally:
+            client.close()
+            thread.join(10)
+        assert ended  # the requester sent no Request for the Offer
 
 
 class TestBatch:
@@ -236,7 +261,7 @@ class TestBatch:
         assert results[0].identity == alice.dn
         assert isinstance(results[1], AuthenticationError)
         assert results[2].identity == bob.dn
-        assert spies == {"delegate_credential": 0, "issue": 2}
+        assert spies == {"issue": 2}
 
     def test_a_bad_item_csr_is_refused_alone(self, seeded, key_pool):
         tb, alice, bob, portal = seeded

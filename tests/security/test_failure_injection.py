@@ -67,6 +67,7 @@ class TestDroppedConnections:
         from repro.core.otp import OTPGenerator
         from repro.core.protocol import AuthMethod
         from repro.pki.proxy import create_proxy
+        from repro.transport.delegation import new_csr
         from repro.util.errors import AuthenticationError
 
         user = tb.new_user("otto")
@@ -81,10 +82,11 @@ class TestDroppedConnections:
         channel = server_channel(tb, user.credential)
         channel.send(
             Request(command=Command.GET, username="otto", passphrase=word,
-                    auth_method=AuthMethod.OTP).encode()
+                    auth_method=AuthMethod.OTP,
+                    csr=new_csr(key_pool.new_key(), user.credential.identity)).encode()
         )
         assert Response.decode(channel.recv()).ok
-        channel.close()  # die before accepting the delegation
+        channel.close()  # die before accepting the Issue
 
         # Replaying the same word now fails; the next word works.
         with pytest.raises(AuthenticationError):
