@@ -14,6 +14,7 @@ from repro.cli.common import (
     run_tool,
 )
 from repro.core.client import MyProxyClient, myproxy_init_from_longterm
+from repro.core.protocol import GSI, Reply
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"a proxy valid for {args.lifetime_days:g} days has been delegated "
             f"to {args.server} for user {args.username} "
-            f"(cred_name={response.info.get('cred_name')})"
+            f"(cred_name={Reply.COMMIT.read(response.info, GSI).cred_name})"
         )
 
     return run_tool(_body, args)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import random
 import threading
 import time
@@ -53,13 +52,18 @@ from repro.core.otp import OTPGenerator
 from repro.obs.registry import MetricsRegistry
 from repro.core.protocol import (
     DEFAULT_CRED_NAME,
+    GSI,
     AuthMethod,
     BatchItem,
     Command,
+    Reply,
     Request,
     Response,
+    StoredCredentialInfo,
 )
 from repro.core.policy import ONE_WEEK
+from repro.pki.ca import CertificateRevocationList
+from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import FreshKeySource, KeyPair, KeySource
 from repro.pki.proxy import create_proxy
@@ -200,27 +204,14 @@ class _StaleChannel(Exception):
     """A kept channel the server had already ended: it read no request."""
 
 
-@dataclass(frozen=True)
-class StoredCredentialInfo:
-    """One row of a ``myproxy-info`` answer."""
-
-    cred_name: str
-    owner: str
-    not_after: float
-    seconds_remaining: float
-    max_get_lifetime: float
-    auth_method: str
-    long_term: bool
-    retrievers: tuple[str, ...] | None
-
-
 class ClientCore:
     """The one client loop under both bindings.
 
     It dials, keeps channels, redials a stale one, backs off on busy,
     fails over across endpoints and consults the resilience guard; a
     binding supplies only its conversation (the codec) and maps each
-    reply through :meth:`_checked`.  :class:`MyProxyClient` speaks the GSI
+    refusal through :meth:`_refusal` and reads each OK reply as its
+    :class:`~repro.core.protocol.Reply`.  :class:`MyProxyClient` speaks the GSI
     codec on it, :class:`~repro.core.httpbinding.HttpMyProxyClient` the
     §6.4 JSON codec.
     """
@@ -483,14 +474,6 @@ class ClientCore:
             return AuthenticationError(f"{refused}: {response.error}")
         return None
 
-    @classmethod
-    def _checked(cls, response: Response, refused: str = "server refused") -> Response:
-        """``response`` if it is OK; otherwise its :meth:`_refusal`, raised."""
-        problem = cls._refusal(response, refused)
-        if problem is not None:
-            raise problem
-        return response
-
     def _keyed_csr(self, label: bytes = CSR_POP_LABEL) -> tuple[KeyPair, dict | None]:
         """A GET's fresh key and its CSR, bound to the identity we
         authenticate as (an anonymous client, which no server serves a
@@ -500,39 +483,41 @@ class ClientCore:
             return key, None
         return key, new_csr(key, self.credential.identity, label=label)
 
-    def _granted(self, info: dict, lifetime: float) -> dict:
+    def _granted(self, grant, lifetime: float) -> dict:
         """The terms a GET's proxy is held to, as ``accept_issue``
-        keywords: the lifetime and limited flag the server's OK states it
-        granted, the lifetime capped by ``lifetime`` when one was asked
-        for."""
-        try:
-            allowed = float(info["granted_lifetime"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError("GET response lacks its granted lifetime") from exc
-        if not math.isfinite(allowed) or allowed <= 0:
+        keywords: the lifetime and limited flag of the server's
+        :attr:`~repro.core.protocol.Reply.GRANT`, the lifetime capped by
+        ``lifetime`` when one was asked for."""
+        allowed = grant.granted_lifetime
+        if allowed <= 0:
             raise ProtocolError("GET response's granted lifetime must be positive")
         if lifetime > 0:
             allowed = min(allowed, lifetime)
-        return {
-            "lifetime": allowed, "limited": info.get("limited") is True, "clock": self.clock
-        }
+        return dict(lifetime=allowed, limited=grant.limited, clock=self.clock)
 
 
 class MyProxyClient(ClientCore):
     """Speaks the MyProxy protocol to one repository."""
 
     @classmethod
-    def _expect_ok(cls, channel: SecureChannel) -> Response:
-        return cls._checked(Response.decode(channel.recv()))
+    def _expect_ok(cls, channel: SecureChannel, reply: Reply) -> tuple[Response, object]:
+        """The next response, which must be OK, and its ``INFO`` read as
+        ``reply``."""
+        response = Response.decode(channel.recv())
+        problem = cls._refusal(response)
+        if problem is not None:
+            raise problem
+        return response, reply.read(response.info, GSI)
 
-    def _ask(self, request: Request, then=None):
-        """One operation: send ``request`` and expect OK, then finish with
-        ``then(channel, ok)`` when given (a command's transfer step)."""
+    def _ask(self, request: Request, reply: Reply, then=None):
+        """One operation: send ``request`` and expect an OK ``reply``, then
+        finish with ``then(channel, reply read)`` when given (a command's
+        transfer step) or return the response."""
 
         def conversation(channel: SecureChannel):
             channel.send(request.encode())
-            response = self._expect_ok(channel)
-            return response if then is None else then(channel, response)
+            response, read = self._expect_ok(channel, reply)
+            return response if then is None else then(channel, read)
 
         return self._converse(conversation, request.username)
 
@@ -585,13 +570,13 @@ class MyProxyClient(ClientCore):
             renewers=renewers,
         )
 
-        def deliver(channel: SecureChannel, _ok: Response) -> Response:
+        def deliver(channel: SecureChannel, _accepted) -> Response:
             delegate_credential(
                 channel, source_credential, lifetime=lifetime, clock=self.clock
             )
-            return self._expect_ok(channel)
+            return self._expect_ok(channel, Reply.COMMIT)[0]
 
-        return self._ask(request, deliver)
+        return self._ask(request, Reply.ACCEPTED, deliver)
 
     # -- Figure 2: retrieve a delegation *from* the repository ------------------
 
@@ -626,10 +611,8 @@ class MyProxyClient(ClientCore):
             csr=csr,
         )
         return self._ask(
-            request,
-            lambda channel, granted: accept_csr_reply(
-                channel, key, **self._granted(granted.info, lifetime)
-            ),
+            request, Reply.GRANT,
+            lambda channel, grant: accept_csr_reply(channel, key, **self._granted(grant, lifetime)),
         )
 
     def get_delegations(
@@ -656,11 +639,10 @@ class MyProxyClient(ClientCore):
             ),
         )
 
-        def each(channel: SecureChannel, initial: Response) -> list[Credential | Exception]:
-            count = int(initial.info.get("count", 0))
-            if count != len(items):
+        def each(channel: SecureChannel, ack) -> list[Credential | Exception]:
+            if ack.count != len(items):
                 raise ProtocolError(
-                    f"server acknowledged {count} batch items, sent {len(items)}"
+                    f"server acknowledged {ack.count} batch items, sent {len(items)}"
                 )
             results: list[Credential | Exception] = []
             for item, (key, _) in zip(items, keyed):
@@ -669,43 +651,30 @@ class MyProxyClient(ClientCore):
                 results.append(
                     problem
                     if problem is not None
-                    else accept_csr_reply(
-                        channel, key, **self._granted(response.info, item.lifetime)
-                    )
+                    else accept_csr_reply(channel, key, **self._granted(
+                        Reply.GRANT.read(response.info, GSI), item.lifetime
+                    ))
                 )
             return results
 
-        return self._ask(request, each)
+        return self._ask(request, Reply.BATCH, each)
 
     # -- housekeeping -----------------------------------------------------------
 
     def info(self, *, username: str) -> list[StoredCredentialInfo]:
         """``myproxy-info``: list the credentials you own under ``username``."""
-        response = self._ask(Request(command=Command.INFO, username=username))
-        rows = response.info.get("credentials", [])
-        try:
-            return [
-                StoredCredentialInfo(
-                    cred_name=row["cred_name"],
-                    owner=row["owner"],
-                    not_after=float(row["not_after"]),
-                    seconds_remaining=float(row["seconds_remaining"]),
-                    max_get_lifetime=float(row["max_get_lifetime"]),
-                    auth_method=row["auth_method"],
-                    long_term=bool(row["long_term"]),
-                    retrievers=tuple(row["retrievers"]) if row["retrievers"] is not None else None,
-                )
-                for row in rows
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed INFO reply: {exc!r}") from exc
+        return self._ask(
+            Request(command=Command.INFO, username=username), Reply.LISTING,
+            lambda channel, listing: list(listing.credentials),
+        )
 
     def destroy(
         self, *, username: str, cred_name: str = DEFAULT_CRED_NAME
     ) -> Response:
         """``myproxy-destroy``: remove a credential you own."""
         return self._ask(
-            Request(command=Command.DESTROY, username=username, cred_name=cred_name)
+            Request(command=Command.DESTROY, username=username, cred_name=cred_name),
+            Reply.DESTROYED,
         )
 
     def change_passphrase(
@@ -724,7 +693,8 @@ class MyProxyClient(ClientCore):
                 passphrase=old_passphrase,
                 new_passphrase=new_passphrase,
                 cred_name=cred_name,
-            )
+            ),
+            Reply.CHANGED,
         )
 
     # -- trust distribution ------------------------------------------------------
@@ -735,19 +705,14 @@ class MyProxyClient(ClientCore):
         Returns ``(certificates, crls)``.  Works anonymously too: construct
         the client with ``credential=None`` (the server must allow it).
         """
-        from repro.pki.ca import CertificateRevocationList
-        from repro.pki.certs import Certificate
-
-        response = self._ask(Request(command=Command.TRUSTROOTS, username="trustroots"))
-        cas = [
-            Certificate.from_pem(pem.encode("ascii"))
-            for pem in response.info.get("cas", [])
-        ]
-        crls = [
-            CertificateRevocationList.from_json(doc)
-            for doc in response.info.get("crls", [])
-        ]
-        return cas, crls
+        roots = self._ask(
+            Request(command=Command.TRUSTROOTS, username="trustroots"), Reply.TRUSTROOTS,
+            lambda channel, roots: roots,
+        )
+        return (
+            [Certificate.from_pem(pem.encode()) for pem in roots.cas],
+            [CertificateRevocationList.from_json(doc) for doc in roots.crls],
+        )
 
     def refresh_trust_directory(self, trustdir) -> tuple[int, int]:
         """Install fetched anchors + CRLs into a local trust directory.
@@ -795,11 +760,11 @@ class MyProxyClient(ClientCore):
         )
         blob = credential.export_pem(passphrase)
 
-        def upload(channel: SecureChannel, _ok: Response) -> Response:
+        def upload(channel: SecureChannel, _accepted) -> Response:
             channel.send(blob)
-            return self._expect_ok(channel)
+            return self._expect_ok(channel, Reply.STORED)[0]
 
-        return self._ask(request, upload)
+        return self._ask(request, Reply.ACCEPTED, upload)
 
     def retrieve_longterm(
         self,
@@ -815,7 +780,7 @@ class MyProxyClient(ClientCore):
             passphrase=passphrase,
             cred_name=cred_name,
         )
-        blob = self._ask(request, lambda channel, _ok: channel.recv())
+        blob = self._ask(request, Reply.RETRIEVED, lambda channel, _ok: channel.recv())
         return Credential.import_pem(blob, passphrase)
 
 

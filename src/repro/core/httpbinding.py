@@ -13,7 +13,7 @@ decision, GET (authorize, check the CSR, issue, record), PUT's checks and
 storage, INFO, DESTROY, CHANGE_PASSPHRASE — are the same public
 :class:`~repro.core.server.MyProxyServer` methods the GSI dispatcher
 calls.  The gateway keeps only decoding, the PUT key exchange, and
-encoding.
+encoding, each reply through :data:`~repro.core.protocol.REPLY_FIELDS`.
 
 Transport security is the same GSI channel (the gateway **requires client
 certificates** — no anonymous access), so the §5.1 properties carry over
@@ -47,8 +47,9 @@ import time
 from dataclasses import dataclass
 
 from repro.core.client import ClientCore
-from repro.core.protocol import Command, Request, Response, parse_json
-from repro.core.repository import RepositoryEntry
+from repro.core.protocol import (
+    HTTP, Command, Reply, Request, Response, StoredCredentialInfo, parse_json, refused,
+)
 from repro.core.server import REFUSABLE, MyProxyServer, Refusal
 from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
@@ -81,10 +82,11 @@ _REFUSAL_STATUS = {"denied": 403, "rejected": 400, "busy": 503, "storage": 503}
 
 
 def _render(refusal: Refusal) -> HttpResponse:
-    body = {"ok": False, "error": refusal.message}
-    if refusal.kind == "busy":
-        body["retry_after"] = refusal.retry_after
-    return HttpResponse.json(body, _REFUSAL_STATUS[refusal.kind])
+    busy = refusal.kind == "busy"
+    return HttpResponse.json(
+        refused(refusal.message, refusal.retry_after if busy else None),
+        _REFUSAL_STATUS[refusal.kind],
+    )
 
 
 @dataclass(slots=True)
@@ -212,9 +214,13 @@ class MyProxyHttpGateway(Binding):
         self.add_json_route("/myproxy/get", self._op_get)
         self.add_json_route("/myproxy/put/begin", self._op_put_begin)
         self.add_json_route("/myproxy/put/complete", self._op_put_complete)
-        self.add_json_route("/myproxy/info", self._op_info)
-        self.add_json_route("/myproxy/destroy", self._op_destroy)
-        self.add_json_route("/myproxy/change-passphrase", self._op_change)
+        for path, command, step, reply in (
+            ("/myproxy/info", Command.INFO, server.info, Reply.LISTING),
+            ("/myproxy/destroy", Command.DESTROY, server.destroy, Reply.DESTROYED),
+            ("/myproxy/change-passphrase", Command.CHANGE_PASSPHRASE,
+             server.change_passphrase, Reply.CHANGED),
+        ):
+            self.add_json_route(path, self._answered(command, step, reply))
 
     # ------------------------------------------------------------------
     # plumbing
@@ -302,15 +308,11 @@ class MyProxyHttpGateway(Binding):
 
     def _op_get(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         request = Request.from_json(payload, Command.GET)
-        issued, chain_pem, lifetime = self.server.get(peer, request, label=_POP_LABEL)
-        return HttpResponse.json(
-            {
-                "ok": True,
-                "certificate_pem": issued.to_pem().decode("ascii"),
-                "chain_pem": chain_pem.decode("ascii"),
-                "granted_lifetime": lifetime,
-            }
-        )
+        issued, chain_pem, grant = self.server.get(peer, request, label=_POP_LABEL)
+        return HttpResponse.json(Reply.GRANT.body(
+            **grant, certificate_pem=issued.to_pem().decode("ascii"),
+            chain_pem=chain_pem.decode("ascii"),
+        ))
 
     # ------------------------------------------------------------------
     # PUT: two-step (server-side keygen, client-side signing)
@@ -322,14 +324,11 @@ class MyProxyHttpGateway(Binding):
         key = self.key_source.new_key()
         token, _expires = self._put_sessions.add(str(peer.identity), key)
         csr = make_csr(key, nonce_hex, peer.identity, label=_POP_LABEL)
-        return HttpResponse.json({"ok": True, "token": token, **csr})
+        return HttpResponse.json(Reply.PUT_BEGIN.body(token=token, **csr))
 
     def _op_put_complete(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         key = self._put_sessions.take(str(payload.get("token", "")), str(peer.identity))
-        entry = self.complete_delegation(peer, payload, key)
-        return HttpResponse.json(
-            {"ok": True, "stored": True, "not_after": entry.not_after}
-        )
+        return HttpResponse.json(Reply.COMMIT.body(**self.complete_delegation(peer, payload, key)))
 
     def complete_delegation(
         self,
@@ -339,8 +338,9 @@ class MyProxyHttpGateway(Binding):
         *,
         command: str = "PUT",
         stat: str = "puts",
-    ) -> RepositoryEntry:
-        """Store the client-signed proxy certificate for a server-held key.
+    ) -> dict:
+        """Store the client-signed proxy certificate for a server-held key;
+        the :attr:`~repro.core.protocol.Reply.COMMIT` that says so.
 
         The HTTP side of the PUT key exchange, shared by
         ``/myproxy/put/complete`` and the IVOA CDP ``certificate`` step in
@@ -352,13 +352,9 @@ class MyProxyHttpGateway(Binding):
         """
         request = Request.from_json(payload, Command.PUT)
         secret = self.server.check_put(peer, request)
-        try:
-            cert = Certificate.from_pem(payload["certificate_pem"].encode("ascii"))
-            chain = tuple(
-                Certificate.list_from_pem(payload["chain_pem"].encode("ascii"))
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ProtocolError("missing certificate material") from exc
+        issued = Reply.ISSUE.read(payload)
+        cert = Certificate.from_pem(issued.certificate_pem.encode())
+        chain = tuple(Certificate.list_from_pem(issued.chain_pem.encode()))
         if cert.public_key != key.public:
             raise ProtocolError("certificate does not match the session key")
         delegated = Credential(certificate=cert, key=key, chain=chain)
@@ -370,18 +366,13 @@ class MyProxyHttpGateway(Binding):
     # INFO / DESTROY / CHANGE
     # ------------------------------------------------------------------
 
-    def _op_info(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        rows = self.server.info(peer, Request.from_json(payload, Command.INFO).username)
-        return HttpResponse.json({"ok": True, "credentials": rows})
-
-    def _op_destroy(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        self.server.destroy(peer, Request.from_json(payload, Command.DESTROY))
-        return HttpResponse.json({"ok": True, "destroyed": True})
-
-    def _op_change(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
-        request = Request.from_json(payload, Command.CHANGE_PASSPHRASE)
-        self.server.change_passphrase(peer, request)
-        return HttpResponse.json({"ok": True, "changed": True})
+    @staticmethod
+    def _answered(command: Command, step, reply: Reply):
+        """The op of a command with no transfer step: the server's
+        ``step``, its values answered as ``reply``."""
+        return lambda peer, payload: HttpResponse.json(
+            reply.body(**step(peer, Request.from_json(payload, command)))
+        )
 
 
 class HttpMyProxyClient(ClientCore):
@@ -407,8 +398,9 @@ class HttpMyProxyClient(ClientCore):
         )
 
     def _call(self, path: str, payload: dict) -> dict:
-        """POST one JSON request; the gateway's answer, or its refusal raised
-        as the GSI client raises one."""
+        """POST one JSON request; the gateway's answer, for the caller to
+        read as its :class:`~repro.core.protocol.Reply`, or its refusal
+        raised as the GSI client raises one."""
         body = json.dumps(payload).encode("utf-8")
         message = HttpRequest(
             method="POST",
@@ -418,40 +410,42 @@ class HttpMyProxyClient(ClientCore):
             body=body,
         ).serialize()
 
-        def conversation(channel: SecureChannel) -> dict:
+        def conversation(channel: SecureChannel):
             channel.send(message)
-            reply = HttpResponse.parse(channel.recv())
-            answer = parse_json(reply.body, "gateway reply", dict)
-            ok = bool(answer.get("ok", False))
-            busy = not ok and reply.status == 503 and answer.get("error") == "busy"
-            self._checked(
-                Response(
-                    ok=ok,
-                    error=str(answer.get("error")),
-                    retry_after=busy_hint(answer.get("retry_after")) if busy else None,
-                ),
-                f"gateway refused ({reply.status})",
-            )
+            http = HttpResponse.parse(channel.recv())
+            answer = parse_json(http.body, "gateway reply", dict)
+            status = Reply.STATUS.read(answer)
+            if not status.ok:
+                busy = http.status == 503 and status.error == "busy"
+                hint = busy_hint(status.retry_after) if busy else None
+                raise self._refusal(
+                    Response(False, str(status.error), retry_after=hint),
+                    f"gateway refused ({http.status})",
+                )
             return answer
 
         return self._converse(conversation)
 
-    def _sign_server_csr(
-        self, csr: dict, nonce: str, signer: Credential, lifetime: float, **proxy
-    ) -> dict:
-        """Check the server's proof of possession over ``nonce``, then sign
-        its key as a proxy of ``signer``: the certificate fields of the
-        request that completes a PUT or a CDP delegation."""
+    def _complete(
+        self, path: str, ticket: dict, csr, nonce: str, signer: Credential,
+        request: Request, **proxy,
+    ):
+        """Check the server's proof of possession over ``nonce`` in ``csr``
+        (a read :attr:`~repro.core.protocol.Reply.PUT_BEGIN` or ``CDP_CSR``),
+        sign its key as a proxy of ``signer``, and send that
+        :attr:`~repro.core.protocol.Reply.ISSUE` with ``ticket`` and the
+        stored entry's ``request`` fields to ``path``: the ``COMMIT`` read.
+        The end of a PUT or a CDP delegation."""
         public_key = check_csr(
-            csr, self.credential.identity, nonce_hex=nonce, label=_POP_LABEL
+            csr._asdict(), self.credential.identity, nonce_hex=nonce, label=_POP_LABEL
         )
         cert, chain_pem = issue(
-            signer, public_key, lifetime=lifetime, clock=self.clock, **proxy
+            signer, public_key, lifetime=request.lifetime, clock=self.clock, **proxy
         )
-        return {
-            "certificate_pem": cert.to_pem().decode("ascii"),
-            "chain_pem": chain_pem.decode("ascii"),
-        }
+        issued = Reply.ISSUE.write(
+            HTTP, certificate_pem=cert.to_pem().decode("ascii"), chain_pem=chain_pem.decode("ascii")
+        )
+        return Reply.COMMIT.read(self._call(path, {**ticket, **request.to_json(), **issued}))
 
     # -- operations: keywords are :class:`~repro.core.protocol.Request`'s ------
 
@@ -465,36 +459,31 @@ class HttpMyProxyClient(ClientCore):
         """
         key, csr = self._keyed_csr(_POP_LABEL)
         request = Request(Command.GET, csr=csr, **fields)
-        answer = self._call("/myproxy/get", request.to_json())
-        try:
-            cert_pem = answer["certificate_pem"].encode("ascii")
-            chain_pem = answer["chain_pem"].encode("ascii")
-        except (KeyError, ValueError, AttributeError) as exc:
-            raise ProtocolError("malformed GET answer") from exc
+        grant = Reply.GRANT.read(self._call("/myproxy/get", request.to_json()))
         return accept_issue(
-            key, cert_pem, chain_pem, **self._granted(answer, request.lifetime)
+            key, grant.certificate_pem.encode(), grant.chain_pem.encode(),
+            **self._granted(grant, request.lifetime),
         )
 
-    def put(self, source_credential: Credential, **fields) -> dict:
-        """Two-step PUT: fetch the server's CSR, sign it, complete."""
+    def put(self, source_credential: Credential, **fields):
+        """Two-step PUT: fetch the server's CSR, sign it, complete; the
+        :attr:`~repro.core.protocol.Reply.COMMIT` read."""
         request = Request(Command.PUT, **fields)
         nonce = secrets.token_hex(16)
-        begin = self._call("/myproxy/put/begin", {"nonce": nonce})
-        return self._call(
-            "/myproxy/put/complete",
-            {
-                "token": begin["token"],
-                **request.to_json(),
-                **self._sign_server_csr(begin, nonce, source_credential, request.lifetime),
-            },
+        begin = Reply.PUT_BEGIN.read(self._call("/myproxy/put/begin", {"nonce": nonce}))
+        return self._complete(
+            "/myproxy/put/complete", {"token": begin.token}, begin, nonce, source_credential,
+            request,
         )
 
-    def info(self, **fields) -> list[dict]:
+    def info(self, **fields) -> list[StoredCredentialInfo]:
         request = Request(Command.INFO, **fields)
-        return list(self._call("/myproxy/info", request.to_json())["credentials"])
+        return list(Reply.LISTING.read(self._call("/myproxy/info", request.to_json())).credentials)
 
     def destroy(self, **fields) -> None:
-        self._call("/myproxy/destroy", Request(Command.DESTROY, **fields).to_json())
+        Reply.DESTROYED.read(
+            self._call("/myproxy/destroy", Request(Command.DESTROY, **fields).to_json())
+        )
 
     def change_passphrase(
         self, *, old_passphrase: str, new_passphrase: str, **fields
@@ -503,4 +492,4 @@ class HttpMyProxyClient(ClientCore):
             Command.CHANGE_PASSPHRASE, passphrase=old_passphrase,
             new_passphrase=new_passphrase, **fields,
         )
-        self._call("/myproxy/change-passphrase", request.to_json())
+        Reply.CHANGED.read(self._call("/myproxy/change-passphrase", request.to_json()))

@@ -8,18 +8,16 @@ once: its :class:`Request` attribute, its GSI key and JSON key, its kind
 and bound, and the commands that take it.  The GSI codec
 (:meth:`Request.encode`/:meth:`Request.decode`), GET_MULTI's items
 (:class:`BatchItem`) and the HTTP binding's JSON bodies
-(:meth:`Request.to_json`/:meth:`Request.from_json`) are loops over it, and
-PROTOCOL.md §6 tabulates the same rows.
+(:meth:`Request.to_json`/:meth:`Request.from_json`) are loops over it.
 
-Responses carry ``RESPONSE=0`` (OK), ``RESPONSE=1`` plus ``ERROR``, or
-``RESPONSE=2`` plus ``RETRY_AFTER`` — the *busy* reply a loaded server
-sends instead of silently dropping the connection (see :mod:`repro.qos`);
-INFO replies append ``INFO`` with a JSON document.  After an OK response to
-``PUT``/``GET``/``STORE``/``RETRIEVE``, the corresponding credential
-transfer runs on the same secure channel (see
-:mod:`repro.transport.delegation` for PUT/GET).  A GET that carries a
-``CSR`` needs no transfer exchange: the OK response (stating the granted
-lifetime and limited flag) and the delegation Issue arrive together.
+A response is ``RESPONSE=0`` (OK), ``1`` with an ``ERROR``, or ``2`` with
+a ``RETRY_AFTER``: the *busy* reply a loaded server sends instead of
+dropping the connection (see :mod:`repro.qos`).  An OK response's ``INFO``
+JSON document, and each HTTP binding body, is one :class:`Reply`, whose
+fields :data:`REPLY_FIELDS` declares once, with the same kinds and
+readers: every server writes a reply through it and every client reads one
+through it, so a malformed reply is a :class:`ProtocolError`.  PROTOCOL.md
+§6 tabulates both tables.
 
 Every message rides the mutually-authenticated encrypted channel — §5.1:
 "all data passing to and from the server is encrypted".
@@ -31,6 +29,7 @@ import dataclasses
 import enum
 import json
 import math
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
@@ -118,18 +117,20 @@ _DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
 class Field(NamedTuple):
-    """A request field: :class:`Request` attribute, GSI and JSON keys (no JSON
-    key: the HTTP endpoint names it), kind, bound, the commands that take it
-    (None: every command, and then it is written even at its default) and
-    whether a GET_MULTI item carries it."""
+    """A request or reply field: its attribute, GSI and JSON keys (no key:
+    that binding does not carry it), kind, bound, the commands that take it
+    (None: every command, and then it is written even at its default),
+    whether a GET_MULTI item carries it, and whether a reply leaves it out
+    when it is None (else it is written as ``null``)."""
 
     attr: str
-    gsi: str
+    gsi: str | None
     json: str | None
     kind: str
     bound: int | None = None
     commands: frozenset[Command] | None = None
     item: bool = False
+    optional: bool = False
 
 
 COMMAND, NAME, TEXT, AUTH = "command", "name", "text", "auth method"
@@ -208,10 +209,10 @@ def _check_batch(f: Field, items, label: str) -> None:
 
 
 def _typed(noun: str, *types, then=None):
-    """A reader: the value must have one of ``types`` (a bool is no
-    number), and ``then``, if given, converts it."""
+    """A reader: the value must have one of ``types`` (a bool is only a
+    bool), and ``then``, if given, converts it."""
     def read(f: Field, value, label: str):
-        if not isinstance(value, types) or isinstance(value, bool):
+        if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
             _refuse(label, f"must be a JSON {noun}")
         try:
             return value if then is None else then(value)
@@ -259,17 +260,20 @@ _JSON = {
 }
 
 
-def _read(fields, raw: dict, key: str, codec: dict, prefix: str = "") -> dict:
+def _read(fields, raw: dict, key: str, codec: dict, prefix: str = "", defaults=None) -> dict:
     """The attributes ``raw`` carries under each field's ``key``; an absent
-    (or JSON ``null``) field keeps its default, and one without a default
-    is refused."""
+    (or JSON ``null``) field keeps its default (by attribute, a request's
+    unless ``defaults`` is given), and one without a default is refused."""
+    if not isinstance(raw, dict):
+        _refuse(prefix.rstrip(": "), "must be a JSON object")
+    defaults = _DEFAULTS if defaults is None else defaults
     values = {}
     for f in fields:
         value = raw.get(getattr(f, key))
         if value is not None:
-            values[f.attr] = codec[f.kind][0](f, value, prefix + f.gsi)
-        elif _DEFAULTS[f.attr] is dataclasses.MISSING:
-            _refuse(prefix + f.gsi, "is missing")
+            values[f.attr] = codec[f.kind][0](f, value, prefix + (f.gsi or f.json))
+        elif defaults[f.attr] is dataclasses.MISSING:
+            _refuse(prefix + (f.gsi or f.json), "is missing")
     return values
 
 
@@ -277,17 +281,17 @@ def _write(fields, obj, key: str, codec: dict) -> dict:
     return {
         getattr(f, key): codec[f.kind][1](value)
         for f in fields
-        if (value := getattr(obj, f.attr)) is not None
+        if ((value := getattr(obj, f.attr)) is not None or not f.optional)
         and (f.commands is None or value != _DEFAULTS[f.attr])
     }
 
 
-def _check(obj, fields, command: Command, prefix: str = "") -> None:
+def _check(obj, fields, command: Command | None, prefix: str = "") -> None:
     for f in fields:
         value = getattr(obj, f.attr)
         if f.commands is None or command in f.commands:
             if f.kind in _CHECKS:
-                _CHECKS[f.kind](f, value, prefix + f.gsi)
+                _CHECKS[f.kind](f, value, prefix + (f.gsi or f.json))
         elif value != _DEFAULTS[f.attr]:
             _refuse(f.gsi, f"is only valid with {', '.join(c.name for c in sorted(f.commands))}")
 
@@ -312,8 +316,6 @@ class BatchItem:
 
     @classmethod
     def from_wire(cls, raw: dict) -> "BatchItem":
-        if not isinstance(raw, dict):
-            raise ProtocolError("BATCH items must be JSON objects")
         return cls(**_read(_ITEM_FIELDS, raw, "json", _JSON, _ITEM_PREFIX))
 
     def as_get(self) -> Request:
@@ -391,6 +393,134 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(Request)}  # MISSING 
 _JSON_FIELDS = tuple(f for f in FIELDS if f.json)
 _ITEM_FIELDS = tuple(f for f in FIELDS if f.item)
 _ITEM_PREFIX = "batch item "
+
+
+# -- replies: each OK reply's fields, declared once -----------------------------
+
+FLAG, COUNT, PEM, HINT = "flag", "count", "PEM text", "busy hint"
+STRINGS, ROWS = "string array", "row array"
+GSI, HTTP = "gsi", "json"  # a field's key in each binding
+
+
+def _f(key: str, kind: str, on: str | None = None, **column) -> Field:
+    """A reply field keyed ``key`` in both bindings, or only ``on`` one."""
+    return Field(key, key if on != HTTP else None, key if on != GSI else None, kind,
+                 MAX_NAME if kind == NAME else None, **column)
+
+
+_CRED_NAME, _NOT_AFTER = _f("cred_name", NAME), _f("not_after", SECONDS)
+_CSR = (_f("public_key_pem", PEM, HTTP), _f("pop", TEXT, HTTP))
+_ISSUE = (_f("certificate_pem", PEM, HTTP), _f("chain_pem", PEM, HTTP))
+
+
+class Reply(enum.Enum):
+    """An OK reply: what it answers (named so in PROTOCOL.md §6 and in a
+    malformed reply's error) and its fields, in the GSI response's ``INFO``
+    document and in the HTTP binding's JSON body, whose envelope is
+    ``STATUS``."""
+
+    STATUS = "HTTP", (
+        _f("ok", FLAG, HTTP),
+        _f("error", TEXT, HTTP, optional=True),
+        _f("retry_after", HINT, HTTP, optional=True),
+    )
+    GRANT = "GET", (_f("granted_lifetime", SECONDS), _CRED_NAME, _f("limited", FLAG), *_ISSUE)
+    #: The §4 Issue as JSON: in the HTTP grant, and from the client that
+    #: answers a PUT's or a CDP deposit's server-made CSR.
+    ISSUE = "Issue", _ISSUE
+    BATCH = "GET_MULTI", (_f("accepted", FLAG, GSI), _f("count", COUNT, GSI))
+    ACCEPTED = "upload", (_f("accepted", FLAG, GSI),)
+    COMMIT = "PUT", (_f("stored", FLAG), _NOT_AFTER, _f("cred_name", NAME, GSI))
+    STORED = "STORE", (_f("stored", FLAG, GSI), _f("long_term", FLAG, GSI))
+    RETRIEVED = "RETRIEVE", (_f("long_term", FLAG, GSI),)
+    LISTING = "INFO", (_f("username", NAME, GSI), _f("credentials", ROWS))
+    ROW = "INFO", (_CRED_NAME, _f("owner", TEXT), _NOT_AFTER,
+                   _f("seconds_remaining", SECONDS), _f("max_get_lifetime", SECONDS),
+                   _f("auth_method", TEXT), _f("long_term", FLAG), _f("retrievers", GLOBS))
+    DESTROYED = "DESTROY", (_f("destroyed", FLAG),)
+    CHANGED = "CHANGE_PASSPHRASE", (_f("changed", FLAG),)
+    TRUSTROOTS = "TRUSTROOTS", (_f("cas", STRINGS, GSI), _f("crls", STRINGS, GSI))
+    PUT_BEGIN = "put/begin", (_f("token", TEXT, HTTP), *_CSR)
+    CDP_REGISTER = "CDP register", (_f("delegation_id", TEXT, HTTP),
+                                    _f("expires", SECONDS, HTTP))
+    CDP_CSR = "CDP proxy-csr", _CSR
+    CDP_DELETE = "CDP delete", (_f("deleted", FLAG, HTTP),)
+    ASSERTION = "SSO assert", (_f("assertion", TEXT, HTTP), _f("assertion_id", TEXT, HTTP),
+                               _f("audience", TEXT, HTTP), _f("not_after", SECONDS, HTTP))
+    REDEEMED = "SSO redeem", (_f("realm", TEXT, HTTP), _f("username", NAME, HTTP),
+                              _f("cred_name", NAME, HTTP), _f("passphrase", TEXT, HTTP),
+                              _f("lifetime", SECONDS, HTTP), _f("not_after", SECONDS, HTTP))
+    REALMS = "realms", (_f("realm", TEXT, HTTP), _f("peers", STRINGS, HTTP))
+
+    def __init__(self, answers: str, fields: tuple[Field, ...]) -> None:
+        self.answers, self.fields = answers, fields
+        #: binding key -> the fields that binding carries
+        self.carried = {key: tuple(f for f in fields if getattr(f, key)) for key in (GSI, HTTP)}
+        #: The typed reply: a named tuple of its fields, None where absent.
+        name = self._name_.title().replace("_", "")
+        self.type = namedtuple(
+            "StoredCredentialInfo" if name == "Row" else name, [f.attr for f in fields],
+            defaults=(None,) * len(fields), module=__name__,
+        )
+        #: An optional field, or one whose kind holds None, reads as None
+        #: when absent; any other is required.
+        self.defaults = {f.attr: None if f.optional or f.kind in (OPTIONAL_SECONDS, GLOBS)
+                         else dataclasses.MISSING for f in fields}
+
+    def write(self, key: str = GSI, **values) -> dict:
+        """This reply's ``INFO`` document, or (``key=HTTP``) HTTP fields."""
+        return _write(self.carried[key], self.type(**values), key, _REPLY_CODEC)
+
+    def body(self, **values) -> dict:
+        """This reply's whole HTTP body: ``ok``, then its fields."""
+        return {**Reply.STATUS.write(HTTP, ok=True), **self.write(HTTP, **values)}
+
+    def read(self, raw, key: str = HTTP):
+        """``raw`` read as this reply: its typed value, or a
+        :class:`ProtocolError` naming a field missing or malformed."""
+        prefix = f"malformed {self.answers} reply: "
+        fields = self.carried[key]
+        value = self.type(**_read(fields, raw, key, _REPLY_CODEC, prefix, self.defaults))
+        _check(value, [f for f in fields if getattr(value, f.attr) is not None], None, prefix)
+        return value
+
+
+#: Every OK reply's fields, each declared once.
+REPLY_FIELDS: dict[Reply, tuple[Field, ...]] = {reply: reply.fields for reply in Reply}
+
+
+def _texts(values: list) -> tuple[str, ...]:
+    if not all(isinstance(value, str) for value in values):
+        raise ValueError("not all strings")
+    return tuple(values)
+
+
+def _as_is(value):
+    return value
+
+
+#: kind -> (reader, writer) in a reply, always JSON: the request kinds'
+#: readers, and each value written as it is, so a reply's bytes are its
+#: values' own.
+_REPLY_CODEC = {
+    **{kind: (read, _as_is) for kind, (read, _) in _JSON.items()},
+    FLAG: (_typed("boolean", bool), _as_is),
+    COUNT: (_typed("integer", int), _as_is),
+    PEM: (_string, _as_is),
+    #: Read as sent: a client holds a busy reply's hint to ``busy_hint``
+    #: and ignores any other's.
+    HINT: (lambda f, value, label: value, _as_is),
+    STRINGS: (_typed("array", list, then=_texts), _as_is),
+    ROWS: (lambda f, rows, label: tuple(map(Reply.ROW.read, _typed("array", list)(f, rows, label))),
+           lambda rows: [_write(Reply.ROW.fields, row, GSI, _REPLY_CODEC) for row in rows]),
+}
+#: One row of an INFO reply: a credential the caller owns.
+StoredCredentialInfo = Reply.ROW.type
+
+
+def refused(error: str, retry_after: float | None = None) -> dict:
+    """An HTTP refusal's body: ``ok`` false, the error, and any busy hint."""
+    return Reply.STATUS.write(HTTP, ok=False, error=error, retry_after=retry_after)
 
 
 @dataclass(frozen=True)

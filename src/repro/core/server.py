@@ -72,7 +72,9 @@ from repro.obs.exporter import MetricsExporter
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slowlog import SlowOpLog
 from repro.core.policy import ServerPolicy
-from repro.core.protocol import AuthMethod, Command, Request, Response
+from repro.core.protocol import (
+    AuthMethod, Command, Reply, Request, Response, StoredCredentialInfo,
+)
 from repro.core.repository import (
     KEY_ENC_PASSPHRASE,
     KEY_ENC_SERVER,
@@ -330,6 +332,11 @@ class ServerStats:
 
 def _peer_name(peer: ValidatedIdentity | None) -> str:
     return str(peer.identity) if peer is not None else "<anonymous>"
+
+
+def _ok(reply: Reply, **values) -> bytes:
+    """An OK response carrying ``reply``'s ``INFO`` document."""
+    return Response.success(reply.write(**values)).encode()
 
 
 class MyProxyServer(Binding):
@@ -860,12 +867,12 @@ class MyProxyServer(Binding):
         handler = {
             Command.PUT: self._do_put,
             Command.GET: self._do_get,
-            Command.INFO: self._do_info,
-            Command.DESTROY: self._do_destroy,
-            Command.CHANGE_PASSPHRASE: self._do_change_passphrase,
+            Command.INFO: self._answered(self.info, Reply.LISTING),
+            Command.DESTROY: self._answered(self.destroy, Reply.DESTROYED),
+            Command.CHANGE_PASSPHRASE: self._answered(self.change_passphrase, Reply.CHANGED),
             Command.STORE: self._do_store,
             Command.RETRIEVE: self._do_retrieve,
-            Command.TRUSTROOTS: self._do_trustroots,
+            Command.TRUSTROOTS: self._answered(self.trustroots, Reply.TRUSTROOTS),
             Command.GET_MULTI: self._do_get_multi,
         }[request.command]
         started = time.perf_counter()
@@ -1122,8 +1129,9 @@ class MyProxyServer(Binding):
         *,
         command: str = "PUT",
         stat: str = "puts",
-    ) -> RepositoryEntry:
-        """Validate a credential delegated to this server and store it.
+    ) -> dict:
+        """Validate a credential delegated to this server and store it;
+        the :attr:`~repro.core.protocol.Reply.COMMIT` that says so.
 
         ``secret`` is :meth:`check_put`'s answer for the same request;
         ``delegated`` holds the server-side key, however it was exchanged
@@ -1142,9 +1150,6 @@ class MyProxyServer(Binding):
             raise PolicyError(
                 "delegated credential outlives the server's stored-lifetime policy"
             )
-        max_get = request.max_get_lifetime
-        if max_get is None or max_get <= 0:
-            max_get = self.policy.max_delegation_lifetime
         key = delegated.require_key()
         if key_encryption == KEY_ENC_PASSPHRASE:
             key_pem = key.to_pem(request.passphrase)
@@ -1166,7 +1171,7 @@ class MyProxyServer(Binding):
             key_pem=key_pem,
             key_encryption=key_encryption,
             verifier=verifier,
-            max_get_lifetime=max_get,
+            max_get_lifetime=self._max_get_lifetime(request.max_get_lifetime),
             retrievers=request.retrievers,
             created_at=now,
             not_after=delegated.certificate.not_after,
@@ -1180,21 +1185,26 @@ class MyProxyServer(Binding):
             str(peer.identity), command, request.username, request.cred_name, True,
             f"stored until {entry.not_after:.0f}",
         )
-        return entry
+        return dict(stored=True, not_after=entry.not_after, cred_name=entry.cred_name)
+
+    def _max_get_lifetime(self, cap: float | None) -> float:
+        """An entry's cap on the lifetimes GET grants: ``cap``, or the
+        server's maximum where that is absent or ≤ 0 (PROTOCOL.md §6) —
+        as PUT and STORE store it, and as GET and INFO read an entry an
+        older server stored."""
+        return cap if cap is not None and cap > 0 else self.policy.max_delegation_lifetime
 
     def _do_put(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
     ) -> tuple[list[bytes], bool]:
         secret = self.check_put(peer, request)
-        channel.send(Response.success({"accepted": True}).encode())
+        channel.send(_ok(Reply.ACCEPTED, accepted=True))
         with self._observe_phase("delegation"):
             delegated = accept_delegation(
                 channel, key_source=self.key_source, clock=self.clock
             )
         # A refusal from here on is the commit response.
-        entry = self.store_delegation(peer, request, secret, delegated)
-        committed = {"stored": True, "not_after": entry.not_after, "cred_name": entry.cred_name}
-        return [Response.success(committed).encode()], True
+        return [_ok(Reply.COMMIT, **self.store_delegation(peer, request, secret, delegated))], True
 
     # ------------------------------------------------------------------
     # GET — Figure 2, myproxy-get-delegation
@@ -1232,20 +1242,24 @@ class MyProxyServer(Binding):
         request: Request,
         *,
         label: bytes = CSR_POP_LABEL,
-    ) -> tuple[Certificate, bytes, float]:
-        """GET, on either binding: authorize, check the CSR, issue and
+    ) -> tuple[Certificate, bytes, dict]:
+        """GET, on either binding: check the CSR, authorize, issue and
         record.
 
-        Checks the retriever ACLs and the entry's secret (or §6.6 renewal
-        by possession), expiry, and clamps the lifetime.  The request's
-        CSR is then checked under the binding's PoP ``label``: a missing
-        or malformed one, or one whose proof of possession fails, is
-        refused (the secret was right, so no lockout counts it).  The
-        proxy is signed by the one issuing step
-        (:func:`~repro.transport.delegation.issue`), counted and audited,
-        and returned with its issuer chain (PEM) and the granted lifetime.
+        After the server-wide retriever ACL, the request's CSR is checked
+        under the binding's PoP ``label``, before the entry is looked up:
+        a missing or malformed one, or one whose proof of possession
+        fails, is refused alike whether or not the entry exists, spends no
+        OTP word and counts toward no lockout.  Then the entry's retriever
+        ACL and secret (or §6.6 renewal by possession) and its expiry are
+        checked, and the lifetime clamped.  The proxy is signed by the one
+        issuing step (:func:`~repro.transport.delegation.issue`), counted
+        and audited, and returned with its issuer chain (PEM) and the
+        terms of the :attr:`~repro.core.protocol.Reply.GRANT` that states
+        it.
         """
         self.require_acl(self.policy.authorized_retrievers, peer)
+        public_key = check_csr(request.csr, peer.identity, label=label)
         entry = self.repository.get(request.username, request.cred_name)
         if request.auth_method is AuthMethod.RENEWAL:
             key = self._verify_renewal(entry, peer)
@@ -1258,13 +1272,14 @@ class MyProxyServer(Binding):
         if entry.not_after <= now:
             raise AuthenticationError("stored credential has expired")
         lifetime = self.policy.clamp_delegation_lifetime(request.lifetime)
-        lifetime = min(lifetime, entry.max_get_lifetime, entry.not_after - now)
+        lifetime = min(
+            lifetime, self._max_get_lifetime(entry.max_get_lifetime), entry.not_after - now
+        )
 
         if key is None:
             key = self._decrypt_entry_key(entry, request.passphrase)
         stored = self._load_entry_credential(entry, key)
         with self._observe_phase("delegation"):
-            public_key = check_csr(request.csr, peer.identity, label=label)
             issued, chain_pem = issue(
                 stored, public_key, lifetime=lifetime, clock=self.clock,
                 chain_pem=entry.certificate_pem,
@@ -1274,17 +1289,17 @@ class MyProxyServer(Binding):
             str(peer.identity), "GET", request.username, request.cred_name, True,
             f"delegated until {issued.not_after:.0f} (auth={request.auth_method.value})",
         )
-        return issued, chain_pem, lifetime
+        return issued, chain_pem, dict(
+            granted_lifetime=lifetime, cred_name=request.cred_name, limited=False
+        )
 
     def _do_get(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
     ) -> tuple[list[bytes], bool]:
         """One GET (or GET_MULTI item), one flight: the OK response
         stating the grant, and the Issue."""
-        issued, chain_pem, lifetime = self.get(peer, request)
-        granted = {"granted_lifetime": lifetime, "cred_name": request.cred_name,
-                   "limited": False}
-        return [Response.success(granted).encode(), issue_message(issued, chain_pem)], True
+        issued, chain_pem, grant = self.get(peer, request)
+        return [_ok(Reply.GRANT, **grant), issue_message(issued, chain_pem)], True
 
     def _do_get_multi(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
@@ -1302,7 +1317,7 @@ class MyProxyServer(Binding):
         """
         self.require_acl(self.policy.authorized_retrievers, peer)
         items = request.batch or ()
-        flight = [Response.success({"accepted": True, "count": len(items)}).encode()]
+        flight = [_ok(Reply.BATCH, accepted=True, count=len(items))]
         all_served = True
         for item in items:
             try:
@@ -1320,10 +1335,13 @@ class MyProxyServer(Binding):
     # INFO / DESTROY / CHANGE_PASSPHRASE
     # ------------------------------------------------------------------
 
-    def info(self, peer: ValidatedIdentity, username: str) -> list[dict]:
-        """INFO: one metadata row per credential ``peer`` owns under
-        ``username`` (owning none is a denial)."""
+    def info(self, peer: ValidatedIdentity, request: Request) -> dict:
+        """INFO: the :attr:`~repro.core.protocol.Reply.LISTING`, one
+        :class:`~repro.core.protocol.StoredCredentialInfo` row per
+        credential ``peer`` owns under the request's username (owning none
+        is a denial)."""
         self.require_acl(self.policy.accepted_credentials, peer)
+        username = request.username
         entries = [
             e
             for e in self.repository.list_for(username)
@@ -1335,20 +1353,16 @@ class MyProxyServer(Binding):
             )
         now = self.clock.now()
         rows = [
-            {
-                "cred_name": e.cred_name,
-                "owner": e.owner_dn,
-                "not_after": e.not_after,
-                "seconds_remaining": max(e.not_after - now, 0.0),
-                "max_get_lifetime": e.max_get_lifetime,
-                "auth_method": e.auth_method,
-                "long_term": e.long_term,
-                "retrievers": list(e.retrievers) if e.retrievers is not None else None,
-            }
+            StoredCredentialInfo(
+                cred_name=e.cred_name, owner=e.owner_dn, not_after=e.not_after,
+                seconds_remaining=max(e.not_after - now, 0.0),
+                max_get_lifetime=self._max_get_lifetime(e.max_get_lifetime),
+                auth_method=e.auth_method, long_term=e.long_term, retrievers=e.retrievers,
+            )
             for e in entries
         ]
         self.audit(str(peer.identity), "INFO", username, "", True, f"{len(rows)} entries")
-        return rows
+        return dict(username=username, credentials=rows)
 
     def _owned_entry(
         self, peer: ValidatedIdentity, request: Request
@@ -1361,17 +1375,20 @@ class MyProxyServer(Binding):
             )
         return entry
 
-    def destroy(self, peer: ValidatedIdentity, request: Request) -> None:
-        """DESTROY: remove a credential ``peer`` owns."""
+    def destroy(self, peer: ValidatedIdentity, request: Request) -> dict:
+        """DESTROY: remove a credential ``peer`` owns; the
+        :attr:`~repro.core.protocol.Reply.DESTROYED` ack."""
         self._owned_entry(peer, request)
         self.repository.delete(request.username, request.cred_name)
         self.audit(
             str(peer.identity), "DESTROY", request.username, request.cred_name, True,
             "destroyed",
         )
+        return dict(destroyed=True)
 
-    def change_passphrase(self, peer: ValidatedIdentity, request: Request) -> None:
-        """CHANGE_PASSPHRASE: re-encrypt an owned entry's stored key."""
+    def change_passphrase(self, peer: ValidatedIdentity, request: Request) -> dict:
+        """CHANGE_PASSPHRASE: re-encrypt an owned entry's stored key; the
+        :attr:`~repro.core.protocol.Reply.CHANGED` ack."""
         entry = self._owned_entry(peer, request)
         if entry.auth_method != AuthMethod.PASSPHRASE.value:
             raise PolicyError("only pass-phrase entries support CHANGE_PASSPHRASE")
@@ -1398,48 +1415,32 @@ class MyProxyServer(Binding):
             str(peer.identity), "CHANGE_PASSPHRASE", request.username, request.cred_name,
             True, "pass phrase changed",
         )
+        return dict(changed=True)
 
-    def _do_info(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> tuple[list[bytes], bool]:
-        rows = self.info(peer, request.username)
-        listing = {"username": request.username, "credentials": rows}
-        return [Response.success(listing).encode()], True
-
-    def _do_destroy(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> tuple[list[bytes], bool]:
-        self.destroy(peer, request)
-        return [Response.success({"destroyed": True}).encode()], True
-
-    def _do_change_passphrase(
-        self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
-    ) -> tuple[list[bytes], bool]:
-        self.change_passphrase(peer, request)
-        return [Response.success({"changed": True}).encode()], True
+    @staticmethod
+    def _answered(step, reply: Reply):
+        """The handler of a command with no transfer step: ``step``'s
+        values, answered as ``reply``."""
+        return lambda channel, peer, request: ([_ok(reply, **step(peer, request))], True)
 
     # ------------------------------------------------------------------
     # TRUSTROOTS — anchor + CRL distribution (myproxy-get-trustroots)
     # ------------------------------------------------------------------
 
-    def _do_trustroots(
-        self, channel: SecureChannel, peer: ValidatedIdentity | None, request: Request
-    ) -> tuple[list[bytes], bool]:
-        """Return this repository's trust fabric: CA certs and fresh CRLs.
+    def trustroots(self, peer: ValidatedIdentity | None, request: Request) -> dict:
+        """TRUSTROOTS: this repository's trust fabric, CA certs and fresh
+        CRLs, as the :attr:`~repro.core.protocol.Reply.TRUSTROOTS` reply.
 
         All public material — clients use it to bootstrap a trust
         directory or, routinely, to refresh revocation lists.
         """
-        info = {
-            "cas": [a.to_pem().decode("ascii") for a in self.validator.anchors],
-            "crls": [crl.to_json() for crl in self.validator.crls],
-        }
-        peer_name = str(peer.identity) if peer is not None else "<anonymous>"
+        cas = [a.to_pem().decode("ascii") for a in self.validator.anchors]
+        crls = [crl.to_json() for crl in self.validator.crls]
         self.audit(
-            peer_name, "TRUSTROOTS", request.username, "", True,
-            f"{len(info['cas'])} CAs, {len(info['crls'])} CRLs",
+            _peer_name(peer), "TRUSTROOTS", request.username, "", True,
+            f"{len(cas)} CAs, {len(crls)} CRLs",
         )
-        return [Response.success(info).encode()], True
+        return dict(cas=cas, crls=crls)
 
     # ------------------------------------------------------------------
     # STORE / RETRIEVE — §6.1 managed long-term credentials
@@ -1460,7 +1461,7 @@ class MyProxyServer(Binding):
             )
         verifier, _mode = self._initial_verifier(request)
 
-        channel.send(Response.success({"accepted": True}).encode())
+        channel.send(_ok(Reply.ACCEPTED, accepted=True))
         blob = channel.recv()
 
         # A refusal from here on is the commit response.  The key inside
@@ -1483,8 +1484,7 @@ class MyProxyServer(Binding):
             key_pem=blob,  # original PEM, key still pass-phrase-encrypted
             key_encryption=KEY_ENC_PASSPHRASE,
             verifier=verifier,
-            max_get_lifetime=request.max_get_lifetime
-            or self.policy.max_delegation_lifetime,
+            max_get_lifetime=self._max_get_lifetime(request.max_get_lifetime),
             retrievers=request.retrievers,
             created_at=self.clock.now(),
             not_after=credential.certificate.not_after,
@@ -1496,7 +1496,7 @@ class MyProxyServer(Binding):
             str(peer.identity), "STORE", request.username, request.cred_name, True,
             "long-term credential stored",
         )
-        return [Response.success({"stored": True, "long_term": True}).encode()], True
+        return [_ok(Reply.STORED, stored=True, long_term=True)], True
 
     def _do_retrieve(
         self, channel: SecureChannel, peer: ValidatedIdentity, request: Request
@@ -1513,4 +1513,4 @@ class MyProxyServer(Binding):
             "long-term credential returned (key still encrypted)",
         )
         # The original PEM, its key still under the user's pass phrase.
-        return [Response.success({"long_term": True}).encode(), entry.key_pem], True
+        return [_ok(Reply.RETRIEVED, long_term=True), entry.key_pem], True

@@ -38,7 +38,7 @@ from repro.core.httpbinding import (
     MyProxyHttpGateway,
     PendingDelegations,
 )
-from repro.core.protocol import Command, Request
+from repro.core.protocol import Command, Reply, Request
 from repro.pki.credentials import Credential
 from repro.pki.keys import KeySource
 from repro.pki.proxy import ProxyRestrictions
@@ -80,7 +80,7 @@ class CdpService:
             str(peer.identity), self.key_source.new_key()
         )
         return HttpResponse.json(
-            {"ok": True, "delegation_id": delegation_id, "expires": expires}
+            Reply.CDP_REGISTER.body(delegation_id=delegation_id, expires=expires)
         )
 
     def _op_proxy_csr(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
@@ -88,13 +88,13 @@ class CdpService:
             str(payload.get("delegation_id", "")), str(peer.identity)
         )
         csr = make_csr(key, csr_nonce(payload), peer.identity, label=_POP_LABEL)
-        return HttpResponse.json({"ok": True, **csr})
+        return HttpResponse.json(Reply.CDP_CSR.body(**csr))
 
     def _op_certificate(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         delegation_id = str(payload.get("delegation_id", ""))
         key = self._delegations.take(delegation_id, str(peer.identity))
         try:
-            entry = self.gateway.complete_delegation(
+            commit = self.gateway.complete_delegation(
                 peer, payload, key, command="CDP", stat="cdp_delegations"
             )
         except Exception:
@@ -102,9 +102,7 @@ class CdpService:
             # client signed is still good until its TTL runs out.
             self._delegations.restore(delegation_id, key)
             raise
-        return HttpResponse.json(
-            {"ok": True, "stored": True, "not_after": entry.not_after}
-        )
+        return HttpResponse.json(Reply.COMMIT.body(**commit))
 
     def _op_delete(self, peer: ValidatedIdentity, payload: dict) -> HttpResponse:
         delegation_id = str(payload.get("delegation_id", ""))
@@ -113,7 +111,7 @@ class CdpService:
             str(peer.identity), "CDP-DELETE", "", "", True,
             f"delegation {delegation_id} aborted ({state})",
         )
-        return HttpResponse.json({"ok": True, "deleted": True})
+        return HttpResponse.json(Reply.CDP_DELETE.body(deleted=True))
 
 
 class CdpClient(HttpMyProxyClient):
@@ -126,10 +124,11 @@ class CdpClient(HttpMyProxyClient):
         restrictions: ProxyRestrictions | None = None,
         limited: bool = False,
         **fields,
-    ) -> dict:
+    ):
         """register → proxy-csr → sign → certificate, in one call;
         ``fields`` are the stored entry's :class:`~repro.core.protocol.Request`
-        keywords, as for a PUT.
+        keywords, as for a PUT.  Returns the delegation id and the
+        :attr:`~repro.core.protocol.Reply.COMMIT` read.
 
         ``signer`` is the credential that mints the proxy.  The stored
         delegation must carry the *transport* identity (the server binds
@@ -139,25 +138,16 @@ class CdpClient(HttpMyProxyClient):
         it too.
         """
         request = Request(Command.PUT, **fields)
-        registered = self._call("/cdp/register", {})
-        delegation_id = registered["delegation_id"]
+        delegation_id = Reply.CDP_REGISTER.read(self._call("/cdp/register", {})).delegation_id
         nonce = secrets.token_hex(16)
-        csr = self._call(
-            "/cdp/proxy-csr", {"delegation_id": delegation_id, "nonce": nonce}
+        csr = Reply.CDP_CSR.read(
+            self._call("/cdp/proxy-csr", {"delegation_id": delegation_id, "nonce": nonce})
         )
-        answer = self._call(
-            "/cdp/certificate",
-            {
-                "delegation_id": delegation_id,
-                **request.to_json(),
-                **self._sign_server_csr(
-                    csr, nonce, signer, request.lifetime,
-                    limited=limited, restrictions=restrictions,
-                ),
-            },
+        commit = self._complete(
+            "/cdp/certificate", {"delegation_id": delegation_id}, csr, nonce, signer, request,
+            limited=limited, restrictions=restrictions,
         )
-        answer["delegation_id"] = delegation_id
-        return answer
+        return delegation_id, commit
 
     def abort(self, delegation_id: str) -> None:
-        self._call("/cdp/delete", {"delegation_id": delegation_id})
+        Reply.CDP_DELETE.read(self._call("/cdp/delete", {"delegation_id": delegation_id}))

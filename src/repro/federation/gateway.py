@@ -31,6 +31,7 @@ from __future__ import annotations
 import secrets
 import time
 
+from repro.core.protocol import Reply, refused
 from repro.core.server import MyProxyServer
 from repro.federation.assertions import verify_assertion
 from repro.federation.cdp import CdpClient
@@ -110,9 +111,7 @@ class FederationGateway:
     # -- routes ----------------------------------------------------------------
 
     def _realms(self, ctx: WebContext) -> HttpResponse:
-        return HttpResponse.json(
-            {"ok": True, "realm": self.realm, "peers": sorted(self.peers)}
-        )
+        return HttpResponse.json(Reply.REALMS.body(realm=self.realm, peers=sorted(self.peers)))
 
     def _redeem(self, ctx: WebContext) -> HttpResponse:
         started = time.perf_counter()
@@ -125,7 +124,7 @@ class FederationGateway:
             # Precise refusals: the caller held a legitimate token and
             # the reason (replay, lifetime cap, bad field) is actionable.
             outcome = "rejected"
-            return HttpResponse.json({"ok": False, "error": str(exc)}, 400)
+            return HttpResponse.json(refused(str(exc)), 400)
         except (
             AuthenticationError, AuthorizationError, CredentialError, NotFoundError,
         ) as exc:
@@ -133,16 +132,14 @@ class FederationGateway:
             self.server.audit(
                 "<federation>", "FEDERATE", "", "", False, str(exc)
             )
-            return HttpResponse.json({"ok": False, "error": _GENERIC_DENIAL}, 403)
+            return HttpResponse.json(refused(_GENERIC_DENIAL), 403)
         finally:
             self._redeem_total.labels(outcome=outcome).inc()
             self._redeem_seconds.observe(time.perf_counter() - started)
 
     def _redeem_inner(self, ctx: WebContext) -> HttpResponse:
         if not ctx.secure:
-            return HttpResponse.json(
-                {"ok": False, "error": "redemption requires HTTPS"}, 403
-            )
+            return HttpResponse.json(refused("redemption requires HTTPS"), 403)
         form = ctx.request.form
         token = form.get("assertion", "")
         target_realm = form.get("realm", "").strip()
@@ -190,7 +187,7 @@ class FederationGateway:
                 peer_target, session_proxy, self.validator,
                 key_source=self.key_source, clock=self.clock,
             ) as client:
-                deposited = client.delegate(
+                _delegation_id, deposited = client.delegate(
                     session_proxy,
                     username=assertion.username,
                     passphrase=passphrase,
@@ -209,20 +206,13 @@ class FederationGateway:
         self.server.audit(
             str(signer.identity), "FEDERATE", assertion.username, cred_name, True,
             f"assertion {assertion.assertion_id} redeemed into realm "
-            f"{target_realm!r}, stored until {deposited['not_after']:.0f}",
+            f"{target_realm!r}, stored until {deposited.not_after:.0f}",
         )
         logger.info(
             "redeemed assertion %s: %r now holds %r in realm %r",
             assertion.assertion_id, assertion.username, cred_name, target_realm,
         )
-        return HttpResponse.json(
-            {
-                "ok": True,
-                "realm": target_realm,
-                "username": assertion.username,
-                "cred_name": cred_name,
-                "passphrase": passphrase,
-                "lifetime": lifetime,
-                "not_after": deposited["not_after"],
-            }
-        )
+        return HttpResponse.json(Reply.REDEEMED.body(
+            realm=target_realm, username=assertion.username, cred_name=cred_name,
+            passphrase=passphrase, lifetime=lifetime, not_after=deposited.not_after,
+        ))

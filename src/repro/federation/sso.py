@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.core.protocol import Reply, parse_json, refused
 from repro.federation.assertions import (
     DEFAULT_MAX_LIFETIME,
     SsoAssertion,
@@ -169,7 +170,7 @@ def enable_sso(portal: GridPortal, authority: SsoAuthority) -> None:
             )
         held = portal._credential_for(ctx)
         if held is None:
-            return HttpResponse.json({"ok": False, "error": "not logged in"}, 401)
+            return HttpResponse.json(refused("not logged in"), 401)
         _repo, credential = held
         form = ctx.request.form
         audience = form.get("audience", "").strip()
@@ -188,20 +189,42 @@ def enable_sso(portal: GridPortal, authority: SsoAuthority) -> None:
                 lifetime=lifetime,
             )
         except (ProtocolError, PolicyError) as exc:
-            return HttpResponse.json({"ok": False, "error": str(exc)}, 400)
+            return HttpResponse.json(refused(str(exc)), 400)
         logger.info(
             "issued assertion %s for %r toward realm %r",
             assertion.assertion_id, assertion.username, audience,
         )
-        return HttpResponse.json(
-            {
-                "ok": True,
-                "assertion": token,
-                "assertion_id": assertion.assertion_id,
-                "audience": assertion.audience,
-                "not_after": assertion.not_after,
-            }
-        )
+        return HttpResponse.json(Reply.ASSERTION.body(
+            assertion=token, assertion_id=assertion.assertion_id,
+            audience=assertion.audience, not_after=assertion.not_after,
+        ))
 
     portal.web.add_route("POST", "/sso/assert", _assert)
     portal.web.sessions.on_destroy.append(authority.revoke_session)
+
+
+def redeem_session(
+    browser, *, portal_host: str, gateway_host: str, realm: str,
+    lifetime: float | None = None,
+):
+    """assertion → redemption with ``browser``'s live session at
+    ``portal_host``, redeemed toward ``realm`` at ``gateway_host``: the
+    gateway's :attr:`~repro.core.protocol.Reply.REDEEMED` read, for the
+    caller to retrieve with.  A refusal raises
+    :class:`~repro.util.errors.AuthenticationError`, a malformed reply
+    :class:`~repro.util.errors.ProtocolError`."""
+    form = {"audience": realm, **({"lifetime": str(lifetime)} if lifetime else {})}
+    issued = _read(browser.post(f"https://{portal_host}/sso/assert", form), Reply.ASSERTION)
+    redeemed = browser.post(
+        f"https://{gateway_host}/federation/redeem",
+        {"assertion": issued.assertion, "realm": realm},
+    )
+    return _read(redeemed, Reply.REDEEMED)
+
+
+def _read(response: HttpResponse, reply: Reply):
+    answer = parse_json(response.body, f"{reply.answers} reply", dict)
+    status = Reply.STATUS.read(answer)
+    if not status.ok:
+        raise AuthenticationError(f"{reply.answers} refused: {status.error}")
+    return reply.read(answer)

@@ -15,8 +15,8 @@ way two real realm operators would:
 
 A browser from :meth:`browser` resolves hosts across every realm, so one
 client can log in at ``portal-alpha.example.org`` and redeem at
-``gateway-alpha.example.org`` exactly like the paper's Figure 3 flow —
-extended one realm further.
+``gateway-alpha.example.org`` (:func:`~repro.federation.sso.redeem_session`)
+exactly like the paper's Figure 3 flow — extended one realm further.
 """
 
 from __future__ import annotations
@@ -174,36 +174,6 @@ class FederatedTestbed:
             return web_transport(self.transport, service.web, scheme, validators[host])
 
         return Browser(_connect)
-
-    def sso_round_trip(
-        self,
-        browser: Browser,
-        *,
-        from_realm: str,
-        to_realm: str,
-        lifetime: float | None = None,
-    ) -> dict:
-        """assertion → redemption, using ``browser``'s live portal session.
-
-        The browser must already be logged in at ``from_realm``'s portal.
-        Returns the gateway's redemption answer (realm, cred_name,
-        passphrase, …) for the caller to retrieve with.
-        """
-        import json
-
-        issued = browser.post(
-            f"https://portal-{from_realm}.example.org/sso/assert",
-            {"audience": to_realm,
-             **({"lifetime": str(lifetime)} if lifetime else {})},
-        )
-        answer = json.loads(issued.body.decode("utf-8"))
-        if not answer.get("ok"):
-            raise TransportError(f"assertion refused: {answer.get('error')}")
-        redeemed = browser.post(
-            f"https://{self.realms[from_realm].gateway_host}/federation/redeem",
-            {"assertion": answer["assertion"], "realm": to_realm},
-        )
-        return json.loads(redeemed.body.decode("utf-8"))
 
     # ------------------------------------------------------------------
     # lifecycle

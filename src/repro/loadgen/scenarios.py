@@ -375,33 +375,23 @@ class PortalSsoScenario(Scenario):
         )
 
     def operation(self, index: int) -> None:
-        import json
+        from repro.federation.sso import redeem_session
 
         sid = self._sessions[index % len(self._sessions)]
         # A fresh browser per arrival carrying the session cookie — the
         # user's next page-load, not a long-lived client.
         browser = self.fed.browser()
         browser.cookies[self._portal_host] = {self._session_cookie: sid}
-        issued = browser.post(
-            f"https://{self._portal_host}/sso/assert",
-            {"audience": self.peer_realm},
+        redeemed = redeem_session(
+            browser, portal_host=self._portal_host, gateway_host=self._gateway_host,
+            realm=self.peer_realm,
         )
-        answer = json.loads(issued.body.decode("utf-8"))
-        if not answer.get("ok"):
-            raise ReproError(f"assertion refused: {answer.get('error')}")
-        redeemed = browser.post(
-            f"https://{self._gateway_host}/federation/redeem",
-            {"assertion": answer["assertion"], "realm": self.peer_realm},
-        )
-        out = json.loads(redeemed.body.decode("utf-8"))
-        if not out.get("ok"):
-            raise ReproError(f"redemption refused: {out.get('error')}")
         # Job-style retrieval in the peer realm, with the one-shot secret.
         with self.target.client_for_realm(self.peer_realm, self._job_cred) as client:
             proxy = client.get_delegation(
-                username=out["username"],
-                passphrase=out["passphrase"],
-                cred_name=out["cred_name"],
+                username=redeemed.username,
+                passphrase=redeemed.passphrase,
+                cred_name=redeemed.cred_name,
                 lifetime=1800.0,
             )
         RestrictedDelegationScenario.verify_restrictions(proxy)

@@ -91,7 +91,7 @@ class CertificateRevocationList:
                 issued_at=float(doc["issued_at"]),
                 signature=bytes.fromhex(doc["signature"]),
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"corrupt CRL file: {exc}") from exc
 
 

@@ -7,14 +7,17 @@ rendered faithfully: the uniform denial, busy with a retry hint, or a
 generic storage error that never leaks the storage layer's message.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.core.client import RetryPolicy
-from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
+from repro.core.client import ClientCore, RetryPolicy
+from repro.core.httpbinding import _POP_LABEL, HttpMyProxyClient, MyProxyHttpGateway
 from repro.core.policy import ServerPolicy
+from repro.core.protocol import Command, Request, Response
 from repro.transport.channel import connect_secure
+from repro.transport.delegation import new_csr
 from repro.util.errors import AuthenticationError, RepositoryError, ServerBusyError
 from repro.web.http11 import HttpRequest, HttpResponse
 from tests.conftest import http_post
@@ -101,7 +104,99 @@ class TestSuccessParity:
         assert not [r for r in records if not r.ok]
 
 
+class TestReplyParity:
+    """Both clients read a reply through the one table, so they return the
+    same grant and the same INFO rows for the same entry."""
+
+    def test_equal_grants_and_info_rows(self, tb, monkeypatch):
+        alice, svc = tb.new_user("alice"), tb.new_user("svc")
+        _seed(tb)
+        gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+
+        def http(user):
+            return HttpMyProxyClient(gateway.connect, user.credential, tb.validator,
+                                     key_source=tb.key_source, clock=tb.clock)
+
+        grants = []
+        granted = ClientCore._granted
+
+        def spy(self, grant, lifetime):
+            grants.append(grant)
+            return granted(self, grant, lifetime)
+
+        monkeypatch.setattr(ClientCore, "_granted", spy)
+        for client in (tb.myproxy_client(svc.credential), http(svc)):
+            with client:
+                client.get_delegation(username="alice", passphrase=PASS, lifetime=3600)
+        terms = [
+            tuple(g.get(k) if isinstance(g, dict) else getattr(g, k)
+                  for k in ("granted_lifetime", "cred_name", "limited"))
+            for g in grants
+        ]
+        assert terms == [(3600.0, "default", False)] * 2
+        with tb.myproxy_client(alice.credential) as gsi, http(alice) as over_http:
+            rows = gsi.info(username="alice")
+            assert over_http.info(username="alice") == rows
+        assert [(row.cred_name, row.auth_method, row.retrievers) for row in rows] == [
+            ("default", "passphrase", None)
+        ]
+
+
+    def test_an_entry_stored_without_a_positive_cap_still_lists(self, tb):
+        """An entry an older server stored with a cap ≤ 0 lists, on both
+        bindings, with the server's maximum as its cap, and GETs under it."""
+        alice, svc = tb.new_user("alice"), tb.new_user("svc")
+        _seed(tb)
+        repository = tb.myproxy.repository
+        repository.put(dataclasses.replace(repository.get("alice", "default"),
+                                           max_get_lifetime=-5.0))
+        gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+        with tb.myproxy_client(alice.credential) as gsi, HttpMyProxyClient(
+            gateway.connect, alice.credential, tb.validator,
+            key_source=tb.key_source, clock=tb.clock,
+        ) as over_http:
+            rows = gsi.info(username="alice")
+            assert over_http.info(username="alice") == rows
+        cap = tb.myproxy.policy.max_delegation_lifetime
+        assert [row.max_get_lifetime for row in rows] == [cap]
+        with tb.myproxy_client(svc.credential) as client:
+            proxy = client.get_delegation(username="alice", passphrase=PASS, lifetime=3600)
+        assert proxy.certificate.not_after - tb.clock.now() == 3600.0
+
+
 class TestRefusalParity:
+    @pytest.mark.parametrize("passphrase", [PASS, "wrong wrong 7"])
+    @pytest.mark.parametrize("binding", ["gsi", "http"])
+    def test_a_get_without_a_csr_reveals_no_entry(self, tb, binding, passphrase):
+        """The CSR is checked before the entry is looked up: a GET without
+        one gets the same refusal for a stored and an unknown user, with
+        the right pass phrase or a wrong one, and no lockout counts it."""
+        tb.new_user("alice")
+        svc = tb.new_user("svc")
+        _seed(tb)
+        if binding == "gsi":
+            answers = []
+            for username in ("alice", "ghost"):
+                channel = connect_secure(
+                    tb.myproxy_targets["repo-0"](), svc.credential, tb.validator
+                )
+                try:
+                    channel.send(Request(command=Command.GET, username=username,
+                                         passphrase=passphrase).encode())
+                    answers.append(Response.decode(channel.recv()))
+                finally:
+                    channel.close()
+            assert not answers[0].ok and "malformed CSR" in answers[0].error
+        else:
+            gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+            answers = _exchange(gateway, svc, [
+                ("/myproxy/get", {"username": username, "passphrase": passphrase})
+                for username in ("alice", "ghost")
+            ])
+            assert answers[0][0] == 400 and "malformed CSR" in answers[0][1]["error"]
+        assert answers[0] == answers[1]
+        assert tb.myproxy._failed_auths == {}
+
     @pytest.mark.parametrize("case", ["wrong passphrase", "unknown user", "not the owner"])
     def test_one_denial_uniform_message(self, world, case):
         tb, make_client = world
@@ -173,8 +268,10 @@ class TestHttpRendering:
 
         monkeypatch.setattr(repository, "get", eio_for_bob)
         monkeypatch.setattr(repository, "delete", lease_lapsed)
+        # A well-formed GET: the CSR is checked before the entry is read.
+        csr = new_csr(tb.key_source.new_key(), alice.credential.identity, label=_POP_LABEL)
         replies = _exchange(gateway, alice, [
-            ("/myproxy/get", {"username": "bob", "passphrase": PASS}),
+            ("/myproxy/get", {"username": "bob", "passphrase": PASS, "csr": csr}),
             ("/myproxy/destroy", {"username": "alice"}),
         ])
         assert replies == [

@@ -55,7 +55,7 @@ class TestHttpClientKeepsItsChannel:
         client = connect(alice)
         before = server.stats.connections
         for _ in range(3):
-            assert client.info(username="alice")[0]["cred_name"] == "default"
+            assert client.info(username="alice")[0].cred_name == "default"
         proxy = client.get_delegation(
             username="alice", passphrase=REUSE_PASS, lifetime=3600.0
         )
@@ -69,11 +69,11 @@ class TestHttpClientKeepsItsChannel:
         server, _gateway, connect = http_world()
         client = connect(alice, cls=CdpClient)
         before = server.stats.connections
-        answer = client.delegate(
+        _delegation_id, commit = client.delegate(
             alice, username="alice", passphrase=REUSE_PASS, lifetime=3600.0,
             cred_name="cdp",
         )
-        assert answer["stored"] is True
+        assert commit.stored is True
         assert client.stats.operations == 3  # register, proxy-csr, certificate
         assert client.stats.full_handshakes == 1
         assert client.stats.resumed_handshakes == 0
@@ -105,7 +105,7 @@ class TestHttpClientKeepsItsChannel:
         client = connect(alice)
         client.info(username="alice")
         time.sleep(0.8)  # the gateway has sent its close alert by now
-        assert client.info(username="alice")[0]["cred_name"] == "default"
+        assert client.info(username="alice")[0].cred_name == "default"
         assert client.stats.dial_attempts == 2
         assert client.stats.transport_failures == 0
 
@@ -126,7 +126,7 @@ class TestHttpClientKeepsItsChannel:
         def run():
             try:
                 for _ in range(20):
-                    assert client.info(username="alice")[0]["cred_name"] == "default"
+                    assert client.info(username="alice")[0].cred_name == "default"
             except BaseException as exc:  # noqa: BLE001 - reported below
                 failures.append(exc)
 

@@ -13,7 +13,10 @@ import json
 import pytest
 
 from repro.core.httpbinding import _POP_LABEL, HttpMyProxyClient, MyProxyHttpGateway
-from repro.core.protocol import PROTOCOL_VERSION, Command, Request, Response
+from repro.core.protocol import (
+    GSI, PROTOCOL_VERSION, BatchItem, Command, Reply, Request, Response,
+)
+from repro.federation.cdp import CdpClient, CdpService
 from repro.transport.channel import connect_secure
 from repro.transport.delegation import new_csr
 from repro.util.encoding import encode_kv
@@ -349,7 +352,89 @@ class TestMalformedInfoReply:
                              ids=["row_missing_keys", "not_a_list"])
     def test_gsi(self, seeded, monkeypatch, rows):
         tb, alice, _portal = seeded
-        monkeypatch.setattr(tb.myproxy, "info", lambda peer, username: rows)
+        monkeypatch.setattr(Reply.LISTING, "write", lambda key=GSI, **values: {
+            "username": "alice", "credentials": rows})
         with tb.myproxy_client(alice.credential) as client:
             with pytest.raises(ProtocolError, match="malformed INFO reply"):
                 client.info(username="alice")
+
+
+def _tamper(monkeypatch, rewrite):
+    """Pass the ``INFO`` of every reply a GSI client decodes through
+    ``rewrite``."""
+    decode = Response.decode
+
+    def tampered(data):
+        response = decode(data)
+        return dataclasses.replace(response, info=rewrite(dict(response.info)))
+
+    monkeypatch.setattr(Response, "decode", staticmethod(tampered))
+
+
+class TestMalformedReplies:
+    """Every client reads its reply through the one table: a malformed or
+    missing field is a ProtocolError naming it, never a ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``AttributeError`` out of the client."""
+
+    @pytest.mark.parametrize("count", ["x", [1]], ids=["string", "list"])
+    def test_get_multi_ack_count(self, seeded, monkeypatch, count):
+        tb, _alice, portal = seeded
+        _tamper(monkeypatch, lambda info: {**info, "count": count} if "count" in info else info)
+        with tb.myproxy_client(portal.credential) as client:
+            with pytest.raises(ProtocolError, match="count"):
+                client.get_delegations([BatchItem(username="alice", passphrase=PASS)])
+
+    @pytest.mark.parametrize("cas", [[5], 5], ids=["list_of_int", "int"])
+    def test_trustroots_cas(self, seeded, monkeypatch, cas):
+        tb, alice, _portal = seeded
+        _tamper(monkeypatch, lambda info: {**info, "cas": cas})
+        with tb.myproxy_client(alice.credential) as client:
+            with pytest.raises(ProtocolError, match="cas"):
+                client.get_trustroots()
+
+    @pytest.mark.parametrize("path, missing, call", [
+        ("/myproxy/put/begin", "token",
+         lambda client, user: client.put(user.credential, username="alice2",
+                                         passphrase=PASS, lifetime=3600)),
+        ("/cdp/register", "delegation_id",
+         lambda client, user: client.delegate(user.credential, username="alice2",
+                                              passphrase=PASS, lifetime=3600)),
+        ("/myproxy/info", "credentials",
+         lambda client, user: client.info(username="alice")),
+    ], ids=["put_begin_token", "cdp_register_id", "info_credentials"])
+    def test_http_reply_missing_a_field(self, seeded, path, missing, call):
+        tb, alice, _portal = seeded
+        gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+        CdpService(gateway)
+
+        class Dropping(CdpClient):
+            def _call(self, at, payload):
+                answer = super()._call(at, payload)
+                return {k: v for k, v in answer.items() if k != missing} if at == path else answer
+
+        with Dropping(gateway.connect, alice.credential, tb.validator,
+                      key_source=tb.key_source, clock=tb.clock) as client:
+            with pytest.raises(ProtocolError, match=missing):
+                call(client, alice)
+
+    def test_http_info_rows_are_the_gsi_rows(self, seeded):
+        tb, alice, _portal = seeded
+        gateway = MyProxyHttpGateway(tb.myproxy, key_source=tb.key_source)
+        with HttpMyProxyClient(gateway.connect, alice.credential, tb.validator,
+                               key_source=tb.key_source, clock=tb.clock) as client:
+            (row,) = client.info(username="alice")
+        assert (row.cred_name, row.owner, row.long_term) == ("default", str(alice.dn), False)
+
+    def test_http_get_reply_carries_the_gsi_grant(self, seeded, key_pool):
+        tb, _alice, portal = seeded
+        channel = connect_secure(_gateway_target(tb)(), portal.credential, tb.validator)
+        try:
+            status, body = http_post(channel, "/myproxy/get", {
+                "username": "alice", "passphrase": PASS, "lifetime": 600.0,
+                "csr": new_csr(key_pool.new_key(), portal.dn, label=_POP_LABEL),
+            })
+        finally:
+            channel.close()
+        assert status == 200
+        assert (body["granted_lifetime"], body["cred_name"], body["limited"]) == (
+            600.0, "default", False)

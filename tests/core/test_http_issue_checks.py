@@ -41,6 +41,8 @@ def stub_client(tb, users, answer, granted=GRANTED):
             "certificate_pem": cert.to_pem().decode("ascii"),
             "chain_pem": b"".join(c.to_pem() for c in chain).decode("ascii"),
             "granted_lifetime": granted,
+            "cred_name": "default",
+            "limited": False,
         }
 
     client._call = _call
@@ -133,5 +135,5 @@ def test_a_granted_lifetime_that_is_not_positive_is_refused(tb, users, granted):
         cert = sign_proxy_request(alice, public_key, lifetime=GRANTED, clock=tb.clock)
         return cert, alice.full_chain()
 
-    with pytest.raises(ProtocolError, match="granted lifetime"):
+    with pytest.raises(ProtocolError, match="granted.lifetime"):
         get(stub_client(tb, users, answer, granted=granted))

@@ -39,7 +39,7 @@ class TestPutOverHttp:
         answer = client.put(
             alice.credential, username="alice", passphrase=PASS, lifetime=7 * 86400
         )
-        assert answer["stored"]
+        assert answer.stored
         entry = tb.myproxy.repository.get("alice", "default")
         assert entry.owner_dn == str(alice.dn)
         assert entry.not_after == pytest.approx(clock.now() + 7 * 86400, abs=600)
@@ -249,7 +249,7 @@ class TestHousekeepingOverHttp:
     def test_info(self, stored):
         _, _, _, client = stored
         rows = client.info(username="alice")
-        assert len(rows) == 1 and rows[0]["cred_name"] == "default"
+        assert len(rows) == 1 and rows[0].cred_name == "default"
 
     def test_change_passphrase_and_destroy(self, stored, world):
         tb, gateway, alice, client = stored

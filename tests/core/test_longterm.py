@@ -41,6 +41,17 @@ class TestStore:
         with pytest.raises(AuthenticationError, match="refused"):
             client.store_longterm(alice.credential, username="alice", passphrase=PASS)
 
+    @pytest.mark.parametrize("asked", [None, 0.0, -5.0])
+    def test_store_without_a_positive_cap_takes_the_servers(self, tb, asked):
+        """STORE reads ``MAX_GET_LIFETIME`` as PUT does: absent or ≤ 0 is
+        the server's maximum, so the INFO row is one every client reads."""
+        alice = tb.new_user("alice")
+        with tb.myproxy_client(alice.credential) as client:
+            client.store_longterm(alice.credential, username="alice", passphrase=PASS,
+                                  max_get_lifetime=asked)
+            (row,) = client.info(username="alice")
+        assert row.max_get_lifetime == tb.myproxy.policy.max_delegation_lifetime
+
     def test_store_requires_strong_passphrase(self, tb):
         alice = tb.new_user("alice")
         client = tb.myproxy_client(alice.credential)

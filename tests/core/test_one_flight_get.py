@@ -16,7 +16,8 @@ import pytest
 import repro.core.server as server_module
 from repro.core.httpbinding import _POP_LABEL as HTTP_LABEL
 from repro.core.httpbinding import HttpMyProxyClient, MyProxyHttpGateway
-from repro.core.protocol import BatchItem, Command, Request, Response
+from repro.core.otp import OTPGenerator
+from repro.core.protocol import AuthMethod, BatchItem, Command, Request, Response
 from repro.pki.proxy import ProxyRestrictions, create_proxy, effective_restrictions
 from repro.transport.channel import accept_secure, connect_secure
 from repro.transport.delegation import (
@@ -191,6 +192,30 @@ class TestCsrRequired:
         record = tb.myproxy.audit_log()[-1]
         assert (record.command, record.username, record.ok) == ("GET", "alice", False)
         assert "CSR" in record.detail
+
+    def test_a_refused_csr_spends_no_otp_word(self, tb, key_pool, spies):
+        """The CSR is checked before the secret: an OTP GET refused for its
+        CSR leaves the word unspent and counts toward no lockout."""
+        alice, portal = tb.new_user("alice"), tb.new_user("portal")
+        gen = OTPGenerator("otp secret", "seed", count=5)
+        tb.myproxy_client(alice.credential).put(
+            create_proxy(alice.credential, key_source=key_pool, clock=tb.clock),
+            username="alice", auth_method=AuthMethod.OTP, otp=gen,
+        )
+        word = gen.next_word()
+        channel = _open(tb, portal)
+        try:
+            channel.send(Request(Command.GET, "alice", word,
+                                 auth_method=AuthMethod.OTP).encode())
+            refused = Response.decode(channel.recv())
+        finally:
+            channel.close()
+        assert not refused.ok and "malformed CSR" in refused.error
+        assert tb.myproxy._failed_auths == {}
+        proxy = tb.myproxy_get(username="alice", passphrase=word,
+                               requester=portal.credential, auth_method=AuthMethod.OTP)
+        assert proxy.identity == alice.dn
+        assert spies["issue"] == 1
 
     def test_a_batch_item_without_a_csr_is_refused_alone(self, seeded, key_pool, spies):
         tb, alice, bob, portal = seeded

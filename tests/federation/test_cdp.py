@@ -30,10 +30,10 @@ class TestLifecycle:
         tb, gateway, _service = cdp_world
         alice = tb.new_user("alice")
         client = cdp_client(tb, gateway, alice.credential)
-        answer = client.delegate(
+        delegation_id, commit = client.delegate(
             alice.credential, username="alice", passphrase=PASS, lifetime=86400.0
         )
-        assert answer["stored"] and answer["delegation_id"]
+        assert commit.stored and delegation_id
         svc = tb.new_user("svc")
         proxy = tb.myproxy_get(
             username="alice", passphrase=PASS, requester=svc.credential
@@ -89,13 +89,13 @@ class TestAbuse:
         tb, gateway, _service = cdp_world
         alice = tb.new_user("alice")
         client = cdp_client(tb, gateway, alice.credential)
-        answer = client.delegate(
+        delegation_id, _commit = client.delegate(
             alice.credential, username="alice", passphrase=PASS, lifetime=86400.0
         )
         with pytest.raises(AuthenticationError, match="replay refused"):
             client._call(
                 "/cdp/proxy-csr",
-                {"delegation_id": answer["delegation_id"],
+                {"delegation_id": delegation_id,
                  "nonce": secrets.token_hex(16)},
             )
 

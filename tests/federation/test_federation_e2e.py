@@ -12,8 +12,10 @@ import json
 import pytest
 
 from repro.federation.gateway import FEDERATED_RESTRICTIONS
+from repro.federation.sso import redeem_session
 from repro.federation.testbed import FederatedTestbed
 from repro.pki.proxy import effective_restrictions
+from repro.util.errors import AuthenticationError
 
 PASS = "correct horse 42"
 
@@ -40,16 +42,17 @@ def logged_in(fed):
 
 
 def redeem(fed, browser, *, to_realm="beta"):
-    return fed.sso_round_trip(browser, from_realm="alpha", to_realm=to_realm)
+    return redeem_session(browser, portal_host="portal-alpha.example.org",
+                          gateway_host=fed["alpha"].gateway_host, realm=to_realm)
 
 
 class TestRoundTrip:
     def test_browser_session_yields_peer_realm_credential(self, logged_in, clock):
         fed, browser, alice = logged_in
         out = redeem(fed, browser)
-        assert out["ok"] and out["realm"] == "beta"
-        assert out["username"] == "alice"
-        assert out["cred_name"].startswith("fed-alpha-")
+        assert out.realm == "beta"
+        assert out.username == "alice"
+        assert out.cred_name.startswith("fed-alpha-")
 
         # The deposit lives in *beta's* repository, under a machine
         # passphrase the user never typed; a beta job service retrieves it.
@@ -58,11 +61,11 @@ class TestRoundTrip:
             "job.example.org", key=fed.key_source.new_key()
         )
         proxy = beta.tb.myproxy_get(
-            username="alice", passphrase=out["passphrase"],
-            requester=svc, cred_name=out["cred_name"],
+            username="alice", passphrase=out.passphrase,
+            requester=svc, cred_name=out.cred_name,
         )
         assert str(proxy.identity) == str(alice.dn)
-        assert proxy.seconds_remaining(clock) <= out["lifetime"] + 300
+        assert proxy.seconds_remaining(clock) <= out.lifetime + 300
 
     def test_delegated_proxy_is_restricted(self, logged_in):
         fed, browser, _alice = logged_in
@@ -72,8 +75,8 @@ class TestRoundTrip:
             "job.example.org", key=fed.key_source.new_key()
         )
         proxy = beta.tb.myproxy_get(
-            username="alice", passphrase=out["passphrase"],
-            requester=svc, cred_name=out["cred_name"],
+            username="alice", passphrase=out.passphrase,
+            requester=svc, cred_name=out.cred_name,
         )
         effective = effective_restrictions(proxy.full_chain())
         assert effective.operations == FEDERATED_RESTRICTIONS.operations
@@ -103,6 +106,13 @@ class TestRoundTrip:
         response = browser.get("https://gateway-alpha.example.org/federation/realms")
         answer = json.loads(response.body.decode("utf-8"))
         assert answer["realm"] == "alpha" and answer["peers"] == ["beta"]
+
+
+    def test_the_reader_raises_a_refused_assertion(self, fed):
+        """``redeem_session`` reads the portal's refusal and raises it."""
+        with pytest.raises(AuthenticationError, match="SSO assert refused: not logged in"):
+            redeem_session(fed.browser(), portal_host="portal-alpha.example.org",
+                           gateway_host=fed["alpha"].gateway_host, realm="beta")
 
 
 class TestRevocation:
