@@ -222,11 +222,11 @@ def _typed(noun: str, *types, then=None):
 
 
 def _json_batch(f: Field, value, label: str) -> tuple[BatchItem, ...]:
-    _check_batch(f, _typed("array", list)(f, value, label), label)
+    _check_batch(f, _array(f, value, label), label)
     return tuple(map(BatchItem.from_wire, value))
 
 
-_string, _object = _typed("string", str), _typed("object", dict)
+_string, _object, _array = _typed("string", str), _typed("object", dict), _typed("array", list)
 _auth = _typed("string", str, then=AuthMethod)
 _dump = partial(json.dumps, sort_keys=True)
 
@@ -260,19 +260,18 @@ _JSON = {
 }
 
 
-def _read(fields, raw: dict, key: str, codec: dict, prefix: str = "", defaults=None) -> dict:
+def _read(fields, raw: dict, key: str, codec: dict, prefix: str = "") -> dict:
     """The attributes ``raw`` carries under each field's ``key``; an absent
-    (or JSON ``null``) field keeps its default (by attribute, a request's
-    unless ``defaults`` is given), and one without a default is refused."""
+    (or JSON ``null``) field keeps its request default, and one without a
+    default is refused."""
     if not isinstance(raw, dict):
         _refuse(prefix.rstrip(": "), "must be a JSON object")
-    defaults = _DEFAULTS if defaults is None else defaults
     values = {}
     for f in fields:
         value = raw.get(getattr(f, key))
         if value is not None:
             values[f.attr] = codec[f.kind][0](f, value, prefix + (f.gsi or f.json))
-        elif defaults[f.attr] is dataclasses.MISSING:
+        elif _DEFAULTS[f.attr] is dataclasses.MISSING:
             _refuse(prefix + (f.gsi or f.json), "is missing")
     return values
 
@@ -286,7 +285,7 @@ def _write(fields, obj, key: str, codec: dict) -> dict:
     }
 
 
-def _check(obj, fields, command: Command | None, prefix: str = "") -> None:
+def _check(obj, fields, command: Command, prefix: str = "") -> None:
     for f in fields:
         value = getattr(obj, f.attr)
         if f.commands is None or command in f.commands:
@@ -413,6 +412,40 @@ _CSR = (_f("public_key_pem", PEM, HTTP), _f("pop", TEXT, HTTP))
 _ISSUE = (_f("certificate_pem", PEM, HTTP), _f("chain_pem", PEM, HTTP))
 
 
+def _texts(values: list) -> tuple[str, ...]:
+    if not all(isinstance(value, str) for value in values):
+        raise ValueError("not all strings")
+    return tuple(values)
+
+
+def _as_is(value):
+    return value
+
+
+def _read_rows(f: Field, rows, label: str) -> tuple:
+    return tuple(map(Reply.ROW.read, _array(f, rows, label)))
+
+
+def _write_rows(rows) -> list[dict]:
+    return [Reply.ROW.written(row, GSI) for row in rows]
+
+
+#: kind -> (reader, writer) in a reply, always JSON: the request kinds'
+#: readers, and each value written as it is, so a reply's bytes are its
+#: values' own.
+_REPLY_CODEC = {
+    **{kind: (read, _as_is) for kind, (read, _) in _JSON.items()},
+    FLAG: (_typed("boolean", bool), _as_is),
+    COUNT: (_typed("integer", int), _as_is),
+    PEM: (_string, _as_is),
+    #: Read as sent: a client holds a busy reply's hint to ``busy_hint``
+    #: and ignores any other's.
+    HINT: (lambda f, value, label: value, _as_is),
+    STRINGS: (_typed("array", list, then=_texts), _as_is),
+    ROWS: (_read_rows, _write_rows),
+}
+
+
 class Reply(enum.Enum):
     """An OK reply: what it answers (named so in PROTOCOL.md §6 and in a
     malformed reply's error) and its fields, in the GSI response's ``INFO``
@@ -462,14 +495,41 @@ class Reply(enum.Enum):
             "StoredCredentialInfo" if name == "Row" else name, [f.attr for f in fields],
             defaults=(None,) * len(fields), module=__name__,
         )
-        #: An optional field, or one whose kind holds None, reads as None
-        #: when absent; any other is required.
-        self.defaults = {f.attr: None if f.optional or f.kind in (OPTIONAL_SECONDS, GLOBS)
-                         else dataclasses.MISSING for f in fields}
+        # Each binding's reader and writer, laid out once: per field, its
+        # key, codec entry and refusal label; only fields whose kind has a
+        # check are checked.  An optional field, or one whose kind holds
+        # None, reads as None when absent; any other is required.
+        self._prefix = prefix = f"malformed {answers} reply: "
+        self._readers, self._checks, self._writers = {}, {}, {}
+        for key in (GSI, HTTP):
+            laid = [
+                (i, f, getattr(f, key), prefix + (f.gsi or f.json), _REPLY_CODEC[f.kind])
+                for i, f in enumerate(fields) if getattr(f, key)
+            ]
+            self._readers[key] = tuple(
+                (i, wire, read, f, label,
+                 not (f.optional or f.kind in (OPTIONAL_SECONDS, GLOBS)))
+                for i, f, wire, label, (read, _) in laid
+            )
+            self._checks[key] = tuple(
+                (i, _CHECKS[f.kind], f, label) for i, f, _, label, _ in laid if f.kind in _CHECKS
+            )
+            self._writers[key] = tuple(
+                (f.attr, wire, None if write is _as_is else write, f.optional)
+                for _, f, wire, _, (_, write) in laid
+            )
 
     def write(self, key: str = GSI, **values) -> dict:
         """This reply's ``INFO`` document, or (``key=HTTP``) HTTP fields."""
-        return _write(self.carried[key], self.type(**values), key, _REPLY_CODEC)
+        return self.written(self.type(**values), key)
+
+    def written(self, value, key: str = GSI) -> dict:
+        """``value`` (this reply's typed value) as :meth:`write` writes it."""
+        return {
+            wire: item if write is None else write(item)
+            for attr, wire, write, optional in self._writers[key]
+            if (item := getattr(value, attr)) is not None or not optional
+        }
 
     def body(self, **values) -> dict:
         """This reply's whole HTTP body: ``ok``, then its fields."""
@@ -478,42 +538,25 @@ class Reply(enum.Enum):
     def read(self, raw, key: str = HTTP):
         """``raw`` read as this reply: its typed value, or a
         :class:`ProtocolError` naming a field missing or malformed."""
-        prefix = f"malformed {self.answers} reply: "
-        fields = self.carried[key]
-        value = self.type(**_read(fields, raw, key, _REPLY_CODEC, prefix, self.defaults))
-        _check(value, [f for f in fields if getattr(value, f.attr) is not None], None, prefix)
-        return value
+        if not isinstance(raw, dict):
+            _refuse(self._prefix.rstrip(": "), "must be a JSON object")
+        values = [None] * len(self.fields)
+        for i, wire, read, f, label, required in self._readers[key]:
+            item = raw.get(wire)
+            if item is not None:
+                values[i] = read(f, item, label)
+            elif required:
+                _refuse(label, "is missing")
+        for i, check, f, label in self._checks[key]:
+            if values[i] is not None:
+                check(f, values[i], label)
+        return self.type._make(values)
 
 
 #: Every OK reply's fields, each declared once.
 REPLY_FIELDS: dict[Reply, tuple[Field, ...]] = {reply: reply.fields for reply in Reply}
 
 
-def _texts(values: list) -> tuple[str, ...]:
-    if not all(isinstance(value, str) for value in values):
-        raise ValueError("not all strings")
-    return tuple(values)
-
-
-def _as_is(value):
-    return value
-
-
-#: kind -> (reader, writer) in a reply, always JSON: the request kinds'
-#: readers, and each value written as it is, so a reply's bytes are its
-#: values' own.
-_REPLY_CODEC = {
-    **{kind: (read, _as_is) for kind, (read, _) in _JSON.items()},
-    FLAG: (_typed("boolean", bool), _as_is),
-    COUNT: (_typed("integer", int), _as_is),
-    PEM: (_string, _as_is),
-    #: Read as sent: a client holds a busy reply's hint to ``busy_hint``
-    #: and ignores any other's.
-    HINT: (lambda f, value, label: value, _as_is),
-    STRINGS: (_typed("array", list, then=_texts), _as_is),
-    ROWS: (lambda f, rows, label: tuple(map(Reply.ROW.read, _typed("array", list)(f, rows, label))),
-           lambda rows: [_write(Reply.ROW.fields, row, GSI, _REPLY_CODEC) for row in rows]),
-}
 #: One row of an INFO reply: a credential the caller owns.
 StoredCredentialInfo = Reply.ROW.type
 

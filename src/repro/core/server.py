@@ -492,6 +492,12 @@ class MyProxyServer(Binding):
             "myproxy_qos_inflight",
             "Conversations currently being served.",
         )
+        self._kept_turns_total = self.metrics.counter(
+            "myproxy_kept_turns_total",
+            "Requests on kept channels, by how they reached a worker: served "
+            "in the window after the last reply, or offered after a park.",
+            labelnames=("path",),
+        )
         self._admission_wait_seconds = self.metrics.histogram(
             "myproxy_qos_admission_wait_seconds",
             "Time a connection spent in the admission queue before being "
@@ -544,6 +550,7 @@ class MyProxyServer(Binding):
                     on_wait=self._admission_wait_seconds.observe,
                     depth_gauge=self._qos_queue_depth,
                     inflight=self._qos_inflight,
+                    kept_turns=self._kept_turns_total,
                 )
             return self._listener
 

@@ -173,6 +173,12 @@ class AdmissionQueue:
         with self._lock:
             return len(self._entries)
 
+    def idle(self) -> int:
+        """Consumers asleep in :meth:`take` that no offer has woken yet:
+        how many could take an entry offered now, at once."""
+        with self._lock:
+            return len(self._sleepers)
+
     def suggest_retry_after(self) -> float:
         """A retry hint proportional to current occupancy.
 
