@@ -204,7 +204,3 @@ class CondorGManager:
         credential = job.credential if job is not None else self.credential
         with GramClient(self.gram_target, credential, self.validator) as gram:
             return gram.status(job_id)
-
-    def managed_jobs(self) -> list[ManagedJob]:
-        with self._lock:
-            return list(self._jobs.values())

@@ -486,14 +486,12 @@ class ClientCore:
     def _granted(self, grant, lifetime: float) -> dict:
         """The terms a GET's proxy is held to, as ``accept_issue``
         keywords: the lifetime and limited flag of the server's
-        :attr:`~repro.core.protocol.Reply.GRANT`, the lifetime capped by
-        ``lifetime`` when one was asked for."""
-        allowed = grant.granted_lifetime
-        if allowed <= 0:
+        :attr:`~repro.core.protocol.Reply.GRANT`, under ``lifetime`` as
+        the maximum when one was asked for."""
+        if grant.granted_lifetime <= 0:
             raise ProtocolError("GET response's granted lifetime must be positive")
-        if lifetime > 0:
-            allowed = min(allowed, lifetime)
-        return dict(lifetime=allowed, limited=grant.limited, clock=self.clock)
+        return dict(lifetime=grant.granted_lifetime, maximum=lifetime or None,
+                    limited=grant.limited, clock=self.clock)
 
 
 class MyProxyClient(ClientCore):

@@ -54,6 +54,7 @@ from repro.core.server import REFUSABLE, MyProxyServer, Refusal
 from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import FreshKeySource, KeyPair, KeySource
+from repro.pki.proxy import issuance_bound
 from repro.pki.validation import ValidatedIdentity
 from repro.transport.channel import SecureChannel
 from repro.transport.delegation import (
@@ -439,9 +440,8 @@ class HttpMyProxyClient(ClientCore):
         public_key = check_csr(
             csr._asdict(), self.credential.identity, nonce_hex=nonce, label=_POP_LABEL
         )
-        cert, chain_pem = issue(
-            signer, public_key, lifetime=request.lifetime, clock=self.clock, **proxy
-        )
+        bound = issuance_bound(signer, request.lifetime, self.clock.now(), **proxy)
+        cert, chain_pem = issue(signer, public_key, bound)
         issued = Reply.ISSUE.write(
             HTTP, certificate_pem=cert.to_pem().decode("ascii"), chain_pem=chain_pem.decode("ascii")
         )

@@ -242,12 +242,6 @@ class ServerPolicy:
             return self.qos_burst
         return max(2.0 * self.qos_rate, 4.0)
 
-    def clamp_delegation_lifetime(self, requested: float) -> float:
-        """Resolve a GET lifetime request against server policy."""
-        if requested <= 0:
-            return self.default_delegation_lifetime
-        return min(requested, self.max_delegation_lifetime)
-
     def check_stored_lifetime(self, lifetime: float) -> None:
         if lifetime <= 0:
             raise PolicyError("stored-credential lifetime must be positive")

@@ -260,6 +260,14 @@ _JSON = {
 }
 
 
+def read_seconds(text: str, label: str) -> float:
+    """``text`` read and checked as a request's ``seconds`` field is."""
+    f = Field(label, label, label, SECONDS)
+    value = _GSI[SECONDS][0](f, text, label)
+    _check_seconds(f, value, label)
+    return value
+
+
 def _read(fields, raw: dict, key: str, codec: dict, prefix: str = "") -> dict:
     """The attributes ``raw`` carries under each field's ``key``; an absent
     (or JSON ``null``) field keeps its request default, and one without a

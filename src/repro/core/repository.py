@@ -59,7 +59,8 @@ def pbkdf2_sha256(secret: str, salt: bytes, iterations: int) -> bytes:
 
     Runs on the OpenSSL that ``cryptography`` bundles, not the one behind
     the standard library's ``hashlib``: the same bytes for about half the
-    CPU, and it releases the GIL while it derives.
+    CPU.  It holds the GIL while it derives, so a verify blocks every
+    other thread's Python for its whole run.
     ``iterations`` is the security parameter (DESIGN.md §6.5), whichever
     implementation runs it.
     """

@@ -90,6 +90,7 @@ from repro.gsi.acl import AccessControlList
 from repro.pki.certs import Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import KeyPair, KeySource, OneShotKeyPool
+from repro.pki.proxy import issuance_bound
 from repro.pki.validation import ChainValidator, ValidatedIdentity
 from repro.qos import ClassMap, RateLimiter
 from repro.transport.channel import SecureChannel, accept_secure
@@ -1259,8 +1260,9 @@ class MyProxyServer(Binding):
         fails, is refused alike whether or not the entry exists, spends no
         OTP word and counts toward no lockout.  Then the entry's retriever
         ACL and secret (or §6.6 renewal by possession) and its expiry are
-        checked, and the lifetime clamped.  The proxy is signed by the one
-        issuing step (:func:`~repro.transport.delegation.issue`), counted
+        checked.  The proxy is signed by the one issuing step
+        (:func:`~repro.transport.delegation.issue`) as the entry's
+        :func:`~repro.pki.proxy.issuance_bound` allows, counted
         and audited, and returned with its issuer chain (PEM) and the
         terms of the :attr:`~repro.core.protocol.Reply.GRANT` that states
         it.
@@ -1278,26 +1280,23 @@ class MyProxyServer(Binding):
         now = self.clock.now()
         if entry.not_after <= now:
             raise AuthenticationError("stored credential has expired")
-        lifetime = self.policy.clamp_delegation_lifetime(request.lifetime)
-        lifetime = min(
-            lifetime, self._max_get_lifetime(entry.max_get_lifetime), entry.not_after - now
-        )
-
         if key is None:
             key = self._decrypt_entry_key(entry, request.passphrase)
         stored = self._load_entry_credential(entry, key)
         with self._observe_phase("delegation"):
-            issued, chain_pem = issue(
-                stored, public_key, lifetime=lifetime, clock=self.clock,
-                chain_pem=entry.certificate_pem,
+            bound = issuance_bound(
+                stored, request.lifetime, now, default=self.policy.default_delegation_lifetime,
+                maximum=self.policy.max_delegation_lifetime,
+                cap=self._max_get_lifetime(entry.max_get_lifetime), expires=entry.not_after,
             )
+            issued, chain_pem = issue(stored, public_key, bound, chain_pem=entry.certificate_pem)
         self.stats.inc("gets")
         self.audit(
             str(peer.identity), "GET", request.username, request.cred_name, True,
             f"delegated until {issued.not_after:.0f} (auth={request.auth_method.value})",
         )
         return issued, chain_pem, dict(
-            granted_lifetime=lifetime, cred_name=request.cred_name, limited=False
+            granted_lifetime=bound.lifetime, cred_name=request.cred_name, limited=False
         )
 
     def _do_get(

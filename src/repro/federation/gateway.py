@@ -31,13 +31,13 @@ from __future__ import annotations
 import secrets
 import time
 
-from repro.core.protocol import Reply, refused
+from repro.core.protocol import Reply, read_seconds, refused
 from repro.core.server import MyProxyServer
 from repro.federation.assertions import verify_assertion
 from repro.federation.cdp import CdpClient
 from repro.federation.sso import SsoAuthority
 from repro.pki.credentials import Credential
-from repro.pki.proxy import ProxyRestrictions
+from repro.pki.proxy import ProxyRestrictions, issuance_bound
 from repro.pki.validation import ChainValidator
 from repro.portal.portal import GridPortal
 from repro.util.errors import (
@@ -172,12 +172,15 @@ class FederationGateway:
         if str(session_proxy.identity) != assertion.subject:
             raise AuthenticationError("session credential does not match assertion")
 
-        lifetime = policy.federation_delegation_lifetime
-        if form.get("lifetime"):
-            try:
-                lifetime = min(lifetime, float(form["lifetime"]))
-            except ValueError:
-                raise ProtocolError("bad lifetime") from None
+        # Refused before the peer realm is asked for anything.
+        most, asked = policy.federation_delegation_lifetime, form.get("lifetime")
+        try:
+            lifetime = issuance_bound(
+                session_proxy, read_seconds(asked, "lifetime") if asked else most,
+                self.clock.now(), maximum=most,
+            ).lifetime
+        except (PolicyError, ProtocolError) as exc:
+            raise ProtocolError(f"bad lifetime: {exc}") from None
         passphrase = secrets.token_urlsafe(18)
         cred_name = f"fed-{self.realm}-{assertion.assertion_id[:8]}"
 

@@ -29,10 +29,6 @@ class SecurityContext:
     peer: ValidatedIdentity
     service_name: str
 
-    @property
-    def peer_identity(self):
-        return self.peer.identity
-
     def local_user(self, gridmap: GridMap) -> str:
         """Resolve the peer to a local account or raise."""
         return gridmap.lookup(self.peer.identity)

@@ -15,7 +15,8 @@ profile the paper used:
   profile of [15, 16] (§6.5): allowed operations, allowed resources and a
   remaining-delegation-depth bound.
 
-Two entry points:
+Two entry points, over one decision of a proxy's lifetime and authority
+(:func:`issuance_bound`, which every issuer signs and every acceptor checks):
 
 - :func:`create_proxy` — local proxy creation, i.e. ``grid-proxy-init``
   (§2.5): generate a fresh key pair and sign it here.
@@ -28,6 +29,7 @@ Two entry points:
 from __future__ import annotations
 
 import enum
+import math
 import secrets
 from dataclasses import dataclass
 from typing import ClassVar
@@ -40,6 +42,9 @@ from repro.util.errors import CredentialError, PolicyError, ValidationError
 
 DEFAULT_PROXY_LIFETIME = 12 * 3600.0
 """§2.3: proxies live "on the order of hours or days"."""
+BACKDATE = 60.0
+"""A proxy is valid from this long before the instant it was issued, for
+relying parties whose clocks run a little behind the issuer's."""
 
 
 class ProxyType(enum.Enum):
@@ -139,6 +144,71 @@ def _proxy_serial() -> int:
     return secrets.randbits(63) | 1
 
 
+@dataclass(frozen=True)
+class IssuanceBound:
+    """What one proxy may be, decided at ``now`` by :func:`issuance_bound`:
+    the granted ``lifetime``, its end, the ``restrictions`` its certificate
+    carries and its remaining ``depth`` (``None``: none, unbounded)."""
+
+    now: float
+    lifetime: float
+    not_after: float
+    limited: bool
+    restrictions: ProxyRestrictions | None
+    depth: int | None
+
+
+def issuance_bound(
+    issuer: Credential,
+    lifetime: float,
+    now: float,
+    *,
+    default: float | None = None,
+    maximum: float | None = None,
+    cap: float | None = None,
+    expires: float | None = None,
+    limited: bool = False,
+    restrictions: ProxyRestrictions | None = None,
+) -> IssuanceBound:
+    """How long and how much a proxy of ``issuer`` may be (§2.3/§2.4,
+    §4.3), for every path that signs one; a refusal is a
+    :class:`PolicyError`.
+
+    ``lifetime`` must be finite, and positive unless a ``default`` stands
+    for ≤ 0 (and then for the ``maximum`` too).  It is granted under the
+    caps given (a policy ``maximum``, an entry's ``cap`` and its
+    ``expires`` instant) and ends no later than the issuer.  A CA issues
+    nothing, a limited issuer only limited proxies, an exhausted depth
+    nothing; ``restrictions`` narrow by the issuer chain's.
+    """
+    if issuer.certificate.is_ca:
+        raise PolicyError("CA certificates must not sign proxies")
+    if not math.isfinite(lifetime):
+        raise PolicyError("proxy lifetime must be finite")
+    if default is not None and lifetime <= 0:
+        lifetime = maximum = default  # for 0, the default stands for the maximum
+    caps = (maximum, cap, None if expires is None else expires - now)
+    lifetime = min([lifetime, *(c for c in caps if c is not None)])
+    if lifetime <= 0:
+        raise PolicyError("proxy lifetime must be positive")
+    if ProxyType.of(issuer.certificate) is ProxyType.LIMITED and not limited:
+        raise PolicyError("a limited proxy may only delegate limited proxies")
+
+    inherited = effective_restrictions(issuer.full_chain())
+    left = inherited.max_delegation_depth
+    if left is not None and left <= 0:
+        raise PolicyError("restriction forbids further delegation (depth exhausted)")
+    if restrictions is not None:
+        restrictions = restrictions.narrowed_by(inherited)
+    below = ProxyRestrictions(max_delegation_depth=None if left is None else left - 1)
+    depth = (restrictions or below).narrowed_by(below).max_delegation_depth
+
+    not_after = min(now + lifetime, issuer.certificate.not_after)
+    if not_after <= now:
+        raise PolicyError("issuer credential has already expired")
+    return IssuanceBound(now, lifetime, not_after, limited, restrictions, depth)
+
+
 def sign_proxy_request(
     issuer: Credential,
     subject_public_key: PublicKey,
@@ -147,78 +217,49 @@ def sign_proxy_request(
     limited: bool = False,
     restrictions: ProxyRestrictions | None = None,
     clock: Clock = SYSTEM_CLOCK,
+    bound: IssuanceBound | None = None,
 ) -> Certificate:
-    """Sign a proxy certificate over a key pair held by someone else.
-
-    Enforces the issuance rules of §2.3/§2.4:
-
-    - the issuer must hold its private key and must not be a CA;
-    - a limited issuer can only mint limited proxies;
-    - the proxy's lifetime is clipped to the issuer's own remaining
-      lifetime, so no delegation outlives the credential that made it.
-    """
+    """Sign a proxy certificate over a key pair held by someone else: what
+    ``bound`` says, or else the :func:`issuance_bound` of ``lifetime``,
+    ``limited`` and ``restrictions`` now."""
     if issuer.key is None:
         raise CredentialError("cannot sign a proxy without the issuer's private key")
-    if issuer.certificate.is_ca:
-        raise PolicyError("CA certificates must not sign proxies")
-    if lifetime <= 0:
-        raise PolicyError("proxy lifetime must be positive")
-    issuer_type = ProxyType.of(issuer.certificate)
-    if issuer_type is ProxyType.LIMITED and not limited:
-        raise PolicyError("a limited proxy may only delegate limited proxies")
-
-    inherited = effective_restrictions(issuer.full_chain())
-    if inherited.max_delegation_depth is not None and inherited.max_delegation_depth <= 0:
-        raise PolicyError("restriction forbids further delegation (depth exhausted)")
-    if restrictions is None:
-        stamped = restrictions
-    else:
-        stamped = restrictions.narrowed_by(inherited) if not inherited.is_unrestricted else restrictions
-
-    now = clock.now()
-    not_after = min(now + lifetime, issuer.certificate.not_after)
-    if not_after <= now:
-        raise PolicyError("issuer credential has already expired")
+    bound = bound or issuance_bound(
+        issuer, lifetime, clock.now(), limited=limited, restrictions=restrictions
+    )
     return build_certificate(
-        subject=issuer.certificate.subject.proxy_subject(limited=limited),
+        subject=issuer.certificate.subject.proxy_subject(limited=bound.limited),
         issuer=issuer.certificate.subject,
         subject_public_key=subject_public_key,
         signing_key=issuer.key,
         serial=_proxy_serial(),
-        not_before=now - 60.0,
-        not_after=not_after,
+        not_before=bound.now - BACKDATE,
+        not_after=bound.not_after,
         is_ca=False,
-        restrictions=stamped.to_payload() if stamped is not None else None,
+        restrictions=None if bound.restrictions is None else bound.restrictions.to_payload(),
     )
 
 
 def create_proxy(
     issuer: Credential,
     *,
-    lifetime: float = DEFAULT_PROXY_LIFETIME,
-    limited: bool = False,
-    restrictions: ProxyRestrictions | None = None,
     key_source: KeySource | None = None,
     key_bits: int | None = None,
     clock: Clock = SYSTEM_CLOCK,
+    **terms,
 ) -> Credential:
     """``grid-proxy-init``: mint a fresh local proxy credential (§2.5).
 
-    Generates a new key pair, signs it with ``issuer`` and returns the full
-    bundle (proxy cert + new key + chain back to the EEC).
+    Generates a new key pair, signs it with ``issuer`` under ``terms``
+    (:func:`sign_proxy_request`'s ``lifetime``, ``limited`` and
+    ``restrictions``) and returns the full bundle (proxy cert + new key +
+    chain back to the EEC).
     """
     if key_source is not None:
         key = key_source.new_key()
     else:
         key = KeyPair.generate(key_bits if key_bits is not None else issuer.require_key().bits)
-    cert = sign_proxy_request(
-        issuer,
-        key.public,
-        lifetime=lifetime,
-        limited=limited,
-        restrictions=restrictions,
-        clock=clock,
-    )
+    cert = sign_proxy_request(issuer, key.public, clock=clock, **terms)
     return Credential(certificate=cert, key=key, chain=issuer.full_chain())
 
 

@@ -36,10 +36,6 @@ class ServiceTimes:
     def measured_get(cls) -> ServiceTimes:
         return cls(mean=0.0149, distribution="lognormal")
 
-    @classmethod
-    def measured_put(cls) -> ServiceTimes:
-        return cls(mean=0.0099, distribution="lognormal")
-
     def sample(self, rng: np.random.Generator) -> float:
         if self.distribution == "fixed":
             return self.mean

@@ -44,11 +44,18 @@ from repro.pki.certs import CLOCK_SKEW, Certificate
 from repro.pki.credentials import Credential
 from repro.pki.keys import FreshKeySource, KeyPair, KeySource, PublicKey
 from repro.pki.names import DistinguishedName
-from repro.pki.proxy import DEFAULT_PROXY_LIFETIME, ProxyRestrictions, sign_proxy_request
+from repro.pki.proxy import (
+    BACKDATE,
+    DEFAULT_PROXY_LIFETIME,
+    IssuanceBound,
+    ProxyRestrictions,
+    issuance_bound,
+    sign_proxy_request,
+)
 from repro.transport.channel import SecureChannel
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.encoding import pack_fields, unpack_fields
-from repro.util.errors import CredentialError, ProtocolError
+from repro.util.errors import CredentialError, PolicyError, ProtocolError
 
 _T_OFFER = b"DG1"
 _T_REQUEST = b"DG2"
@@ -149,15 +156,13 @@ def check_csr(
 def issue(
     stored: Credential,
     public_key: PublicKey,
+    bound: IssuanceBound,
     *,
-    lifetime: float,
-    limited: bool = False,
-    restrictions: ProxyRestrictions | None = None,
-    clock: Clock = SYSTEM_CLOCK,
     chain_pem: bytes | None = None,
 ) -> tuple[Certificate, bytes]:
     """The one proxy-issuing step: sign ``public_key`` as a proxy of
-    ``stored`` and return the certificate with its issuer chain (PEM).
+    ``stored`` as its ``bound`` says, and return the certificate with its
+    issuer chain (PEM).
 
     Every delegator calls it — the Offer exchange, a GET's CSR on either
     binding, each GET_MULTI item, the HTTP client signing the server's
@@ -165,14 +170,7 @@ def issue(
     ``stored``'s chain as PEM (a repository entry does), is reused
     instead of re-encoded.
     """
-    cert = sign_proxy_request(
-        stored,
-        public_key,
-        lifetime=lifetime,
-        limited=limited,
-        restrictions=restrictions,
-        clock=clock,
-    )
+    cert = sign_proxy_request(stored, public_key, bound=bound)
     if chain_pem is None:
         chain_pem = b"".join(c.to_pem() for c in stored.full_chain())
     return cert, chain_pem
@@ -218,15 +216,8 @@ def delegate_credential(
     if not public_key.verify(pop_signature, _pop_message(nonce, public_pem)):
         raise ProtocolError("delegation proof-of-possession failed")
 
-    proxy_cert, chain_pem = issue(
-        issuer,
-        public_key,
-        lifetime=lifetime,
-        limited=limited,
-        restrictions=restrictions,
-        clock=clock,
-        chain_pem=chain_pem,
-    )
+    bound = issuance_bound(issuer, lifetime, clock.now(), limited=limited, restrictions=restrictions)
+    proxy_cert, chain_pem = issue(issuer, public_key, bound, chain_pem=chain_pem)
     channel.send(issue_message(proxy_cert, chain_pem))
     return proxy_cert
 
@@ -243,22 +234,12 @@ def _parse_offer(fields: list[bytes]) -> tuple[float, bool, bytes]:
         offered_lifetime = float(fields[1].decode("ascii"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"malformed delegation Offer lifetime: {exc}") from None
-    if offered_lifetime <= 0:
-        raise ProtocolError("delegation Offer lifetime must be positive")
+    if not 0 < offered_lifetime < float("inf"):
+        raise ProtocolError("delegation Offer lifetime must be positive and finite")
     nonce = fields[3]
     if len(nonce) < 16:
         raise ProtocolError("delegation nonce too short")
     return offered_lifetime, fields[2] == b"1", nonce
-
-
-def _accept_issue_message(
-    fields: list[bytes], key: KeyPair, *, lifetime: float, limited: bool, clock: Clock
-) -> Credential:
-    if len(fields) != 3 or fields[0] != _T_ISSUE:
-        raise ProtocolError("expected a delegation Issue message")
-    return accept_issue(
-        key, fields[1], fields[2], lifetime=lifetime, limited=limited, clock=clock
-    )
 
 
 def accept_delegation(
@@ -267,40 +248,27 @@ def accept_delegation(
     key_source: KeySource | None = None,
     clock: Clock = SYSTEM_CLOCK,
 ) -> Credential:
-    """Receive a delegated proxy credential from the peer on ``channel``.
-
-    The issued proxy is verified **against the Offer** by
-    :func:`accept_issue` before a :class:`Credential` is constructed: its
-    lifetime must fit the offered one (± clock skew), its limited flag
-    must match, and the returned issuer chain must actually link — a
-    buggy or malicious delegator cannot hand back more authority than it
-    offered, or a chain that falls apart on first use.
-    """
+    """Receive a delegated proxy credential from the peer on ``channel``,
+    held by :func:`accept_issue` to the Offer: a buggy or malicious
+    delegator cannot hand back more authority than it offered, or a chain
+    that falls apart on first use."""
     lifetime, limited, nonce = _parse_offer(unpack_fields(channel.recv()))
     key = (key_source or FreshKeySource()).new_key()
     public_pem = key.public.to_pem()
     pop = key.sign(_pop_message(nonce, public_pem))
     channel.send(pack_fields([_T_REQUEST, public_pem, pop]))
-    return _accept_issue_message(
-        unpack_fields(channel.recv()), key, lifetime=lifetime, limited=limited, clock=clock
-    )
+    return accept_csr_reply(channel, key, lifetime=lifetime, limited=limited, clock=clock)
 
 
-def accept_csr_reply(
-    channel: SecureChannel,
-    key: KeyPair,
-    *,
-    lifetime: float,
-    limited: bool,
-    clock: Clock = SYSTEM_CLOCK,
-) -> Credential:
-    """Receive the proxy for a request that carried a CSR for ``key``:
-    the delegator's Issue, held by :func:`accept_issue` to the
-    ``lifetime`` and ``limited`` flag it granted.  Anything else in its
-    place (an Offer too) is a :class:`ProtocolError`."""
-    return _accept_issue_message(
-        unpack_fields(channel.recv()), key, lifetime=lifetime, limited=limited, clock=clock
-    )
+def accept_csr_reply(channel: SecureChannel, key: KeyPair, **terms) -> Credential:
+    """Receive the proxy for a CSR (or a Request) for ``key``: the
+    delegator's Issue, held by :func:`accept_issue` to the ``terms`` (its
+    keywords) it granted.  Anything else in its place (an Offer too) is a
+    :class:`ProtocolError`."""
+    fields = unpack_fields(channel.recv())
+    if len(fields) != 3 or fields[0] != _T_ISSUE:
+        raise ProtocolError("expected a delegation Issue message")
+    return accept_issue(key, fields[1], fields[2], **terms)
 
 
 def accept_issue(
@@ -310,15 +278,17 @@ def accept_issue(
     *,
     lifetime: float,
     limited: bool,
+    maximum: float | None = None,
     clock: Clock = SYSTEM_CLOCK,
 ) -> Credential:
     """Check an issued proxy for ``key`` before it becomes a credential.
 
-    The one acceptance step of every binding's GET: the certificate must
-    be for ``key``, its issuer chain must link (names and signatures), it
-    must not outlive ``lifetime`` from now (± clock skew), and its
-    limited flag must be ``limited``.  Defects raise
-    :class:`CredentialError`.
+    The one acceptance step of every binding's GET and of an Offer: the
+    certificate must be for ``key``, its issuer chain must link (names
+    and signatures), and the issuer's
+    :func:`~repro.pki.proxy.issuance_bound` over the grant (``lifetime``
+    under the requester's own ``maximum``, ``limited``) must allow it, to
+    ± clock skew.  Defects raise :class:`CredentialError`.
     """
     proxy_cert = Certificate.from_pem(cert_pem)
     if not chain_pem.strip():
@@ -332,14 +302,19 @@ def accept_issue(
         raise CredentialError("issued proxy chain does not link to its issuer")
     for child, parent in zip(chain, chain[1:]):
         if child.issuer != parent.subject or not child.signed_by(parent.public_key):
-            raise CredentialError(
-                f"issuer chain does not link at {child.subject}"
-            )
-    now = clock.now()
-    if proxy_cert.not_after > now + lifetime + CLOCK_SKEW:
+            raise CredentialError(f"issuer chain does not link at {child.subject}")
+    # As of when it says it was issued, or now if earlier: an honest
+    # issuer passes whatever the two clocks read.
+    issued_at = min(proxy_cert.not_before + BACKDATE, clock.now())
+    issuer = Credential(chain[0], chain=chain[1:])
+    try:
+        bound = issuance_bound(issuer, lifetime, issued_at, maximum=maximum, limited=limited)
+    except PolicyError as exc:
+        raise CredentialError(f"issued proxy exceeds what its issuer may grant: {exc}") from None
+    if proxy_cert.not_after > bound.not_after + CLOCK_SKEW:
         raise CredentialError(
             "issued proxy outlives the offered lifetime "
-            f"({proxy_cert.not_after - now:.0f}s > {lifetime:.0f}s offered)"
+            f"({proxy_cert.not_after - bound.now:.0f}s > {bound.lifetime:.0f}s offered)"
         )
     if proxy_cert.subject.last_cn_is_limited != limited:
         raise CredentialError(

@@ -122,6 +122,3 @@ class RepositoryError(ReproError):
 class NotFoundError(RepositoryError):
     """No such credential / user in the repository."""
 
-
-class LockedError(RepositoryError):
-    """A repository entry is locked by a concurrent writer."""

@@ -73,10 +73,6 @@ class SecureTransport(HttpTransport):
     ) -> None:
         self._channel = connect_secure(target, credential, validator)
 
-    @property
-    def server_identity(self):
-        return self._channel.peer
-
     def roundtrip(self, data: bytes) -> bytes:
         self._channel.send(data)
         return self._channel.recv()

@@ -61,14 +61,6 @@ class TestServerPolicy:
         with pytest.raises(PolicyError):
             policy.check_stored_lifetime(0.0)
 
-    def test_delegation_lifetime_clamped(self):
-        policy = ServerPolicy(
-            max_delegation_lifetime=10.0, default_delegation_lifetime=5.0
-        )
-        assert policy.clamp_delegation_lifetime(0.0) == 5.0  # default
-        assert policy.clamp_delegation_lifetime(7.0) == 7.0  # honored
-        assert policy.clamp_delegation_lifetime(100.0) == 10.0  # clamped
-
     def test_default_acls_allow_all(self):
         policy = ServerPolicy()
         from repro.pki.names import DistinguishedName
